@@ -7,23 +7,18 @@ samples, computes the local polar multiplicities and the product
 30 - sum(corrections), and prints the rank-22 lattice model.
 """
 
-from charfive.curvecheck import (
-    ns_gram_model,
-    random_in_U,
-    singular_points,
-    wall_invariant,
-)
-from charfive.curvecheck import SexticModel
+from charfive.curvecheck import SexticModel, analyze, ns_gram_model, random_in_U
 from charfive.ffpoly import GF, format_poly_literal, parse_poly_literal
 
 f = parse_poly_literal("[0,0,1,0,0,0,1]@5")          # x^6 + x^2
 model = SexticModel(field=f.field, f=f)
 
 print(f"=== {format_poly_literal(f)} ===")
-for p in singular_points(model):
+report = analyze(model)
+for p in report.points:
     print(f"  alpha = {p.alpha} (degree-{p.subfield_degree} point), "
           f"beta = {p.beta}, A4: {p.is_A4}, polar multiplicity {p.local_mult_with_polar}")
-wall = wall_invariant(model)
+wall = report.wall
 print(f"degree product: {wall.total} - {sum(wall.corrections)} = {wall.product}")
 
 lat = ns_gram_model(model)
@@ -35,9 +30,8 @@ print("\n=== seeded random samples ===")
 for field, seeds in ((GF(1), range(3)), (GF(2), range(3))):
     for seed in seeds:
         m = random_in_U(field, seed)
-        w = wall_invariant(m, seed=seed)
-        pts = singular_points(m, seed=seed)
-        degrees = sorted(p.subfield_degree for p in pts)
-        print(f"  {format_poly_literal(m.f)}: {len(pts)} points "
-              f"(degrees {degrees}), corrections {list(w.corrections)}, "
-              f"product {w.product}")
+        r = analyze(m, seed=seed)
+        degrees = sorted(p.subfield_degree for p in r.points)
+        print(f"  {format_poly_literal(m.f)}: {len(r.points)} points "
+              f"(degrees {degrees}), corrections {list(r.wall.corrections)}, "
+              f"product {r.wall.product}")

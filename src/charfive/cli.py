@@ -38,9 +38,22 @@ def _parse_field(text):
     text = text.strip()
     if text == "5":
         return GF(1)
-    if text.startswith("5^"):
+    if text.startswith("5^") and text[2:].isdigit() and int(text[2:]) >= 1:
         return GF(int(text[2:]))
-    raise _UsageError(f"unsupported field {text!r} (use 5 or 5^k)")
+    raise _UsageError(f"unsupported field {text!r} (use 5 or 5^k, k >= 1)")
+
+
+def _at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _canonical_json(payload):
@@ -88,7 +101,7 @@ def build_parser():
         p = lat_sub.add_parser(verb)
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_at_least(1), default=1)
     pv = lat_sub.add_parser("verify")
     pv.add_argument("--in", dest="infile", default=None,
                     help="classification JSON (defaults to stdin)")
@@ -99,17 +112,17 @@ def build_parser():
     for verb in ("check", "sing", "wall", "ns"):
         p = cur_sub.add_parser(verb)
         p.add_argument("--poly", required=True)
-        p.add_argument("--max-ext", type=int, default=8)
+        p.add_argument("--max-ext", type=_at_least(1), default=8)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--out", default=None)
     pr = cur_sub.add_parser("random")
     pr.add_argument("--field", default="5")
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--count", type=int, default=1)
+    pr.add_argument("--count", type=_at_least(0), default=1)
     pr.add_argument("--check", action="store_true",
                     help="run the full pipeline on each sample")
-    pr.add_argument("--max-ext", type=int, default=8)
+    pr.add_argument("--max-ext", type=_at_least(1), default=8)
     pr.add_argument("--format", choices=("json", "md"), default="json")
     pr.add_argument("--out", default=None)
     return parser
@@ -149,19 +162,27 @@ def _cmd_classify(args, stdout):
     return 0
 
 
+#: the fields of a classification entry that verify compares
+_ENTRY_FIELDS = ("gens", "disc_exp", "sigma", "root_type", "E_empty")
+
+
 def _cmd_verify(args, stdout, stderr):
     if args.infile:
         with open(args.infile) as fh:
             data = json.load(fh)
     else:
         data = json.load(sys.stdin)
-    entries = data["results"] if isinstance(data, dict) else data
+    entries = data.get("results") if isinstance(data, dict) else data
     checks = []
 
     def check(name, ok, detail=""):
         checks.append({"name": name, "passed": bool(ok), "detail": detail})
         if not ok:
             stderr.write(f"FAIL {name}: {detail}\n")
+
+    if not isinstance(entries, list):
+        check("payload", False, "expected a results list")
+        entries = []
 
     qrep = discform.verify_q_consistency()
     check("q_consistency", qrep.passed,
@@ -175,11 +196,18 @@ def _cmd_verify(args, stdout, stderr):
         sub = discform.IsotropicSubgroup(gens=gens)
         reference_keys[discform.canonical_key(sub)] = label
     for entry in entries:
+        if not isinstance(entry, dict):
+            check("?:fields", False, "entry is not an object")
+            continue
         label = entry.get("label", "?")
+        missing = [k for k in _ENTRY_FIELDS if k not in entry]
+        if missing:
+            check(f"{label}:fields", False, "missing " + ", ".join(missing))
+            continue
         try:
             sub = discform.IsotropicSubgroup(
                 gens=tuple(tuple(g) for g in entry["gens"]))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             check(f"{label}:isotropic", False, str(exc))
             continue
         check(f"{label}:condition_II", discform.condition_II(sub))
@@ -215,20 +243,13 @@ def _load_model(args):
     return curvecheck.SexticModel(field=f.field, f=f)
 
 
-def _curve_payload(model, args, with_points=True, with_wall=True):
+def _curve_payload(model, args):
     out = {"poly": format_poly_literal(model.f),
            "in_U": curvecheck.is_in_U(model.f)}
-    if not out["in_U"]:
-        return out
-    if with_points or with_wall:
-        points = curvecheck.singular_points(
-            model, max_ext=args.max_ext, seed=args.seed)
-        if with_points:
-            out["points"] = [p.to_json_dict() for p in points]
-        if with_wall:
-            wall = curvecheck.wall_invariant(
-                model, max_ext=args.max_ext, seed=args.seed)
-            out["wall"] = wall.to_json_dict()
+    if out["in_U"]:
+        report = curvecheck.analyze(model, max_ext=args.max_ext, seed=args.seed)
+        out["points"] = [p.to_json_dict() for p in report.points]
+        out["wall"] = report.wall.to_json_dict()
     return out
 
 
@@ -240,12 +261,9 @@ def _cmd_curve(args, stdout, verb):
         lat = curvecheck.ns_gram_model(model, max_ext=args.max_ext)
         _emit(_canonical_json(lat.to_json_dict()), args, stdout)
         return 0
-    if verb == "check":
-        results = _curve_payload(model, args)
-    elif verb == "sing":
-        results = _curve_payload(model, args, with_wall=False)
-    else:
-        results = _curve_payload(model, args, with_points=False)
+    results = _curve_payload(model, args)
+    # sing and wall print one half of the one analysis check prints in full
+    results.pop({"sing": "wall", "wall": "points"}.get(verb), None)
     payload = _wrap(args, results, seed=args.seed)
     _emit(_canonical_json(payload), args, stdout)
     return 0
@@ -259,13 +277,11 @@ def _cmd_random(args, stdout):
         entry = {"poly": format_poly_literal(model.f), "seed": args.seed + i,
                  "in_U": True}
         if args.check:
-            points = curvecheck.singular_points(
+            report = curvecheck.analyze(
                 model, max_ext=args.max_ext, seed=args.seed + i)
-            wall = curvecheck.wall_invariant(
-                model, max_ext=args.max_ext, seed=args.seed + i)
-            entry["n_points"] = len(points)
-            entry["all_A4"] = all(p.is_A4 for p in points)
-            entry["wall_product"] = wall.product
+            entry["n_points"] = len(report.points)
+            entry["all_A4"] = all(p.is_A4 for p in report.points)
+            entry["wall_product"] = report.wall.product
         results.append(entry)
     payload = _wrap(args, results, seed=args.seed)
     _emit(_canonical_json(payload), args, stdout)

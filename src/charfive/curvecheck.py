@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .discform import CHAIN_LEN, N_CHAINS, build_S0
 from .ffpoly import (
     GF,
     GFPoly,
@@ -46,10 +47,6 @@ class Poly2:
             for key, c in terms.items():
                 if any(c):
                     self.terms[key] = tuple(c)
-
-    @classmethod
-    def from_univar_x(cls, p):
-        return cls(p.field, {(i, 0): c for i, c in enumerate(p.coeffs)})
 
     def is_zero(self):
         return not self.terms
@@ -489,37 +486,28 @@ def _polar_corrections(m, points, seed, max_retries):
         f"no admissible polar point after {max_retries} draws (seed {seed})")
 
 
-def wall_invariant(m, max_ext=8, seed=0, max_retries=24):
-    """30 minus the sum of the five local polar multiplicities.
+@dataclass(frozen=True)
+class CurveReport:
+    points: tuple               # SingularPointReport, in deterministic order
+    wall: WallReport
 
-    The polar point is drawn from the base field with an explicit seed and
-    rejected on any detected degeneracy (point on the curve, polar
-    singular at a singular point of the curve, identically zero polar, or
-    a shared component).  Every draw stays base-rational so that each
-    singular point is handled inside its own extension tower.
+
+def analyze(m, max_ext=8, seed=0, max_retries=24):
+    """The singular points and the degree product of one sextic, from a
+    single root-finding pass and a single polar draw.
+
+    The points are certified over the algebraic closure (realized as
+    explicit finite extensions) and carry their local polar
+    multiplicities.  The polar point is drawn from the base field with an
+    explicit seed and rejected on any detected degeneracy (point on the
+    curve, polar singular at a singular point of the curve, identically
+    zero polar, or a shared component).  Every draw stays base-rational so
+    that each singular point is handled inside its own extension tower.
     """
     points = _find_singular_points(m, max_ext)
     q, mults, attempts = _polar_corrections(m, points, seed, max_retries)
-    total = 6 * 5
-    return WallReport(
-        degree=6,
-        total=total,
-        corrections=tuple(mults),
-        product=total - sum(mults),
-        polar_point=q,
-        attempts=attempts,
-    )
-
-
-def singular_points(m, max_ext=8, seed=0, max_retries=24):
-    """The singular points of the projective curve, certified and with their
-    local polar multiplicities (all computed over the algebraic closure,
-    realized as explicit finite extensions)."""
-    points = _find_singular_points(m, max_ext)
-    _q, mults, _attempts = _polar_corrections(m, points, seed, max_retries)
-    out = []
-    for pt, mult in zip(points, mults):
-        out.append(SingularPointReport(
+    reports = tuple(
+        SingularPointReport(
             alpha=pt["alpha"],
             beta=pt["beta"],
             field=pt["field"],
@@ -528,14 +516,30 @@ def singular_points(m, max_ext=8, seed=0, max_retries=24):
             is_A4=pt["is_A4"],
             g_at_alpha=pt["g_at_alpha"],
             local_mult_with_polar=mult,
-        ))
-    return out
+        )
+        for pt, mult in zip(points, mults))
+    total = 6 * 5
+    wall = WallReport(
+        degree=6,
+        total=total,
+        corrections=tuple(mults),
+        product=total - sum(mults),
+        polar_point=q,
+        attempts=attempts,
+    )
+    return CurveReport(points=reports, wall=wall)
 
 
-def wall_product_from_parts(degree, corrections):
-    """d(d-1) minus the given local corrections (the smooth case is the
-    empty list)."""
-    return degree * (degree - 1) - sum(corrections)
+def wall_invariant(m, max_ext=8, seed=0, max_retries=24):
+    """30 minus the sum of the five local polar multiplicities (the wall
+    part of `analyze`)."""
+    return analyze(m, max_ext, seed, max_retries).wall
+
+
+def singular_points(m, max_ext=8, seed=0, max_retries=24):
+    """The certified singular points with their local polar multiplicities
+    (the point part of `analyze`), as a list."""
+    return list(analyze(m, max_ext, seed, max_retries).points)
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +554,9 @@ def ns_gram_model(m, max_ext=8):
     points = _find_singular_points(m, max_ext)
     if len(points) != 5 or not all(p["is_A4"] for p in points):
         raise ValueError("model does not have five certified A4 points")
-    n = 22
-    gram = [[0] * n for _ in range(n)]
-    labels = []
-    for j in range(5):
-        base = 4 * j
-        for i in range(4):
-            gram[base + i][base + i] = -2
-            if i + 1 < 4:
-                gram[base + i][base + i + 1] = 1
-                gram[base + i + 1][base + i] = 1
-            labels.append(f"e_{i + 1}^(P{j + 1})")
-    gram[20][20] = 2
-    gram[20][21] = 1
-    gram[21][20] = 1
-    gram[21][21] = -2
-    labels += ["h", "l"]
-    return GramLattice(gram=tuple(tuple(r) for r in gram), labels=tuple(labels))
+    labels = [f"e_{i + 1}^(P{j + 1})"
+              for j in range(N_CHAINS) for i in range(CHAIN_LEN)]
+    return GramLattice(gram=build_S0().gram, labels=tuple(labels + ["h", "l"]))
 
 
 def random_in_U(field, seed, max_tries=1000):

@@ -16,6 +16,7 @@ all 15625 elements.
 """
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -426,6 +427,19 @@ def admissible_subgroups():
     return survivors
 
 
+def _parallel_map(fn, items, jobs):
+    """[fn(x) for x in items], spread over a process pool when jobs > 1.
+    jobs is clamped to the CPU count: more workers than CPUs only add
+    fork and pickling cost to this CPU-bound work."""
+    jobs = min(max(1, int(jobs)), os.cpu_count() or 1)
+    if jobs == 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        return pool.map(fn, items)
+
+
 def classify_isotropic_subgroups(jobs=1):
     """Orbit representatives of the admissible isotropic subgroups.
 
@@ -461,15 +475,8 @@ def classify_isotropic_subgroups(jobs=1):
             sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
         work.append((label, sub))
 
-    jobs = max(1, int(jobs))
-    subs = [sub for _label, sub in work]
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            invariants = pool.map(_subgroup_invariants, subs)
-    else:
-        invariants = [_subgroup_invariants(sub) for sub in subs]
+    invariants = _parallel_map(
+        _subgroup_invariants, [sub for _label, sub in work], jobs)
 
     records = []
     for (label, sub), (_s, rt, e_empty, disc_exp) in zip(work, invariants):
@@ -530,17 +537,7 @@ def isotropic_table(jobs=1):
         key = (int(t["a"][e]), int(t["b"][e]), int(t["yn"][e]))
         if key not in classes or e < classes[key]:
             classes[key] = e
-    rows = []
-    work = sorted(classes.items())
-    jobs = max(1, int(jobs))
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_isotropy_row_for, work)
-    else:
-        results = [_isotropy_row_for(item) for item in work]
-    rows.extend(results)
+    rows = _parallel_map(_isotropy_row_for, sorted(classes.items()), jobs)
     rows.sort(key=lambda r: (r.a, r.b, r.y))
     return rows
 

@@ -301,19 +301,6 @@ class GF:
         return "[" + ",".join(str(x) for x in a) + "]"
 
 
-def field_arithmetic(field, a, b, op):
-    """Dispatch basic field operations by name: add, mul, inv, pow."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "inv":
-        return field.inv(a)
-    if op == "pow":
-        return field.pow(a, b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 @lru_cache(maxsize=None)
 def _embedding_image(src_key, dst_key):
     src = GF(src_key[0], src_key[1])
@@ -483,15 +470,6 @@ class GFPoly:
             acc = f.add(f.mul(acc, x), c)
         return acc
 
-    def shift(self, a):
-        """The polynomial p(x + a)."""
-        f = self.field
-        acc = GFPoly(f, [])
-        lin = GFPoly(f, [a, f.one])
-        for c in reversed(self.coeffs):
-            acc = acc * lin + GFPoly(f, [c])
-        return acc
-
     def pow_mod(self, e, mod):
         e = int(e)
         result = GFPoly(self.field, [self.field.one])
@@ -530,10 +508,6 @@ def is_squarefree(u):
     if du.is_zero():
         return False
     return poly_gcd(u, du).degree == 0
-
-
-def fifth_root(field, c):
-    return field.fifth_root(c)
 
 
 def poly_fifth_root(u):

@@ -35,10 +35,6 @@ def vec_mat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
 
 
-def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def is_symmetric(m):
     n = len(m)
     return all(len(row) == n for row in m) and all(

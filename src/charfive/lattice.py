@@ -102,15 +102,6 @@ class GramLattice:
         return sum(u[i] * self.gram[i][j] * v[j]
                    for i in range(self.rank) for j in range(self.rank))
 
-    def is_negative_definite(self):
-        pos, neg = self.signature()
-        return pos == 0 and neg == self.rank
-
-    def exponent(self):
-        """Exponent of the discriminant group (1 for unimodular)."""
-        facs = discriminant_group(self).invariant_factors
-        return facs[-1] if facs else 1
-
     def to_json_dict(self):
         return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
 

@@ -4,9 +4,12 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from charfive.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+FIXTURE = "[0,0,1,0,0,0,1]@5"
 
 
 def invoke(argv):
@@ -31,6 +34,21 @@ def test_classify_matches_golden():
     payload = json.loads(out)
     assert len(payload["results"]) == 9
     assert [r["label"] for r in payload["results"]] == [f"H_{i}" for i in range(9)]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("curve_check_fixture.json", ["curve", "check", "--poly", FIXTURE]),
+    # the two samples of `curve random --field 5^2 --seed 7 --count 2`
+    ("curve_check_gf25_seed7.json",
+     ["curve", "check", "--poly", "[[0,2],[4,0],[2,2],[0,4],[1,0],[2,0],[2,3]]@5^2"]),
+    ("curve_check_gf25_seed8.json",
+     ["curve", "check", "--poly", "[[2,1],[1,2],[2,2],[4,0],[1,1],[2,4],[1,0]]@5^2"]),
+    ("curve_ns_fixture.json", ["curve", "ns", "--poly", FIXTURE]),
+])
+def test_curve_output_matches_golden(name, argv):
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_output_is_byte_stable():
@@ -119,13 +137,22 @@ def test_verify_round_trip(tmp_path):
 
 def test_verify_detects_tampering(tmp_path):
     code, out, _ = invoke(["lattice", "classify"])
-    payload = json.loads(out)
-    payload["results"][3]["root_type"] = "E8+3A4"
+    tampered = json.loads(out)
+    tampered["results"][3]["root_type"] = "E8+3A4"
+    malformed = [
+        {"results": [{"label": "H_0", "gens": []}]},    # invariants missing
+        {"foo": 1},                                      # no results list
+        {"results": [3]},                                # entry not an object
+        {"results": [{"label": "H_0", "gens": 5, "disc_exp": 6, "sigma": 3,
+                      "root_type": "5A4", "E_empty": True}]},
+    ]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
-    code, out, err = invoke(["lattice", "verify", "--in", str(path)])
-    assert code == 1
-    assert json.loads(out)["passed"] is False
+    for payload in [tampered] + malformed:
+        path.write_text(json.dumps(payload))
+        code, out, err = invoke(["lattice", "verify", "--in", str(path)])
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "FAIL " in err
 
 
 def test_empty_result_list_is_valid_json():
@@ -140,6 +167,12 @@ def test_usage_errors():
     assert invoke(["curve", "check", "--poly", "oops"])[0] == 2
     assert invoke(["curve", "check", "--poly", "[1,1]@5"])[0] == 2
     assert invoke(["curve", "random", "--field", "7^2"])[0] == 2
+    assert invoke(["curve", "random", "--field", "5^x"])[0] == 2
+    assert invoke(["curve", "random", "--count", "-3"])[0] == 2
+    assert invoke(["curve", "random", "--max-ext", "0"])[0] == 2
+    assert invoke(["curve", "check", "--poly", FIXTURE, "--max-ext", "0"])[0] == 2
+    assert invoke(["lattice", "table1", "--jobs", "0"])[0] == 2
+    assert invoke(["lattice", "classify", "--jobs", "-2"])[0] == 2
 
 
 def test_out_writes_file(tmp_path):

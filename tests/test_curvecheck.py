@@ -19,7 +19,6 @@ from charfive.curvecheck import (
     singular_points,
     verify_A4,
     wall_invariant,
-    wall_product_from_parts,
 )
 from charfive.ffpoly import (
     GF,
@@ -204,12 +203,6 @@ def test_wall_fixture():
     assert w.product == 5
     again = wall_invariant(model(FIXTURE))
     assert again == w                       # deterministic for a fixed seed
-
-
-def test_wall_smooth_parts():
-    # a smooth sextic has no corrections: the product is d(d-1) = 30
-    assert wall_product_from_parts(6, []) == 30
-    assert wall_product_from_parts(6, [5, 5, 5, 5, 5]) == 5
 
 
 def test_wall_retry_budget():

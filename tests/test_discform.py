@@ -253,6 +253,34 @@ def test_isotropic_table():
         assert q_value(r.representative) == 0
 
 
+def test_parallel_map_clamps_jobs_to_cpu_count(monkeypatch):
+    import multiprocessing
+
+    asked = []
+
+    class RecordingPool:                 # starts no processes
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(discform.os, "cpu_count", lambda: 3)
+    assert discform._parallel_map(abs, [-1, 2, -3], 10 ** 6) == [1, 2, 3]
+    assert discform._parallel_map(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    assert asked == [3, 2]
+    monkeypatch.setattr(discform.os, "cpu_count", lambda: 1)
+    assert discform._parallel_map(abs, [-4], 8) == [4]
+    assert asked == [3, 2]               # one CPU: no pool at all
+
+
 def test_classification():
     records = classify_isotropic_subgroups()
     assert [r.label for r in records] == [f"H_{i}" for i in range(9)]

@@ -12,7 +12,6 @@ from charfive.ffpoly import (
     _f5_is_irreducible,
     _search_modulus,
     embedding,
-    field_arithmetic,
     format_poly_literal,
     is_squarefree,
     parse_poly_literal,
@@ -27,12 +26,10 @@ F25 = GF(2)
 
 
 def test_prime_field_basics():
-    assert field_arithmetic(F5, F5.elem(2), F5.elem(4), "add") == F5.elem(1)
-    assert field_arithmetic(F5, F5.elem(2), None, "inv") == F5.elem(3)
-    assert field_arithmetic(F5, F5.elem(3), F5.elem(4), "mul") == F5.elem(2)
-    assert field_arithmetic(F5, F5.elem(2), 4, "pow") == F5.elem(1)
-    with pytest.raises(ValueError):
-        field_arithmetic(F5, F5.elem(1), F5.elem(1), "xor")
+    assert F5.add(F5.elem(2), F5.elem(4)) == F5.elem(1)
+    assert F5.inv(F5.elem(2)) == F5.elem(3)
+    assert F5.mul(F5.elem(3), F5.elem(4)) == F5.elem(2)
+    assert F5.pow(F5.elem(2), 4) == F5.elem(1)
     with pytest.raises(ZeroDivisionError):
         F5.inv(F5.zero)
 
@@ -235,13 +232,3 @@ def test_literals_roundtrip():
         parse_poly_literal("[1,2,3]")
     with pytest.raises(ValueError):
         parse_poly_literal("[1]@7")
-
-
-def test_poly_shift():
-    rng = random.Random(21)
-    for _ in range(50):
-        fld = GF(rng.choice((1, 2)))
-        p = GFPoly(fld, [fld.rand_elem(rng) for _ in range(rng.randint(0, 6))])
-        a = fld.rand_elem(rng)
-        x0 = fld.rand_elem(rng)
-        assert p.shift(a).eval(x0) == p.eval(fld.add(x0, a))
