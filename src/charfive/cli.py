@@ -12,7 +12,8 @@ Verbs:
 
 JSON output is canonical (sorted keys, fixed separators); identical
 command and seed give byte-identical stdout.  Timing diagnostics go to
-stderr only.  Exit codes: 0 success, 1 verification failure, 2 usage.
+stderr only.  Exit codes: 0 success, 1 verification failure, 2 usage error
+or a file that cannot be read or written.
 """
 
 import argparse
@@ -27,6 +28,10 @@ from .ffpoly import GF, SplittingFieldError, format_poly_literal, parse_poly_lit
 
 class _UsageError(Exception):
     pass
+
+
+class _FileError(Exception):
+    """An input file could not be read or an output file written."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -74,8 +79,11 @@ def _md_table(headers, rows):
 
 def _emit(text, args, stdout):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _FileError(exc) from exc
     else:
         stdout.write(text)
 
@@ -167,11 +175,14 @@ _ENTRY_FIELDS = ("gens", "disc_exp", "sigma", "root_type", "E_empty")
 
 
 def _cmd_verify(args, stdout, stderr):
-    if args.infile:
-        with open(args.infile) as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+    try:
+        if args.infile:
+            with open(args.infile) as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except OSError as exc:
+        raise _FileError(exc) from exc
     entries = data.get("results") if isinstance(data, dict) else data
     checks = []
 
@@ -316,6 +327,9 @@ def run(argv, stdout=None, stderr=None):
         return code
     except _UsageError as exc:
         stderr.write(f"usage error: {exc}\n")
+        return 2
+    except _FileError as exc:
+        stderr.write(f"error: {exc}\n")
         return 2
     except SplittingFieldError as exc:
         stderr.write(f"splitting field too large: {exc}\n")

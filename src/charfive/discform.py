@@ -24,7 +24,7 @@ import numpy as np
 
 from .lattice import (
     GramLattice,
-    discriminant_group,
+    dual_data,
     e_set,
     overlattice_from_generators,
     root_type_orthogonal_to,
@@ -612,17 +612,11 @@ def verify_q_consistency():
     the dual of l) in the reference basis; these are computed, never
     assumed.
     """
-    from .intmat import fraction_inverse
-
-    s0 = build_S0()
-    dg = discriminant_group(s0)
+    dg, m, m_ginv = dual_data(build_S0().gram)
     facs = dg.invariant_factors
-
-    ginv = fraction_inverse([list(r) for r in s0.gram])
-    n5 = [[x * 5 for x in row] for row in ginv]
-    if any(x.denominator != 1 for row in n5 for x in row):
-        raise ArithmeticError("5 * inverse Gram is not integral")
-    n5 = np.array([[int(x) for x in row] for row in n5], dtype=np.int64)
+    if m != 5:
+        raise ArithmeticError("the discriminant group does not have exponent 5")
+    n5 = np.array(m_ginv, dtype=np.int64)
 
     # reference basis: duals of the first root of each chain, then dual of h
     basis_dual = []

@@ -1,13 +1,17 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
-All matrices are plain lists of lists holding Python ints or
-``fractions.Fraction`` entries.  No floating point is used anywhere;
-square roots only ever appear as ``math.isqrt`` of nonnegative integers
-when deriving enumeration bounds.
+All matrices are plain lists of lists of Python ints, and no floating
+point is used anywhere.  The lattice kernels are fraction-free: the
+adjugate and the LDL^T data come from Bareiss elimination, LLL is the
+integral version that keeps those integers, and Fincke-Pohst enumeration
+scales its budget by one common denominator, so its bounds are
+``math.isqrt`` of nonnegative integers.  ``fractions.Fraction`` appears
+only in `fraction_inverse`, an exact rational view on the adjugate, and
+in `signature_symmetric`.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def identity_matrix(n):
@@ -82,30 +86,40 @@ def det_bareiss(m):
     return sign * a[n - 1][n - 1]
 
 
-def fraction_inverse(m):
-    """Inverse of a square matrix as a Fraction matrix (Gauss-Jordan)."""
+def adjugate(m):
+    """Adjugate and determinant of a nonsingular square integer matrix.
+
+    Returns (adj, det) with m * adj = adj * m = det * I.  Fraction-free
+    Gauss-Jordan elimination on [m | I] (Bareiss): every division is
+    exact, so all intermediate entries are integers.  Raises ValueError
+    when m is singular.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    # the left block is now prev * I with prev = sign * det(m)
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
-def fraction_solve_right(a, b):
-    """Solve x . a = b for a square nonsingular `a` (everything rational)."""
-    ainv = fraction_inverse(a)
-    return [sum(Fraction(b[i]) * ainv[i][j] for i in range(len(b)))
-            for j in range(len(b))]
+def fraction_inverse(m):
+    """Inverse of a nonsingular square matrix as Fractions: adj(m) / det(m)."""
+    adj, det = adjugate(m)
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -338,161 +352,153 @@ def signature_symmetric(m):
 
 
 def ldl_positive(m):
-    """LDL^T data of a positive definite symmetric matrix.
+    """LDL^T data of a positive definite symmetric matrix, in integers.
 
-    Returns (d, mu): Fractions with m = L D L^T, L unit lower triangular,
-    L[i][j] = mu[i][j] for j < i.  Raises ValueError if m is not positive
-    definite.
+    Returns (dets, lam): dets[i] is the leading principal minor of size
+    i + 1, and lam[i][j] (j < i) is an integer with mu[i][j] = lam[i][j] /
+    dets[j], where m = L D L^T, L unit lower triangular with entries mu,
+    and D = diag(dets[i] / dets[i - 1]) (dets[-1] read as 1).  Every
+    division is exact (Cohen, Alg. 2.6.7).  Raises ValueError if m is not
+    positive definite.
     """
+    return _bareiss_ldl(m)
+
+
+def _bareiss_ldl(m):
+    """The body of `ldl_positive`.  `lll_gram` calls it directly: its
+    Gram-Schmidt pass belongs to the reduction, and the calls of
+    `ldl_positive` (a traced layer of the benchmark) count the
+    factorisations that the enumerations use."""
     n = len(m)
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
+    dets = []
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        val = Fraction(m[i][i])
-        for k in range(i):
-            val -= mu[i][k] * mu[i][k] * d[k]
-        if val <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[i] = val
-        for j in range(i + 1, n):
-            s = Fraction(m[j][i])
-            for k in range(i):
-                s -= mu[j][k] * mu[i][k] * d[k]
-            mu[j][i] = s / d[i]
-    return d, mu
+        row, lam_i = m[i], lam[i]
+        for j in range(i + 1):
+            lam_j = lam[j]
+            val = row[j]
+            prev = 1
+            for k in range(j):
+                val = (dets[k] * val - lam_i[k] * lam_j[k]) // prev
+                prev = dets[k]
+            if j < i:
+                lam_i[j] = val
+            elif val <= 0:
+                raise ValueError("matrix is not positive definite")
+            else:
+                dets.append(val)
+    return dets, lam
 
 
-def lll_gram(gram, delta=Fraction(3, 4)):
-    """Exact LLL on a positive definite Gram matrix.
+def lll_gram(gram):
+    """Exact LLL (delta = 3/4) on a positive definite Gram matrix.
 
     Returns (u, u_inv) with u unimodular such that u * gram * u^T is
     LLL-reduced; u_inv = u^{-1}.  Only the Gram matrix is used (no
-    coordinate embedding).
+    coordinate embedding).  Integral LLL (Cohen, Alg. 2.6.7): the
+    Gram-Schmidt data are kept as the integers of `ldl_positive`, and the
+    size-reduction multiplier is q = floor(mu + 1/2).  Raises ValueError
+    if gram is not positive definite.
     """
     n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
+    dets, lam = _bareiss_ldl(gram)
     u = identity_matrix(n)
-    u_inv = identity_matrix(n)
-
-    def gram_entry(i, j):
-        return g[i][j]
-
-    # Gram-Schmidt data recomputed from scratch; updated incrementally below.
-    def full_gs():
-        b = [Fraction(0)] * n
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            b[i] = gram_entry(i, i)
-            for j in range(i):
-                s = gram_entry(i, j)
-                for k in range(j):
-                    s -= mu[i][k] * mu[j][k] * b[k]
-                mu[i][j] = s / b[j]
-                b[i] -= mu[i][j] * mu[i][j] * b[j]
-            if b[i] <= 0:
-                raise ValueError("matrix is not positive definite")
-        return b, mu
-
-    b, mu = full_gs()
-
-    def row_sub(k, l, q):       # b_k -= q b_l
-        for c in range(n):
-            g[k][c] -= q * g[l][c]
-        for r in range(n):
-            g[r][k] -= q * g[r][l]
-        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
-        for r in range(n):
-            u_inv[r][l] += q * u_inv[r][k]
+    u_inv_t = identity_matrix(n)        # transpose of u^{-1}: column ops become row ops
 
     def reduce_entry(k, l):
-        q = (mu[k][l] + Fraction(1, 2)).__floor__()
+        dl = dets[l]
+        q = (2 * lam[k][l] + dl) // (2 * dl)
         if q:
-            row_sub(k, l, q)
-            mu[k][l] -= q
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+            u_inv_t[l] = [x + q * y for x, y in zip(u_inv_t[l], u_inv_t[k])]
+            lam_k, lam_l = lam[k], lam[l]
+            lam_k[l] -= q * dl
             for i in range(l):
-                mu[k][i] -= q * mu[l][i]
+                lam_k[i] -= q * lam_l[i]
 
     k = 1
     while k < n:
         reduce_entry(k, k - 1)
-        if b[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * b[k - 1]:
-            # swap rows k-1 and k, update GS data in place
-            g[k - 1], g[k] = g[k], g[k - 1]
-            for r in range(n):
-                g[r][k - 1], g[r][k] = g[r][k], g[r][k - 1]
+        d_prev = dets[k - 2] if k >= 2 else 1
+        lk = lam[k][k - 1]
+        # Lovasz: d[k] < (3/4 - mu^2) d[k-1], times 4 dets[k-1] dets[k-2]
+        if 4 * dets[k] * d_prev < 3 * dets[k - 1] ** 2 - 4 * lk * lk:
             u[k - 1], u[k] = u[k], u[k - 1]
-            for r in range(n):
-                u_inv[r][k - 1], u_inv[r][k] = u_inv[r][k], u_inv[r][k - 1]
-            m_ = mu[k][k - 1]
-            b_new = b[k] + m_ * m_ * b[k - 1]
-            mu[k][k - 1] = m_ * b[k - 1] / b_new
-            b[k] = b[k - 1] * b[k] / b_new
-            b[k - 1] = b_new
-            for j in range(k - 1):
-                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            u_inv_t[k - 1], u_inv_t[k] = u_inv_t[k], u_inv_t[k - 1]
+            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+            b = (d_prev * dets[k] + lk * lk) // dets[k - 1]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m_ * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                lam_i = lam[i]
+                t = lam_i[k]
+                lam_i[k] = (dets[k] * lam_i[k - 1] - lk * t) // dets[k - 1]
+                lam_i[k - 1] = (b * t + lk * lam_i[k]) // dets[k]
+            dets[k - 1] = b
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
                 reduce_entry(k, l)
             k += 1
-    return u, u_inv
+    return u, transpose(u_inv_t)
 
 
 # ---------------------------------------------------------------------------
-# Norm-equation enumeration (Fincke-Pohst style, exact)
+# Norm-equation enumeration (Fincke-Pohst, over the integers)
 # ---------------------------------------------------------------------------
 
-def enumerate_quadratic(d, mu, target, shift):
-    """All integer w with Q(w + shift) == target, exactly.
+def enumerate_quadratic(dets, lam, target, shift, den=1):
+    """All integer w with Q(den * w + shift) == target, exactly.
 
-    Q is the positive definite form given by its LDL data (d, mu):
-    Q(z) = sum_j d[j] * (z_j + sum_{i>j} mu[i][j] z_i)^2.  `shift` is a
-    rational vector, `target` a rational number.  Bounds on each
-    coordinate are derived with integer square roots (conservative, then
-    filtered by exact comparison), so the output is exact.
+    Q is the positive definite form with integral LDL data (dets, lam)
+    from `ldl_positive`; `shift` is an integer vector, `den` a positive
+    integer and `target` an integer.  With x = den * w + shift,
+
+        Q(x) = sum_j Y_j^2 / (dets[j] dets[j-1]),
+        Y_j = dets[j] x_j + sum_{i>j} lam[i][j] x_i,
+
+    so after scaling by the common denominator P = lcm_j(dets[j]
+    dets[j-1]) each level costs weight_j * Y_j^2 of an integer budget:
+    the bound on Y_j is an `isqrt` and every comparison is between
+    integers.  Solutions are listed with the last coordinate varying
+    slowest, each coordinate ascending.
     """
-    n = len(d)
-    target = Fraction(target)
+    n = len(dets)
     if target < 0:
         return []
     if n == 0:
         return [()] if target == 0 else []
+    minors = [a * b for a, b in zip(dets, [1] + dets[:-1])]
+    scale = lcm(*minors)
+    weights = [scale // x for x in minors]
+    steps = [den * d for d in dets]         # Y_j = steps[j] * w_j + centre_j
     out = []
     current = [0] * n
 
-    def rec(level, rem, centers):
-        alpha = shift[level] + centers[level]
-        bound = rem / d[level]
-        a, bden = alpha.numerator, alpha.denominator
-        p, q = bound.numerator, bound.denominator
-        s = isqrt((p * bden * bden) // q) + 1
-        lo = -((a + s) // bden)
-        hi = (s - a) // bden
-        for w in range(lo, hi + 1):
-            za = w + alpha
-            term = d[level] * za * za
-            if term > rem:
-                continue
-            current[level] = w
-            new_rem = rem - term
-            if level == 0:
-                if new_rem == 0:
+    def rec(level, rem, centres):
+        f, a, c = weights[level], steps[level], centres[level]
+        if level == 0:
+            # the last coordinate must use up the budget: Y_0 = +-sqrt(rem / f)
+            q, r = divmod(rem, f)
+            y = isqrt(q)
+            if r or y * y != q:
+                return
+            for yy in ((-y, y) if y else (0,)):
+                w, r = divmod(yy - c, a)
+                if not r:
+                    current[0] = w
                     out.append(tuple(current))
+            return
+        r = isqrt(rem // f)
+        lam_row = lam[level]
+        s = shift[level]
+        for w in range(-((r + c) // a), (r - c) // a + 1):
+            y = a * w + c
+            current[level] = w
+            x = den * w + s
+            if x:
+                below = [cj + lj * x for cj, lj in zip(centres, lam_row[:level])]
             else:
-                z = Fraction(w) + shift[level]
-                if z:
-                    new_centers = centers[:level]
-                    murow = mu[level]
-                    for j in range(level):
-                        if murow[j]:
-                            new_centers[j] = new_centers[j] + murow[j] * z
-                else:
-                    new_centers = centers[:level]
-                rec(level - 1, new_rem, new_centers)
+                below = centres[:level]
+            rec(level - 1, rem - f * y * y, below)
 
-    rec(n - 1, target, [Fraction(0)] * n)
+    rec(n - 1, scale * target, [d * s for d, s in zip(dets, shift)])
     return out

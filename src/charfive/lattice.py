@@ -17,13 +17,14 @@ Conventions
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, isqrt
+from functools import lru_cache, reduce
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from . import intmat
 from .intmat import (
+    adjugate,
     det_bareiss,
     enumerate_quadratic,
     fraction_inverse,
@@ -256,6 +257,23 @@ def dual_gram(l):
     return fraction_inverse(gram)
 
 
+@lru_cache(maxsize=16)
+def dual_data(gram):
+    """(discriminant group, exponent m, m * gram^{-1}) of a Gram matrix.
+
+    `gram` is a tuple of row tuples, the cache key.  m * gram^{-1} is an
+    integer matrix (tuple of tuples) taken from the Bareiss adjugate; it
+    maps dual coordinates to m times primal coordinates.  Computed once
+    per Gram matrix, on first use.
+    """
+    dg = discriminant_group(gram)
+    m = dg.invariant_factors[-1] if dg.invariant_factors else 1
+    adj, det = adjugate([list(r) for r in gram])
+    if any(m * x % det for row in adj for x in row):
+        raise ValueError("exponent does not clear the dual denominators")
+    return dg, m, tuple(tuple(m * x // det for x in row) for row in adj)
+
+
 def overlattice_from_generators(l, gens):
     """Even overlattice generated over L by dual vectors.
 
@@ -269,15 +287,7 @@ def overlattice_from_generators(l, gens):
                         labels=tuple(f"b{i}" for i in range(len(l))))
     n = l.rank
     gram = [list(r) for r in l.gram]
-    dg = discriminant_group(l)
-    m = dg.invariant_factors[-1] if dg.invariant_factors else 1
-    ginv = fraction_inverse(gram)
-    scaled_dual = [[m * x for x in row] for row in ginv]
-    for row in scaled_dual:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("exponent does not clear the dual denominators")
-    scaled_dual = [[int(x) for x in row] for row in scaled_dual]
+    dg, m, scaled_dual = dual_data(l.gram)
 
     gens = [list(g) for g in gens]
     for g in gens:
@@ -297,12 +307,14 @@ def overlattice_from_generators(l, gens):
                     seen[key] = cand
                     new_frontier.append(cand)
         frontier = new_frontier
+    # norm(lift) = lift . gram^{-1} . lift lies in 2Z iff m * norm lies in 2mZ
     for lift in seen.values():
-        norm = sum(Fraction(lift[i]) * ginv[i][j] * lift[j]
-                   for i in range(n) for j in range(n))
-        if norm.denominator != 1 or norm.numerator % 2:
+        support = [(i, x) for i, x in enumerate(lift) if x]
+        scaled_norm = sum(x * y * scaled_dual[i][j]
+                          for i, x in support for j, y in support)
+        if scaled_norm % (2 * m):
             raise EvennessViolation(
-                f"subgroup element with norm {norm} is not even integral")
+                f"subgroup element with norm {scaled_norm}/{m} is not even integral")
 
     rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
     for g in gens:
@@ -369,6 +381,25 @@ def _check_negative_definite(g):
     return a
 
 
+def _reduced_positive_form(g):
+    """LLL data of -g for a negative definite g: (u, u_inv, dets, lam).
+
+    u * (-g) * u^T is LLL-reduced and (dets, lam) are its integral LDL
+    data.  The LLL's own Gram-Schmidt pass rejects a g that is not
+    negative definite.
+    """
+    if not is_symmetric(g):
+        raise ValueError("Gram matrix must be symmetric")
+    a = [[-x for x in row] for row in g]
+    try:
+        u, u_inv = lll_gram(a)
+    except ValueError as exc:
+        raise IndefiniteLatticeError(
+            "enumeration requires a negative definite Gram matrix") from exc
+    dets, lam = ldl_positive(mat_mul(mat_mul(u, a), transpose(u)))
+    return u, u_inv, dets, lam
+
+
 def short_vectors_of_norm(g, n):
     """All integer vectors v with v^T g v = n, for negative definite g.
 
@@ -377,37 +408,35 @@ def short_vectors_of_norm(g, n):
     g = [list(r) for r in g]
     if not isinstance(n, int) or n >= 0:
         raise ValueError("norm must be a negative integer")
-    a = _check_negative_definite(g)
-    u, _u_inv = lll_gram(a)
-    a_red = mat_mul(mat_mul(u, a), transpose(u))
-    d, mu = ldl_positive(a_red)
-    shift = [Fraction(0)] * len(a)
-    found = enumerate_quadratic(d, mu, Fraction(-n), shift)
+    u, _u_inv, dets, lam = _reduced_positive_form(g)
+    found = enumerate_quadratic(dets, lam, -n, [0] * len(g))
     out = [tuple(intmat.vec_mat(list(w), u)) for w in found]
     out.sort()
     return out
 
 
-def coset_vectors_of_norm(g, shift, n):
-    """All integer u with (u + shift)^T g (u + shift) = n (g negative definite).
+def coset_vectors_of_norm(g, shift, n, den=1):
+    """All integer u with (den*u + shift)^T g (den*u + shift) = n, for
+    negative definite g.
 
-    `shift` is a rational vector and `n` a rational number; the empty list
-    is a legitimate result.
+    `shift` is a rational vector, `n` a rational number and `den` a
+    positive integer; with den = 1 this is the coset u + shift of norm n.
+    Rationals are read through their numerator and denominator, and the
+    search runs over the integers.  The empty list is a legitimate result.
     """
     g = [list(r) for r in g]
-    a = _check_negative_definite(g)
-    target = -Fraction(n)
-    if target < 0:
-        return []
-    shift = [Fraction(x) for x in shift]
     if len(shift) != len(g):
         raise ValueError("shift has wrong length")
-    u, u_inv = lll_gram(a)
-    a_red = mat_mul(mat_mul(u, a), transpose(u))
-    d, mu = ldl_positive(a_red)
-    shift_red = [sum(shift[i] * u_inv[i][j] for i in range(len(shift)))
-                 for j in range(len(shift))]
-    found = enumerate_quadratic(d, mu, target, shift_red)
+    if den < 1:
+        raise ValueError("den must be a positive integer")
+    u, u_inv, dets, lam = _reduced_positive_form(g)
+    # clear the denominators of shift: s * (den*u + shift) has norm s^2 n
+    s = lcm(*(x.denominator for x in shift)) if shift else 1
+    num = [x.numerator * (s // x.denominator) for x in shift]
+    target, r = divmod(-n.numerator * s * s, n.denominator)
+    if r or target < 0:
+        return []
+    found = enumerate_quadratic(dets, lam, target, intmat.vec_mat(num, u_inv), s * den)
     out = [tuple(intmat.vec_mat(list(w), u)) for w in found]
     out.sort()
     return out
@@ -537,13 +566,19 @@ def e_set(s, h_primal, v1_primal=None):
             raise DivisibilityError("no vector pairs to 1 with h")
         v1 = coeffs
 
+    # e = v1 + w.kernel has e^2 = v1^2 + 2 w.rhs + w gram_perp w^T, and
+    # completing the square with shift = rhs gram_perp^{-1} = num / den gives
+    # e^2 = 0  <=>  (den w + num) gram_perp (den w + num)^T = den^2 (shift^2 - v1^2)
     rhs = intmat.vec_mat(v1, mat_mul(gram_s, transpose(kernel)))
-    shift = intmat.fraction_solve_right(gram_perp, rhs)
+    adj, den = adjugate(gram_perp)
+    num = intmat.vec_mat(rhs, adj)
+    if den < 0:
+        num, den = [-x for x in num], -den
     v1_sq = sum(v1[i] * gram_s[i][j] * v1[j]
                 for i in range(len(v1)) for j in range(len(v1)))
-    n_target = sum(shift[i] * gram_perp[i][j] * shift[j]
-                   for i in range(len(shift)) for j in range(len(shift))) - v1_sq
-    ws = coset_vectors_of_norm(gram_perp, shift, n_target)
+    # num gram_perp num^T = den (rhs . num)
+    n_target = den * sum(a * b for a, b in zip(rhs, num)) - den * den * v1_sq
+    ws = coset_vectors_of_norm(gram_perp, num, n_target, den)
     out = []
     for w in ws:
         e_s = [a + b for a, b in zip(v1, intmat.vec_mat(list(w), kernel))]

@@ -161,7 +161,7 @@ def test_empty_result_list_is_valid_json():
     assert json.loads(out)["results"] == []
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert invoke(["lattice", "nonsense"])[0] == 2
     assert invoke(["bogus"])[0] == 2
     assert invoke(["curve", "check", "--poly", "oops"])[0] == 2
@@ -173,6 +173,12 @@ def test_usage_errors():
     assert invoke(["curve", "check", "--poly", FIXTURE, "--max-ext", "0"])[0] == 2
     assert invoke(["lattice", "table1", "--jobs", "0"])[0] == 2
     assert invoke(["lattice", "classify", "--jobs", "-2"])[0] == 2
+    # a missing input file and an output path in a missing directory
+    code, out, err = invoke(["lattice", "verify", "--in", str(tmp_path / "absent.json")])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = invoke(["curve", "check", "--poly", FIXTURE,
+                             "--out", str(tmp_path / "absent" / "x.json")])
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_out_writes_file(tmp_path):

@@ -1,4 +1,6 @@
-"""Exact matrix kernels: Smith/Hermite forms, kernels, LLL, signatures."""
+"""Exact matrix kernels: Smith/Hermite forms, kernels, LLL, LDL, Fincke-Pohst,
+adjugates, signatures.  The fraction-free kernels are checked against the
+Fraction oracle in `fraction_kernels`."""
 
 import random
 from fractions import Fraction
@@ -7,6 +9,7 @@ from math import gcd
 
 import pytest
 
+import fraction_kernels
 from charfive import intmat
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
@@ -125,14 +128,103 @@ def test_lll_reduction_properties():
         u, u_inv = intmat.lll_gram(a)
         assert intmat.mat_mul(u, u_inv) == intmat.identity_matrix(n)
         red = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
-        d, mu = intmat.ldl_positive(red)
+        dets, lam = intmat.ldl_positive(red)
+        d = [Fraction(x, y) for x, y in zip(dets, [1] + dets[:-1])]
         for i in range(n):
+            mu = [Fraction(lam[i][j], dets[j]) for j in range(i)]
             for j in range(i):
-                assert abs(mu[i][j]) <= Fraction(1, 2)
+                assert abs(mu[j]) <= Fraction(1, 2)
             if i:
                 lhs = d[i]
-                rhs = (Fraction(3, 4) - mu[i][i - 1] ** 2) * d[i - 1]
+                rhs = (Fraction(3, 4) - mu[i - 1] ** 2) * d[i - 1]
                 assert lhs >= rhs
+
+
+def assert_ldl_matches_oracle(a):
+    """The integer LDL data equal the oracle's d and mu as rationals."""
+    dets, lam = intmat.ldl_positive(a)
+    d, mu = fraction_kernels.ldl_positive(a)
+    lower = [1] + dets[:-1]
+    assert [Fraction(x, y) for x, y in zip(dets, lower)] == d
+    for i in range(len(a)):
+        assert [Fraction(lam[i][j], dets[j]) for j in range(i)] == mu[i][:i]
+
+
+def test_ldl_matches_fraction_oracle():
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        a = _random_pos_def(rng, n)
+        assert_ldl_matches_oracle(a)
+
+
+def test_lll_matches_fraction_oracle():
+    rng = random.Random(4243)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        a = _random_pos_def(rng, n)
+        assert intmat.lll_gram(a) == fraction_kernels.lll_gram(a)
+
+
+def assert_enumeration_matches_oracle(a, target, shift, den):
+    """enumerate_quadratic on the integer data of `a` and the oracle on
+    its rational data find the same vectors (target/den^2, shift/den)."""
+    dets, lam = intmat.ldl_positive(a)
+    d, mu = fraction_kernels.ldl_positive(a)
+    got = intmat.enumerate_quadratic(dets, lam, target, shift, den)
+    want = fraction_kernels.enumerate_quadratic(
+        d, mu, Fraction(target, den * den), [Fraction(x, den) for x in shift])
+    assert sorted(got) == sorted(want)
+    assert len(set(got)) == len(got)
+    return got
+
+
+def test_enumeration_matches_fraction_oracle():
+    rng = random.Random(4244)
+    found = {"zero shift": 0, "shift": 0}
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        a = _random_pos_def(rng, n)
+        u, _u_inv = intmat.lll_gram(a)
+        red = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
+        for target in range(0, 3 * n + 8):
+            found["zero shift"] += len(
+                assert_enumeration_matches_oracle(red, target, [0] * n, 1))
+        den = rng.randint(2, 7)
+        shift = [rng.randint(-den, den) for _ in range(n)]
+        # targets at and around the norm of the coset point w = 0
+        hit = sum(shift[i] * red[i][j] * shift[j] for i in range(n) for j in range(n))
+        for target in range(max(0, hit - 3), hit + 4):
+            found["shift"] += len(
+                assert_enumeration_matches_oracle(red, target, shift, den))
+    assert min(found.values()) > 100
+
+
+def test_enumeration_edge_cases():
+    assert intmat.enumerate_quadratic([], [], 0, []) == [()]
+    assert intmat.enumerate_quadratic([], [], 1, []) == []
+    assert intmat.enumerate_quadratic([2], [[0]], -2, [0]) == []
+    # 2 (3w + 1)^2 = 8 at w = -1 (3w + 1 = -2); 3w + 1 = 2 has no solution
+    assert intmat.enumerate_quadratic([2], [[0]], 8, [1], 3) == [(-1,)]
+
+
+def test_adjugate():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        det = intmat.det_bareiss(m)
+        if det == 0:
+            with pytest.raises(ValueError):
+                intmat.adjugate(m)
+            continue
+        adj, d = intmat.adjugate(m)
+        assert d == det
+        scaled = [[det * x for x in row] for row in intmat.identity_matrix(n)]
+        assert intmat.mat_mul(m, adj) == scaled
+        assert intmat.mat_mul(adj, m) == scaled
+        assert adj == [[x * det for x in row]
+                       for row in fraction_kernels.fraction_inverse(m)]
 
 
 def test_ldl_rejects_indefinite():

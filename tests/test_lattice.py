@@ -1,6 +1,8 @@
 """Lattice engine: discriminant groups, overlattices, enumeration, roots."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,8 +24,12 @@ from charfive import (
     short_vectors_box,
     short_vectors_of_norm,
 )
+import fraction_kernels
+from charfive import intmat
 from charfive.discform import H_PRIMAL, REFERENCE_SUBGROUPS, build_S0, lift_to_dual
 from charfive.intmat import det_bareiss, ldl_positive
+from charfive.lattice import _h_data, dual_data
+from test_intmat import assert_ldl_matches_oracle
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
 HL_BLOCK = [[2, 1], [1, -2]]
@@ -86,6 +92,24 @@ def test_dual_gram_examples():
         dual_gram([[1, 1], [1, 1]])
 
 
+def test_dual_data_of_s0():
+    gram = build_S0().gram
+    dg, m, m_ginv = dual_data(gram)
+    assert dg.invariant_factors == (5,) * 6 and m == 5
+    assert intmat.mat_mul([list(r) for r in m_ginv], [list(r) for r in gram]) \
+        == [[5 * int(i == j) for j in range(22)] for i in range(22)]
+    assert dual_data(gram)[2] is m_ginv            # computed once per Gram
+
+
+def test_dual_data_is_lazy():
+    # importing the package computes nothing: the cache fills on first use
+    code = ("import charfive, charfive.lattice as l; "
+            "print(l.dual_data.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
 def test_gram_lattice_validation():
     with pytest.raises(ValueError):
         GramLattice(gram=((1,),), labels=("a",))        # odd diagonal
@@ -135,6 +159,11 @@ def test_overlattice_rejects_non_isotropic():
         overlattice_from_generators(build_S0(), [lift_to_dual((1, 0, 0, 0, 0, 0))])
     with pytest.raises(EvennessViolation):
         overlattice_from_generators(build_S0(), [lift_to_dual((0, 0, 0, 0, 0, 1))])
+    # on 4A1 the class e1* + e2* has norm 1/2 + 1/2 = 1: integral but odd
+    four_a1 = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(EvennessViolation, match="subgroup element"):
+        overlattice_from_generators(four_a1, [[1, 1, 0, 0]])
+    assert overlattice_from_generators(four_a1, [[1, 1, 1, 1]]).index == 2
 
 
 def test_overlattice_rejects_bad_coordinates():
@@ -221,6 +250,26 @@ def test_coset_vectors_zero_shift_matches_short():
         g = _random_negative_definite(rng, n)
         assert (coset_vectors_of_norm(g, [0] * n, -2)
                 == short_vectors_of_norm(g, -2))
+
+
+def test_coset_vectors_scaled_form():
+    # (3u + 1)^T [[-2]] (3u + 1) = -8 at 3u + 1 = -2, i.e. u = -1, and it is
+    # the same search as the coset u + 1/3 of norm -8/9
+    assert coset_vectors_of_norm([[-2]], [1], -8, 3) == [(-1,)]
+    assert coset_vectors_of_norm([[-2]], [Fraction(1, 3)], Fraction(-8, 9)) == [(-1,)]
+    rng = random.Random(57)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        g = _random_negative_definite(rng, n)
+        den = rng.randint(2, 6)
+        num = [rng.randint(-den, den) for _ in range(n)]
+        norm = sum(num[i] * g[i][j] * num[j] for i in range(n) for j in range(n))
+        for target in (norm, norm - 2, norm - 5):
+            assert (coset_vectors_of_norm(g, num, target, den)
+                    == coset_vectors_of_norm(g, [Fraction(x, den) for x in num],
+                                             Fraction(target, den * den))
+                    == fraction_kernels.coset_vectors(
+                        g, [Fraction(x, den) for x in num], Fraction(target, den * den)))
 
 
 def test_coset_vectors_examples():
@@ -344,3 +393,55 @@ def test_overlattice_json_shape():
     assert data["disc"] == -(5 ** 4)
     assert data["sigma"] == 2
     assert len(data["basis5"]) == 22
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction oracle on the rank-21 lattices
+# h^perp of the reference overlattices H_0..H_8
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def reference_perp():
+    """label -> (gram_perp, shift, n_target): the Gram matrix of h^perp in
+    the overlattice, and the rational shift and norm of the coset whose
+    vectors e = v1 + w.kernel have e.h = 1 and e^2 = 0."""
+    out = {}
+    for label in REFERENCE_SUBGROUPS:
+        ov = _overlattice(label)
+        _h_s, gram_s, t, kernel, gram_perp = _h_data(ov, H_PRIMAL)
+        v1 = intmat.solve_left([[x] for x in t], [1])
+        rhs = intmat.vec_mat(v1, intmat.mat_mul(gram_s, intmat.transpose(kernel)))
+        inv = fraction_kernels.fraction_inverse(gram_perp)
+        shift = [sum(rhs[i] * inv[i][j] for i in range(len(rhs)))
+                 for j in range(len(rhs))]
+        n_target = (sum(shift[i] * gram_perp[i][j] * shift[j]
+                        for i in range(len(shift)) for j in range(len(shift)))
+                    - sum(v1[i] * gram_s[i][j] * v1[j]
+                          for i in range(len(v1)) for j in range(len(v1))))
+        out[label] = (gram_perp, shift, n_target)
+    return out
+
+
+def test_rank21_ldl_and_lll_match_fraction_oracle(reference_perp):
+    for gram_perp, _shift, _n in reference_perp.values():
+        assert len(gram_perp) == 21
+        a = [[-x for x in row] for row in gram_perp]
+        assert_ldl_matches_oracle(a)
+        u, u_inv = intmat.lll_gram(a)
+        assert (u, u_inv) == fraction_kernels.lll_gram(a)
+        assert_ldl_matches_oracle(intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u)))
+
+
+def test_rank21_enumeration_matches_fraction_oracle(reference_perp):
+    for gram_perp, shift, n_target in reference_perp.values():
+        roots = short_vectors_of_norm(gram_perp, -2)
+        assert roots == fraction_kernels.coset_vectors(gram_perp, [0] * 21, -2)
+        assert len(roots) == 100                  # 5A4 for every H_i
+        # the degree-1 elliptic coset (E is empty for every H_i) and its
+        # norm -2 shell (e.h = 1, e^2 = -2), which is not
+        e_coset = coset_vectors_of_norm(gram_perp, shift, n_target)
+        assert e_coset == fraction_kernels.coset_vectors(gram_perp, shift, n_target)
+        assert e_coset == []
+        shell = coset_vectors_of_norm(gram_perp, shift, n_target - 2)
+        assert shell == fraction_kernels.coset_vectors(gram_perp, shift, n_target - 2)
+        assert shell
