@@ -175,6 +175,13 @@ _ENTRY_FIELDS = ("gens", "disc_exp", "sigma", "root_type", "E_empty")
 
 
 def _cmd_verify(args, stdout, stderr):
+    checks = []
+
+    def check(name, ok, detail=""):
+        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+        if not ok:
+            stderr.write(f"FAIL {name}: {detail}\n")
+
     try:
         if args.infile:
             with open(args.infile) as fh:
@@ -183,14 +190,10 @@ def _cmd_verify(args, stdout, stderr):
             data = json.load(sys.stdin)
     except OSError as exc:
         raise _FileError(exc) from exc
+    except ValueError as exc:           # not JSON (or not text)
+        check("payload", False, f"not JSON: {exc}")
+        data = []
     entries = data.get("results") if isinstance(data, dict) else data
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
-        if not ok:
-            stderr.write(f"FAIL {name}: {detail}\n")
-
     if not isinstance(entries, list):
         check("payload", False, "expected a results list")
         entries = []

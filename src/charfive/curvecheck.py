@@ -32,81 +32,74 @@ class GenericityError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Small bivariate / homogeneous trivariate polynomial helpers
+# Sparse polynomials in several variables
 # ---------------------------------------------------------------------------
 
-class Poly2:
-    """Bivariate polynomial over a GF(5^k), as {(i, j): coefficient}."""
+class Poly:
+    """Sparse polynomial over a GF(5^k), as {exponent tuple: coefficient}.
+
+    Every key of one polynomial has the same length, its number of
+    variables; zero coefficients are never stored, so a monomial is
+    present iff its coefficient is nonzero.
+    """
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms=None):
         self.field = field
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if any(c):
-                    self.terms[key] = tuple(c)
+        self.terms = {k: tuple(c) for k, c in (terms or {}).items() if any(c)}
 
     def is_zero(self):
         return not self.terms
 
     def total_degree(self):
-        return max((i + j for i, j in self.terms), default=-1)
+        return max((sum(k) for k in self.terms), default=-1)
 
     def __add__(self, other):
-        f = self.field
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = f.add(out.get(key, f.zero), c)
-            if any(s):
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Poly2(f, out)
+        return _collect(self.field, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         f = self.field
-        return Poly2(f, {k: f.neg(c) for k, c in self.terms.items()})
+        return Poly(f, {k: f.neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
+    def scale(self, c, monomial=None):
+        """c * m * p for the monomial m with exponents `monomial` (m = 1
+        when it is omitted)."""
         f = self.field
-        out = {}
-        if isinstance(other, tuple):
-            return Poly2(f, {k: f.mul(c, other) for k, c in self.terms.items()})
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = f.add(out.get(key, f.zero), f.mul(c1, c2))
-                out[key] = s
-        return Poly2(f, out)
-
-    def mul_monomial(self, i, j, c):
-        f = self.field
-        return Poly2(f, {(a + i, b + j): f.mul(cc, c)
-                         for (a, b), cc in self.terms.items()})
-
-    def eval(self, x, y):
-        f = self.field
-        acc = f.zero
-        for (i, j), c in self.terms.items():
-            acc = f.add(acc, f.mul(c, f.mul(f.pow(x, i), f.pow(y, j))))
-        return acc
+        if monomial is None:
+            return Poly(f, {k: f.mul(cc, c) for k, cc in self.terms.items()})
+        return Poly(f, {tuple(a + b for a, b in zip(k, monomial)): f.mul(cc, c)
+                        for k, cc in self.terms.items()})
 
     def partial(self, var):
         f = self.field
-        out = {}
-        for (i, j), c in self.terms.items():
-            e = i if var == 0 else j
-            if e % 5 == 0:
-                continue
-            cc = f.mul(c, f.elem(e % 5))
-            key = (i - 1, j) if var == 0 else (i, j - 1)
-            out[key] = f.add(out.get(key, f.zero), cc)
-        return Poly2(f, out)
+        return _collect(f, (
+            (k[:var] + (k[var] - 1,) + k[var + 1:], f.mul(c, f.elem(k[var])))
+            for k, c in self.terms.items() if k[var] % 5))
+
+    def eval(self, point):
+        f = self.field
+        acc = f.zero
+        for key, c in self.terms.items():
+            for a, e in zip(point, key):
+                if e:
+                    c = f.mul(c, f.pow(a, e))
+            acc = f.add(acc, c)
+        return acc
+
+    def map_coeffs(self, fn, new_field):
+        return Poly(new_field, {k: fn(c) for k, c in self.terms.items()})
+
+    def chart(self, var):
+        """The dehomogenisation at variable `var` = 1: that exponent is
+        dropped from every key, the remaining variables keep their order."""
+        return _collect(self.field,
+                        ((k[:var] + k[var + 1:], c) for k, c in self.terms.items()))
+
+    # -- two-variable operations of the Fulton recursion ---------------------
 
     def shift(self, a, b):
         """The polynomial p(x + a, y + b)."""
@@ -116,18 +109,11 @@ class Poly2:
         # binomial expansions of (x+a)^i and (y+b)^j
         pow_a = _binomial_rows(f, a, max_i)
         pow_b = _binomial_rows(f, b, max_j)
-        out = {}
-        for (i, j), c in self.terms.items():
-            for ii, ca in enumerate(pow_a[i]):
-                if not any(ca):
-                    continue
-                for jj, cb in enumerate(pow_b[j]):
-                    if not any(cb):
-                        continue
-                    key = (ii, jj)
-                    s = f.add(out.get(key, f.zero), f.mul(c, f.mul(ca, cb)))
-                    out[key] = s
-        return Poly2(f, out)
+        return _collect(f, (
+            ((ii, jj), f.mul(c, f.mul(ca, cb)))
+            for (i, j), c in self.terms.items()
+            for ii, ca in enumerate(pow_a[i]) if any(ca)
+            for jj, cb in enumerate(pow_b[j]) if any(cb)))
 
     def restrict_y0(self):
         """p(x, 0) as a univariate polynomial in x."""
@@ -143,10 +129,15 @@ class Poly2:
         """p / y, exact (every term must contain y)."""
         if any(j == 0 for _, j in self.terms):
             raise ValueError("polynomial is not divisible by y")
-        return Poly2(self.field, {(i, j - 1): c for (i, j), c in self.terms.items()})
+        return Poly(self.field, {(i, j - 1): c for (i, j), c in self.terms.items()})
 
-    def map_coeffs(self, fn, new_field):
-        return Poly2(new_field, {k: fn(c) for k, c in self.terms.items()})
+
+def _collect(field, items):
+    """The sum of the terms (key, coefficient); keys may repeat."""
+    out = {}
+    for key, c in items:
+        out[key] = field.add(out[key], c) if key in out else c
+    return Poly(field, out)
 
 
 def _binomial_rows(field, a, max_e):
@@ -160,70 +151,6 @@ def _binomial_rows(field, a, max_e):
             row[i + 1] = field.add(row[i + 1], c)
         rows.append(row)
     return rows
-
-
-class Poly3:
-    """Homogeneous trivariate polynomial over a GF(5^k): {(i, j, k): coeff}."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        self.terms = {k: tuple(c) for k, c in (terms or {}).items() if any(c)}
-
-    def is_zero(self):
-        return not self.terms
-
-    def partial(self, var):
-        f = self.field
-        out = {}
-        for key, c in self.terms.items():
-            e = key[var]
-            if e % 5 == 0:
-                continue
-            new_key = tuple(x - (1 if idx == var else 0)
-                            for idx, x in enumerate(key))
-            cc = f.mul(c, f.elem(e % 5))
-            out[new_key] = f.add(out.get(new_key, f.zero), cc)
-        return Poly3(f, out)
-
-    def scale(self, c):
-        f = self.field
-        return Poly3(f, {k: f.mul(cc, c) for k, cc in self.terms.items()})
-
-    def __add__(self, other):
-        f = self.field
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = f.add(out.get(key, f.zero), c)
-            if any(s):
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Poly3(f, out)
-
-    def eval(self, p):
-        f = self.field
-        acc = f.zero
-        for (i, j, k), c in self.terms.items():
-            v = f.mul(f.pow(p[0], i), f.mul(f.pow(p[1], j), f.pow(p[2], k)))
-            acc = f.add(acc, f.mul(c, v))
-        return acc
-
-    def dehomog_w2(self):
-        """Affine equation in the chart w2 = 1, variables (x, y) = (w0, w1)."""
-        return Poly2(self.field, {(i, j): c for (i, j, k), c in self.terms.items()})
-
-    def chart_w1(self):
-        """Affine equation in the chart w1 = 1, variables (u, v) = (w0, w2)."""
-        return Poly2(self.field, {(i, k): c for (i, j, k), c in self.terms.items()})
-
-    def restrict_w2_zero(self):
-        """Terms with w2 = 0, as a dict {(i, j): coeff} in (w0, w1)."""
-        return {(i, j): c for (i, j, k), c in self.terms.items() if k == 0}
-
-    def map_coeffs(self, fn, new_field):
-        return Poly3(new_field, {k: fn(c) for k, c in self.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +179,20 @@ def is_in_U(f):
 def homogeneous_equation(m):
     """w2*w1^5 - sum_j a_j w0^j w2^(6-j), the projective closure of y^5 - f(x)."""
     f = m.field
-    terms = {(0, 5, 1): f.one}
-    for j, a in enumerate(m.f.coeffs):
-        key = (j, 0, 6 - j)
-        cur = terms.get(key, f.zero)
-        terms[key] = f.sub(cur, a)
-    return Poly3(f, terms)
+    terms = {(j, 0, 6 - j): f.neg(a) for j, a in enumerate(m.f.coeffs)}
+    terms[(0, 5, 1)] = f.one
+    return Poly(f, terms)
 
 
 def check_infinity(m):
     """(single_point, smooth): the line at infinity meets the curve only at
     [0:1:0], and the curve is smooth there.  Both facts are recomputed."""
-    f = m.field
     big = homogeneous_equation(m)
-    at_inf = big.restrict_w2_zero()
-    # single point iff the restriction is a nonzero constant times w0^6
-    single = set(at_inf) == {(6, 0)} and any(at_inf[(6, 0)])
-    chart = big.chart_w1()              # (u, v) with [0:1:0] at the origin
-    on_curve = chart.eval(f.zero, f.zero) == f.zero
-    du = chart.partial(0).eval(f.zero, f.zero)
-    dv = chart.partial(1).eval(f.zero, f.zero)
-    smooth = on_curve and (any(du) or any(dv))
+    # single point iff the restriction to w2 = 0 is a nonzero multiple of w0^6
+    single = [k for k in big.terms if k[2] == 0] == [(6, 0, 0)]
+    chart = big.chart(1).terms          # (u, v) = (w0, w2), [0:1:0] at the origin
+    # on the curve: no constant term; smooth there: a nonzero linear term
+    smooth = (0, 0) not in chart and ((1, 0) in chart or (0, 1) in chart)
     return single, smooth
 
 
@@ -379,8 +299,8 @@ def _imult_origin(F, G, budget):
     while True:
         if F.is_zero() or G.is_zero():
             return INF
-        if any(F.eval(fld.zero, fld.zero)) or any(G.eval(fld.zero, fld.zero)):
-            return total
+        if (0, 0) in F.terms or (0, 0) in G.terms:
+            return total                   # a nonzero constant term
         f0 = F.restrict_y0()
         g0 = G.restrict_y0()
         if f0.is_zero() and g0.is_zero():
@@ -400,7 +320,7 @@ def _imult_origin(F, G, budget):
             F, G = G, F
             f0, g0 = g0, f0
         c = fld.div(g0.leading(), f0.leading())
-        G = G - F.mul_monomial(g0.degree - f0.degree, 0, c)
+        G = G - F.scale(c, (g0.degree - f0.degree, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +356,11 @@ def _corrections_for(m, points, q):
     for pt in points:
         ext = pt["field"]
         emb = embedding(fld, ext)
-        curve2 = big.map_coeffs(emb, ext).dehomog_w2()
-        polar2 = polar.map_coeffs(emb, ext).dehomog_w2()
+        curve2 = big.map_coeffs(emb, ext).chart(2)
+        polar2 = polar.map_coeffs(emb, ext).chart(2)
         a, b = pt["alpha"], pt["beta"]
-        dx = polar2.partial(0).eval(a, b)
-        dy = polar2.partial(1).eval(a, b)
+        dx = polar2.partial(0).eval((a, b))
+        dy = polar2.partial(1).eval((a, b))
         if not (any(dx) or any(dy)):
             return None                     # polar is singular at the point
         mult = local_intersection_multiplicity(curve2, polar2, (a, b))

@@ -158,9 +158,6 @@ class AutElement:
     perm: tuple
 
 
-AUT_IDENTITY = AutElement(signs=(1,) * 5, perm=(0, 1, 2, 3, 4))
-
-
 @lru_cache(maxsize=1)
 def all_aut():
     """The full group, 3840 elements, in a fixed order."""
@@ -174,13 +171,6 @@ def all_aut():
 def aut_apply(g, v):
     xs = tuple((g.signs[i] * v[g.perm[i]]) % 5 for i in range(5))
     return xs + (v[5] % 5,)
-
-
-def aut_compose(g, h):
-    """Composite applying h first, then g."""
-    signs = tuple(g.signs[i] * h.signs[g.perm[i]] for i in range(5))
-    perm = tuple(h.perm[g.perm[i]] for i in range(5))
-    return AutElement(signs=signs, perm=perm)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +222,6 @@ def subgroup_overlattice(subgroup):
 # ---------------------------------------------------------------------------
 
 _POW = np.array([1, 5, 25, 125, 625, 3125], dtype=np.int64)
-
-
-def encode(v):
-    return int(sum(int(v[i]) * int(_POW[i]) for i in range(6)))
 
 
 def decode(e):
@@ -397,14 +383,11 @@ class ClassifiedOrbit:
 
 def _subgroup_invariants(subgroup):
     s = subgroup_overlattice(subgroup)
+    if s.artin_sigma is None:
+        raise ArithmeticError(f"discriminant {s.disc} is not -5^(2 sigma)")
     rt = root_type_orthogonal_to(s, H_PRIMAL)
     es = e_set(s, H_PRIMAL)
-    disc_exp = 0
-    x = -s.disc
-    while x % 5 == 0:
-        x //= 5
-        disc_exp += 1
-    return s, str(rt), len(es) == 0, disc_exp
+    return s, str(rt), len(es) == 0, 2 * s.artin_sigma
 
 
 def admissible_subgroups():

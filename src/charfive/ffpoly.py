@@ -208,12 +208,6 @@ class GF:
             code //= P
         return tuple(out)
 
-    def to_int(self, a):
-        code = 0
-        for x in reversed(a):
-            code = code * P + x
-        return code
-
     def iter_elements(self):
         for code in range(self.order):
             yield self.from_int(code)
@@ -563,20 +557,20 @@ def roots_in_field(u, seed=0):
                     stack.append(d)
                     stack.append(g // d)
                     break
-    out = []
-    for r in sorted(roots):
-        mult = 0
-        w = u
-        lin = GFPoly(f, [f.neg(r), f.one])
-        while True:
-            q, rem = divmod(w, lin)
-            if not rem.is_zero():
-                break
-            mult += 1
-            w = q
-        if mult:
-            out.append((r, mult))
-    return out
+    return [(r, _root_multiplicity(u, r)) for r in sorted(roots)]
+
+
+def _root_multiplicity(u, r):
+    """The multiplicity of r as a root of u (0 when u(r) != 0)."""
+    f = u.field
+    lin = GFPoly(f, [f.neg(r), f.one])
+    mult = 0
+    while True:
+        q, rem = divmod(u, lin)
+        if not rem.is_zero():
+            return mult
+        mult += 1
+        u = q
 
 
 @dataclass(frozen=True)
@@ -660,18 +654,9 @@ def roots_in_extension(u, max_degree, seed=0):
         if sum(1 for _ in found) != g.degree:
             raise AssertionError("degree-m part did not split into linears")
         for r, _ in found:
-            mult = 0
-            w = u_ext
-            lin = GFPoly(ext, [ext.neg(r), ext.one])
-            while True:
-                q, rem = divmod(w, lin)
-                if not rem.is_zero():
-                    break
-                mult += 1
-                w = q
             records.append(RootInExtension(
                 value=r,
-                multiplicity=mult,
+                multiplicity=_root_multiplicity(u_ext, r),
                 subfield_degree=subfield_degree(ext, r),
                 field=ext,
             ))

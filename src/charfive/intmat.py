@@ -361,14 +361,6 @@ def ldl_positive(m):
     division is exact (Cohen, Alg. 2.6.7).  Raises ValueError if m is not
     positive definite.
     """
-    return _bareiss_ldl(m)
-
-
-def _bareiss_ldl(m):
-    """The body of `ldl_positive`.  `lll_gram` calls it directly: its
-    Gram-Schmidt pass belongs to the reduction, and the calls of
-    `ldl_positive` (a traced layer of the benchmark) count the
-    factorisations that the enumerations use."""
     n = len(m)
     dets = []
     lam = [[0] * n for _ in range(n)]
@@ -393,15 +385,17 @@ def _bareiss_ldl(m):
 def lll_gram(gram):
     """Exact LLL (delta = 3/4) on a positive definite Gram matrix.
 
-    Returns (u, u_inv) with u unimodular such that u * gram * u^T is
-    LLL-reduced; u_inv = u^{-1}.  Only the Gram matrix is used (no
-    coordinate embedding).  Integral LLL (Cohen, Alg. 2.6.7): the
-    Gram-Schmidt data are kept as the integers of `ldl_positive`, and the
-    size-reduction multiplier is q = floor(mu + 1/2).  Raises ValueError
-    if gram is not positive definite.
+    Returns (u, u_inv, dets, lam) with u unimodular such that
+    u * gram * u^T is LLL-reduced, u_inv = u^{-1}, and (dets, lam) the
+    `ldl_positive` data of that reduced matrix.  Only the Gram matrix is
+    used (no coordinate embedding).  Integral LLL (Cohen, Alg. 2.6.7):
+    the Gram-Schmidt data are kept as the integers of `ldl_positive` and
+    updated with every step, and the size-reduction multiplier is
+    q = floor(mu + 1/2).  Raises ValueError if gram is not positive
+    definite.
     """
     n = len(gram)
-    dets, lam = _bareiss_ldl(gram)
+    dets, lam = ldl_positive(gram)
     u = identity_matrix(n)
     u_inv_t = identity_matrix(n)        # transpose of u^{-1}: column ops become row ops
 
@@ -438,7 +432,7 @@ def lll_gram(gram):
             for l in range(k - 2, -1, -1):
                 reduce_entry(k, l)
             k += 1
-    return u, transpose(u_inv_t)
+    return u, transpose(u_inv_t), dets, lam
 
 
 # ---------------------------------------------------------------------------

@@ -249,14 +249,6 @@ def discriminant_group(l):
     )
 
 
-def dual_gram(l):
-    """Gram matrix of the dual basis: the inverse of the Gram matrix."""
-    gram = _gram_of(l)
-    if det_bareiss(gram) == 0:
-        raise DegenerateLatticeError("Gram matrix is singular")
-    return fraction_inverse(gram)
-
-
 @lru_cache(maxsize=16)
 def dual_data(gram):
     """(discriminant group, exponent m, m * gram^{-1}) of a Gram matrix.
@@ -382,7 +374,7 @@ def _check_negative_definite(g):
 
 
 def _reduced_positive_form(g):
-    """LLL data of -g for a negative definite g: (u, u_inv, dets, lam).
+    """`lll_gram` of -g for a negative definite g: (u, u_inv, dets, lam).
 
     u * (-g) * u^T is LLL-reduced and (dets, lam) are its integral LDL
     data.  The LLL's own Gram-Schmidt pass rejects a g that is not
@@ -390,14 +382,11 @@ def _reduced_positive_form(g):
     """
     if not is_symmetric(g):
         raise ValueError("Gram matrix must be symmetric")
-    a = [[-x for x in row] for row in g]
     try:
-        u, u_inv = lll_gram(a)
+        return lll_gram([[-x for x in row] for row in g])
     except ValueError as exc:
         raise IndefiniteLatticeError(
             "enumeration requires a negative definite Gram matrix") from exc
-    dets, lam = ldl_positive(mat_mul(mat_mul(u, a), transpose(u)))
-    return u, u_inv, dets, lam
 
 
 def short_vectors_of_norm(g, n):
@@ -474,34 +463,31 @@ def short_vectors_box(g, n):
 # Roots orthogonal to a polarization, and the degree-1 elliptic set
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _h_data(s, h_primal):
-    h_primal = list(h_primal)
-    gram = [list(r) for r in s.ambient.gram]
+    """(h_s, gram_s, t, kernel, gram_perp) for the overlattice s and the
+    polarization h, as tuples: h in S coordinates, the Gram matrix of S,
+    t = gram_s h_s, a basis of h^perp in S and its Gram matrix.  The
+    root type and the E set of one overlattice share one computation;
+    `h_primal` must be a tuple (the cache key)."""
+    gram = s.ambient.gram
     if sum(h_primal[i] * gram[i][j] * h_primal[j]
            for i in range(s.rank) for j in range(s.rank)) != 2:
         raise ValueError("polarization vector must have square 2")
     h_s = s.s_coords_of_primal(h_primal)
     if h_s is None:
         raise ValueError("polarization vector does not lie in the overlattice")
-    gram_s = [list(r) for r in s.gram_s]
+    gram_s = s.gram_s
     t = mat_vec(gram_s, h_s)
     kernel = left_kernel([[x] for x in t])
     gram_perp = mat_mul(mat_mul(kernel, gram_s), transpose(kernel))
-    return h_s, gram_s, t, kernel, gram_perp
-
-
-def roots_orthogonal_to(s, h_primal):
-    """All r in S with r.h = 0 and r^2 = -2, in S-basis coordinates."""
-    _h_s, _gram_s, _t, kernel, gram_perp = _h_data(s, h_primal)
-    roots_w = short_vectors_of_norm(gram_perp, -2)
-    out = [tuple(intmat.vec_mat(list(w), kernel)) for w in roots_w]
-    out.sort()
-    return out
+    return (tuple(h_s), gram_s, tuple(t), tuple(map(tuple, kernel)),
+            tuple(map(tuple, gram_perp)))
 
 
 def root_type_orthogonal_to(s, h_primal):
     """ADE type of {r in S : r.h = 0, r^2 = -2}."""
-    _h_s, _gram_s, _t, kernel, gram_perp = _h_data(s, h_primal)
+    _h_s, _gram_s, _t, _kernel, gram_perp = _h_data(s, tuple(h_primal))
     roots_w = short_vectors_of_norm(gram_perp, -2)
     if not roots_w:
         return RootSystemType(components=())
@@ -540,7 +526,7 @@ def e_set(s, h_primal, v1_primal=None):
     of scale * e in the ambient basis), sorted lexicographically.  Raises
     DivisibilityError when no vector of S pairs to 1 with h.
     """
-    h_s, gram_s, t, kernel, gram_perp = _h_data(s, h_primal)
+    h_s, gram_s, t, kernel, gram_perp = _h_data(s, tuple(h_primal))
     if reduce(gcd, [abs(x) for x in h_s], 0) != 1:
         raise ValueError("polarization vector must be primitive in S")
 

@@ -145,14 +145,16 @@ def test_verify_detects_tampering(tmp_path):
         {"results": [3]},                                # entry not an object
         {"results": [{"label": "H_0", "gens": 5, "disc_exp": 6, "sigma": 3,
                       "root_type": "5A4", "E_empty": True}]},
+        "{",                                             # not JSON
     ]
     path = tmp_path / "bad.json"
     for payload in [tampered] + malformed:
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, out, err = invoke(["lattice", "verify", "--in", str(path)])
         assert code == 1
         assert json.loads(out)["passed"] is False
         assert "FAIL " in err
+    assert "FAIL payload: not JSON" in err
 
 
 def test_empty_result_list_is_valid_json():

@@ -2,12 +2,13 @@
 intersection multiplicities, the degree product, and the lattice model."""
 
 import math
+import random
 
 import pytest
 
 from charfive.curvecheck import (
     GenericityError,
-    Poly2,
+    Poly,
     SexticModel,
     check_infinity,
     homogeneous_equation,
@@ -82,7 +83,7 @@ def test_check_infinity():
 def test_y_partial_vanishes_identically():
     big = homogeneous_equation(model(FIXTURE))
     assert big.partial(1).is_zero()
-    affine = big.dehomog_w2()
+    affine = big.chart(2)
     assert affine.partial(1).is_zero()
 
 
@@ -147,7 +148,7 @@ def test_a4_iff_simple_critical_point():
 # ---------------------------------------------------------------------------
 
 def p2(field, terms):
-    return Poly2(field, {k: field.elem(c) for k, c in terms.items()})
+    return Poly(field, {k: field.elem(c) for k, c in terms.items()})
 
 
 def test_imult_basic():
@@ -166,7 +167,7 @@ def test_imult_shared_component():
     xy = p2(F5, {(1, 1): 1})
     assert local_intersection_multiplicity(x, x) == math.inf
     assert local_intersection_multiplicity(xy, x) == math.inf
-    zero = Poly2(F5)
+    zero = Poly(F5)
     assert local_intersection_multiplicity(zero, x) == math.inf
 
 
@@ -186,10 +187,82 @@ def test_imult_a4_point_with_polar():
     m = model(FIXTURE)
     big = homogeneous_equation(m)
     polar = polar_of(m, (F5.one, F5.zero, F5.zero))  # the f'-polar
-    curve2 = big.dehomog_w2()
-    polar2 = polar.dehomog_w2()
+    curve2 = big.chart(2)
+    polar2 = polar.chart(2)
     assert local_intersection_multiplicity(
         curve2, polar2, (F5.zero, F5.zero)) == 5
+
+
+def _order_at(h, alpha):
+    """The order of vanishing of a nonzero univariate h at x = alpha."""
+    fld = h.field
+    lin = GFPoly(fld, [fld.neg(alpha), fld.one])
+    order = 0
+    while True:
+        h, rem = divmod(h, lin)
+        if not rem.is_zero():
+            return order
+        order += 1
+
+
+def resultant_multiplicity(curve2, polar2, alpha):
+    """I_(alpha, beta)(curve2, polar2) from the resultant in y, with no
+    Fulton step: curve2 = y^5 - f(x) is monic in y and y^5 = f(alpha)
+    has the single root beta, so the multiplicity is
+    ord_{x=alpha} Res_y(curve2, polar2).  Writing polar2 = c y^5 + B(x),
+    that resultant is (c f + B)^5."""
+    fld = curve2.field
+    assert set(curve2.terms) <= {(0, 5)} | {(i, 0) for i in range(7)}
+    assert curve2.terms[(0, 5)] == fld.one
+    assert set(polar2.terms) <= {(0, 5)} | {(i, 0) for i in range(7)}
+    f = GFPoly(fld, [fld.neg(curve2.terms.get((i, 0), fld.zero)) for i in range(7)])
+    b = GFPoly(fld, [polar2.terms.get((i, 0), fld.zero) for i in range(7)])
+    h = f * polar2.terms.get((0, 5), fld.zero) + b
+    return math.inf if h.is_zero() else 5 * _order_at(h, alpha)
+
+
+def _oracle_cases():
+    """(curve2, polar2, alpha, beta) at the singular points of seeded
+    sextics, with several polar points each.  For every polar point with
+    q2 != 0 also the curve points above x = q0/q2, where the polar passes
+    through the curve even where it is smooth, and above x = q0/q2 + 1."""
+    cases = [(model(FIXTURE), [(0, 0, 1)])]       # degenerate: x f' at 0
+    for k, seeds in ((1, range(12)), (2, range(3))):
+        fld = GF(k)
+        rng = random.Random(k)
+        for seed in seeds:
+            qs = [(1, 0, 0), (0, 0, 1)]
+            qs += [tuple(fld.rand_elem(rng) for _ in range(3)) for _ in range(2)]
+            cases.append((random_in_U(fld, seed), qs))
+    for m, qs in cases:
+        fld = m.field
+        big = homogeneous_equation(m)
+        points = singular_points(m)
+        for q in qs:
+            q = tuple(fld.elem(c) for c in q)
+            polar = polar_of(m, q)
+            if polar.is_zero():
+                continue
+            for p in points:
+                ext = p.field
+                emb = embedding(fld, ext)
+                yield (big.map_coeffs(emb, ext).chart(2),
+                       polar.map_coeffs(emb, ext).chart(2), p.alpha, p.beta)
+            if any(q[2]):
+                pole = fld.div(q[0], q[2])
+                for alpha in (pole, fld.add(pole, fld.one)):
+                    beta = fld.fifth_root(m.f.eval(alpha))
+                    yield big.chart(2), polar.chart(2), alpha, beta
+
+
+def test_imult_matches_resultant_oracle():
+    seen = {}
+    for curve2, polar2, alpha, beta in _oracle_cases():
+        want = resultant_multiplicity(curve2, polar2, alpha)
+        assert local_intersection_multiplicity(curve2, polar2, (alpha, beta)) == want
+        seen[want] = seen.get(want, 0) + 1
+    # the generic value, a degenerate polar, and a point off the polar all occur
+    assert seen[5] > 100 and seen[10] >= 1 and seen[0] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@ import pytest
 
 from charfive import discform
 from charfive.discform import (
-    AUT_IDENTITY,
     AutElement,
     IsotropicSubgroup,
     REFERENCE_SUBGROUPS,
     STARRED_TYPES,
     all_aut,
     aut_apply,
-    aut_compose,
     b_value,
     build_S0,
     canonical_key,
@@ -27,6 +25,16 @@ from charfive.discform import (
     subgroup_overlattice,
     verify_q_consistency,
 )
+
+
+AUT_IDENTITY = AutElement(signs=(1,) * 5, perm=(0, 1, 2, 3, 4))
+
+
+def aut_compose(g, h):
+    """Composite applying h first, then g."""
+    signs = tuple(g.signs[i] * h.signs[g.perm[i]] for i in range(5))
+    perm = tuple(h.perm[g.perm[i]] for i in range(5))
+    return AutElement(signs=signs, perm=perm)
 
 
 def all_elements():

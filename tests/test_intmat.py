@@ -125,7 +125,7 @@ def test_lll_reduction_properties():
     for _ in range(100):
         n = rng.randint(1, 7)
         a = _random_pos_def(rng, n)
-        u, u_inv = intmat.lll_gram(a)
+        u, u_inv, _dets, _lam = intmat.lll_gram(a)
         assert intmat.mat_mul(u, u_inv) == intmat.identity_matrix(n)
         red = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
         dets, lam = intmat.ldl_positive(red)
@@ -163,7 +163,18 @@ def test_lll_matches_fraction_oracle():
     for _ in range(200):
         n = rng.randint(1, 8)
         a = _random_pos_def(rng, n)
-        assert intmat.lll_gram(a) == fraction_kernels.lll_gram(a)
+        assert intmat.lll_gram(a)[:2] == fraction_kernels.lll_gram(a)
+
+
+def test_lll_returns_ldl_of_reduced_gram():
+    # the Gram-Schmidt data that the reduction carries are those of u a u^T
+    rng = random.Random(4245)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        a = _random_pos_def(rng, n)
+        u, _u_inv, dets, lam = intmat.lll_gram(a)
+        reduced = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
+        assert (dets, lam) == intmat.ldl_positive(reduced)
 
 
 def assert_enumeration_matches_oracle(a, target, shift, den):
@@ -185,7 +196,7 @@ def test_enumeration_matches_fraction_oracle():
     for _ in range(150):
         n = rng.randint(1, 6)
         a = _random_pos_def(rng, n)
-        u, _u_inv = intmat.lll_gram(a)
+        u, _u_inv, _dets, _lam = intmat.lll_gram(a)
         red = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
         for target in range(0, 3 * n + 8):
             found["zero shift"] += len(

@@ -16,23 +16,35 @@ from charfive import (
     RootSystemType,
     coset_vectors_of_norm,
     discriminant_group,
-    dual_gram,
     e_set,
     overlattice_from_generators,
     root_type_orthogonal_to,
-    roots_orthogonal_to,
     short_vectors_box,
     short_vectors_of_norm,
 )
 import fraction_kernels
 from charfive import intmat
 from charfive.discform import H_PRIMAL, REFERENCE_SUBGROUPS, build_S0, lift_to_dual
-from charfive.intmat import det_bareiss, ldl_positive
+from charfive.intmat import det_bareiss, fraction_inverse, ldl_positive
 from charfive.lattice import _h_data, dual_data
 from test_intmat import assert_ldl_matches_oracle
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
 HL_BLOCK = [[2, 1], [1, -2]]
+
+
+def dual_gram(gram):
+    """Gram matrix of the dual basis: the inverse of the Gram matrix."""
+    if det_bareiss(gram) == 0:
+        raise DegenerateLatticeError("Gram matrix is singular")
+    return fraction_inverse(gram)
+
+
+def roots_orthogonal_to(s, h_primal):
+    """All r in S with r.h = 0 and r^2 = -2, in S-basis coordinates."""
+    _h_s, _gram_s, _t, kernel, gram_perp = _h_data(s, tuple(h_primal))
+    return sorted(tuple(intmat.vec_mat(list(w), kernel))
+                  for w in short_vectors_of_norm(gram_perp, -2))
 
 
 def five_a4_gram():
@@ -427,9 +439,11 @@ def test_rank21_ldl_and_lll_match_fraction_oracle(reference_perp):
         assert len(gram_perp) == 21
         a = [[-x for x in row] for row in gram_perp]
         assert_ldl_matches_oracle(a)
-        u, u_inv = intmat.lll_gram(a)
+        u, u_inv, dets, lam = intmat.lll_gram(a)
         assert (u, u_inv) == fraction_kernels.lll_gram(a)
-        assert_ldl_matches_oracle(intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u)))
+        reduced = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
+        assert_ldl_matches_oracle(reduced)
+        assert (dets, lam) == ldl_positive(reduced)
 
 
 def test_rank21_enumeration_matches_fraction_oracle(reference_perp):
