@@ -23,7 +23,8 @@ import time
 
 from . import __version__
 from . import curvecheck, discform
-from .ffpoly import GF, SplittingFieldError, format_poly_literal, parse_poly_literal
+from .ffpoly import (
+    GF, MAX_LITERAL_DEGREE, SplittingFieldError, format_poly_literal, parse_poly_literal)
 
 
 class _UsageError(Exception):
@@ -43,9 +44,12 @@ def _parse_field(text):
     text = text.strip()
     if text == "5":
         return GF(1)
-    if text.startswith("5^") and text[2:].isdigit() and int(text[2:]) >= 1:
-        return GF(int(text[2:]))
-    raise _UsageError(f"unsupported field {text!r} (use 5 or 5^k, k >= 1)")
+    if text.startswith("5^") and text[2:].isdigit():
+        k = int(text[2:])
+        if 1 <= k <= MAX_LITERAL_DEGREE:
+            return GF(k)
+    raise _UsageError(
+        f"unsupported field {text!r} (use 5 or 5^k, 1 <= k <= {MAX_LITERAL_DEGREE})")
 
 
 def _at_least(low):

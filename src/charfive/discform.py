@@ -188,10 +188,10 @@ class IsotropicSubgroup:
         object.__setattr__(self, "gens", gens)
         if any(len(g) != 6 for g in gens):
             raise ValueError("generators must have six coordinates")
-        elems = self.elements()
-        if len(elems) != 5 ** len(gens):
+        # more than six vectors of F5^6 are never independent
+        if len(gens) > 6:
             raise ValueError("generators are not independent")
-        bad = [v for v in elems if q_value(v) != 0]
+        bad = [v for v in self.elements() if q_value(v) != 0]
         if bad:
             raise ValueError(f"subgroup is not totally isotropic at {bad[0]}")
 
@@ -202,6 +202,9 @@ class IsotropicSubgroup:
     def elements(self):
         elems = {(0,) * 6}
         for g in self.gens:
+            # stop at the first generator already in the span of the others
+            if g in elems:
+                raise ValueError("generators are not independent")
             elems = {g_add(v, g_scale(c, g)) for v in elems for c in range(5)}
         return tuple(sorted(elems))
 

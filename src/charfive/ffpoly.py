@@ -5,7 +5,9 @@ residue c0 + c1*t + ... + c_{k-1}*t^{k-1} modulo a fixed irreducible
 modulus over F5.  The shipped moduli (one per degree) are the
 lexicographically smallest monic irreducibles in the ordering by
 (c0, c1, ..., c_{k-1}); they are data, and re-verified irreducible the
-first time a field is built.
+first time a field is built.  Fields of at most TABLE_MAX_ORDER elements
+compute through log/antilog tables, larger ones through a packed
+Kronecker kernel (`_Kronecker`).
 
 Polynomial literals:  "[c0,c1,...,cn]@5^k;mod=[m0,...,mk]"  with the
 prime-field shorthand "@5".  Coefficients over an extension are written
@@ -14,6 +16,7 @@ as nested lists.
 
 import ast
 import random
+from operator import add as _int_add
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +38,11 @@ MODULI = {
     11: (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     12: (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
 }
+
+#: the largest field degree a polynomial literal may name, the range of
+#: MODULI: larger degrees would send `GF` into `_search_modulus`, whose
+#: cost grows with 5^k
+MAX_LITERAL_DEGREE = max(MODULI)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +160,212 @@ def _checked_modulus(modulus):
 
 
 # ---------------------------------------------------------------------------
+# Packed (Kronecker) arithmetic
+# ---------------------------------------------------------------------------
+#
+# A coefficient vector (c0, ..., c_{n-1}) with entries in 0..4 travels as
+# `bytes`, one coefficient per byte, and is multiplied as the integer
+# sum c_i X^i with X = 256^s: one slot of s bytes per coefficient.  No sum
+# that the kernel forms in a slot exceeds 16k (at most k products of two
+# entries 0..4), so s = 1 holds up to k = 15 and larger degrees widen the
+# slots.  Since 256 = 1 (mod 5), a slot is congruent to the sum of its
+# bytes, and `bytes.translate(_MOD5)` reduces a whole vector at once.
+
+_MOD5 = bytes(i % P for i in range(256))
+_NEG5 = bytes((-i) % P for i in range(256))
+
+
+def _slot_bytes(k):
+    """Bytes per slot for degree k: every slot sum stays below 256^s."""
+    s = 1
+    while 16 * k >= 256 ** s:
+        s += 1
+    return s
+
+
+def _spread(v, s):
+    """The integer with the entries of the bytes v in s-byte slots (s > 1)."""
+    buf = bytearray(s * len(v))
+    buf[::s] = v
+    return int.from_bytes(buf, "little")
+
+
+def _gather(data, start, step, s):
+    """The s-byte slots of `data` at slot offsets start, start + step, ...,
+    reduced mod 5, one byte each (s > 1)."""
+    lanes = [data[s * start + b::s * step] for b in range(s)]
+    total = sum(int.from_bytes(lane.translate(_MOD5), "little") for lane in lanes)
+    return total.to_bytes(len(lanes[0]), "little").translate(_MOD5)
+
+
+class _PackedMap:
+    """An F5-linear map v -> M v, applied with one integer product.
+
+    Q holds row i of M, reversed, in slots T*i .. T*i + n - 1 (n = number of
+    columns).  In V*Q the entry (M v)_i then sits in slot T*i + n - 1, and
+    the other sums of block i fill slots T*i .. T*i + 2n - 2; T = 2n - 1
+    keeps the blocks apart.
+    """
+
+    __slots__ = ("q", "n", "step", "rows", "s", "size")
+
+    def __init__(self, matrix, s):
+        self.rows = len(matrix)
+        self.n = len(matrix[0])
+        self.step = 2 * self.n - 1
+        self.s = s
+        self.size = s * self.step * self.rows
+        q = 0
+        for i, row in enumerate(matrix):
+            for t, c in enumerate(row):
+                if c:
+                    q += c << (8 * s * (self.step * i + self.n - 1 - t))
+        self.q = q
+
+    def apply(self, v):
+        if self.s == 1:
+            data = (int.from_bytes(v, "little") * self.q).to_bytes(self.size, "little")
+            return data[self.n - 1::self.step].translate(_MOD5)
+        data = (_spread(v, self.s) * self.q).to_bytes(self.size, "little")
+        return _gather(data, self.n - 1, self.step, self.s)
+
+
+class _Kronecker:
+    """Packed arithmetic in F5[t]/(m) on coefficient bytes.
+
+    `mul` forms the product of two residues as one integer product, reads
+    its 2k - 1 coefficients mod 5, and reduces them by the linear map whose
+    columns are t^j mod m (j < 2k - 1).  `frobenius(e)` is the linear map
+    x -> x^(5^e); `inv` is Itoh-Tsujii on top of both.
+    """
+
+    __slots__ = ("k", "s", "modulus", "one", "reduction", "_frob")
+
+    def __init__(self, modulus):
+        k = len(modulus) - 1
+        self.k = k
+        self.one = bytes([1] + [0] * (k - 1))
+        self.s = _slot_bytes(k)
+        self.modulus = modulus
+        self.reduction = _PackedMap(
+            list(zip(*[self._power_of_t(j) for j in range(2 * k - 1)])), self.s)
+        self._frob = {}
+
+    def _power_of_t(self, e):
+        """t^e mod m as k coefficient bytes."""
+        r = _f5_powmod_x(e, list(self.modulus))
+        return bytes(r + [0] * (self.k - len(r)))
+
+    def mul(self, x, y):
+        s, n = self.s, self.reduction.n
+        if s == 1:
+            prod = (int.from_bytes(x, "little") * int.from_bytes(y, "little")).to_bytes(
+                n, "little").translate(_MOD5)
+        else:
+            prod = _gather((_spread(x, s) * _spread(y, s)).to_bytes(s * n, "little"), 0, 1, s)
+        return self.reduction.apply(prod)
+
+    def pow(self, x, e):
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return result
+
+    def frobenius(self, e):
+        """The linear map x -> x^(5^e) for e >= 1, built once per e."""
+        fmap = self._frob.get(e)
+        if fmap is None:
+            if e == 1:
+                cols = [self._power_of_t(P * j) for j in range(self.k)]
+            else:
+                # compose two maps of about half the exponent
+                first, second = self.frobenius(e // 2), self.frobenius(e - e // 2)
+                cols = [second.apply(first.apply(self._power_of_t(j))) for j in range(self.k)]
+            fmap = self._frob[e] = _PackedMap(list(zip(*cols)), self.s)
+        return fmap
+
+    def inv(self, x):
+        """x^-1 for nonzero x (Itoh-Tsujii).
+
+        With r = (5^k - 1)/4 = 1 + 5 + ... + 5^(k-1), x^r is the norm of x
+        and lies in F5, and x^-1 = x^(r-1) / x^r.  x^(r-1) is the Frobenius
+        image of x^(1 + 5 + ... + 5^(k-2)), whose exponent e_{k-1} is built
+        from e_1 = 1 by e_{2m} = e_m + 5^m e_m and e_{m+1} = 1 + 5 e_m.
+        """
+        k = self.k
+        if k == 1:
+            return bytes([pow(x[0], -1, P)])
+        frob = self.frobenius(1)
+        y, m = x, 1
+        for bit in bin(k - 1)[3:]:
+            y = self.mul(y, self.frobenius(m).apply(y))
+            m *= 2
+            if bit == "1":
+                y = self.mul(x, frob.apply(y))
+                m += 1
+        y = frob.apply(y)
+        scale = pow(self.mul(x, y)[0], -1, P)
+        return (int.from_bytes(y, "little") * scale).to_bytes(k, "little").translate(_MOD5)
+
+
+@lru_cache(maxsize=None)
+def _arithmetic(modulus):
+    """(log, antilog, kronecker) for the field of an irreducible modulus.
+
+    The packed kernel always exists.  Fields with at most TABLE_MAX_ORDER
+    elements also get log/antilog tables for a primitive element g (the
+    smallest in element order): log maps each element tuple to its
+    exponent, and zero to 2(q - 1); antilog[i] = g^i for i < 2(q - 1) and
+    zero from there on, so the sum of two logs, or a log difference plus
+    q - 1, indexes antilog without a reduction mod q - 1.
+    """
+    kron = _Kronecker(_checked_modulus(modulus))
+    k = len(modulus) - 1
+    q = P ** k
+    if q > TABLE_MAX_ORDER:
+        return None, None, kron
+    zero, one = bytes(k), kron.one
+    exponents = [(q - 1) // r for r in _prime_divisors(q - 1)]
+    for code in range(2, q):
+        g = bytes((code // P ** i) % P for i in range(k))
+        if all(kron.pow(g, e) != one for e in exponents):
+            break
+    powers = []
+    x = one
+    for _ in range(q - 1):
+        powers.append(tuple(x))
+        x = kron.mul(x, g)
+    log = {a: i for i, a in enumerate(powers)}
+    log[tuple(zero)] = 2 * (q - 1)
+    antilog = powers * 2 + [tuple(zero)] * (2 * q - 1)
+    return log, antilog, kron
+
+
+# ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
 
-class GF:
-    """The field with 5^degree elements, as residues mod a fixed modulus."""
+#: fields of at most this many elements multiply, invert and divide
+#: through log/antilog tables; larger ones use the packed kernel.  The
+#: tables of GF(5^5) hold 0.55 MB and take about 13 ms to build; those of
+#: GF(5^6) would hold 2.8 MB, GF(5^7) 14 MB and GF(5^8) about 70 MB,
+#: against a `curve check` process that peaks near 38 MB.
+TABLE_MAX_ORDER = P ** 5
 
-    __slots__ = ("degree", "modulus", "order", "zero", "one")
+
+class GF:
+    """The field with 5^degree elements, as residues mod a fixed modulus.
+
+    Elements are tuples of k coefficients.  Fields with at most
+    TABLE_MAX_ORDER elements multiply through log tables, larger ones
+    through the packed Kronecker kernel; both are built on the first
+    construction of a field and shared by every later one.
+    """
+
+    __slots__ = ("degree", "modulus", "order", "zero", "one", "_log", "_antilog", "_kron")
 
     def __init__(self, degree, modulus=None):
         degree = int(degree)
@@ -169,7 +376,7 @@ class GF:
         modulus = tuple(int(x) % P for x in modulus)
         if len(modulus) != degree + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of the field degree")
-        _checked_modulus(modulus)
+        self._log, self._antilog, self._kron = _arithmetic(modulus)
         self.degree = degree
         self.modulus = modulus
         self.order = P ** degree
@@ -218,76 +425,63 @@ class GF:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a, b):
-        return tuple((x + y) % P for x, y in zip(a, b))
+        return tuple(bytes(map(_int_add, a, b)).translate(_MOD5))
 
     def sub(self, a, b):
-        return tuple((x - y) % P for x, y in zip(a, b))
+        return tuple(bytes(map(_int_add, a, bytes(b).translate(_NEG5))).translate(_MOD5))
 
     def neg(self, a):
-        return tuple((-x) % P for x in a)
+        return tuple(bytes(a).translate(_NEG5))
 
     def mul(self, a, b):
-        if self.degree == 1:
-            return ((a[0] * b[0]) % P,)
-        prod = _f5_mul(list(a), list(b))
-        red = _f5_mod(prod, list(self.modulus))
-        red += [0] * (self.degree - len(red))
-        return tuple(red)
+        log = self._log
+        if log is not None:
+            return self._antilog[log[a] + log[b]]
+        return tuple(self._kron.mul(bytes(a), bytes(b)))
 
     def inv(self, a):
-        if not any(a):
+        log = self._log
+        if log is None:
+            if not any(a):
+                raise ZeroDivisionError("inversion of zero")
+            return tuple(self._kron.inv(bytes(a)))
+        e = log[a]
+        if e == 2 * (self.order - 1):
             raise ZeroDivisionError("inversion of zero")
-        # extended Euclid against the modulus
-        r0, r1 = list(self.modulus), _f5_trim(list(a))
-        t0, t1 = [], [1]
-        while r1:
-            # divmod over F5
-            q = []
-            r = r0[:]
-            inv_lead = pow(r1[-1], -1, P)
-            while len(r) >= len(r1) and r:
-                c = (r[-1] * inv_lead) % P
-                shift = len(r) - len(r1)
-                if len(q) < shift + 1:
-                    q += [0] * (shift + 1 - len(q))
-                q[shift] = c
-                for i, b in enumerate(r1):
-                    r[shift + i] = (r[shift + i] - c * b) % P
-                _f5_trim(r)
-            r0, r1 = r1, r
-            prod = _f5_mul(q, t1)
-            t_new = [(x - y) % P for x, y in
-                     zip(t0 + [0] * len(prod), prod + [0] * len(t0))]
-            t0, t1 = t1, _f5_trim(t_new)
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], -1, P)
-        out = [(x * c_inv) % P for x in t0]
-        out += [0] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+        return self._antilog[self.order - 1 - e]
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        log = self._log
+        if log is None:
+            return self.mul(a, self.inv(b))
+        eb = log[b]
+        if eb == 2 * (self.order - 1):
+            raise ZeroDivisionError("inversion of zero")
+        return self._antilog[log[a] - eb + self.order - 1]
 
     def pow(self, a, e):
         e = int(e)
         if e < 0:
             a = self.inv(a)
             e = -e
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        log = self._log
+        if log is None:
+            return tuple(self._kron.pow(bytes(a), e))
+        la = log[a]
+        if la == 2 * (self.order - 1):
+            return self.one if e == 0 else self.zero
+        return self._antilog[la * e % (self.order - 1)]
 
     def frobenius(self, a):
-        return self.pow(a, P)
+        if self._log is not None:
+            return self.pow(a, P)
+        return tuple(self._kron.frobenius(1).apply(bytes(a)))
 
     def fifth_root(self, a):
         """The unique c with c^5 = a (the inverse of the Frobenius)."""
-        return self.pow(a, P ** (self.degree - 1))
+        if self._log is not None:
+            return self.pow(a, P ** (self.degree - 1))
+        return tuple(self._kron.frobenius(self.degree - 1).apply(bytes(a)))
 
     def format_elem(self, a):
         if self.degree == 1:
@@ -426,10 +620,11 @@ class GFPoly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         quo = [f.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = f.inv(other.leading())
+        lead = other.leading()
+        inv_lead = None if lead == f.one else f.inv(lead)
         d = other.degree
         while len(rem) - 1 >= d and rem:
-            c = f.mul(rem[-1], inv_lead)
+            c = rem[-1] if inv_lead is None else f.mul(rem[-1], inv_lead)
             shift = len(rem) - 1 - d
             quo[shift] = c
             for i, b in enumerate(other.coeffs):
@@ -445,10 +640,9 @@ class GFPoly:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.leading() == self.field.one:
             return self
-        inv = self.field.inv(self.leading())
-        return self * inv
+        return self * self.field.inv(self.leading())
 
     def derivative(self):
         f = self.field
@@ -530,34 +724,39 @@ def roots_in_field(u, seed=0):
     if u.is_zero():
         raise ValueError("zero polynomial")
     f = u.field
-    roots = []
     if f.order <= P ** 4:
-        for a in f.iter_elements():
-            if not any(u.eval(a)):
-                roots.append(a)
+        roots = [a for a in f.iter_elements() if not any(u.eval(a))]
     else:
         m = u.monic()
         x = GFPoly.x(f)
-        xq = x.pow_mod(f.order, m)
-        lin = poly_gcd(xq - x, m)
-        rng = random.Random(seed)
-        stack = [lin]
-        while stack:
-            g = stack.pop()
-            if g.degree == 0:
-                continue
-            if g.degree == 1:
-                roots.append(f.neg(g.monic().coeffs[0]))
-                continue
-            while True:
-                a = f.rand_elem(rng)
-                probe = GFPoly(f, [a, f.one]).pow_mod((f.order - 1) // 2, g)
-                d = poly_gcd(probe - GFPoly(f, [f.one]), g)
-                if 0 < d.degree < g.degree:
-                    stack.append(d)
-                    stack.append(g // d)
-                    break
+        roots = _split_linear(poly_gcd(x.pow_mod(f.order, m) - x, m), seed)
     return [(r, _root_multiplicity(u, r)) for r in sorted(roots)]
+
+
+def _split_linear(lin, seed):
+    """The roots of a monic product of distinct linear factors over its
+    coefficient field, in no particular order, by seeded equal-degree
+    splitting: gcd((x + a)^((q-1)/2) - 1, g) for random a."""
+    f = lin.field
+    rng = random.Random(seed)
+    roots = []
+    stack = [lin]
+    while stack:
+        g = stack.pop()
+        if g.degree == 0:
+            continue
+        if g.degree == 1:
+            roots.append(f.neg(g.monic().coeffs[0]))
+            continue
+        while True:
+            a = f.rand_elem(rng)
+            probe = GFPoly(f, [a, f.one]).pow_mod((f.order - 1) // 2, g)
+            d = poly_gcd(probe - GFPoly(f, [f.one]), g)
+            if 0 < d.degree < g.degree:
+                stack.append(d)
+                stack.append(g // d)
+                break
+    return roots
 
 
 def _root_multiplicity(u, r):
@@ -648,12 +847,12 @@ def roots_in_extension(u, max_degree, seed=0):
         else:
             ext = GF(base.degree * m)
             emb = embedding(base, ext)
-        g_ext = g.map_coeffs(emb, ext)
         u_ext = u.map_coeffs(emb, ext)
-        found = roots_in_field(g_ext, seed=seed)
-        if sum(1 for _ in found) != g.degree:
+        # the degree-m part splits into distinct linear factors over ext
+        found = _split_linear(g.map_coeffs(emb, ext), seed)
+        if len(found) != g.degree:
             raise AssertionError("degree-m part did not split into linears")
-        for r, _ in found:
+        for r in found:
             records.append(RootInExtension(
                 value=r,
                 multiplicity=_root_multiplicity(u_ext, r),
@@ -673,7 +872,8 @@ def roots_in_extension(u, max_degree, seed=0):
 # ---------------------------------------------------------------------------
 
 def parse_poly_literal(text):
-    """Parse "[c0,...,cn]@5^k;mod=[m0,...,mk]" (shorthand "@5" for k = 1)."""
+    """Parse "[c0,...,cn]@5^k;mod=[m0,...,mk]" (shorthand "@5" for k = 1),
+    with 1 <= k <= MAX_LITERAL_DEGREE."""
     text = text.strip()
     if "@" not in text:
         raise ValueError("polynomial literal needs an @5^k field tag")
@@ -692,6 +892,8 @@ def parse_poly_literal(text):
         k = int(field_part[2:])
     else:
         raise ValueError(f"unsupported field tag {field_part!r}")
+    if not 1 <= k <= MAX_LITERAL_DEGREE:
+        raise ValueError(f"field degree {k} is outside 1..{MAX_LITERAL_DEGREE}")
     field = GF(k, tuple(mod) if mod is not None else None)
     coeffs = ast.literal_eval(coeff_part.strip())
     if not isinstance(coeffs, (list, tuple)):

@@ -3,10 +3,13 @@
 import io
 import json
 import pathlib
+import random
 
 import pytest
 
 from charfive.cli import run
+from charfive.curvecheck import random_in_U
+from charfive.ffpoly import GF, format_poly_literal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIXTURE = "[0,0,1,0,0,0,1]@5"
@@ -49,6 +52,23 @@ def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+def test_curve_check_batch_matches_golden():
+    """`curve check` on the first 40 `random_in_U` sextics over GF(25) and
+    over GF(5): singular points up to GF(5^10), the minimal-root choice of
+    each embedding and the polar draws, one stdout per line."""
+    expected = (GOLDEN / "curve_check_batch.jsonl").read_text().splitlines(keepends=True)
+    outputs = []
+    for k in (2, 1):
+        for seed in range(40):
+            literal = format_poly_literal(random_in_U(GF(k), seed).f)
+            code, out, _ = invoke(["curve", "check", "--poly", literal])
+            assert code == 0
+            outputs.append(out)
+    assert len(expected) == len(outputs) == 80
+    for got, want in zip(outputs, expected):
+        assert got == want
 
 
 def test_output_is_byte_stable():
@@ -157,6 +177,21 @@ def test_verify_detects_tampering(tmp_path):
     assert "FAIL payload: not JSON" in err
 
 
+def test_verify_fails_many_generators(tmp_path):
+    """50 generators in F5^6 cannot be independent: a structured FAIL,
+    found before any span is built."""
+    rng = random.Random(50)
+    gens = [[rng.randrange(5) for _ in range(6)] for _ in range(50)]
+    path = tmp_path / "gens50.json"
+    path.write_text(json.dumps({"results": [
+        {"label": "H_0", "gens": gens, "disc_exp": 6, "sigma": 3,
+         "root_type": "5A4", "E_empty": True}]}))
+    code, out, err = invoke(["lattice", "verify", "--in", str(path)])
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert "FAIL H_0:isotropic: generators are not independent" in err
+
+
 def test_empty_result_list_is_valid_json():
     code, out, _ = invoke(["curve", "random", "--seed", "1", "--count", "0"])
     assert code == 0
@@ -175,6 +210,11 @@ def test_usage_errors(tmp_path):
     assert invoke(["curve", "check", "--poly", FIXTURE, "--max-ext", "0"])[0] == 2
     assert invoke(["lattice", "table1", "--jobs", "0"])[0] == 2
     assert invoke(["lattice", "classify", "--jobs", "-2"])[0] == 2
+    # field degrees beyond the shipped moduli (1..12)
+    for argv in (["curve", "random", "--field", "5^13"],
+                 ["curve", "check", "--poly", "[1,0,0,0,0,0,1]@5^40"]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "") and "error: " in err
     # a missing input file and an output path in a missing directory
     code, out, err = invoke(["lattice", "verify", "--in", str(tmp_path / "absent.json")])
     assert (code, out) == (2, "") and err.startswith("error: ")

@@ -194,6 +194,23 @@ def test_subgroup_validation():
     assert len(sub.elements()) == 25
 
 
+def test_dependent_generators_fail_before_the_span(monkeypatch):
+    """Independence is decided generator by generator: more than six
+    generators build no span, and a repeated one stops after the first."""
+    calls = []
+    real_add = discform.g_add
+    monkeypatch.setattr(discform, "g_add", lambda u, v: calls.append(1) or real_add(u, v))
+    rng = random.Random(5)
+    many = tuple(tuple(rng.randrange(5) for _ in range(6)) for _ in range(50))
+    with pytest.raises(ValueError, match="not independent"):
+        IsotropicSubgroup(gens=many)
+    assert calls == []
+    g = REFERENCE_SUBGROUPS["H_6"][0]
+    with pytest.raises(ValueError, match="not independent"):
+        IsotropicSubgroup(gens=(g, tuple(2 * x for x in g), g))
+    assert len(calls) == 5
+
+
 def test_condition_ii():
     assert condition_II(IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_2"]))
     assert not condition_II(IsotropicSubgroup(gens=((0, 2, 2, 0, 0, 1),)))

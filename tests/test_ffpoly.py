@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+import gf_kernels as oracle
 from charfive.ffpoly import (
     GF,
     GFPoly,
     MODULI,
+    P,
+    TABLE_MAX_ORDER,
     SplittingFieldError,
     _f5_is_irreducible,
     _search_modulus,
@@ -49,6 +52,89 @@ def test_field_axioms_random():
             if any(a):
                 assert fld.mul(a, fld.inv(a)) == fld.one
             assert fld.sub(fld.add(a, b), b) == a
+
+
+#: every shipped degree, and both sides of the widening of the packed
+#: kernel's one-byte slots (k <= 15)
+CORE_DEGREES = tuple(range(1, 13)) + (15, 16)
+
+
+@pytest.mark.parametrize("k", CORE_DEGREES)
+def test_core_matches_tuple_oracle(k):
+    """Tables (q <= TABLE_MAX_ORDER) and the packed kernel (above) against
+    the schoolbook tuple arithmetic, on seeded random pairs."""
+    fld = GF(k)
+    m = fld.modulus
+    rng = random.Random(1000 + k)
+    top = (P - 1,) * k           # the largest slot sums the packed kernel forms
+    pairs = [(top, top), (top, fld.one)]
+    pairs += [(fld.rand_elem(rng), fld.rand_elem(rng)) for _ in range(120)]
+    for a, b in pairs:
+        assert fld.mul(a, b) == oracle.mul(m, a, b)
+        assert fld.add(a, b) == oracle.add(a, b)
+        assert fld.sub(a, b) == oracle.sub(a, b)
+        assert fld.neg(b) == oracle.sub(fld.zero, b)
+        if any(b):
+            assert fld.inv(b) == oracle.inv(m, b)
+            assert fld.div(a, b) == oracle.mul(m, a, oracle.inv(m, b))
+        e = rng.randrange(-7, 40)
+        if any(a):
+            base = a if e >= 0 else oracle.inv(m, a)
+            assert fld.pow(a, e) == oracle.pow_(m, base, abs(e))
+
+
+@pytest.mark.parametrize("k", CORE_DEGREES)
+def test_core_field_laws(k):
+    fld = GF(k)
+    zero, one = fld.zero, fld.one
+    rng = random.Random(2000 + k)
+    assert fld.mul(zero, zero) == zero and fld.mul(one, one) == one
+    assert fld.pow(zero, 0) == one and fld.pow(zero, 3) == zero
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        fld.div(one, zero)
+    with pytest.raises(ZeroDivisionError):
+        fld.pow(zero, -1)
+    for _ in range(60):
+        a, b, c = fld.rand_elem(rng), fld.rand_elem(rng), fld.rand_elem(rng)
+        assert fld.mul(a, zero) == zero and fld.mul(one, a) == a
+        assert fld.add(a, zero) == a and fld.sub(a, a) == zero
+        assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+        assert fld.frobenius(a) == oracle.pow_(fld.modulus, a, 5)
+        assert fld.fifth_root(fld.frobenius(a)) == a
+        if any(a):
+            assert fld.mul(a, fld.inv(a)) == one
+            assert fld.div(a, a) == one
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for b in range(1, 11) for a in range(1, b + 1)
+                                  if b % a == 0])
+def test_embedding_is_a_ring_homomorphism(a, b):
+    src, dst = GF(a), GF(b)
+    emb = embedding(src, dst)
+    rng = random.Random(100 * a + b)
+    assert emb(src.zero) == dst.zero and emb(src.one) == dst.one
+    for _ in range(25):
+        x, y = src.rand_elem(rng), src.rand_elem(rng)
+        assert emb(src.add(x, y)) == dst.add(emb(x), emb(y))
+        assert emb(src.mul(x, y)) == dst.mul(emb(x), emb(y))
+
+
+def test_antilog_lists_each_nonzero_element_once():
+    for k in range(1, 13):
+        fld = GF(k)
+        if fld.order > TABLE_MAX_ORDER:
+            assert fld._log is None
+            continue
+        q = fld.order
+        powers = fld._antilog[:q - 1]
+        assert sorted(powers) == sorted(fld.iter_elements())[1:]
+        assert fld._antilog[q - 1:2 * (q - 1)] == powers
+        assert all(fld._log[x] == i for i, x in enumerate(powers))
+        assert fld._log[fld.zero] == 2 * (q - 1)
+        assert set(fld._antilog[2 * (q - 1):]) == {fld.zero}
+    assert GF(6)._log is None    # the cap is 5^5
 
 
 def test_moduli_are_the_canonical_data():
