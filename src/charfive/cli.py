@@ -121,12 +121,13 @@ def build_parser():
 
     cur = sub.add_parser("curve", help="sextic curve checks")
     cur_sub = cur.add_subparsers(dest="verb", required=True)
+    # curve output is always JSON; ns draws no polar, so it takes no seed
     for verb in ("check", "sing", "wall", "ns"):
         p = cur_sub.add_parser(verb)
         p.add_argument("--poly", required=True)
         p.add_argument("--max-ext", type=_at_least(1), default=8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "md"), default="json")
+        if verb != "ns":
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
     pr = cur_sub.add_parser("random")
     pr.add_argument("--field", default="5")
@@ -135,7 +136,6 @@ def build_parser():
     pr.add_argument("--check", action="store_true",
                     help="run the full pipeline on each sample")
     pr.add_argument("--max-ext", type=_at_least(1), default=8)
-    pr.add_argument("--format", choices=("json", "md"), default="json")
     pr.add_argument("--out", default=None)
     return parser
 
@@ -209,10 +209,7 @@ def _cmd_verify(args, stdout, stderr):
     check("entry_count", len(entries) == 9, f"{len(entries)} entries")
 
     keys = set()
-    reference_keys = {}
-    for label, gens in discform.REFERENCE_SUBGROUPS.items():
-        sub = discform.IsotropicSubgroup(gens=gens)
-        reference_keys[discform.canonical_key(sub)] = label
+    reference_labels = discform.reference_labels()
     for entry in entries:
         if not isinstance(entry, dict):
             check("?:fields", False, "entry is not an object")
@@ -232,8 +229,8 @@ def _cmd_verify(args, stdout, stderr):
         key = discform.canonical_key(sub)
         check(f"{label}:distinct_orbit", key not in keys)
         keys.add(key)
-        check(f"{label}:matches_reference", reference_keys.get(key) == label,
-              f"orbit is {reference_keys.get(key)}")
+        check(f"{label}:matches_reference", reference_labels.get(key) == label,
+              f"orbit is {reference_labels.get(key)}")
         _s, rt, e_empty, disc_exp = discform._subgroup_invariants(sub)
         check(f"{label}:disc", disc_exp == entry["disc_exp"],
               f"computed -5^{disc_exp}")

@@ -19,9 +19,11 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
+from .intmat import adjugate, det_bareiss
 from .lattice import (
     GramLattice,
     dual_data,
@@ -133,10 +135,6 @@ class DeltaType:
     y: int
     starred: bool
 
-    @property
-    def key(self):
-        return (self.a, self.b, y_normalized(self.y))
-
 
 def delta(v):
     """(a, b, y)-type: a counts coordinates in {1,4}, b counts {2,3}."""
@@ -177,6 +175,13 @@ def aut_apply(g, v):
 # Isotropic subgroups
 # ---------------------------------------------------------------------------
 
+def _residue(x):
+    """x mod 5 for an integer x; a bool, float or string raises TypeError."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise TypeError(f"generator coordinate {x!r} is not an integer")
+    return index(x) % 5
+
+
 @dataclass(frozen=True)
 class IsotropicSubgroup:
     """A totally isotropic subgroup of (G, q), given by independent generators."""
@@ -184,7 +189,7 @@ class IsotropicSubgroup:
     gens: tuple
 
     def __post_init__(self):
-        gens = tuple(tuple(int(x) % 5 for x in g) for g in self.gens)
+        gens = tuple(tuple(_residue(x) for x in g) for g in self.gens)
         object.__setattr__(self, "gens", gens)
         if any(len(g) != 6 for g in gens):
             raise ValueError("generators must have six coordinates")
@@ -280,16 +285,23 @@ def _orbit_images(elem_digits):
     return images
 
 
+def _min_row(images):
+    """The lexicographically smallest row of an `_orbit_images` array, as
+    bytes: the key of the orbit."""
+    return images[np.lexsort(images.T[::-1])[0]].tobytes()
+
+
 def canonical_key(subgroup):
     """Orbit-invariant key: the minimum over the symmetry group of the sorted
     element list of the image subgroup, serialized to bytes."""
-    elems = subgroup.elements()
-    digits = np.array(elems, dtype=np.int64)
-    images = _orbit_images(digits)
-    # lexicographic minimum row
-    order = np.lexsort(images.T[::-1])
-    best = images[order[0]]
-    return best.astype(np.int64).tobytes()
+    return _min_row(_orbit_images(np.array(subgroup.elements(), dtype=np.int64)))
+
+
+@lru_cache(maxsize=1)
+def reference_labels():
+    """Canonical key -> label of the reference subgroups H_0..H_8."""
+    return {canonical_key(IsotropicSubgroup(gens=gens)): label
+            for label, gens in REFERENCE_SUBGROUPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +351,31 @@ def _isotropic_planes():
     return planes, gen_pairs
 
 
+def _witt_index(gram, p=5):
+    """Witt index (the dimension of a maximal totally isotropic subspace) of
+    the nondegenerate symmetric form `gram` over F_p, p odd: (n-1)/2 in odd
+    dimension n; in dimension 2m, m when (-1)^m det is a square mod p and
+    m-1 otherwise (Serre, A Course in Arithmetic, ch. IV)."""
+    n, det = len(gram), det_bareiss(gram) % p
+    if det == 0:
+        raise ArithmeticError("the form is degenerate")
+    if n % 2:
+        return (n - 1) // 2
+    m = n // 2
+    # Euler's criterion: a unit is a square mod p iff its (p-1)/2 power is 1
+    return m if pow((-1) ** m * det, (p - 1) // 2, p) == 1 else m - 1
+
+
 def max_isotropic_dimension():
-    """Largest F5-dimension of a totally isotropic subgroup, by exhaustive
-    extension search over every isotropic plane."""
-    t = _tables()
-    planes, gen_pairs = _isotropic_planes()
-    if len(planes) == 0:
-        return 1 if len(_line_representatives()) else 0
-    iso = np.nonzero(t["iso"])[0]
-    iso_digits = t["digits"][iso]
-    for start in range(0, len(planes), 256):
-        pairs = gen_pairs[start:start + 256]
-        gd = t["digits"][pairs.reshape(-1)]
-        w = gd.copy()
-        w[:, 5] = (2 * w[:, 5]) % 5
-        b_vals = (iso_digits @ w.T) % 5
-        b_vals = b_vals.reshape(len(iso), -1, 2)
-        orth = (b_vals == 0).all(axis=2)
-        counts = orth.sum(axis=0)
-        if np.any(counts > 25):
-            return 3
-    return 2
+    """Largest F5-dimension of a totally isotropic subgroup of (G, q).
+
+    q(v) = 0 iff b(v, v) = 0, so these subgroups are the totally isotropic
+    subspaces of b, and the answer is the Witt index of the Gram matrix of
+    b on the reference basis: det = 2 and -2 is not a square mod 5, so it
+    is 2.
+    """
+    units = [decode(5 ** i) for i in range(6)]
+    return _witt_index([[b_value(u, v) for v in units] for u in units])
 
 
 @dataclass(frozen=True)
@@ -395,21 +411,21 @@ def _subgroup_invariants(subgroup):
 
 def admissible_subgroups():
     """Every totally isotropic subgroup of dimension 0, 1, 2 on which all
-    elements have starred types, in a deterministic enumeration order."""
+    elements have starred types, in a deterministic enumeration order.
+
+    Each one is a pair (gens, elems): the generators as tuples and the
+    sorted int64 array of the element encodings, read off the line and
+    plane enumerations.
+    """
     t = _tables()
-    survivors = [IsotropicSubgroup(gens=())]
-    starred = t["starred"]
-    for rep in _line_representatives():
-        digits = t["digits"][rep]
-        encs = [((digits * c) % 5) @ _POW for c in range(1, 5)]
-        if all(starred[int(e)] for e in encs):
-            survivors.append(IsotropicSubgroup(gens=(tuple(int(x) for x in digits),)))
+    reps = _line_representatives()
+    lines = np.sort(np.stack(
+        [((t["digits"][reps] * c) % 5) @ _POW for c in range(5)], axis=1), axis=1)
     planes, gen_pairs = _isotropic_planes()
-    plane_ok = starred[planes].all(axis=1)
-    for idx in np.nonzero(plane_ok)[0]:
-        g1 = decode(int(gen_pairs[idx][0]))
-        g2 = decode(int(gen_pairs[idx][1]))
-        survivors.append(IsotropicSubgroup(gens=(g1, g2)))
+    survivors = [((), np.zeros(1, dtype=np.int64))]
+    for elems, gens in ((lines, reps[:, None]), (planes, gen_pairs)):
+        for idx in np.nonzero(t["starred"][elems].all(axis=1))[0]:
+            survivors.append((tuple(decode(int(e)) for e in gens[idx]), elems[idx]))
     return survivors
 
 
@@ -431,32 +447,23 @@ def classify_isotropic_subgroups(jobs=1):
 
     Enumerates every totally isotropic subgroup of dimension 0, 1, 2,
     keeps those on which every element has a starred type, and
-    deduplicates up to the symmetry group (sweeping out whole orbits with
-    the same vectorized image machinery that backs `canonical_key`).
-    Representatives matching a reference subgroup H_0..H_8 carry its label
+    deduplicates up to the symmetry group (sweeping out whole orbits from
+    the survivors' element encodings with the same vectorized image
+    machinery that backs `canonical_key`); only the orbit representatives
+    become validated `IsotropicSubgroup`s.  Representatives matching a reference subgroup H_0..H_8 carry its label
     and generator set.
     """
-    survivors = admissible_subgroups()
+    digits = _tables()["digits"]
+    labels = reference_labels()
     seen = set()
-    reps = []
-    for sub in survivors:
-        elems = sub.elements()
-        digits = np.array(elems, dtype=np.int64)
-        own = np.sort(digits @ _POW).astype(np.int64).tobytes()
-        if own in seen:
-            continue
-        reps.append(sub)
-        images = _orbit_images(digits)
-        for row in images:
-            seen.add(row.astype(np.int64).tobytes())
-
-    reference_keys = {}
-    for label, gens in REFERENCE_SUBGROUPS.items():
-        reference_keys[canonical_key(IsotropicSubgroup(gens=gens))] = label
-
     work = []
-    for sub in reps:
-        label = reference_keys.get(canonical_key(sub))
+    for gens, elems in admissible_subgroups():
+        if elems.tobytes() in seen:
+            continue
+        images = _orbit_images(digits[elems])
+        seen.update(row.tobytes() for row in images)
+        label = labels.get(_min_row(images))
+        sub = IsotropicSubgroup(gens=gens)      # validates the representative
         if label is not None:
             sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
         work.append((label, sub))
@@ -552,24 +559,6 @@ def _isotropy_row_for(item):
 # Consistency of the encoded form with the built lattice
 # ---------------------------------------------------------------------------
 
-def _mod5_inverse(mat):
-    n = len(mat)
-    a = [[mat[i][j] % 5 for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] % 5), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, 5)
-        a[col] = [(x * inv) % 5 for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % 5 for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
 @dataclass(frozen=True)
 class QConsistencyReport:
     passed: bool
@@ -605,19 +594,18 @@ def verify_q_consistency():
     n5 = np.array(m_ginv, dtype=np.int64)
 
     # reference basis: duals of the first root of each chain, then dual of h
-    basis_dual = []
-    for j in range(N_CHAINS):
-        unit = [0] * RANK
-        unit[CHAIN_LEN * j] = 1
-        basis_dual.append(unit)
-    unit = [0] * RANK
-    unit[H_INDEX] = 1
-    basis_dual.append(unit)
+    basis_dual = [lift_to_dual(decode(5 ** i)) for i in range(6)]
 
-    t_rows = [dg.project(u) for u in basis_dual]
-    square = all(len(r) == 6 for r in t_rows)
-    tinv = _mod5_inverse([list(r) for r in t_rows]) if square else None
-    basis_ok = square and tinv is not None
+    # tinv = t_rows^-1 mod 5 = adj * det^-1, when det is a unit mod 5
+    t_rows = [list(dg.project(u)) for u in basis_dual]
+    adj, det = None, 0
+    if all(len(r) == 6 for r in t_rows):
+        try:
+            adj, det = adjugate(t_rows)
+        except ValueError:              # singular over Z, so over F5 too
+            pass
+    basis_ok = det % 5 != 0
+    tinv = [[x * pow(det, -1, 5) % 5 for x in row] for row in adj] if basis_ok else None
 
     mismatches = []
     n_checked = 0

@@ -871,9 +871,19 @@ def roots_in_extension(u, max_degree, seed=0):
 # Literals
 # ---------------------------------------------------------------------------
 
+def _literal_ints(values, what):
+    """`values` from a polynomial literal, checked to be a list of ints: no
+    bool, float or string is truncated to one."""
+    if not isinstance(values, (list, tuple)) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in values):
+        raise ValueError(f"{what}: expected integers, got {values!r}")
+    return list(values)
+
+
 def parse_poly_literal(text):
     """Parse "[c0,...,cn]@5^k;mod=[m0,...,mk]" (shorthand "@5" for k = 1),
-    with 1 <= k <= MAX_LITERAL_DEGREE."""
+    with 1 <= k <= MAX_LITERAL_DEGREE.  A coefficient is an int or a list
+    of ints; anything else raises ValueError."""
     text = text.strip()
     if "@" not in text:
         raise ValueError("polynomial literal needs an @5^k field tag")
@@ -884,7 +894,7 @@ def parse_poly_literal(text):
         mod_part = mod_part.strip()
         if not mod_part.startswith("mod="):
             raise ValueError("expected mod=[...] after ';'")
-        mod = ast.literal_eval(mod_part[4:])
+        mod = _literal_ints(ast.literal_eval(mod_part[4:]), "the modulus")
     field_part = field_part.strip()
     if field_part == "5":
         k = 1
@@ -894,17 +904,12 @@ def parse_poly_literal(text):
         raise ValueError(f"unsupported field tag {field_part!r}")
     if not 1 <= k <= MAX_LITERAL_DEGREE:
         raise ValueError(f"field degree {k} is outside 1..{MAX_LITERAL_DEGREE}")
-    field = GF(k, tuple(mod) if mod is not None else None)
+    field = GF(k, mod)
     coeffs = ast.literal_eval(coeff_part.strip())
     if not isinstance(coeffs, (list, tuple)):
         raise ValueError("coefficients must be a list")
-    out = []
-    for c in coeffs:
-        if isinstance(c, int):
-            out.append(field.elem(c))
-        else:
-            out.append(field.elem(list(c)))
-    return GFPoly(field, out)
+    return GFPoly(field, [field.elem(_literal_ints(c if isinstance(c, (list, tuple)) else [c],
+                                                   "a coefficient")) for c in coeffs])
 
 
 def format_poly_literal(p):

@@ -18,7 +18,7 @@ Conventions
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -436,11 +436,12 @@ def short_vectors_box(g, n):
 
     Independent of the Fincke-Pohst path: coordinate bounds come from the
     diagonal of the inverse form (Cauchy-Schwarz in the dual), and every
-    candidate in the box is checked by direct evaluation.  Intended for
-    small ranks; used as the test oracle.
+    candidate in the box is checked by direct evaluation of v^T g v, exact
+    in int64, one slice of the box per value of the first coordinate.
+    Every such |v^T g v| is at most max|g| * (sum of the bounds)^2; a box
+    where that could exceed 2^62 raises ValueError.  Intended for small
+    ranks; used as the test oracle.
     """
-    import itertools
-
     g = [list(r) for r in g]
     a = _check_negative_definite(g)
     t = -n
@@ -449,12 +450,18 @@ def short_vectors_box(g, n):
     for i in range(len(a)):
         val = Fraction(t) * ainv[i][i]
         bounds.append(isqrt(val.numerator // val.denominator) + 1)
+    if max(abs(x) for row in g for x in row) * sum(bounds) ** 2 > 2 ** 62:
+        raise ValueError("box too large for exact int64 evaluation")
+    gram = np.array(g, dtype=np.int64)
+    # the box without its first coordinate, one row per point
+    shape = [2 * b + 1 for b in bounds[1:]]
+    rest = (np.indices(shape, dtype=np.int64).reshape(len(shape), prod(shape)).T
+            - np.array(bounds[1:], dtype=np.int64))
     out = []
-    for v in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        norm = sum(v[i] * g[i][j] * v[j]
-                   for i in range(len(v)) for j in range(len(v)))
-        if norm == n:
-            out.append(tuple(v))
+    for x0 in range(-bounds[0], bounds[0] + 1):
+        v = np.concatenate([np.full((len(rest), 1), x0, dtype=np.int64), rest], axis=1)
+        norms = np.einsum("ij,jk,ik->i", v, gram, v)
+        out.extend(map(tuple, v[norms == n].tolist()))
     out.sort()
     return out
 

@@ -156,8 +156,8 @@ def test_verify_round_trip(tmp_path):
 
 
 def test_verify_detects_tampering(tmp_path):
-    code, out, _ = invoke(["lattice", "classify"])
-    tampered = json.loads(out)
+    code, out_classify, _ = invoke(["lattice", "classify"])
+    tampered = json.loads(out_classify)
     tampered["results"][3]["root_type"] = "E8+3A4"
     malformed = [
         {"results": [{"label": "H_0", "gens": []}]},    # invariants missing
@@ -175,6 +175,16 @@ def test_verify_detects_tampering(tmp_path):
         assert json.loads(out)["passed"] is False
         assert "FAIL " in err
     assert "FAIL payload: not JSON" in err
+    # a coordinate that is not an integer is not truncated to one
+    for bad in (2.9, "2", True):
+        payload = json.loads(out_classify)
+        h1 = next(r for r in payload["results"] if r["label"] == "H_1")
+        h1["gens"] = [[0, 0, 2, 2, 2, bad]]
+        path.write_text(json.dumps(payload))
+        code, out, err = invoke(["lattice", "verify", "--in", str(path)])
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        assert "FAIL H_1:isotropic: generator coordinate" in err
 
 
 def test_verify_fails_many_generators(tmp_path):
@@ -190,6 +200,79 @@ def test_verify_fails_many_generators(tmp_path):
     assert code == 1
     assert json.loads(out)["passed"] is False
     assert "FAIL H_0:isotropic: generators are not independent" in err
+
+
+#: what a fuzzed literal or payload may put where an integer was
+FUZZ_VALUES = ["2.5", "True", "None", "'2'", "[]", "[[1]]", "{}", "1j", "-7", "10**3",
+               "12", "[1,2,3,4]"]
+
+
+def _fuzz_text(rng, text):
+    """One to three edits: delete, insert or replace a character, or swap
+    an integer for one of FUZZ_VALUES."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4)
+        i = rng.randrange(len(text) + 1)
+        if op == 0:
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice("0123456789[],@^;=mod-.'e ") + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice("0123456789[],@^;") + text[i + 1:]
+        else:
+            digits = [j for j, c in enumerate(text) if c.isdigit()]
+            if digits:
+                j = rng.choice(digits)
+                text = text[:j] + rng.choice(FUZZ_VALUES) + text[j + 1:]
+    return text
+
+
+def _fuzz_json(rng, payload):
+    """The payload with one or two of its nodes replaced or deleted."""
+    def paths(node, path=()):
+        yield path
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for key, child in children:
+            yield from paths(child, path + (key,))
+
+    payload = json.loads(json.dumps(payload))
+    for _ in range(rng.randint(1, 2)):
+        nodes = [p for p in paths(payload) if p]
+        if not nodes:                   # "results" itself was deleted
+            break
+        path = rng.choice(nodes)
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and rng.random() < 0.2:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(rng.choice(
+                ["2.5", "true", "null", '"2"', "[]", "[[1]]", "{}", "-7", "1e400",
+                 "[0,0,2,2,2,2]", "[[0,0,2,2,2,2]]", '"5A4"']))
+    return payload
+
+
+def test_fuzzed_inputs_exit_cleanly(tmp_path):
+    """Seeded mutations of `--poly` literals and `lattice verify` payloads:
+    each gives exit 0, 1 or 2 and never a traceback."""
+    rng = random.Random(6)
+    literals = [FIXTURE, "[[0,2],[4,0],[2,2],[0,4],[1,0],[2,0],[2,3]]@5^2",
+                "[1,2]@5^2;mod=[1,1,1]"]
+    for _ in range(200):
+        literal = _fuzz_text(rng, rng.choice(literals))
+        code, _out, err = invoke(["curve", "check", "--poly", literal, "--max-ext", "2"])
+        assert code in (0, 1, 2) and "Traceback" not in err, literal
+    entries = json.loads(invoke(["lattice", "classify"])[1])["results"]
+    path = tmp_path / "fuzz.json"
+    for _ in range(100):
+        text = json.dumps(_fuzz_json(rng, {"results": [rng.choice(entries)]}))
+        if rng.random() < 0.3:
+            text = _fuzz_text(rng, text)
+        path.write_text(text)
+        code, _out, err = invoke(["lattice", "verify", "--in", str(path)])
+        assert code in (0, 1, 2) and "Traceback" not in err, text
 
 
 def test_empty_result_list_is_valid_json():
@@ -210,6 +293,11 @@ def test_usage_errors(tmp_path):
     assert invoke(["curve", "check", "--poly", FIXTURE, "--max-ext", "0"])[0] == 2
     assert invoke(["lattice", "table1", "--jobs", "0"])[0] == 2
     assert invoke(["lattice", "classify", "--jobs", "-2"])[0] == 2
+    # curve output is always JSON, and curve ns draws no polar
+    for verb in ("check", "sing", "wall", "ns"):
+        assert invoke(["curve", verb, "--poly", FIXTURE, "--format", "json"])[0] == 2
+    assert invoke(["curve", "random", "--format", "md"])[0] == 2
+    assert invoke(["curve", "ns", "--poly", FIXTURE, "--seed", "3"])[0] == 2
     # field degrees beyond the shipped moduli (1..12)
     for argv in (["curve", "random", "--field", "5^13"],
                  ["curve", "check", "--poly", "[1,0,0,0,0,0,1]@5^40"]):

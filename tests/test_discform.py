@@ -1,5 +1,6 @@
 """The discriminant form on F5^6, its symmetry group, and the classification."""
 
+import itertools
 import random
 
 import numpy as np
@@ -211,6 +212,16 @@ def test_dependent_generators_fail_before_the_span(monkeypatch):
     assert len(calls) == 5
 
 
+def test_generator_coordinates_must_be_integers():
+    gen = REFERENCE_SUBGROUPS["H_1"][0]
+    for bad in (2.0, 2.9, "2", True, None):
+        with pytest.raises(TypeError, match="not an integer"):
+            IsotropicSubgroup(gens=(gen[:5] + (bad,),))
+    # integer types other than int are accepted through operator.index
+    sub = IsotropicSubgroup(gens=(tuple(np.int64(x) for x in gen),))
+    assert sub.gens == (gen,) and all(type(x) is int for x in sub.gens[0])
+
+
 def test_condition_ii():
     assert condition_II(IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_2"]))
     assert not condition_II(IsotropicSubgroup(gens=((0, 2, 2, 0, 0, 1),)))
@@ -318,6 +329,37 @@ def test_classification():
         assert r.gens == REFERENCE_SUBGROUPS[r.label]
 
 
+def test_admissible_subgroups_carry_their_elements():
+    """Each survivor's element encodings are the span of its generators."""
+    survivors = discform.admissible_subgroups()
+    assert len(survivors) == 2713
+    dims = [len(gens) for gens, _ in survivors]
+    assert (dims.count(0), dims.count(1), dims.count(2)) == (1, 696, 2016)
+    for gens, elems in survivors:
+        sub = IsotropicSubgroup(gens=gens)
+        assert condition_II(sub)
+        expect = sorted(sum(x * 5 ** i for i, x in enumerate(v)) for v in sub.elements())
+        assert elems.dtype == np.int64 and elems.tolist() == expect
+
+
+def test_classification_validates_only_representatives(monkeypatch):
+    built = []
+    real_post_init = IsotropicSubgroup.__post_init__
+
+    def counting(self):
+        built.append(self.gens)
+        real_post_init(self)
+
+    monkeypatch.setattr(IsotropicSubgroup, "__post_init__", counting)
+    discform.reference_labels.cache_clear()
+    try:
+        records = classify_isotropic_subgroups()
+    finally:
+        discform.reference_labels.cache_clear()
+    assert len(records) == 9
+    assert len(built) < 50
+
+
 def test_reference_subgroups_distinct_orbits():
     keys = {label: canonical_key(IsotropicSubgroup(gens=gens))
             for label, gens in REFERENCE_SUBGROUPS.items()}
@@ -331,8 +373,84 @@ def test_overlattice_disc_by_dimension():
         assert ov.disc == -(5 ** (6 - 2 * sub.dim))
 
 
-def test_dimension_bound():
+def plane_scan_dimension():
+    """The exhaustive form of the dimension bound: 3 if some isotropic plane
+    has an isotropic vector orthogonal to it outside it, else 2.  A plane
+    lies in its own orthogonal complement, so more than 25 isotropic
+    vectors orthogonal to both generators means a third dimension."""
+    t = discform._tables()
+    planes, gen_pairs = discform._isotropic_planes()
+    if len(planes) == 0:
+        return 1 if len(discform._line_representatives()) else 0
+    iso = np.nonzero(t["iso"])[0]
+    iso_digits = t["digits"][iso]
+    for start in range(0, len(planes), 256):
+        pairs = gen_pairs[start:start + 256]
+        gd = t["digits"][pairs.reshape(-1)]
+        w = gd.copy()
+        w[:, 5] = (2 * w[:, 5]) % 5
+        b_vals = (iso_digits @ w.T) % 5
+        b_vals = b_vals.reshape(len(iso), -1, 2)
+        orth = (b_vals == 0).all(axis=2)
+        counts = orth.sum(axis=0)
+        if np.any(counts > 25):
+            return 3
+    return 2
+
+
+def test_dimension_bound(monkeypatch):
+    """The Witt-index certificate needs no enumeration of lines or planes."""
+    def forbidden():
+        raise AssertionError("the certificate must not enumerate subgroups")
+
+    monkeypatch.setattr(discform, "_isotropic_planes", forbidden)
+    monkeypatch.setattr(discform, "_line_representatives", forbidden)
     assert max_isotropic_dimension() == 2
+
+
+def test_plane_scan_oracle():
+    assert plane_scan_dimension() == 2
+
+
+def subspace_search_index(diag):
+    """Largest dimension of a totally isotropic subspace of sum d_i x_i^2
+    over F5: grow every totally isotropic subspace by one isotropic line
+    at a time, level by level, until none extends."""
+    n = len(diag)
+    vecs = np.array(list(itertools.product(range(5), repeat=n)), dtype=np.int64)
+    iso = vecs[(vecs * vecs) @ np.array(diag) % 5 == 0]      # iso[0] is 0
+    gram = (iso * diag) @ iso.T % 5
+    pows = 5 ** np.arange(n - 1, -1, -1)
+    position = {int(e): i for i, e in enumerate(iso @ pows)}
+    # one vector per isotropic line: its first nonzero coordinate is 1
+    lead = np.flatnonzero(iso[np.arange(len(iso)), (iso != 0).argmax(axis=1)] == 1)
+    spans, dim = np.zeros((1, 1), dtype=np.int64), 0     # rows: positions in iso
+    while True:
+        ok = ((gram[lead][:, spans] == 0).all(axis=2)
+              & ~(lead[:, None, None] == spans[None]).any(axis=2))
+        vi, si = np.nonzero(ok)
+        if not len(vi):
+            return dim
+        elems = (iso[spans[si]][:, :, None, :]
+                 + np.arange(5)[None, None, :, None] * iso[lead[vi]][:, None, None, :]) % 5
+        enc = np.unique(np.sort(elems.reshape(len(vi), -1, n) @ pows, axis=1), axis=0)
+        spans = np.vectorize(position.__getitem__)(enc)
+        dim += 1
+
+
+def test_witt_index_matches_subspace_search():
+    """Every nondegenerate diagonal form over F5 of dimension 1 to 4."""
+    for n in range(1, 5):
+        for diag in itertools.product(range(1, 5), repeat=n):
+            gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            assert discform._witt_index(gram) == subspace_search_index(diag), diag
+
+
+def test_witt_index_rejects_degenerate_forms():
+    with pytest.raises(ArithmeticError):
+        discform._witt_index([[1, 0], [0, 5]])
+    with pytest.raises(ArithmeticError):
+        discform._witt_index([[1, 2], [2, 4]])
 
 
 # ---------------------------------------------------------------------------

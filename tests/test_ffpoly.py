@@ -318,3 +318,8 @@ def test_literals_roundtrip():
         parse_poly_literal("[1,2,3]")
     with pytest.raises(ValueError):
         parse_poly_literal("[1]@7")
+    # a coefficient or modulus entry that is not an int is refused, not truncated
+    for bad in ("[1.5,0,1]@5", "[True,0,1]@5", "[None]@5", "[[1,'2']]@5^2",
+                "[1]@5;mod=5", "[1]@5^2;mod=[1,2.5,1]"):
+        with pytest.raises(ValueError):
+            parse_poly_literal(bad)

@@ -208,6 +208,29 @@ def test_short_vectors_a4():
     assert roots == short_vectors_box(A4_BLOCK, -2)
 
 
+def a_n_gram(n):
+    return [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+# D4: the central node 1 joined to 0, 2 and 3
+D4_GRAM = [[-2, 1, 0, 0], [1, -2, 1, 1], [0, 1, -2, 0], [0, 1, 0, -2]]
+
+
+def test_box_root_counts():
+    """A_n has n(n+1) roots and D4 has 24, by both enumerators."""
+    for g, count in [(a_n_gram(n), n * (n + 1)) for n in range(1, 5)] + [(D4_GRAM, 24)]:
+        roots = short_vectors_box(g, -2)
+        assert len(roots) == count
+        assert roots == short_vectors_of_norm(g, -2)
+        assert all(type(x) is int for r in roots for x in r)
+
+
+def test_box_rejects_int64_overflow():
+    # max|g| * (sum of the bounds)^2 > 2^62: the box is refused, not wrapped
+    with pytest.raises(ValueError, match="int64"):
+        short_vectors_box([[-2 ** 61]], -2 ** 61)
+
+
 def test_short_vectors_5a4():
     # five orthogonal blocks: every root is supported in a single block,
     # so the count is 5 times the per-block count
