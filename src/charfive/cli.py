@@ -24,7 +24,7 @@ import time
 from . import __version__
 from . import curvecheck, discform
 from .ffpoly import (
-    GF, MAX_LITERAL_DEGREE, SplittingFieldError, format_poly_literal, parse_poly_literal)
+    GF, SplittingFieldError, format_poly_literal, parse_field_degree, parse_poly_literal)
 
 
 class _UsageError(Exception):
@@ -41,15 +41,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _parse_field(text):
-    text = text.strip()
-    if text == "5":
-        return GF(1)
-    if text.startswith("5^") and text[2:].isdigit():
-        k = int(text[2:])
-        if 1 <= k <= MAX_LITERAL_DEGREE:
-            return GF(k)
-    raise _UsageError(
-        f"unsupported field {text!r} (use 5 or 5^k, 1 <= k <= {MAX_LITERAL_DEGREE})")
+    try:
+        return GF(parse_field_degree(text))
+    except ValueError as exc:
+        raise _UsageError(f"--field: {exc}")
 
 
 def _at_least(low):

@@ -9,13 +9,18 @@ first time a field is built.  Fields of at most TABLE_MAX_ORDER elements
 compute through log/antilog tables, larger ones through a packed
 Kronecker kernel (`_Kronecker`).
 
+F5[t] arithmetic has two forms here: `_Kronecker`, whose maps come from
+t^(j+1) = t * t^j mod m, and `GFPoly` over GF(5).  Rabin's irreducibility
+test uses both.  The schoolbook reference lives in `tests/gf_kernels.py`.
+
 Polynomial literals:  "[c0,c1,...,cn]@5^k;mod=[m0,...,mk]"  with the
 prime-field shorthand "@5".  Coefficients over an extension are written
-as nested lists.
+as nested lists; `parse_field_degree` reads the field tag.
 """
 
 import ast
 import random
+import re
 from operator import add as _int_add
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,62 +51,8 @@ MAX_LITERAL_DEGREE = max(MODULI)
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over the prime field (plain int lists, ascending degree)
+# Moduli
 # ---------------------------------------------------------------------------
-
-def _f5_trim(u):
-    while u and u[-1] % P == 0:
-        u.pop()
-    return u
-
-
-def _f5_mul(u, v):
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % P
-    return _f5_trim(out)
-
-
-def _f5_mod(u, m):
-    u = [x % P for x in u]
-    _f5_trim(u)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, P)
-    while len(u) - 1 >= dm:
-        c = (u[-1] * inv_lead) % P
-        shift = len(u) - 1 - dm
-        for i, b in enumerate(m):
-            u[shift + i] = (u[shift + i] - c * b) % P
-        _f5_trim(u)
-    return u
-
-
-def _f5_gcd(u, v):
-    u = _f5_trim([x % P for x in u])
-    v = _f5_trim([x % P for x in v])
-    while v:
-        u, v = v, _f5_mod(u, v)
-    if u:
-        inv = pow(u[-1], -1, P)
-        u = [(x * inv) % P for x in u]
-    return u
-
-
-def _f5_powmod_x(e, m):
-    """x^e mod m over F5."""
-    result = [1]
-    base = _f5_mod([0, 1], m)
-    while e:
-        if e & 1:
-            result = _f5_mod(_f5_mul(result, base), m)
-        base = _f5_mod(_f5_mul(base, base), m)
-        e >>= 1
-    return result
-
 
 def _prime_divisors(n):
     out = []
@@ -118,22 +69,25 @@ def _prime_divisors(n):
 
 
 def _f5_is_irreducible(m):
-    m = list(m)
+    """Rabin's test: t^(5^k) = t mod m, and gcd(m, t^(5^(k/r)) - t) = 1 for
+    each prime r | k.  t^(5^e) is `_Kronecker(m).frobenius(e)` applied to t,
+    valid for any monic m.  The gcds run in `GFPoly` over GF(5); k = 1
+    returns first, so building GF(5) does not recurse."""
+    m = tuple(x % P for x in m)
     k = len(m) - 1
-    if k < 1 or m[-1] % P != 1:
+    if k < 1 or m[-1] != 1:
         return False
     if k == 1:
         return True
-    xq = _f5_powmod_x(P ** k, m)
-    x = _f5_mod([0, 1], m)
-    if _f5_trim([(a - b) % P for a, b in
-                 zip(xq + [0] * len(x), x + [0] * len(xq))]) != []:
+    kron = _Kronecker(m)
+    t = bytes([0, 1] + [0] * (k - 2))
+    if kron.frobenius(k).apply(t) != t:
         return False
+    f5 = GF(1)
+    mpoly = GFPoly.from_ints(f5, m)
     for r in _prime_divisors(k):
-        xqr = _f5_powmod_x(P ** (k // r), m)
-        diff = [(a - b) % P for a, b in
-                zip(xqr + [0] * len(x), x + [0] * len(xqr))]
-        if len(_f5_gcd(m, diff)) - 1 > 0:
+        diff = [a - b for a, b in zip(kron.frobenius(k // r).apply(t), t)]
+        if poly_gcd(mpoly, GFPoly.from_ints(f5, diff)).degree > 0:
             return False
     return True
 
@@ -141,12 +95,7 @@ def _f5_is_irreducible(m):
 def _search_modulus(k):
     """Smallest monic irreducible of degree k in (c0, c1, ...) order."""
     for code in range(P ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % P)
-            c //= P
-        m = coeffs + [1]
+        m = [(code // P ** i) % P for i in range(k)] + [1]
         if _f5_is_irreducible(m):
             return tuple(m)
     raise ArithmeticError(f"no irreducible of degree {k}")
@@ -231,12 +180,12 @@ class _PackedMap:
 
 
 class _Kronecker:
-    """Packed arithmetic in F5[t]/(m) on coefficient bytes.
+    """Packed arithmetic in F5[t]/(m) on coefficient bytes, m monic.
 
     `mul` forms the product of two residues as one integer product, reads
     its 2k - 1 coefficients mod 5, and reduces them by the linear map whose
     columns are t^j mod m (j < 2k - 1).  `frobenius(e)` is the linear map
-    x -> x^(5^e); `inv` is Itoh-Tsujii on top of both.
+    x -> x^(5^e); `inv` is Itoh-Tsujii on top of both, for irreducible m.
     """
 
     __slots__ = ("k", "s", "modulus", "one", "reduction", "_frob")
@@ -247,14 +196,18 @@ class _Kronecker:
         self.one = bytes([1] + [0] * (k - 1))
         self.s = _slot_bytes(k)
         self.modulus = modulus
-        self.reduction = _PackedMap(
-            list(zip(*[self._power_of_t(j) for j in range(2 * k - 1)])), self.s)
+        self.reduction = _PackedMap(list(zip(*self._powers_of_t(2 * k - 1))), self.s)
         self._frob = {}
 
-    def _power_of_t(self, e):
-        """t^e mod m as k coefficient bytes."""
-        r = _f5_powmod_x(e, list(self.modulus))
-        return bytes(r + [0] * (self.k - len(r)))
+    def _powers_of_t(self, count):
+        """t^j mod m for j < count, as k coefficient bytes each, by shift and
+        subtract: t^(j+1) = t * t^j - c * m, with c the top coefficient of t^j."""
+        out, r = [], self.one
+        for _ in range(count):
+            out.append(r)
+            c = r[-1]
+            r = bytes((a - c * b) % P for a, b in zip(b"\0" + r[:-1], self.modulus))
+        return out
 
     def mul(self, x, y):
         s, n = self.s, self.reduction.n
@@ -279,11 +232,11 @@ class _Kronecker:
         fmap = self._frob.get(e)
         if fmap is None:
             if e == 1:
-                cols = [self._power_of_t(P * j) for j in range(self.k)]
+                cols = self._powers_of_t(P * self.k - P + 1)[::P]
             else:
                 # compose two maps of about half the exponent
                 first, second = self.frobenius(e // 2), self.frobenius(e - e // 2)
-                cols = [second.apply(first.apply(self._power_of_t(j))) for j in range(self.k)]
+                cols = [second.apply(first.apply(t)) for t in self._powers_of_t(self.k)]
             fmap = self._frob[e] = _PackedMap(list(zip(*cols)), self.s)
         return fmap
 
@@ -717,19 +670,15 @@ def poly_fifth_root(u):
 def roots_in_field(u, seed=0):
     """All roots of u inside its own coefficient field, with multiplicities.
 
-    Exhaustive scan for fields with at most 5^4 elements; otherwise the
-    product of linear factors is extracted with x^q - x and split by
-    seeded equal-degree splitting.
+    The product of the distinct linear factors, gcd(u, x^q - x), is split
+    by seeded equal-degree splitting; roots are sorted in element order.
     """
     if u.is_zero():
         raise ValueError("zero polynomial")
     f = u.field
-    if f.order <= P ** 4:
-        roots = [a for a in f.iter_elements() if not any(u.eval(a))]
-    else:
-        m = u.monic()
-        x = GFPoly.x(f)
-        roots = _split_linear(poly_gcd(x.pow_mod(f.order, m) - x, m), seed)
+    m = u.monic()
+    x = GFPoly.x(f)
+    roots = _split_linear(poly_gcd(x.pow_mod(f.order, m) - x, m), seed)
     return [(r, _root_multiplicity(u, r)) for r in sorted(roots)]
 
 
@@ -880,6 +829,18 @@ def _literal_ints(values, what):
     return list(values)
 
 
+def parse_field_degree(text):
+    """The degree k of a field tag "5" (k = 1) or "5^k", where k is written
+    in ASCII digits and 1 <= k <= MAX_LITERAL_DEGREE; ValueError otherwise."""
+    match = re.fullmatch(r"5(?:\^([0-9]+))?", text.strip())
+    if match is None:
+        raise ValueError(f"unsupported field tag {text.strip()!r} (use 5 or 5^k)")
+    k = int(match.group(1) or 1)
+    if not 1 <= k <= MAX_LITERAL_DEGREE:
+        raise ValueError(f"field degree {k} is outside 1..{MAX_LITERAL_DEGREE}")
+    return k
+
+
 def parse_poly_literal(text):
     """Parse "[c0,...,cn]@5^k;mod=[m0,...,mk]" (shorthand "@5" for k = 1),
     with 1 <= k <= MAX_LITERAL_DEGREE.  A coefficient is an int or a list
@@ -895,15 +856,7 @@ def parse_poly_literal(text):
         if not mod_part.startswith("mod="):
             raise ValueError("expected mod=[...] after ';'")
         mod = _literal_ints(ast.literal_eval(mod_part[4:]), "the modulus")
-    field_part = field_part.strip()
-    if field_part == "5":
-        k = 1
-    elif field_part.startswith("5^"):
-        k = int(field_part[2:])
-    else:
-        raise ValueError(f"unsupported field tag {field_part!r}")
-    if not 1 <= k <= MAX_LITERAL_DEGREE:
-        raise ValueError(f"field degree {k} is outside 1..{MAX_LITERAL_DEGREE}")
+    k = parse_field_degree(field_part)
     field = GF(k, mod)
     coeffs = ast.literal_eval(coeff_part.strip())
     if not isinstance(coeffs, (list, tuple)):

@@ -29,7 +29,6 @@ from .intmat import (
     enumerate_quadratic,
     fraction_inverse,
     is_symmetric,
-    ldl_positive,
     left_kernel,
     lll_gram,
     mat_mul,
@@ -98,10 +97,6 @@ class GramLattice:
 
     def signature(self):
         return signature_symmetric([list(r) for r in self.gram])
-
-    def inner(self, u, v):
-        return sum(u[i] * self.gram[i][j] * v[j]
-                   for i in range(self.rank) for j in range(self.rank))
 
     def to_json_dict(self):
         return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
@@ -198,10 +193,6 @@ class Overlattice:
     @property
     def rank(self):
         return self.ambient.rank
-
-    def inner_s(self, u, v):
-        return sum(u[i] * self.gram_s[i][j] * v[j]
-                   for i in range(self.rank) for j in range(self.rank))
 
     def s_coords_of_primal(self, vec):
         """Coordinates in the S basis of a vector given in primal coordinates,
@@ -361,18 +352,6 @@ def overlattice_from_generators(l, gens):
 # Short vector enumeration
 # ---------------------------------------------------------------------------
 
-def _check_negative_definite(g):
-    if not is_symmetric(g):
-        raise ValueError("Gram matrix must be symmetric")
-    a = [[-x for x in row] for row in g]
-    try:
-        ldl_positive(a)
-    except ValueError as exc:
-        raise IndefiniteLatticeError(
-            "enumeration requires a negative definite Gram matrix") from exc
-    return a
-
-
 def _reduced_positive_form(g):
     """`lll_gram` of -g for a negative definite g: (u, u_inv, dets, lam).
 
@@ -394,14 +373,9 @@ def short_vectors_of_norm(g, n):
 
     Both v and -v appear; the output is sorted lexicographically.
     """
-    g = [list(r) for r in g]
     if not isinstance(n, int) or n >= 0:
         raise ValueError("norm must be a negative integer")
-    u, _u_inv, dets, lam = _reduced_positive_form(g)
-    found = enumerate_quadratic(dets, lam, -n, [0] * len(g))
-    out = [tuple(intmat.vec_mat(list(w), u)) for w in found]
-    out.sort()
-    return out
+    return coset_vectors_of_norm(g, [0] * len(g), n)
 
 
 def coset_vectors_of_norm(g, shift, n, den=1):
@@ -443,7 +417,8 @@ def short_vectors_box(g, n):
     ranks; used as the test oracle.
     """
     g = [list(r) for r in g]
-    a = _check_negative_definite(g)
+    _reduced_positive_form(g)     # refuses a g that is not negative definite
+    a = [[-x for x in row] for row in g]
     t = -n
     ainv = fraction_inverse(a)
     bounds = []

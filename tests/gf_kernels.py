@@ -1,14 +1,50 @@
-"""Reference GF(5^k) arithmetic on coefficient tuples: the test oracle.
+"""Reference arithmetic in F5[t] and GF(5^k): the test oracle.
 
-These are the schoolbook multiply-and-reduce and the extended Euclid
-inverse that `charfive.ffpoly.GF` used before its log tables and packed
-Kronecker kernel.  They are slow and obviously exact, and the
+These are the schoolbook multiply-and-reduce on int lists and the extended
+Euclid inverse that `charfive.ffpoly` used before its log tables and packed
+Kronecker kernel.  They are slow and obviously exact, share no code with
+the module they check (only the prime `P` is imported), and the
 differential tests in `test_ffpoly.py` check the fast core against them.
-Elements are tuples of k coefficients in 0..4, lowest degree first; the
-modulus is the monic tuple (m0, ..., mk) of a `GF`.
+Polynomials are int lists, lowest degree first, with no trailing zeros.
+Elements are tuples of k coefficients in 0..4; the modulus is the monic
+tuple (m0, ..., mk) of a `GF`.
 """
 
-from charfive.ffpoly import P, _f5_mod, _f5_mul, _f5_trim
+from charfive.ffpoly import P
+
+
+def f5_trim(u):
+    """u without its trailing zero coefficients (in place)."""
+    while u and u[-1] % P == 0:
+        u.pop()
+    return u
+
+
+def f5_mul(u, v):
+    """The product of two polynomials over F5."""
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[i + j] = (out[i + j] + a * b) % P
+    return f5_trim(out)
+
+
+def f5_mod(u, m):
+    """The remainder of u on division by a nonzero m over F5."""
+    u = [x % P for x in u]
+    f5_trim(u)
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, P)
+    while len(u) - 1 >= dm:
+        c = (u[-1] * inv_lead) % P
+        shift = len(u) - 1 - dm
+        for i, b in enumerate(m):
+            u[shift + i] = (u[shift + i] - c * b) % P
+        f5_trim(u)
+    return u
 
 
 def add(a, b):
@@ -23,8 +59,8 @@ def mul(modulus, a, b):
     degree = len(modulus) - 1
     if degree == 1:
         return ((a[0] * b[0]) % P,)
-    prod = _f5_mul(list(a), list(b))
-    red = _f5_mod(prod, list(modulus))
+    prod = f5_mul(list(a), list(b))
+    red = f5_mod(prod, list(modulus))
     red += [0] * (degree - len(red))
     return tuple(red)
 
@@ -34,7 +70,7 @@ def inv(modulus, a):
         raise ZeroDivisionError("inversion of zero")
     degree = len(modulus) - 1
     # extended Euclid against the modulus
-    r0, r1 = list(modulus), _f5_trim(list(a))
+    r0, r1 = list(modulus), f5_trim(list(a))
     t0, t1 = [], [1]
     while r1:
         # divmod over F5
@@ -49,12 +85,12 @@ def inv(modulus, a):
             q[shift] = c
             for i, b in enumerate(r1):
                 r[shift + i] = (r[shift + i] - c * b) % P
-            _f5_trim(r)
+            f5_trim(r)
         r0, r1 = r1, r
-        prod = _f5_mul(q, t1)
+        prod = f5_mul(q, t1)
         t_new = [(x - y) % P for x, y in
                  zip(t0 + [0] * len(prod), prod + [0] * len(t0))]
-        t0, t1 = t1, _f5_trim(t_new)
+        t0, t1 = t1, f5_trim(t_new)
     # r0 is a nonzero constant gcd
     c_inv = pow(r0[0], -1, P)
     out = [(x * c_inv) % P for x in t0]

@@ -288,6 +288,7 @@ def test_usage_errors(tmp_path):
     assert invoke(["curve", "check", "--poly", "[1,1]@5"])[0] == 2
     assert invoke(["curve", "random", "--field", "7^2"])[0] == 2
     assert invoke(["curve", "random", "--field", "5^x"])[0] == 2
+    assert invoke(["curve", "random", "--field", "5^\u00b2"])[0] == 2
     assert invoke(["curve", "random", "--count", "-3"])[0] == 2
     assert invoke(["curve", "random", "--max-ext", "0"])[0] == 2
     assert invoke(["curve", "check", "--poly", FIXTURE, "--max-ext", "0"])[0] == 2

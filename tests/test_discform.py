@@ -26,6 +26,7 @@ from charfive.discform import (
     subgroup_overlattice,
     verify_q_consistency,
 )
+from test_lattice import pairing
 
 
 AUT_IDENTITY = AutElement(signs=(1,) * 5, perm=(0, 1, 2, 3, 4))
@@ -59,9 +60,9 @@ def test_build_s0_shape():
     assert s0.labels[20:] == ("h", "l")
     h = [1 if i == 20 else 0 for i in range(22)]
     l = [1 if i == 21 else 0 for i in range(22)]
-    assert s0.inner(h, h) == 2
-    assert s0.inner(l, l) == -2
-    assert s0.inner(h, l) == 1
+    assert pairing(s0.gram, h, h) == 2
+    assert pairing(s0.gram, l, l) == -2
+    assert pairing(s0.gram, h, l) == 1
 
 
 def test_build_s0_chain_pairings():

@@ -1,5 +1,6 @@
 """Field arithmetic in GF(5^k), polynomial gcds, fifth roots, root finding."""
 
+import itertools
 import random
 
 import pytest
@@ -143,6 +144,41 @@ def test_moduli_are_the_canonical_data():
         assert _search_modulus(k) == mod
 
 
+def _has_monic_factor(m):
+    """Brute force: some monic polynomial of degree 1..deg(m)/2 divides m."""
+    k = len(m) - 1
+    return any(not oracle.f5_mod(m, list(low) + [1])
+               for d in range(1, k // 2 + 1)
+               for low in itertools.product(range(P), repeat=d))
+
+
+def test_irreducibility_matches_factor_search():
+    """Rabin's test on all 780 monic polynomials of degree 1-4 over F5,
+    against a search for a monic factor with the schoolbook division."""
+    counts = {}
+    for k in range(1, 5):
+        for low in itertools.product(range(P), repeat=k):
+            m = list(low) + [1]
+            irreducible = _f5_is_irreducible(m)
+            assert irreducible == (not _has_monic_factor(m)), m
+            counts[k] = counts.get(k, 0) + irreducible
+    # (1/k) sum_{d | k} mu(k/d) 5^d monic irreducibles of degree k
+    assert counts == {1: 5, 2: 10, 3: 40, 4: 150}
+
+
+def test_irreducibility_gcd_step_rejects_product_of_cubics():
+    """(t^3 + t + 1)(t^3 + t^2 + 1) satisfies t^(5^6) = t: only the gcd
+    with t^(5^3) - t sees that it is reducible."""
+    cubics = ([1, 1, 0, 1], [1, 0, 1, 1])
+    assert all(_f5_is_irreducible(c) and not _has_monic_factor(c) for c in cubics)
+    m = oracle.f5_mul(*cubics)
+    t = (0, 1, 0, 0, 0, 0)
+    assert oracle.pow_(tuple(m), t, P ** 6) == t
+    assert not _f5_is_irreducible(m)
+    with pytest.raises(ValueError):
+        GF(6, m)
+
+
 def test_gf_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         GF(2, (1, 0, 1))          # t^2 + 1 = (t-2)(t-3) over F5
@@ -224,6 +260,32 @@ def test_roots_in_field_exhaustive_and_cz():
             continue
         poly = GFPoly(big, [big.mul(a, b), big.neg(big.add(a, b)), big.one])
         assert [r for r, _ in roots_in_field(poly)] == sorted([a, b])
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_roots_in_field_matches_scan(k):
+    """Equal-degree splitting against an exhaustive scan of the field, on
+    seeded products of planted linear factors (some of multiplicity 5 or
+    more) and a random cofactor."""
+    fld = GF(k)
+    rng = random.Random(300 + k)
+    for _ in range(12):
+        u = GFPoly(fld, [fld.rand_elem(rng) for _ in range(rng.randint(1, 4))])
+        if u.is_zero():
+            continue
+        for _ in range(rng.randint(0, 4)):
+            lin = GFPoly(fld, [fld.neg(fld.rand_elem(rng)), fld.one])
+            for _ in range(rng.choice((1, 1, 2, 6))):
+                u = u * lin
+        scan = []
+        for a in fld.iter_elements():
+            mult, v = 0, u
+            while not any(v.eval(a)):
+                v = v // GFPoly(fld, [fld.neg(a), fld.one])
+                mult += 1
+            if mult:
+                scan.append((a, mult))
+        assert roots_in_field(u, seed=k) == sorted(scan)
 
 
 def test_roots_in_extension_quintic():
@@ -320,6 +382,8 @@ def test_literals_roundtrip():
         parse_poly_literal("[1]@7")
     # a coefficient or modulus entry that is not an int is refused, not truncated
     for bad in ("[1.5,0,1]@5", "[True,0,1]@5", "[None]@5", "[[1,'2']]@5^2",
-                "[1]@5;mod=5", "[1]@5^2;mod=[1,2.5,1]"):
+                "[1]@5;mod=5", "[1]@5^2;mod=[1,2.5,1]",
+                # the degree of a field tag is ASCII digits and nothing else
+                "[1]@5^ 2", "[1]@5^1_0", "[1]@5^\u0663", "[1]@5^\u00b2"):
         with pytest.raises(ValueError):
             parse_poly_literal(bad)
