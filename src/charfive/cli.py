@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from . import curvecheck, discform
@@ -98,7 +99,9 @@ def _wrap(args, results, seed=None):
     return payload
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first `run` and reused after."""
     parser = _ArgumentParser(prog="charfive", description=__doc__)
     sub = parser.add_subparsers(dest="domain", required=True)
 

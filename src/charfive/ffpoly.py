@@ -70,23 +70,27 @@ def _prime_divisors(n):
 
 def _f5_is_irreducible(m):
     """Rabin's test: t^(5^k) = t mod m, and gcd(m, t^(5^(k/r)) - t) = 1 for
-    each prime r | k.  t^(5^e) is `_Kronecker(m).frobenius(e)` applied to t,
-    valid for any monic m.  The gcds run in `GFPoly` over GF(5); k = 1
-    returns first, so building GF(5) does not recurse."""
+    each prime r | k.  The powers t^(5^e), e <= k, come from applying
+    `_Kronecker(m).frobenius(1)` to t k times, valid for any monic m.  The
+    gcds run in `GFPoly` over GF(5); k = 1 returns first, so building GF(5)
+    does not recurse."""
     m = tuple(x % P for x in m)
     k = len(m) - 1
     if k < 1 or m[-1] != 1:
         return False
     if k == 1:
         return True
-    kron = _Kronecker(m)
-    t = bytes([0, 1] + [0] * (k - 2))
-    if kron.frobenius(k).apply(t) != t:
+    frob = _Kronecker(m).frobenius(1)
+    powers = [bytes([0, 1] + [0] * (k - 2))]
+    for _ in range(k):
+        powers.append(frob.apply(powers[-1]))
+    t = powers[0]
+    if powers[k] != t:
         return False
     f5 = GF(1)
     mpoly = GFPoly.from_ints(f5, m)
     for r in _prime_divisors(k):
-        diff = [a - b for a, b in zip(kron.frobenius(k // r).apply(t), t)]
+        diff = [a - b for a, b in zip(powers[k // r], t)]
         if poly_gcd(mpoly, GFPoly.from_ints(f5, diff)).degree > 0:
             return False
     return True
@@ -611,17 +615,6 @@ class GFPoly:
             acc = f.add(f.mul(acc, x), c)
         return acc
 
-    def pow_mod(self, e, mod):
-        e = int(e)
-        result = GFPoly(self.field, [self.field.one])
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
-
     def map_coeffs(self, fn, new_field):
         return GFPoly(new_field, [fn(c) for c in self.coeffs])
 
@@ -667,45 +660,78 @@ def poly_fifth_root(u):
 # Root finding
 # ---------------------------------------------------------------------------
 
+def _fifth_power_table(mod, top, table=None):
+    """[x^(5^j) mod `mod` for j = 0..top], extending `table` if one is given.
+
+    Each entry is the fifth power of the one before: Frobenius on the
+    coefficients, x -> x^5, and one reduction mod `mod`.
+    """
+    f = mod.field
+    if table is None:
+        table = [GFPoly.x(f) % mod]
+    while len(table) <= top:
+        coeffs = [f.zero] * (P * len(table[-1].coeffs))
+        coeffs[::P] = [f.frobenius(c) for c in table[-1].coeffs]
+        table.append(GFPoly(f, coeffs) % mod)
+    return table
+
+
+def _trace_split(lin, powers, seed):
+    """The roots of lin, a monic product of distinct linear factors over its
+    coefficient field GF(5^K), in no particular order; powers[j] is
+    x^(5^j) mod lin for j < K.
+
+    Berlekamp's trace algorithm: for a seeded random b the polynomial
+    T = sum_j b^(5^j) x^(5^j) takes the value Tr(b r) in F5 at every root r,
+    so the gcds of a factor g with T - c (c in F5) split g unless all its
+    roots share one trace, which happens with probability at most 1/5.
+    """
+    f = lin.field
+    rng = random.Random(seed)
+    roots = []
+    stack = [lin] if lin.degree > 0 else []
+    while stack:
+        g = stack.pop()
+        if g.degree == 1:
+            roots.append(f.neg(g.coeffs[0]))
+            continue
+        while True:
+            b = f.rand_elem(rng)
+            coeffs = [f.zero] * lin.degree
+            for power in powers:
+                for i, c in enumerate(power.coeffs):
+                    coeffs[i] = f.add(coeffs[i], f.mul(b, c))
+                b = f.frobenius(b)
+            trace = GFPoly(f, coeffs) % g
+            if trace.degree > 0:
+                break
+        found = 0
+        for c in range(P):
+            d = poly_gcd(g, trace - GFPoly(f, [f.elem(c)]))
+            if d.degree > 0:
+                stack.append(d)
+                found += d.degree
+                if found == g.degree:
+                    break
+    return roots
+
+
 def roots_in_field(u, seed=0):
-    """All roots of u inside its own coefficient field, with multiplicities.
+    """All roots of u inside its own coefficient field GF(q), with
+    multiplicities.
 
     The product of the distinct linear factors, gcd(u, x^q - x), is split
-    by seeded equal-degree splitting; roots are sorted in element order.
+    by `_trace_split`; roots are sorted in element order.
     """
     if u.is_zero():
         raise ValueError("zero polynomial")
     f = u.field
     m = u.monic()
     x = GFPoly.x(f)
-    roots = _split_linear(poly_gcd(x.pow_mod(f.order, m) - x, m), seed)
+    table = _fifth_power_table(m, f.degree)
+    lin = poly_gcd(table[-1] - x, m)
+    roots = _trace_split(lin, [h % lin for h in table[:-1]], seed)
     return [(r, _root_multiplicity(u, r)) for r in sorted(roots)]
-
-
-def _split_linear(lin, seed):
-    """The roots of a monic product of distinct linear factors over its
-    coefficient field, in no particular order, by seeded equal-degree
-    splitting: gcd((x + a)^((q-1)/2) - 1, g) for random a."""
-    f = lin.field
-    rng = random.Random(seed)
-    roots = []
-    stack = [lin]
-    while stack:
-        g = stack.pop()
-        if g.degree == 0:
-            continue
-        if g.degree == 1:
-            roots.append(f.neg(g.monic().coeffs[0]))
-            continue
-        while True:
-            a = f.rand_elem(rng)
-            probe = GFPoly(f, [a, f.one]).pow_mod((f.order - 1) // 2, g)
-            d = poly_gcd(probe - GFPoly(f, [f.one]), g)
-            if 0 < d.degree < g.degree:
-                stack.append(d)
-                stack.append(g // d)
-                break
-    return roots
 
 
 def _root_multiplicity(u, r):
@@ -765,28 +791,31 @@ def roots_in_extension(u, max_degree, seed=0):
     degree at most `max_degree`.
 
     Returns RootInExtension records sorted by (relative degree, value).
-    Distinct-degree splitting peels off the degree-m part for each m; its
-    roots are located in the absolute-degree k*m field after embedding.
+    One table of x^(5^j) mod the radical, over the coefficient field
+    GF(5^k), serves both steps.  Distinct-degree splitting reads x^(5^(km))
+    from it to peel off the degree-m part for each m; that part is embedded
+    in the absolute-degree k*m field and split there by `_trace_split` on
+    the first k*m entries.
     Raises SplittingFieldError (carrying the partial result) if factors
     of larger degree remain.
     """
     if u.is_zero():
         raise ValueError("zero polynomial")
     base = u.field
+    k = base.degree
     sf = _radical(u)
+    table = None
     chunks = []
     v = sf
     x = GFPoly.x(base)
-    h = x
     m = 0
     while v.degree > 0 and m < max_degree:
         m += 1
-        h = h.pow_mod(base.order, v)
-        g = poly_gcd(h - x, v)
+        table = _fifth_power_table(sf, k * m, table)
+        g = poly_gcd(table[k * m] % v - x, v)
         if g.degree > 0:
-            chunks.append((m, g.monic()))
-            v = (v // g).monic()
-            h = h % v if v.degree > 0 else h
+            chunks.append((m, g))
+            v = v // g
 
     records = []
     for m, g in chunks:
@@ -794,11 +823,12 @@ def roots_in_extension(u, max_degree, seed=0):
             ext = base
             emb = lambda a: a
         else:
-            ext = GF(base.degree * m)
+            ext = GF(k * m)
             emb = embedding(base, ext)
         u_ext = u.map_coeffs(emb, ext)
         # the degree-m part splits into distinct linear factors over ext
-        found = _split_linear(g.map_coeffs(emb, ext), seed)
+        found = _trace_split(g.map_coeffs(emb, ext),
+                             [(h % g).map_coeffs(emb, ext) for h in table[:k * m]], seed)
         if len(found) != g.degree:
             raise AssertionError("degree-m part did not split into linears")
         for r in found:

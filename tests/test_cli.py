@@ -326,3 +326,20 @@ def test_timings_go_to_stderr_only():
     assert code == 0
     assert "elapsed" in err
     assert "elapsed" not in out
+
+
+def test_cached_parser_reports_usage_errors_after_a_run():
+    """The parser is built once per process: a usage error after a
+    successful call still exits 2 with its message, and the next call
+    parses its own arguments, not the defaults of the one before."""
+    ok = invoke(["curve", "wall", "--poly", FIXTURE, "--seed", "3"])
+    assert ok[0] == 0
+    code, out, err = invoke(["curve", "wall", "--poly", FIXTURE, "--bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "--bogus" in err
+    code, out, err = invoke(["curve", "random", "--count", "-1"])
+    assert (code, out) == (2, "") and "must be at least 0" in err
+    again = invoke(["curve", "wall", "--poly", FIXTURE, "--seed", "3"])
+    assert again[:2] == ok[:2]
+    payload = json.loads(invoke(["curve", "random", "--field", "5^2"])[1])
+    assert payload["seed"] == 0 and len(payload["results"]) == 1

@@ -12,9 +12,14 @@ from charfive.ffpoly import (
     MODULI,
     P,
     TABLE_MAX_ORDER,
+    RootInExtension,
     SplittingFieldError,
     _f5_is_irreducible,
+    _fifth_power_table,
+    _radical,
+    _root_multiplicity,
     _search_modulus,
+    _trace_split,
     embedding,
     format_poly_literal,
     is_squarefree,
@@ -339,6 +344,132 @@ def test_roots_in_extension_partial_error():
         roots_in_extension(u, 3)
     assert exc.value.partial == []
     assert exc.value.remaining == u.monic()
+
+
+# ---------------------------------------------------------------------------
+# The root-finding oracle: square-and-multiply powers mod a polynomial and
+# Cantor-Zassenhaus equal-degree splitting, as `ffpoly` found roots before
+# its fifth-power table and trace splitting.
+# ---------------------------------------------------------------------------
+
+def pow_mod(base, e, mod):
+    """base^e mod `mod` by square-and-multiply."""
+    result = GFPoly(base.field, [base.field.one]) % mod
+    base = base % mod
+    while e:
+        if e & 1:
+            result = (result * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return result
+
+
+def split_linear(lin, seed):
+    """The roots of a monic product of distinct linear factors over its
+    coefficient field: gcd((x + a)^((q-1)/2) - 1, g) for seeded random a."""
+    f = lin.field
+    rng = random.Random(seed)
+    roots, stack = [], [lin]
+    while stack:
+        g = stack.pop()
+        if g.degree == 0:
+            continue
+        if g.degree == 1:
+            roots.append(f.neg(g.monic().coeffs[0]))
+            continue
+        while True:
+            probe = pow_mod(GFPoly(f, [f.rand_elem(rng), f.one]), (f.order - 1) // 2, g)
+            d = poly_gcd(probe - GFPoly(f, [f.one]), g)
+            if 0 < d.degree < g.degree:
+                stack += [d, g // d]
+                break
+    return roots
+
+
+def oracle_roots_in_extension(u, max_degree, seed=0):
+    """`roots_in_extension` by x^(Q^m) mod v from `pow_mod` and splitting by
+    `split_linear`: (records, remaining factor)."""
+    base = u.field
+    x = GFPoly.x(base)
+    v, h, m, chunks = _radical(u), x, 0, []
+    while v.degree > 0 and m < max_degree:
+        m += 1
+        h = pow_mod(h, base.order, v)
+        g = poly_gcd(h - x, v)
+        if g.degree > 0:
+            chunks.append((m, g))
+            v = (v // g).monic()
+            h = h % v
+    records = []
+    for m, g in chunks:
+        ext = GF(base.degree * m)
+        emb = embedding(base, ext)
+        u_ext = u.map_coeffs(emb, ext)
+        for r in split_linear(g.map_coeffs(emb, ext), seed):
+            records.append(RootInExtension(r, _root_multiplicity(u_ext, r),
+                                           subfield_degree(ext, r), ext))
+    records.sort(key=lambda rec: (rec.field.degree, rec.value))
+    return records, v
+
+
+def _random_poly(fld, rng, degree):
+    return GFPoly(fld, [fld.rand_elem(rng) for _ in range(degree)] + [fld.one])
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 10))
+def test_fifth_power_table_matches_pow_mod(k):
+    """x^(5^j) mod sf from successive fifth powers against square-and-multiply,
+    for seeded radicals sf over GF(5^k)."""
+    fld = GF(k)
+    rng = random.Random(500 + k)
+    top = 3 * k if k < 10 else k
+    for _ in range(3):
+        sf = _radical(_random_poly(fld, rng, rng.randint(1, 6)))
+        table = _fifth_power_table(sf, top)
+        x = GFPoly.x(fld)
+        assert table == [pow_mod(x, P ** j, sf) for j in range(top + 1)]
+        # extending a shorter table gives the same entries
+        assert _fifth_power_table(sf, top, _fifth_power_table(sf, 1)) == table
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_trace_split_matches_cantor_zassenhaus(k):
+    """Trace splitting and the Cantor-Zassenhaus oracle find the planted
+    roots of seeded products of distinct linear factors over GF(5^k)."""
+    fld = GF(k)
+    rng = random.Random(700 + k)
+    x = GFPoly.x(fld)
+    for trial in range(4):
+        planted = sorted({fld.rand_elem(rng) for _ in range(rng.randint(1, 7))})
+        lin = GFPoly(fld, [fld.one])
+        for a in planted:
+            lin = lin * GFPoly(fld, [fld.neg(a), fld.one])
+        powers = [pow_mod(x, P ** j, lin) for j in range(k)]
+        assert sorted(_trace_split(lin, powers, trial)) == planted
+        assert sorted(split_linear(lin, trial)) == planted
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_roots_in_extension_matches_oracle(k):
+    """Records, and on a too-small max_degree the partial result and the
+    remaining factor of SplittingFieldError, against the oracle."""
+    fld = GF(k)
+    rng = random.Random(900 + k)
+    raised = 0
+    for trial in range(6):
+        u = _random_poly(fld, rng, rng.randint(2, 5))
+        if trial % 2:
+            u = u * u * GFPoly(fld, [fld.rand_elem(rng), fld.one])
+        for max_degree in (1, 2, 5):
+            want, rest = oracle_roots_in_extension(u, max_degree, seed=trial)
+            if rest.degree > 0:
+                raised += 1
+                with pytest.raises(SplittingFieldError) as exc:
+                    roots_in_extension(u, max_degree, seed=trial)
+                assert exc.value.partial == want and exc.value.remaining == rest
+            else:
+                assert roots_in_extension(u, max_degree, seed=trial) == want
+    assert raised > 0
 
 
 def test_embedding_properties():
