@@ -59,14 +59,11 @@ from .ffpoly import (
 from .curvecheck import (
     CurveReport,
     GenericityError,
-    Poly,
     SexticModel,
     SingularPointReport,
     WallReport,
     analyze,
-    check_infinity,
     is_in_U,
-    local_intersection_multiplicity,
     ns_gram_model,
     random_in_U,
     singular_points,

@@ -1,6 +1,10 @@
 """Sextic curve pipeline: the admissibility test, singular points, local
-intersection multiplicities, the degree product, and the lattice model."""
+intersection multiplicities, the degree product, and the lattice model.
 
+The polar multiplicities are checked against two oracles: Fulton's
+recursion in `fulton_kernels.py` and the resultant in y below."""
+
+import itertools
 import math
 import random
 
@@ -8,14 +12,11 @@ import pytest
 
 from charfive.curvecheck import (
     GenericityError,
-    Poly,
     SexticModel,
-    check_infinity,
-    homogeneous_equation,
+    _corrections_for,
+    _find_singular_points,
     is_in_U,
-    local_intersection_multiplicity,
     ns_gram_model,
-    polar_of,
     random_in_U,
     singular_points,
     verify_A4,
@@ -27,6 +28,14 @@ from charfive.ffpoly import (
     embedding,
     parse_poly_literal,
     roots_in_extension,
+)
+from fulton_kernels import (
+    Poly,
+    check_infinity,
+    fulton_corrections_for,
+    homogeneous_equation,
+    local_intersection_multiplicity,
+    polar_of,
 )
 
 F5 = GF(1)
@@ -222,10 +231,12 @@ def resultant_multiplicity(curve2, polar2, alpha):
 
 
 def _oracle_cases():
-    """(curve2, polar2, alpha, beta) at the singular points of seeded
-    sextics, with several polar points each.  For every polar point with
-    q2 != 0 also the curve points above x = q0/q2, where the polar passes
-    through the curve even where it is smooth, and above x = q0/q2 + 1."""
+    """(curve2, polar2, alpha, beta, claimed) at the singular points of
+    seeded sextics, with several polar points each; `claimed` is the
+    multiplicity `_corrections_for` gives there, None when it rejects the
+    polar point.  For every polar point with q2 != 0 also the curve points
+    above x = q0/q2, where the polar passes through the curve even where it
+    is smooth, and above x = q0/q2 + 1, with claimed None."""
     cases = [(model(FIXTURE), [(0, 0, 1)])]       # degenerate: x f' at 0
     for k, seeds in ((1, range(12)), (2, range(3))):
         fld = GF(k)
@@ -237,32 +248,76 @@ def _oracle_cases():
     for m, qs in cases:
         fld = m.field
         big = homogeneous_equation(m)
-        points = singular_points(m)
+        points = _find_singular_points(m, 8)
         for q in qs:
             q = tuple(fld.elem(c) for c in q)
             polar = polar_of(m, q)
             if polar.is_zero():
                 continue
-            for p in points:
-                ext = p.field
+            claimed = _corrections_for(m, points, q) or [None] * len(points)
+            for p, mult in zip(points, claimed):
+                ext = p["field"]
                 emb = embedding(fld, ext)
                 yield (big.map_coeffs(emb, ext).chart(2),
-                       polar.map_coeffs(emb, ext).chart(2), p.alpha, p.beta)
+                       polar.map_coeffs(emb, ext).chart(2), p["alpha"], p["beta"], mult)
             if any(q[2]):
                 pole = fld.div(q[0], q[2])
                 for alpha in (pole, fld.add(pole, fld.one)):
                     beta = fld.fifth_root(m.f.eval(alpha))
-                    yield big.chart(2), polar.chart(2), alpha, beta
+                    yield big.chart(2), polar.chart(2), alpha, beta, None
 
 
 def test_imult_matches_resultant_oracle():
     seen = {}
-    for curve2, polar2, alpha, beta in _oracle_cases():
+    compared = 0
+    for curve2, polar2, alpha, beta, claimed in _oracle_cases():
         want = resultant_multiplicity(curve2, polar2, alpha)
-        assert local_intersection_multiplicity(curve2, polar2, (alpha, beta)) == want
+        got = local_intersection_multiplicity(curve2, polar2, (alpha, beta))
+        assert got == want
         seen[want] = seen.get(want, 0) + 1
+        # the univariate multiplicity of `_corrections_for` is Fulton's
+        if claimed is not None:
+            assert claimed == got
+            compared += 1
     # the generic value, a degenerate polar, and a point off the polar all occur
     assert seen[5] > 100 and seen[10] >= 1 and seen[0] >= 1
+    assert compared > 100
+
+
+def _polar_draws():
+    """(model, points, q): every nonzero q in F5^3 on twelve GF(5) sextics;
+    on four GF(25) sextics 60 seeded q each and, at each base-rational
+    singular point alpha, ten planted q with q0 = q2 alpha, where the polar
+    is singular at the point."""
+    for seed in range(12):
+        m = random_in_U(F5, seed)
+        points = _find_singular_points(m, 8)
+        for q in itertools.product(range(5), repeat=3):
+            if any(q):
+                yield m, points, tuple(F5.elem(c) for c in q)
+    for seed in range(4):
+        m = random_in_U(F25, seed)
+        points = _find_singular_points(m, 8)
+        rng = random.Random(seed)
+        for _ in range(60):
+            yield m, points, tuple(F25.rand_elem(rng) for _ in range(3))
+        for p in points:
+            if p["field"] == F25:
+                for _ in range(10):
+                    q2 = F25.rand_elem(rng)
+                    yield m, points, (F25.mul(q2, p["alpha"]), F25.rand_elem(rng), q2)
+
+
+def test_corrections_match_fulton_draw_by_draw():
+    """The same draws are rejected and the rest get the same multiplicities,
+    so `attempts` and `polar_point` of every report are Fulton's."""
+    draws = rejected = 0
+    for m, points, q in _polar_draws():
+        got = _corrections_for(m, points, q)
+        assert got == fulton_corrections_for(m, points, q), (m.f, q)
+        draws += 1
+        rejected += got is None
+    assert draws == 1758 and rejected > 500
 
 
 # ---------------------------------------------------------------------------
