@@ -172,8 +172,13 @@ def _cmd_classify(args, stdout):
     return 0
 
 
-#: the fields of a classification entry that verify compares
+#: the fields a classification entry must carry; verify also compares `dim`
 _ENTRY_FIELDS = ("gens", "disc_exp", "sigma", "root_type", "E_empty")
+
+
+def _same(claimed, computed):
+    """Equal and of the same JSON type: true is not 1, and 6.0 is not 6."""
+    return type(claimed) is type(computed) and claimed == computed
 
 
 def _cmd_verify(args, stdout, stderr):
@@ -229,12 +234,15 @@ def _cmd_verify(args, stdout, stderr):
         keys.add(key)
         check(f"{label}:matches_reference", reference_labels.get(key) == label,
               f"orbit is {reference_labels.get(key)}")
-        _s, rt, e_empty, disc_exp = discform._subgroup_invariants(sub)
-        check(f"{label}:disc", disc_exp == entry["disc_exp"],
+        check(f"{label}:dim", _same(entry.get("dim"), sub.dim), f"computed {sub.dim}")
+        rt, e_empty, disc_exp = discform._subgroup_invariants(sub)
+        check(f"{label}:disc", _same(entry["disc_exp"], disc_exp),
               f"computed -5^{disc_exp}")
-        check(f"{label}:sigma", disc_exp // 2 == entry["sigma"])
-        check(f"{label}:root_type", rt == entry["root_type"], f"computed {rt}")
-        check(f"{label}:E_empty", e_empty == entry["E_empty"])
+        check(f"{label}:sigma", _same(entry["sigma"], disc_exp // 2),
+              f"computed {disc_exp // 2}")
+        check(f"{label}:root_type", _same(entry["root_type"], rt), f"computed {rt}")
+        check(f"{label}:E_empty", _same(entry["E_empty"], e_empty),
+              f"computed {json.dumps(e_empty)}")
 
     passed = all(c["passed"] for c in checks)
     payload = {"checks": checks, "passed": passed}

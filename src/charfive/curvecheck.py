@@ -11,16 +11,16 @@ polar and the point share one coefficient ring.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .discform import CHAIN_LEN, N_CHAINS, build_S0
 from .ffpoly import (
     GF,
     GFPoly,
-    _root_multiplicity,
     embedding,
     is_squarefree,
     roots_in_extension,
+    taylor_coefficients,
 )
 from .lattice import GramLattice
 
@@ -64,7 +64,7 @@ class SingularPointReport:
     multiplicity_in_fprime: int
     is_A4: bool
     g_at_alpha: tuple
-    local_mult_with_polar: int
+    local_mult_with_polar: int = None       # filled in by `analyze`
 
     def to_json_dict(self):
         return {
@@ -86,46 +86,34 @@ def _elem_json(a):
 def verify_A4(f, alpha):
     """Certify the singular point above a critical value.
 
-    Writes f = f(alpha) + (x - alpha)^2 g(x) (requires f'(alpha) = 0) and
-    returns (g(alpha) != 0, g(alpha)).  A nonzero g(alpha) is exactly the
-    A4 condition for the point (alpha, f(alpha)^(1/5)).
+    Reads f'(alpha) (which must vanish) and g(alpha), where
+    f = f(alpha) + (x - alpha)^2 g(x), from f(x + alpha), and returns
+    (g(alpha) != 0, g(alpha)).  A nonzero g(alpha) is exactly the A4
+    condition for the point (alpha, f(alpha)^(1/5)).
     """
-    fld = f.field
-    if any(f.derivative().eval(alpha)):
+    _f_alpha, d1, g_val = taylor_coefficients(f, alpha, 3)
+    if any(d1):
         raise ValueError("alpha is not a critical point of f")
-    shifted = f - GFPoly(fld, [f.eval(alpha)])
-    lin = GFPoly(fld, [fld.neg(alpha), fld.one])
-    q1, r1 = divmod(shifted, lin)
-    if not r1.is_zero():
-        raise AssertionError("f - f(alpha) not divisible by (x - alpha)")
-    g, r2 = divmod(q1, lin)
-    if not r2.is_zero():
-        raise AssertionError("simple critical point division failed")
-    val = g.eval(alpha)
-    return any(val), val
+    return any(g_val), g_val
 
 
 def _find_singular_points(m, max_ext):
     """Points (alpha, f(alpha)^(1/5)) with the A4 certificate, each over the
-    minimal extension containing alpha; no polar data yet."""
+    minimal extension containing alpha, in the order of `roots_in_extension`
+    (field degree, then alpha); no polar data yet."""
     if not is_in_U(m.f):
         raise ValueError("polynomial is outside the admissible open set")
     roots = roots_in_extension(m.f.derivative(), max_ext)
+    f_in = {ext: m.f.map_coeffs(embedding(m.field, ext), ext)
+            for ext in {rec.field for rec in roots}}
     points = []
     for rec in roots:
-        ext = rec.field
-        emb = embedding(m.field, ext)
-        f_ext = m.f.map_coeffs(emb, ext)
-        alpha = rec.value
-        beta = ext.fifth_root(f_ext.eval(alpha))
-        is_a4, g_val = verify_A4(f_ext, alpha)
-        points.append({
-            "alpha": alpha, "beta": beta, "field": ext,
-            "subfield_degree": rec.subfield_degree,
-            "multiplicity": rec.multiplicity,
-            "is_A4": is_a4, "g_at_alpha": g_val,
-        })
-    points.sort(key=lambda p: (p["field"].degree, p["alpha"]))
+        f_ext = f_in[rec.field]
+        is_a4, g_val = verify_A4(f_ext, rec.value)
+        points.append(SingularPointReport(
+            alpha=rec.value, beta=rec.field.fifth_root(f_ext.eval(rec.value)),
+            field=rec.field, subfield_degree=rec.subfield_degree,
+            multiplicity_in_fprime=rec.multiplicity, is_A4=is_a4, g_at_alpha=g_val))
     return points
 
 
@@ -143,7 +131,9 @@ def _corrections_for(m, points, q):
     vanishes), and on y^5 = f it restricts to h = q2 f + B = (q2 x - q0) f'.
     y^5 - f(alpha) is a fifth power, so the curve has one point above a root
     alpha of f' and the multiplicity there is 5 ord_alpha h (the resultant
-    in y; Fulton, Algebraic Curves, 3.3).
+    in y; Fulton, Algebraic Curves, 3.3).  One expansion of h(x + alpha)
+    gives both: its x-coefficient is q2 f'(alpha) + B'(alpha) = B'(alpha),
+    zero iff the polar is singular there, and ord_alpha h.
     """
     fld = m.field
     q0, q1, q2 = q
@@ -161,15 +151,14 @@ def _corrections_for(m, points, q):
     h = f * q2 + b
     if h != GFPoly(fld, [fld.neg(q0), q2]) * fp:
         raise AssertionError("polar restriction is not (q2 x - q0) f'")
-    db = b.derivative()
+    h_in = {ext: h.map_coeffs(embedding(fld, ext), ext)
+            for ext in {pt.field for pt in points}}
     mults = []
     for pt in points:
-        ext = pt["field"]
-        emb = embedding(fld, ext)
-        alpha = pt["alpha"]
-        if not any(db.map_coeffs(emb, ext).eval(alpha)):
+        h0, h1 = taylor_coefficients(h_in[pt.field], pt.alpha, 2)
+        if not any(h1):
             return None                     # polar is singular at the point
-        mults.append(5 * _root_multiplicity(h.map_coeffs(emb, ext), alpha))
+        mults.append(0 if any(h0) else 5)   # 5 ord_alpha h, and h1 != 0
     return mults
 
 
@@ -200,8 +189,6 @@ def _polar_corrections(m, points, seed, max_retries):
     rng = random.Random(seed)
     for attempt in range(1, max_retries + 1):
         q = (fld.rand_elem(rng), fld.rand_elem(rng), fld.rand_elem(rng))
-        if not any(any(c) for c in q):
-            continue
         mults = _corrections_for(m, points, q)
         if mults is not None:
             return q, mults, attempt
@@ -229,18 +216,8 @@ def analyze(m, max_ext=8, seed=0, max_retries=24):
     """
     points = _find_singular_points(m, max_ext)
     q, mults, attempts = _polar_corrections(m, points, seed, max_retries)
-    reports = tuple(
-        SingularPointReport(
-            alpha=pt["alpha"],
-            beta=pt["beta"],
-            field=pt["field"],
-            subfield_degree=pt["subfield_degree"],
-            multiplicity_in_fprime=pt["multiplicity"],
-            is_A4=pt["is_A4"],
-            g_at_alpha=pt["g_at_alpha"],
-            local_mult_with_polar=mult,
-        )
-        for pt, mult in zip(points, mults))
+    reports = tuple(replace(pt, local_mult_with_polar=mult)
+                    for pt, mult in zip(points, mults))
     total = 6 * 5
     wall = WallReport(
         degree=6,
@@ -275,7 +252,7 @@ def ns_gram_model(m, max_ext=8):
     pair: five negative A4 chains plus [[2,1],[1,-2]], with chain labels
     tied to the singular points in their deterministic order."""
     points = _find_singular_points(m, max_ext)
-    if len(points) != 5 or not all(p["is_A4"] for p in points):
+    if len(points) != 5 or not all(p.is_A4 for p in points):
         raise ValueError("model does not have five certified A4 points")
     labels = [f"e_{i + 1}^(P{j + 1})"
               for j in range(N_CHAINS) for i in range(CHAIN_LEN)]

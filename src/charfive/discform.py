@@ -406,7 +406,7 @@ def _subgroup_invariants(subgroup):
         raise ArithmeticError(f"discriminant {s.disc} is not -5^(2 sigma)")
     rt = root_type_orthogonal_to(s, H_PRIMAL)
     es = e_set(s, H_PRIMAL)
-    return s, str(rt), len(es) == 0, 2 * s.artin_sigma
+    return str(rt), len(es) == 0, 2 * s.artin_sigma
 
 
 def admissible_subgroups():
@@ -472,7 +472,7 @@ def classify_isotropic_subgroups(jobs=1):
         _subgroup_invariants, [sub for _label, sub in work], jobs)
 
     records = []
-    for (label, sub), (_s, rt, e_empty, disc_exp) in zip(work, invariants):
+    for (label, sub), (rt, e_empty, disc_exp) in zip(work, invariants):
         records.append(ClassifiedOrbit(
             label=label if label is not None else "unmatched",
             gens=sub.gens,
@@ -543,7 +543,7 @@ def _isotropy_row_for(item):
         sub = IsotropicSubgroup(gens=())
     else:
         sub = IsotropicSubgroup(gens=(rep,))
-    _s, rt, e_empty, disc_exp = _subgroup_invariants(sub)
+    rt, e_empty, disc_exp = _subgroup_invariants(sub)
     return IsotropyRow(
         a=a, b=b, y=yn,
         plus_minus=(yn != 0),
@@ -567,16 +567,6 @@ class QConsistencyReport:
     n_checked: int
     mismatches: tuple          # encodings where formula and lattice disagree
     expansions: dict           # selected dual vectors in the reference basis
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "invariant_factors": list(self.invariant_factors),
-            "basis_is_isomorphism": self.basis_is_isomorphism,
-            "n_checked": self.n_checked,
-            "mismatches": [list(decode(e)) for e in self.mismatches],
-            "expansions": {k: list(v) for k, v in self.expansions.items()},
-        }
 
 
 def verify_q_consistency():

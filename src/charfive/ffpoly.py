@@ -734,17 +734,25 @@ def roots_in_field(u, seed=0):
     return [(r, _root_multiplicity(u, r)) for r in sorted(roots)]
 
 
-def _root_multiplicity(u, r):
-    """The multiplicity of r as a root of u (0 when u(r) != 0)."""
+def taylor_coefficients(u, r, count):
+    """Yields the coefficients of x^0, ..., x^(count-1) in u(x + r), zero
+    past the degree: each is the remainder of one synthetic division by
+    x - r, done in place on the quotient before it."""
     f = u.field
-    lin = GFPoly(f, [f.neg(r), f.one])
-    mult = 0
-    while True:
-        q, rem = divmod(u, lin)
-        if not rem.is_zero():
+    cs = list(u.coeffs)
+    for _ in range(count):
+        for i in range(len(cs) - 2, -1, -1):
+            cs[i] = f.add(cs[i], f.mul(r, cs[i + 1]))
+        yield cs.pop(0) if cs else f.zero
+
+
+def _root_multiplicity(u, r):
+    """The multiplicity of r as a root of u (0 when u(r) != 0): the index of
+    the first nonzero coefficient of u(x + r)."""
+    for mult, c in enumerate(taylor_coefficients(u, r, len(u.coeffs))):
+        if any(c):
             return mult
-        mult += 1
-        u = q
+    raise ValueError("zero polynomial")
 
 
 @dataclass(frozen=True)
@@ -819,12 +827,8 @@ def roots_in_extension(u, max_degree, seed=0):
 
     records = []
     for m, g in chunks:
-        if m == 1:
-            ext = base
-            emb = lambda a: a
-        else:
-            ext = GF(k * m)
-            emb = embedding(base, ext)
+        ext = base if m == 1 else GF(k * m)
+        emb = embedding(base, ext)
         u_ext = u.map_coeffs(emb, ext)
         # the degree-m part splits into distinct linear factors over ext
         found = _trace_split(g.map_coeffs(emb, ext),

@@ -238,11 +238,11 @@ def fulton_corrections_for(m, points, q):
         return None                         # polar point lies on the curve
     mults = []
     for pt in points:
-        ext = pt["field"]
+        ext = pt.field
         emb = embedding(fld, ext)
         curve2 = big.map_coeffs(emb, ext).chart(2)
         polar2 = polar.map_coeffs(emb, ext).chart(2)
-        a, b = pt["alpha"], pt["beta"]
+        a, b = pt.alpha, pt.beta
         dx = polar2.partial(0).eval((a, b))
         dy = polar2.partial(1).eval((a, b))
         if not (any(dx) or any(dy)):

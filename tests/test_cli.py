@@ -47,6 +47,10 @@ def test_classify_matches_golden():
     ("curve_check_gf25_seed8.json",
      ["curve", "check", "--poly", "[[2,1],[1,2],[2,2],[4,0],[1,1],[2,4],[1,0]]@5^2"]),
     ("curve_ns_fixture.json", ["curve", "ns", "--poly", FIXTURE]),
+    # a non-default modulus: points in GF(5^2) and GF(5^4), three polar draws
+    ("curve_check_gf25_custom_mod.json",
+     ["curve", "check", "--poly",
+      "[[0,0],[0,3],[3,0],[4,4],[2,2],[4,0],[1,4]]@5^2;mod=[2,1,1]"]),
 ])
 def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)
@@ -159,6 +163,13 @@ def test_verify_detects_tampering(tmp_path):
     code, out_classify, _ = invoke(["lattice", "classify"])
     tampered = json.loads(out_classify)
     tampered["results"][3]["root_type"] = "E8+3A4"
+    # claims equal to the computed value only under ==, or never compared
+    retyped = []
+    for key, value in (("dim", 7), ("E_empty", 1), ("disc_exp", 6.0), ("sigma", 2.0),
+                       ("dim", 1.0), ("dim", None), ("root_type", ["5A4"])):
+        payload = json.loads(out_classify)
+        payload["results"][1 if key != "disc_exp" else 0][key] = value
+        retyped.append(payload)
     malformed = [
         {"results": [{"label": "H_0", "gens": []}]},    # invariants missing
         {"foo": 1},                                      # no results list
@@ -168,7 +179,7 @@ def test_verify_detects_tampering(tmp_path):
         "{",                                             # not JSON
     ]
     path = tmp_path / "bad.json"
-    for payload in [tampered] + malformed:
+    for payload in [tampered] + retyped + malformed:
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, out, err = invoke(["lattice", "verify", "--in", str(path)])
         assert code == 1

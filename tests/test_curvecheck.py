@@ -10,11 +10,13 @@ import random
 
 import pytest
 
+import charfive.curvecheck as curvecheck
 from charfive.curvecheck import (
     GenericityError,
     SexticModel,
     _corrections_for,
     _find_singular_points,
+    _polar_corrections,
     is_in_U,
     ns_gram_model,
     random_in_U,
@@ -25,6 +27,7 @@ from charfive.curvecheck import (
 from charfive.ffpoly import (
     GF,
     GFPoly,
+    _root_multiplicity,
     embedding,
     parse_poly_literal,
     roots_in_extension,
@@ -42,6 +45,8 @@ F5 = GF(1)
 F25 = GF(2)
 
 FIXTURE = parse_poly_literal("[0,0,1,0,0,0,1]@5")        # x^6 + x^2
+#: the golden seed-7 sextic over GF(25): five conjugate points in GF(5^10)
+SEED7 = parse_poly_literal("[[0,2],[4,0],[2,2],[0,4],[1,0],[2,0],[2,3]]@5^2")
 
 
 def model(f):
@@ -142,6 +147,94 @@ def test_verify_a4_reconstruction():
     assert g.eval(alpha) == verify_A4(FIXTURE, alpha)[1]
 
 
+def _order_at(h, alpha):
+    """The order of vanishing of a nonzero univariate h at x = alpha, by
+    division by x - alpha: the oracle for `_root_multiplicity`."""
+    fld = h.field
+    lin = GFPoly(fld, [fld.neg(alpha), fld.one])
+    order = 0
+    while True:
+        h, rem = divmod(h, lin)
+        if not rem.is_zero():
+            return order
+        order += 1
+
+
+def verify_a4_by_division(f, alpha):
+    """`verify_A4` by two divisions by x - alpha: the oracle."""
+    fld = f.field
+    if any(f.derivative().eval(alpha)):
+        raise ValueError("alpha is not a critical point of f")
+    shifted = f - GFPoly(fld, [f.eval(alpha)])
+    lin = GFPoly(fld, [fld.neg(alpha), fld.one])
+    q1, r1 = divmod(shifted, lin)
+    assert r1.is_zero()
+    g, r2 = divmod(q1, lin)
+    assert r2.is_zero()
+    val = g.eval(alpha)
+    return any(val), val
+
+
+def corrections_by_division(m, points, q):
+    """`_corrections_for` with B'(alpha) evaluated from the derivative of B
+    and ord_alpha h by division, each polynomial embedded at every point:
+    the oracle."""
+    fld = m.field
+    q0, q1, q2 = q
+    if not (any(q0) or any(q2)):
+        return None
+    f = m.f
+    at_q = fld.mul(q2, fld.pow(q1, 5))
+    for j, a in enumerate(f.coeffs):
+        at_q = fld.sub(at_q, fld.mul(a, fld.mul(fld.pow(q0, j), fld.pow(q2, 6 - j))))
+    if not any(at_q):
+        return None
+    fp = f.derivative()
+    weighted = GFPoly(fld, [fld.mul(a, fld.elem(6 - j)) for j, a in enumerate(f.coeffs)])
+    b = -(fp * q0) - weighted * q2
+    h = f * q2 + b
+    db = b.derivative()
+    mults = []
+    for pt in points:
+        emb = embedding(fld, pt.field)
+        if not any(db.map_coeffs(emb, pt.field).eval(pt.alpha)):
+            return None
+        mults.append(5 * _order_at(h.map_coeffs(emb, pt.field), pt.alpha))
+    return mults
+
+
+def _batch_models():
+    """The 80 sextics of `tests/golden/curve_check_batch.jsonl`."""
+    return [random_in_U(GF(k), seed) for k in (2, 1) for seed in range(40)]
+
+
+def test_taylor_forms_match_division_oracles():
+    """`verify_A4`, `_root_multiplicity` and `_corrections_for` against their
+    division forms at every singular point of the 80 batch sextics, with
+    ten seeded polar draws on each."""
+    points_seen = draws = 0
+    for m in _batch_models():
+        fld = m.field
+        points = _find_singular_points(m, 8)
+        for p in points:
+            f_ext = m.f.map_coeffs(embedding(fld, p.field), p.field)
+            assert verify_A4(f_ext, p.alpha) == verify_a4_by_division(f_ext, p.alpha)
+            assert verify_A4(f_ext, p.alpha) == (p.is_A4, p.g_at_alpha)
+            fp_ext = f_ext.derivative()
+            assert _root_multiplicity(fp_ext, p.alpha) == _order_at(fp_ext, p.alpha) == 1
+            assert p.multiplicity_in_fprime == 1
+            # f - f(alpha) vanishes doubly: the division loop runs past one step
+            tail = f_ext - GFPoly(p.field, [f_ext.eval(p.alpha)])
+            assert _root_multiplicity(tail, p.alpha) == _order_at(tail, p.alpha) == 2
+            points_seen += 1
+        rng = random.Random(str(m.f))
+        for _ in range(10):
+            q = tuple(fld.rand_elem(rng) for _ in range(3))
+            assert _corrections_for(m, points, q) == corrections_by_division(m, points, q)
+            draws += 1
+    assert points_seen == 400 and draws == 800
+
+
 def test_a4_iff_simple_critical_point():
     for seed in range(10):
         m = random_in_U(F25, seed + 100)
@@ -202,18 +295,6 @@ def test_imult_a4_point_with_polar():
         curve2, polar2, (F5.zero, F5.zero)) == 5
 
 
-def _order_at(h, alpha):
-    """The order of vanishing of a nonzero univariate h at x = alpha."""
-    fld = h.field
-    lin = GFPoly(fld, [fld.neg(alpha), fld.one])
-    order = 0
-    while True:
-        h, rem = divmod(h, lin)
-        if not rem.is_zero():
-            return order
-        order += 1
-
-
 def resultant_multiplicity(curve2, polar2, alpha):
     """I_(alpha, beta)(curve2, polar2) from the resultant in y, with no
     Fulton step: curve2 = y^5 - f(x) is monic in y and y^5 = f(alpha)
@@ -256,10 +337,10 @@ def _oracle_cases():
                 continue
             claimed = _corrections_for(m, points, q) or [None] * len(points)
             for p, mult in zip(points, claimed):
-                ext = p["field"]
+                ext = p.field
                 emb = embedding(fld, ext)
                 yield (big.map_coeffs(emb, ext).chart(2),
-                       polar.map_coeffs(emb, ext).chart(2), p["alpha"], p["beta"], mult)
+                       polar.map_coeffs(emb, ext).chart(2), p.alpha, p.beta, mult)
             if any(q[2]):
                 pole = fld.div(q[0], q[2])
                 for alpha in (pole, fld.add(pole, fld.one)):
@@ -302,10 +383,10 @@ def _polar_draws():
         for _ in range(60):
             yield m, points, tuple(F25.rand_elem(rng) for _ in range(3))
         for p in points:
-            if p["field"] == F25:
+            if p.field == F25:
                 for _ in range(10):
                     q2 = F25.rand_elem(rng)
-                    yield m, points, (F25.mul(q2, p["alpha"]), F25.rand_elem(rng), q2)
+                    yield m, points, (F25.mul(q2, p.alpha), F25.rand_elem(rng), q2)
 
 
 def test_corrections_match_fulton_draw_by_draw():
@@ -331,6 +412,34 @@ def test_wall_fixture():
     assert w.product == 5
     again = wall_invariant(model(FIXTURE))
     assert again == w                       # deterministic for a fixed seed
+
+
+def test_each_polynomial_embedded_once_per_field(monkeypatch):
+    """On the seed-7 sextic, whose five points share GF(5^10), f is embedded
+    once per `_find_singular_points` call and h once per polar draw that
+    reaches the points."""
+    calls = []
+    real = curvecheck.embedding
+    monkeypatch.setattr(curvecheck, "embedding",
+                        lambda src, dst: calls.append(dst) or real(src, dst))
+    m = model(SEED7)
+    points = _find_singular_points(m, 8)
+    assert len(points) == 5 and {p.field.degree for p in points} == {10}
+    assert len(calls) == 1
+    rng = random.Random(7)
+    reached = 0
+    for _ in range(30):
+        q = tuple(F25.rand_elem(rng) for _ in range(3))
+        calls.clear()
+        mults = _corrections_for(m, points, q)
+        assert len(calls) <= 1
+        if mults is not None:
+            assert len(calls) == 1 and mults == [5] * 5
+        reached += len(calls)
+    assert reached > 20
+    calls.clear()
+    _q, _mults, attempts = _polar_corrections(m, points, 0, 24)
+    assert 1 <= len(calls) <= attempts
 
 
 def test_wall_retry_budget():
@@ -377,4 +486,4 @@ def test_random_in_u_batch_count():
         m = random_in_U(F25, seed)
         pts = _find_singular_points(m, 8)
         assert len(pts) == 5
-        assert all(p["is_A4"] for p in pts)
+        assert all(p.is_A4 for p in pts)

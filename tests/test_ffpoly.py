@@ -28,6 +28,7 @@ from charfive.ffpoly import (
     roots_in_extension,
     roots_in_field,
     subfield_degree,
+    taylor_coefficients,
 )
 
 F5 = GF(1)
@@ -470,6 +471,30 @@ def test_roots_in_extension_matches_oracle(k):
             else:
                 assert roots_in_extension(u, max_degree, seed=trial) == want
     assert raised > 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 6, 10))
+def test_taylor_coefficients_match_shifted_polynomial(k):
+    """The coefficients of u(x + r) against u(x + r) built by Horner's rule
+    from GFPoly products, with `count` below, at and past the degree (table
+    arithmetic for k <= 5, packed above)."""
+    fld = GF(k)
+    rng = random.Random(700 + k)
+    for degree in (0, 1, 2, 5, 6):
+        for _ in range(3):
+            u = GFPoly(fld, [fld.rand_elem(rng) for _ in range(degree)] + [fld.one])
+            r = fld.rand_elem(rng)
+            shifted = GFPoly(fld, [])
+            for c in reversed(u.coeffs):
+                shifted = shifted * GFPoly(fld, [r, fld.one]) + GFPoly(fld, [c])
+            want = list(shifted.coeffs) + [fld.zero] * 4
+            assert len(want) == degree + 5
+            for count in (0, 2, degree + 1, degree + 5):
+                assert list(taylor_coefficients(u, r, count)) == want[:count]
+    zero = GFPoly(fld, [])
+    assert list(taylor_coefficients(zero, fld.one, 3)) == [fld.zero] * 3
+    with pytest.raises(ValueError):
+        _root_multiplicity(zero, fld.one)
 
 
 def test_embedding_properties():
