@@ -17,7 +17,6 @@ from .lattice import (
     e_set,
     overlattice_from_generators,
     root_type_orthogonal_to,
-    short_vectors_box,
     short_vectors_of_norm,
 )
 from .intmat import smith_normal_form
@@ -27,7 +26,6 @@ from .discform import (
     IsotropicSubgroup,
     REFERENCE_SUBGROUPS,
     STARRED_TYPES,
-    aut_apply,
     all_aut,
     b_value,
     build_S0,
@@ -66,7 +64,5 @@ from .curvecheck import (
     is_in_U,
     ns_gram_model,
     random_in_U,
-    singular_points,
     verify_A4,
-    wall_invariant,
 )

@@ -26,7 +26,11 @@ from .lattice import GramLattice
 
 
 class GenericityError(RuntimeError):
-    """No admissible polar point was found within the retry budget."""
+    """No admissible polar point was found within MAX_POLAR_DRAWS draws."""
+
+
+#: polar points drawn from the base field before `analyze` gives up
+MAX_POLAR_DRAWS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +186,18 @@ class WallReport:
         }
 
 
-def _polar_corrections(m, points, seed, max_retries):
+def _polar_corrections(m, points, seed):
     """Draw polar points from the base field until one passes every
     degeneracy check; returns (q, multiplicities, attempts)."""
     fld = m.field
     rng = random.Random(seed)
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_POLAR_DRAWS + 1):
         q = (fld.rand_elem(rng), fld.rand_elem(rng), fld.rand_elem(rng))
         mults = _corrections_for(m, points, q)
         if mults is not None:
             return q, mults, attempt
     raise GenericityError(
-        f"no admissible polar point after {max_retries} draws (seed {seed})")
+        f"no admissible polar point after {MAX_POLAR_DRAWS} draws (seed {seed})")
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,7 @@ class CurveReport:
     wall: WallReport
 
 
-def analyze(m, max_ext=8, seed=0, max_retries=24):
+def analyze(m, max_ext=8, seed=0):
     """The singular points and the degree product of one sextic, from a
     single root-finding pass and a single polar draw.
 
@@ -211,11 +215,12 @@ def analyze(m, max_ext=8, seed=0, max_retries=24):
     multiplicities.  The polar point is drawn from the base field with an
     explicit seed and rejected on any detected degeneracy (point on the
     curve, polar singular at a singular point of the curve, or identically
-    zero polar).  Every draw stays base-rational so
-    that each singular point is handled inside its own extension tower.
+    zero polar), and GenericityError is raised after MAX_POLAR_DRAWS
+    rejected draws.  Every draw stays base-rational so that each singular
+    point is handled inside its own extension tower.
     """
     points = _find_singular_points(m, max_ext)
-    q, mults, attempts = _polar_corrections(m, points, seed, max_retries)
+    q, mults, attempts = _polar_corrections(m, points, seed)
     reports = tuple(replace(pt, local_mult_with_polar=mult)
                     for pt, mult in zip(points, mults))
     total = 6 * 5
@@ -228,18 +233,6 @@ def analyze(m, max_ext=8, seed=0, max_retries=24):
         attempts=attempts,
     )
     return CurveReport(points=reports, wall=wall)
-
-
-def wall_invariant(m, max_ext=8, seed=0, max_retries=24):
-    """30 minus the sum of the five local polar multiplicities (the wall
-    part of `analyze`)."""
-    return analyze(m, max_ext, seed, max_retries).wall
-
-
-def singular_points(m, max_ext=8, seed=0, max_retries=24):
-    """The certified singular points with their local polar multiplicities
-    (the point part of `analyze`), as a list."""
-    return list(analyze(m, max_ext, seed, max_retries).points)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +252,11 @@ def ns_gram_model(m, max_ext=8):
     return GramLattice(gram=build_S0().gram, labels=tuple(labels + ["h", "l"]))
 
 
-def random_in_U(field, seed, max_tries=1000):
+def random_in_U(field, seed):
     """Seeded rejection sampling of degree-6 polynomials with squarefree
     derivative; deterministic for a fixed seed."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(1000):
         coeffs = [field.rand_elem(rng) for _ in range(6)]
         lead = field.zero
         while not any(lead):

@@ -166,11 +166,6 @@ def all_aut():
     return tuple(out)
 
 
-def aut_apply(g, v):
-    xs = tuple((g.signs[i] * v[g.perm[i]]) % 5 for i in range(5))
-    return xs + (v[5] % 5,)
-
-
 # ---------------------------------------------------------------------------
 # Isotropic subgroups
 # ---------------------------------------------------------------------------
@@ -431,9 +426,12 @@ def admissible_subgroups():
 
 def _parallel_map(fn, items, jobs):
     """[fn(x) for x in items], spread over a process pool when jobs > 1.
-    jobs is clamped to the CPU count: more workers than CPUs only add
-    fork and pickling cost to this CPU-bound work."""
-    jobs = min(max(1, int(jobs)), os.cpu_count() or 1)
+    jobs is clamped to the CPUs this process may run on (its affinity set
+    where the platform reports one, else the CPU count): more workers than
+    CPUs only add fork and pickling cost to this CPU-bound work."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    jobs = min(max(1, int(jobs)), cpus)
     if jobs == 1:
         return [fn(item) for item in items]
     import multiprocessing

@@ -276,8 +276,8 @@ def _arithmetic(modulus):
     elements also get log/antilog tables for a primitive element g (the
     smallest in element order): log maps each element tuple to its
     exponent, and zero to 2(q - 1); antilog[i] = g^i for i < 2(q - 1) and
-    zero from there on, so the sum of two logs, or a log difference plus
-    q - 1, indexes antilog without a reduction mod q - 1.
+    zero from there on, so the sum of two logs indexes antilog without a
+    reduction mod q - 1.
     """
     kron = _Kronecker(_checked_modulus(modulus))
     k = len(modulus) - 1
@@ -305,8 +305,8 @@ def _arithmetic(modulus):
 # Fields
 # ---------------------------------------------------------------------------
 
-#: fields of at most this many elements multiply, invert and divide
-#: through log/antilog tables; larger ones use the packed kernel.  The
+#: fields of at most this many elements multiply and invert through
+#: log/antilog tables; larger ones use the packed kernel.  The
 #: tables of GF(5^5) hold 0.55 MB and take about 13 ms to build; those of
 #: GF(5^6) would hold 2.8 MB, GF(5^7) 14 MB and GF(5^8) about 70 MB,
 #: against a `curve check` process that peaks near 38 MB.
@@ -372,10 +372,6 @@ class GF:
             code //= P
         return tuple(out)
 
-    def iter_elements(self):
-        for code in range(self.order):
-            yield self.from_int(code)
-
     def rand_elem(self, rng):
         return self.from_int(rng.randrange(self.order))
 
@@ -406,15 +402,6 @@ class GF:
         if e == 2 * (self.order - 1):
             raise ZeroDivisionError("inversion of zero")
         return self._antilog[self.order - 1 - e]
-
-    def div(self, a, b):
-        log = self._log
-        if log is None:
-            return self.mul(a, self.inv(b))
-        eb = log[b]
-        if eb == 2 * (self.order - 1):
-            raise ZeroDivisionError("inversion of zero")
-        return self._antilog[log[a] - eb + self.order - 1]
 
     def pow(self, a, e):
         e = int(e)

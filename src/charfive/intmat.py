@@ -6,8 +6,7 @@ adjugate and the LDL^T data come from Bareiss elimination, LLL is the
 integral version that keeps those integers, and Fincke-Pohst enumeration
 scales its budget by one common denominator, so its bounds are
 ``math.isqrt`` of nonnegative integers.  ``fractions.Fraction`` appears
-only in `fraction_inverse`, an exact rational view on the adjugate, and
-in `signature_symmetric`.
+only in `signature_symmetric`.
 """
 
 from fractions import Fraction
@@ -114,12 +113,6 @@ def adjugate(m):
         prev = p
     # the left block is now prev * I with prev = sign * det(m)
     return [[sign * x for x in row[n:]] for row in a], sign * prev
-
-
-def fraction_inverse(m):
-    """Inverse of a nonsingular square matrix as Fractions: adj(m) / det(m)."""
-    adj, det = adjugate(m)
-    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ Conventions
   coordinates of m * (basis of S) in the primal basis of L, where m is the
   exponent of the discriminant group of L (m = 5 for the lattices this
   package ships).
+
+Arithmetic is exact.  The enumerations run on the fraction-free integer
+kernels of `intmat`; numpy appears only to pair the roots found in
+`root_type_orthogonal_to`, whose pairings are small int64 values.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .intmat import (
     adjugate,
     det_bareiss,
     enumerate_quadratic,
-    fraction_inverse,
     is_symmetric,
     left_kernel,
     lll_gram,
@@ -101,11 +103,6 @@ class GramLattice:
     def to_json_dict(self):
         return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(gram=tuple(tuple(r) for r in data["gram"]),
-                   labels=tuple(data["labels"]))
-
 
 @dataclass(frozen=True)
 class RootSystemType:
@@ -123,10 +120,6 @@ class RootSystemType:
             if letter == "E" and rank not in (6, 7, 8):
                 raise ValueError("E components are E6, E7, E8")
         object.__setattr__(self, "components", comps)
-
-    @property
-    def total_rank(self):
-        return sum(r for _, r in self.components)
 
     @staticmethod
     def identify_component(rank, count):
@@ -205,13 +198,6 @@ class Overlattice:
         return [sum(coords[i] * self.basis_scaled[i][j] for i in range(self.rank))
                 for j in range(self.rank)]
 
-    def to_json_dict(self):
-        data = self.ambient.to_json_dict()
-        data["basis5"] = [list(r) for r in self.basis_scaled]
-        data["disc"] = self.disc
-        data["sigma"] = self.artin_sigma
-        return data
-
 
 # ---------------------------------------------------------------------------
 # Discriminant machinery
@@ -261,43 +247,21 @@ def overlattice_from_generators(l, gens):
     """Even overlattice generated over L by dual vectors.
 
     `gens` are integer vectors in dual coordinates.  Their classes must
-    span a totally isotropic subgroup of the discriminant form: every
-    element of the generated subgroup must have an even integral norm.
-    Raises EvennessViolation otherwise.
+    span a totally isotropic subgroup of the discriminant form, that is,
+    the lattice they generate over L must be even: its Gram matrix must be
+    integral with an even diagonal.  Raises EvennessViolation otherwise.
     """
     if not isinstance(l, GramLattice):
         l = GramLattice(gram=tuple(tuple(r) for r in l),
                         labels=tuple(f"b{i}" for i in range(len(l))))
     n = l.rank
     gram = [list(r) for r in l.gram]
-    dg, m, scaled_dual = dual_data(l.gram)
+    _dg, m, scaled_dual = dual_data(l.gram)
 
     gens = [list(g) for g in gens]
     for g in gens:
         if len(g) != n or any(not isinstance(x, int) for x in g):
             raise ValueError("generators must be integer dual-coordinate vectors")
-
-    # close the generated subgroup and check q = 0 mod 2Z on every element
-    seen = {dg.project([0] * n): [0] * n}
-    frontier = [[0] * n]
-    while frontier:
-        new_frontier = []
-        for base in frontier:
-            for g in gens:
-                cand = [a + b for a, b in zip(base, g)]
-                key = dg.project(cand)
-                if key not in seen:
-                    seen[key] = cand
-                    new_frontier.append(cand)
-        frontier = new_frontier
-    # norm(lift) = lift . gram^{-1} . lift lies in 2Z iff m * norm lies in 2mZ
-    for lift in seen.values():
-        support = [(i, x) for i, x in enumerate(lift) if x]
-        scaled_norm = sum(x * y * scaled_dual[i][j]
-                          for i, x in support for j, y in support)
-        if scaled_norm % (2 * m):
-            raise EvennessViolation(
-                f"subgroup element with norm {scaled_norm}/{m} is not even integral")
 
     rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
     for g in gens:
@@ -405,42 +369,6 @@ def coset_vectors_of_norm(g, shift, n, den=1):
     return out
 
 
-def short_vectors_box(g, n):
-    """Reference enumeration by exhaustive box search (no pruning).
-
-    Independent of the Fincke-Pohst path: coordinate bounds come from the
-    diagonal of the inverse form (Cauchy-Schwarz in the dual), and every
-    candidate in the box is checked by direct evaluation of v^T g v, exact
-    in int64, one slice of the box per value of the first coordinate.
-    Every such |v^T g v| is at most max|g| * (sum of the bounds)^2; a box
-    where that could exceed 2^62 raises ValueError.  Intended for small
-    ranks; used as the test oracle.
-    """
-    g = [list(r) for r in g]
-    _reduced_positive_form(g)     # refuses a g that is not negative definite
-    a = [[-x for x in row] for row in g]
-    t = -n
-    ainv = fraction_inverse(a)
-    bounds = []
-    for i in range(len(a)):
-        val = Fraction(t) * ainv[i][i]
-        bounds.append(isqrt(val.numerator // val.denominator) + 1)
-    if max(abs(x) for row in g for x in row) * sum(bounds) ** 2 > 2 ** 62:
-        raise ValueError("box too large for exact int64 evaluation")
-    gram = np.array(g, dtype=np.int64)
-    # the box without its first coordinate, one row per point
-    shape = [2 * b + 1 for b in bounds[1:]]
-    rest = (np.indices(shape, dtype=np.int64).reshape(len(shape), prod(shape)).T
-            - np.array(bounds[1:], dtype=np.int64))
-    out = []
-    for x0 in range(-bounds[0], bounds[0] + 1):
-        v = np.concatenate([np.full((len(rest), 1), x0, dtype=np.int64), rest], axis=1)
-        norms = np.einsum("ij,jk,ik->i", v, gram, v)
-        out.extend(map(tuple, v[norms == n].tolist()))
-    out.sort()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Roots orthogonal to a polarization, and the degree-1 elliptic set
 # ---------------------------------------------------------------------------
@@ -501,7 +429,7 @@ def root_type_orthogonal_to(s, h_primal):
     return RootSystemType(components=tuple(comps))
 
 
-def e_set(s, h_primal, v1_primal=None):
+def e_set(s, h_primal):
     """The finite set {e in S : e.h = 1, e^2 = 0}.
 
     Vectors are returned in scale-scaled primal coordinates (coordinates
@@ -512,32 +440,24 @@ def e_set(s, h_primal, v1_primal=None):
     if reduce(gcd, [abs(x) for x in h_s], 0) != 1:
         raise ValueError("polarization vector must be primitive in S")
 
-    if v1_primal is not None:
-        v1 = s.s_coords_of_primal(list(v1_primal))
-        if v1 is None:
-            raise ValueError("v1 does not lie in the overlattice")
-        if sum(a * b for a, b in zip(v1, t)) != 1:
-            raise ValueError("v1 must satisfy v1.h = 1")
-    else:
-        # build v1 with v1 . (gram_s h) = 1 by chaining extended gcds
-        g_run, coeffs = 0, [0] * len(t)
-        for i, ti in enumerate(t):
-            if ti == 0:
-                continue
-            g_new, a, b = xgcd(g_run, ti)
-            coeffs = [a * c for c in coeffs]
-            coeffs[i] = b
-            g_run = g_new
-            if g_run == 1:
-                break
-        if g_run != 1:
-            raise DivisibilityError("no vector pairs to 1 with h")
-        v1 = coeffs
+    # build v1 with v1 . (gram_s h) = 1 by chaining extended gcds
+    g_run, v1 = 0, [0] * len(t)
+    for i, ti in enumerate(t):
+        if ti == 0:
+            continue
+        g_new, a, b = xgcd(g_run, ti)
+        v1 = [a * c for c in v1]
+        v1[i] = b
+        g_run = g_new
+        if g_run == 1:
+            break
+    if g_run != 1:
+        raise DivisibilityError("no vector pairs to 1 with h")
 
     # e = v1 + w.kernel has e^2 = v1^2 + 2 w.rhs + w gram_perp w^T, and
     # completing the square with shift = rhs gram_perp^{-1} = num / den gives
     # e^2 = 0  <=>  (den w + num) gram_perp (den w + num)^T = den^2 (shift^2 - v1^2)
-    rhs = intmat.vec_mat(v1, mat_mul(gram_s, transpose(kernel)))
+    rhs = mat_vec(kernel, mat_vec(gram_s, v1))     # v1 gram_s kernel^T, gram_s symmetric
     adj, den = adjugate(gram_perp)
     num = intmat.vec_mat(rhs, adj)
     if den < 0:

@@ -2,13 +2,16 @@
 
 These are the rational Gauss-Jordan inverse, LDL^T decomposition, LLL
 reduction and Fincke-Pohst enumeration that `charfive.intmat` used before
-its kernels became fraction-free.  They are slow and obviously exact, and
-the differential tests in `test_intmat.py` and `test_lattice.py` check
-the integer kernels against them.
+its kernels became fraction-free, and an exhaustive box search for short
+vectors.  They are slow and obviously exact, and the differential tests
+in `test_intmat.py`, `test_lattice.py` and `test_acceptance.py` check the
+integer kernels against them.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
+
+import numpy as np
 
 from charfive.intmat import identity_matrix, mat_mul, transpose, vec_mat
 
@@ -200,3 +203,38 @@ def coset_vectors(g, shift, n):
                  for j in range(len(shift))]
     found = enumerate_quadratic(d, mu, -Fraction(n), shift_red)
     return sorted(tuple(vec_mat(list(w), u)) for w in found)
+
+
+def short_vectors_box(g, n):
+    """All integer v with v^T g v = n, for negative definite g, sorted, by
+    exhaustive box search (no pruning).
+
+    Independent of the Fincke-Pohst path: coordinate bounds come from the
+    diagonal of the inverse form (Cauchy-Schwarz in the dual), and every
+    candidate in the box is checked by direct evaluation of v^T g v, exact
+    in int64, one slice of the box per value of the first coordinate.
+    Every such |v^T g v| is at most max|g| * (sum of the bounds)^2; a box
+    where that could exceed 2^62 raises ValueError, as does a g that is
+    not negative definite.  Intended for small ranks.
+    """
+    a = [[-x for x in row] for row in g]
+    ldl_positive(a)                 # refuses a g that is not negative definite
+    ainv = fraction_inverse(a)
+    bounds = []
+    for i in range(len(a)):
+        val = Fraction(-n) * ainv[i][i]
+        bounds.append(isqrt(val.numerator // val.denominator) + 1)
+    if max(abs(x) for row in g for x in row) * sum(bounds) ** 2 > 2 ** 62:
+        raise ValueError("box too large for exact int64 evaluation")
+    gram = np.array(g, dtype=np.int64)
+    # the box without its first coordinate, one row per point
+    shape = [2 * b + 1 for b in bounds[1:]]
+    rest = (np.indices(shape, dtype=np.int64).reshape(len(shape), prod(shape)).T
+            - np.array(bounds[1:], dtype=np.int64))
+    out = []
+    for x0 in range(-bounds[0], bounds[0] + 1):
+        v = np.concatenate([np.full((len(rest), 1), x0, dtype=np.int64), rest], axis=1)
+        norms = np.einsum("ij,jk,ik->i", v, gram, v)
+        out.extend(map(tuple, v[norms == n].tolist()))
+    out.sort()
+    return out

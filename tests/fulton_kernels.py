@@ -222,7 +222,7 @@ def _imult_origin(F, G, budget):
         if f0.degree > g0.degree:
             F, G = G, F
             f0, g0 = g0, f0
-        c = fld.div(g0.leading(), f0.leading())
+        c = fld.mul(g0.leading(), fld.inv(f0.leading()))
         G = G - F.scale(c, (g0.degree - f0.degree, 0))
 
 

@@ -10,12 +10,7 @@ import random
 
 from charfive import intmat
 from charfive.cli import run
-from charfive.curvecheck import (
-    ns_gram_model,
-    random_in_U,
-    singular_points,
-    wall_invariant,
-)
+from charfive.curvecheck import analyze, ns_gram_model, random_in_U
 from charfive.discform import (
     H_PRIMAL,
     IsotropicSubgroup,
@@ -30,10 +25,10 @@ from charfive.lattice import (
     e_set,
     overlattice_from_generators,
     root_type_orthogonal_to,
-    short_vectors_box,
     short_vectors_of_norm,
 )
 
+from fraction_kernels import short_vectors_box
 from test_intmat import minor_gcd_factors
 from test_lattice import _random_negative_definite
 
@@ -120,8 +115,8 @@ def test_criterion_6_curve_suite():
     for seed in range(60):
         batch.append(random_in_U(GF(2), seed))
     for m in batch:
-        pts = singular_points(m)
-        w = wall_invariant(m)
+        report = analyze(m)
+        pts, w = report.points, report.wall
         ok = ok and len(pts) == 5
         ok = ok and all(p.is_A4 for p in pts)
         ok = ok and w.corrections == (5, 5, 5, 5, 5)

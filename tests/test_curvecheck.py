@@ -17,12 +17,11 @@ from charfive.curvecheck import (
     _corrections_for,
     _find_singular_points,
     _polar_corrections,
+    analyze,
     is_in_U,
     ns_gram_model,
     random_in_U,
-    singular_points,
     verify_A4,
-    wall_invariant,
 )
 from charfive.ffpoly import (
     GF,
@@ -106,7 +105,7 @@ def test_y_partial_vanishes_identically():
 # ---------------------------------------------------------------------------
 
 def test_singular_points_fixture():
-    pts = singular_points(model(FIXTURE))
+    pts = analyze(model(FIXTURE)).points
     assert len(pts) == 5
     origin = pts[0]
     assert origin.alpha == F5.zero and origin.beta == F5.zero
@@ -123,7 +122,7 @@ def test_singular_points_fixture():
 
 def test_singular_points_rejects_inadmissible():
     with pytest.raises(ValueError):
-        singular_points(model(GFPoly.from_ints(F5, [0, 0, 0, 0, 0, 0, 1])))
+        analyze(model(GFPoly.from_ints(F5, [0, 0, 0, 0, 0, 0, 1])))
 
 
 def test_verify_a4_examples():
@@ -342,7 +341,7 @@ def _oracle_cases():
                 yield (big.map_coeffs(emb, ext).chart(2),
                        polar.map_coeffs(emb, ext).chart(2), p.alpha, p.beta, mult)
             if any(q[2]):
-                pole = fld.div(q[0], q[2])
+                pole = fld.mul(q[0], fld.inv(q[2]))
                 for alpha in (pole, fld.add(pole, fld.one)):
                     beta = fld.fifth_root(m.f.eval(alpha))
                     yield big.chart(2), polar.chart(2), alpha, beta, None
@@ -406,11 +405,11 @@ def test_corrections_match_fulton_draw_by_draw():
 # ---------------------------------------------------------------------------
 
 def test_wall_fixture():
-    w = wall_invariant(model(FIXTURE))
+    w = analyze(model(FIXTURE)).wall
     assert w.total == 30
     assert w.corrections == (5, 5, 5, 5, 5)
     assert w.product == 5
-    again = wall_invariant(model(FIXTURE))
+    again = analyze(model(FIXTURE)).wall
     assert again == w                       # deterministic for a fixed seed
 
 
@@ -438,13 +437,14 @@ def test_each_polynomial_embedded_once_per_field(monkeypatch):
         reached += len(calls)
     assert reached > 20
     calls.clear()
-    _q, _mults, attempts = _polar_corrections(m, points, 0, 24)
+    _q, _mults, attempts = _polar_corrections(m, points, 0)
     assert 1 <= len(calls) <= attempts
 
 
-def test_wall_retry_budget():
+def test_wall_retry_budget(monkeypatch):
+    monkeypatch.setattr(curvecheck, "MAX_POLAR_DRAWS", 0)
     with pytest.raises(GenericityError):
-        wall_invariant(model(FIXTURE), max_retries=0)
+        analyze(model(FIXTURE))
 
 
 # ---------------------------------------------------------------------------

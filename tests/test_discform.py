@@ -13,7 +13,6 @@ from charfive.discform import (
     REFERENCE_SUBGROUPS,
     STARRED_TYPES,
     all_aut,
-    aut_apply,
     b_value,
     build_S0,
     canonical_key,
@@ -30,6 +29,12 @@ from test_lattice import pairing
 
 
 AUT_IDENTITY = AutElement(signs=(1,) * 5, perm=(0, 1, 2, 3, 4))
+
+
+def aut_apply(g, v):
+    """g(v) for an [x1..x5, y] vector: x'_i = signs[i] * x[perm[i]], y fixed."""
+    xs = tuple((g.signs[i] * v[g.perm[i]]) % 5 for i in range(5))
+    return xs + (v[5] % 5,)
 
 
 def aut_compose(g, h):
@@ -309,13 +314,24 @@ def test_parallel_map_clamps_jobs_to_cpu_count(monkeypatch):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(discform.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(discform.os, "cpu_count", lambda: 8)
+    # the affinity set, not the machine's CPU count, bounds the pool
+    monkeypatch.setattr(discform.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
     assert discform._parallel_map(abs, [-1, 2, -3], 10 ** 6) == [1, 2, 3]
     assert discform._parallel_map(abs, [-1, 2, -3], 2) == [1, 2, 3]
     assert asked == [3, 2]
+    # one usable CPU: no pool at all
+    monkeypatch.setattr(discform.os, "sched_getaffinity", lambda pid: {1})
+    assert discform._parallel_map(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    assert asked == [3, 2]
+    # without sched_getaffinity the CPU count is the bound
+    monkeypatch.delattr(discform.os, "sched_getaffinity")
+    assert discform._parallel_map(abs, [-1, 2, -3], 10 ** 6) == [1, 2, 3]
+    assert asked == [3, 2, 8]
     monkeypatch.setattr(discform.os, "cpu_count", lambda: 1)
     assert discform._parallel_map(abs, [-4], 8) == [4]
-    assert asked == [3, 2]               # one CPU: no pool at all
+    assert asked == [3, 2, 8]            # one CPU: no pool at all
 
 
 def test_classification():

@@ -83,7 +83,7 @@ def test_core_matches_tuple_oracle(k):
         assert fld.neg(b) == oracle.sub(fld.zero, b)
         if any(b):
             assert fld.inv(b) == oracle.inv(m, b)
-            assert fld.div(a, b) == oracle.mul(m, a, oracle.inv(m, b))
+            assert fld.mul(a, fld.inv(b)) == oracle.mul(m, a, oracle.inv(m, b))
         e = rng.randrange(-7, 40)
         if any(a):
             base = a if e >= 0 else oracle.inv(m, a)
@@ -100,8 +100,6 @@ def test_core_field_laws(k):
     with pytest.raises(ZeroDivisionError):
         fld.inv(zero)
     with pytest.raises(ZeroDivisionError):
-        fld.div(one, zero)
-    with pytest.raises(ZeroDivisionError):
         fld.pow(zero, -1)
     for _ in range(60):
         a, b, c = fld.rand_elem(rng), fld.rand_elem(rng), fld.rand_elem(rng)
@@ -112,7 +110,6 @@ def test_core_field_laws(k):
         assert fld.fifth_root(fld.frobenius(a)) == a
         if any(a):
             assert fld.mul(a, fld.inv(a)) == one
-            assert fld.div(a, a) == one
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for b in range(1, 11) for a in range(1, b + 1)
@@ -136,7 +133,7 @@ def test_antilog_lists_each_nonzero_element_once():
             continue
         q = fld.order
         powers = fld._antilog[:q - 1]
-        assert sorted(powers) == sorted(fld.iter_elements())[1:]
+        assert sorted(powers) == sorted(map(fld.from_int, range(q)))[1:]
         assert fld._antilog[q - 1:2 * (q - 1)] == powers
         assert all(fld._log[x] == i for i, x in enumerate(powers))
         assert fld._log[fld.zero] == 2 * (q - 1)
@@ -242,7 +239,7 @@ def test_fifth_root():
     for c in range(5):
         assert F5.fifth_root(F5.elem(c)) == F5.elem(c)    # Fermat: c^5 = c
     assert F25.fifth_root(F25.zero) == F25.zero
-    for a in F25.iter_elements():
+    for a in map(F25.from_int, range(F25.order)):
         r = F25.fifth_root(a)
         assert F25.pow(r, 5) == a
     rng = random.Random(4)
@@ -284,7 +281,7 @@ def test_roots_in_field_matches_scan(k):
             for _ in range(rng.choice((1, 1, 2, 6))):
                 u = u * lin
         scan = []
-        for a in fld.iter_elements():
+        for a in map(fld.from_int, range(fld.order)):
             mult, v = 0, u
             while not any(v.eval(a)):
                 v = v // GFPoly(fld, [fld.neg(a), fld.one])
@@ -305,7 +302,8 @@ def test_roots_in_extension_quintic():
     f625 = GF(4)
     emb = embedding(F5, f625)
     u625 = u.map_coeffs(emb, f625)
-    brute = sorted(a for a in f625.iter_elements() if not any(u625.eval(a)))
+    brute = sorted(a for a in map(f625.from_int, range(f625.order))
+                   if not any(u625.eval(a)))
     assert sorted(emb(r.value) if r.field.degree == 1 else r.value
                   for r in recs) == brute
 

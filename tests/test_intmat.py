@@ -250,17 +250,3 @@ def test_signature():
     assert intmat.signature_symmetric(HL_BLOCK) == (1, 1)
     with pytest.raises(ValueError):
         intmat.signature_symmetric([[0, 0], [0, 0]])
-
-
-def test_fraction_inverse():
-    rng = random.Random(3)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if intmat.det_bareiss(m) == 0:
-            with pytest.raises(ValueError):
-                intmat.fraction_inverse(m)
-            continue
-        inv = intmat.fraction_inverse(m)
-        prod = intmat.mat_mul(m, inv)
-        assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
