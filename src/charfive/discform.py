@@ -300,50 +300,51 @@ def reference_labels():
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of isotropic subgroups
+# Orbit candidates: admissible subgroups through one line per type
 # ---------------------------------------------------------------------------
 
-def _line_representatives():
-    """Minimal encoding of each isotropic line (4 nonzero scalar multiples)."""
+def _type_representatives():
+    """{(a, b, y normalized): smallest isotropic encoding of that type}."""
     t = _tables()
-    iso_nonzero = np.nonzero(t["iso"])[0]
-    iso_nonzero = iso_nonzero[iso_nonzero != 0]
-    digits = t["digits"][iso_nonzero]
-    best = iso_nonzero.copy()
-    for c in (2, 3, 4):
-        enc_c = ((digits * c) % 5) @ _POW
-        best = np.minimum(best, enc_c)
-    reps = np.unique(best)
-    return reps
+    classes = {}
+    for e in np.nonzero(t["iso"])[0]:        # ascending, so the first is smallest
+        e = int(e)
+        classes.setdefault((int(t["a"][e]), int(t["b"][e]), int(t["yn"][e])), e)
+    return classes
 
 
-def _isotropic_planes():
-    """All totally isotropic 2-dimensional subgroups.
+def _orbit_candidates():
+    """Admissible subgroups meeting every orbit, as (gens, elems) pairs:
+    the generators as tuples and the sorted int64 array of the element
+    encodings.
 
-    Returns (planes, gen_pairs): `planes` is an (N, 25) array of sorted
-    element encodings, `gen_pairs` an (N, 2) array of generator encodings.
+    A nonzero admissible subgroup holds some u != 0.  The symmetry group
+    fixes y and moves the x-part of u onto that of any vector of the same
+    (a, b) counts, so it carries u or -u onto the representative v of the
+    type of u.  Every orbit therefore meets the zero subgroup, a starred
+    line <v>, or a plane <v, w> with w admissible and b(v, w) = 0; the
+    dimension bound rules out anything larger.
     """
     t = _tables()
-    reps = _line_representatives()
-    digits = t["digits"][reps]
-    weights = digits.copy()
+    digits = t["digits"]
+    admissible = t["iso"] & t["starred"]
+    ws = np.nonzero(admissible)[0]
+    weights = digits[ws].copy()
     weights[:, 5] = (2 * weights[:, 5]) % 5
-    pair_b = (digits @ weights.T) % 5
-    iu = np.triu_indices(len(reps), k=1)
-    ok = pair_b[iu] == 0
-    vi = reps[iu[0][ok]]
-    vj = reps[iu[1][ok]]
-    di = t["digits"][vi]
-    dj = t["digits"][vj]
-    coef = np.array([(a, b) for a in range(5) for b in range(5)],
-                    dtype=np.int64)
-    elems = (coef[None, :, 0, None] * di[:, None, :]
-             + coef[None, :, 1, None] * dj[:, None, :]) % 5
-    enc = np.tensordot(elems, _POW, axes=([2], [0]))
-    enc = np.sort(enc, axis=1)
-    planes, first = np.unique(enc, axis=0, return_index=True)
-    gen_pairs = np.stack([vi[first], vj[first]], axis=1)
-    return planes, gen_pairs
+    ca, cb = np.divmod(np.arange(25), 5)        # the 25 coefficient pairs
+    yield (), np.zeros(1, dtype=np.int64)
+    for key, v in sorted(_type_representatives().items()):
+        if v == 0 or key not in STARRED_TYPES:
+            continue
+        line = np.sort((np.arange(5)[:, None] * digits[v]) % 5 @ _POW)
+        yield (decode(v),), line
+        w = ws[((weights @ digits[v]) % 5 == 0) & ~np.isin(ws, line)]
+        elems = (ca[:, None] * digits[v] + cb[:, None] * digits[w][:, None]) % 5
+        planes = np.sort(elems @ _POW, axis=1)
+        keep = admissible[planes].all(axis=1)
+        planes, first = np.unique(planes[keep], axis=0, return_index=True)
+        for plane, w_e in zip(planes, w[keep][first]):
+            yield (decode(v), decode(int(w_e))), plane
 
 
 def _witt_index(gram, p=5):
@@ -404,26 +405,6 @@ def _subgroup_invariants(subgroup):
     return str(rt), len(es) == 0, 2 * s.artin_sigma
 
 
-def admissible_subgroups():
-    """Every totally isotropic subgroup of dimension 0, 1, 2 on which all
-    elements have starred types, in a deterministic enumeration order.
-
-    Each one is a pair (gens, elems): the generators as tuples and the
-    sorted int64 array of the element encodings, read off the line and
-    plane enumerations.
-    """
-    t = _tables()
-    reps = _line_representatives()
-    lines = np.sort(np.stack(
-        [((t["digits"][reps] * c) % 5) @ _POW for c in range(5)], axis=1), axis=1)
-    planes, gen_pairs = _isotropic_planes()
-    survivors = [((), np.zeros(1, dtype=np.int64))]
-    for elems, gens in ((lines, reps[:, None]), (planes, gen_pairs)):
-        for idx in np.nonzero(t["starred"][elems].all(axis=1))[0]:
-            survivors.append((tuple(decode(int(e)) for e in gens[idx]), elems[idx]))
-    return survivors
-
-
 def _parallel_map(fn, items, jobs):
     """[fn(x) for x in items], spread over a process pool when jobs > 1.
     jobs is clamped to the CPUs this process may run on (its affinity set
@@ -443,19 +424,17 @@ def _parallel_map(fn, items, jobs):
 def classify_isotropic_subgroups(jobs=1):
     """Orbit representatives of the admissible isotropic subgroups.
 
-    Enumerates every totally isotropic subgroup of dimension 0, 1, 2,
-    keeps those on which every element has a starred type, and
-    deduplicates up to the symmetry group (sweeping out whole orbits from
-    the survivors' element encodings with the same vectorized image
-    machinery that backs `canonical_key`); only the orbit representatives
-    become validated `IsotropicSubgroup`s.  Representatives matching a reference subgroup H_0..H_8 carry its label
-    and generator set.
+    Sweeps out whole orbits of `_orbit_candidates()` from their element
+    encodings, with the same vectorized image machinery that backs
+    `canonical_key`; only the orbit representatives become validated
+    `IsotropicSubgroup`s.  Representatives matching a reference subgroup
+    H_0..H_8 carry its label and generator set.
     """
     digits = _tables()["digits"]
     labels = reference_labels()
     seen = set()
     work = []
-    for gens, elems in admissible_subgroups():
+    for gens, elems in _orbit_candidates():
         if elems.tobytes() in seen:
             continue
         images = _orbit_images(digits[elems])
@@ -520,15 +499,7 @@ class IsotropyRow:
 def isotropic_table(jobs=1):
     """One row per (a, b, +-y)-class of isotropic vectors; for each class the
     overlattice of one representative is built and its invariants computed."""
-    t = _tables()
-    iso = np.nonzero(t["iso"])[0]
-    classes = {}
-    for e in iso:
-        e = int(e)
-        key = (int(t["a"][e]), int(t["b"][e]), int(t["yn"][e]))
-        if key not in classes or e < classes[key]:
-            classes[key] = e
-    rows = _parallel_map(_isotropy_row_for, sorted(classes.items()), jobs)
+    rows = _parallel_map(_isotropy_row_for, sorted(_type_representatives().items()), jobs)
     rows.sort(key=lambda r: (r.a, r.b, r.y))
     return rows
 

@@ -244,16 +244,13 @@ def dual_data(gram):
 
 
 def overlattice_from_generators(l, gens):
-    """Even overlattice generated over L by dual vectors.
+    """Even overlattice generated over the `GramLattice` L by dual vectors.
 
     `gens` are integer vectors in dual coordinates.  Their classes must
     span a totally isotropic subgroup of the discriminant form, that is,
     the lattice they generate over L must be even: its Gram matrix must be
     integral with an even diagonal.  Raises EvennessViolation otherwise.
     """
-    if not isinstance(l, GramLattice):
-        l = GramLattice(gram=tuple(tuple(r) for r in l),
-                        labels=tuple(f"b{i}" for i in range(len(l))))
     n = l.rank
     gram = [list(r) for r in l.gram]
     _dg, m, scaled_dual = dual_data(l.gram)

@@ -85,11 +85,12 @@ def test_output_is_byte_stable():
 
 
 def test_jobs_flag_does_not_change_output():
-    base = invoke(["lattice", "table1"])
-    par = invoke(["lattice", "table1", "--jobs", "2"])
-    assert base[0] == par[0] == 0
-    # the command echo differs; the results must not
-    assert (json.loads(base[1])["results"] == json.loads(par[1])["results"])
+    for verb in ("table1", "classify"):
+        base = invoke(["lattice", verb])
+        par = invoke(["lattice", verb, "--jobs", "2"])
+        assert base[0] == par[0] == 0
+        # the command echo differs; the results must not
+        assert (json.loads(base[1])["results"] == json.loads(par[1])["results"])
 
 
 def test_curve_check_fixture():

@@ -25,6 +25,7 @@ from charfive.discform import (
     subgroup_overlattice,
     verify_q_consistency,
 )
+from discform_kernels import admissible_subgroups, isotropic_planes, line_representatives
 from test_lattice import pairing
 
 
@@ -346,17 +347,73 @@ def test_classification():
         assert r.gens == REFERENCE_SUBGROUPS[r.label]
 
 
+def encodings(sub):
+    return sorted(sum(x * 5 ** i for i, x in enumerate(v)) for v in sub.elements())
+
+
 def test_admissible_subgroups_carry_their_elements():
-    """Each survivor's element encodings are the span of its generators."""
-    survivors = discform.admissible_subgroups()
+    """Each survivor of the exhaustive oracle carries the span of its
+    generators as its element encodings."""
+    survivors = admissible_subgroups()
     assert len(survivors) == 2713
     dims = [len(gens) for gens, _ in survivors]
     assert (dims.count(0), dims.count(1), dims.count(2)) == (1, 696, 2016)
     for gens, elems in survivors:
         sub = IsotropicSubgroup(gens=gens)
         assert condition_II(sub)
-        expect = sorted(sum(x * 5 ** i for i, x in enumerate(v)) for v in sub.elements())
-        assert elems.dtype == np.int64 and elems.tolist() == expect
+        assert elems.dtype == np.int64 and elems.tolist() == encodings(sub)
+
+
+def test_orbit_candidates_are_admissible():
+    """Each candidate is an admissible subgroup carrying its own elements:
+    the zero subgroup, nine starred lines and 128 planes through them."""
+    candidates = list(discform._orbit_candidates())
+    dims = [len(gens) for gens, _ in candidates]
+    assert (dims.count(0), dims.count(1), dims.count(2)) == (1, 9, 128)
+    for gens, elems in candidates:
+        sub = IsotropicSubgroup(gens=gens)
+        assert condition_II(sub)
+        assert elems.dtype == np.int64 and elems.tolist() == encodings(sub)
+
+
+def swept_orbits(subgroups):
+    """Sweep `subgroups` as `classify_isotropic_subgroups` does: the keys
+    of the orbits met, and the element encodings of every subgroup in them."""
+    digits = discform._tables()["digits"]
+    keys, seen = set(), set()
+    for _gens, elems in subgroups:
+        if elems.tobytes() in seen:
+            continue
+        images = discform._orbit_images(digits[elems])
+        seen.update(row.tobytes() for row in images)
+        keys.add(discform._min_row(images))
+    return keys, seen
+
+
+def test_orbit_candidates_meet_every_orbit_of_the_oracle():
+    """The orbit-first candidates and the 2713 exhaustive survivors sweep
+    out the same nine orbits, with no reference labels involved."""
+    survivors = admissible_subgroups()
+    oracle_keys, _ = swept_orbits(survivors)
+    keys, seen = swept_orbits(discform._orbit_candidates())
+    assert len(keys) == 9 and keys == oracle_keys
+    assert all(elems.tobytes() in seen for _gens, elems in survivors)
+
+
+def test_classification_memory_peak():
+    """With the tables and reference keys warm, classify allocates less
+    than 32 MB at its peak."""
+    import tracemalloc
+
+    discform._tables()
+    discform.reference_labels()
+    tracemalloc.start()
+    try:
+        classify_isotropic_subgroups()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_classification_validates_only_representatives(monkeypatch):
@@ -396,9 +453,9 @@ def plane_scan_dimension():
     lies in its own orthogonal complement, so more than 25 isotropic
     vectors orthogonal to both generators means a third dimension."""
     t = discform._tables()
-    planes, gen_pairs = discform._isotropic_planes()
+    planes, gen_pairs = isotropic_planes()
     if len(planes) == 0:
-        return 1 if len(discform._line_representatives()) else 0
+        return 1 if len(line_representatives()) else 0
     iso = np.nonzero(t["iso"])[0]
     iso_digits = t["digits"][iso]
     for start in range(0, len(planes), 256):
@@ -420,8 +477,8 @@ def test_dimension_bound(monkeypatch):
     def forbidden():
         raise AssertionError("the certificate must not enumerate subgroups")
 
-    monkeypatch.setattr(discform, "_isotropic_planes", forbidden)
-    monkeypatch.setattr(discform, "_line_representatives", forbidden)
+    monkeypatch.setattr(discform, "_orbit_candidates", forbidden)
+    monkeypatch.setattr(discform, "_type_representatives", forbidden)
     assert max_isotropic_dimension() == 2
 
 

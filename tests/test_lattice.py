@@ -177,7 +177,8 @@ def test_overlattice_rejects_non_isotropic():
     with pytest.raises(EvennessViolation):
         overlattice_from_generators(build_S0(), [lift_to_dual((0, 0, 0, 0, 0, 1))])
     # on 4A1 the class e1* + e2* has norm 1/2 + 1/2 = 1: integral but odd
-    four_a1 = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    four_a1 = GramLattice(gram=[[2 if i == j else 0 for j in range(4)] for i in range(4)],
+                          labels=("b0", "b1", "b2", "b3"))
     with pytest.raises(EvennessViolation, match="overlattice is not even"):
         overlattice_from_generators(four_a1, [[1, 1, 0, 0]])
     assert overlattice_from_generators(four_a1, [[1, 1, 1, 1]]).index == 2
