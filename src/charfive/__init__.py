@@ -57,6 +57,7 @@ from .ffpoly import (
 from .curvecheck import (
     CurveReport,
     GenericityError,
+    OutsideUError,
     SexticModel,
     SingularPointReport,
     WallReport,

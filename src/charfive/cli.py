@@ -265,21 +265,25 @@ def _load_model(args):
 
 
 def _curve_payload(model, args):
-    out = {"poly": format_poly_literal(model.f),
-           "in_U": curvecheck.is_in_U(model.f)}
-    if out["in_U"]:
+    out = {"poly": format_poly_literal(model.f)}
+    try:
         report = curvecheck.analyze(model, max_ext=args.max_ext, seed=args.seed)
-        out["points"] = [p.to_json_dict() for p in report.points]
-        out["wall"] = report.wall.to_json_dict()
+    except curvecheck.OutsideUError:
+        out["in_U"] = False
+        return out
+    out["in_U"] = True
+    out["points"] = [p.to_json_dict() for p in report.points]
+    out["wall"] = report.wall.to_json_dict()
     return out
 
 
 def _cmd_curve(args, stdout, verb):
     model = _load_model(args)
     if verb == "ns":
-        if not curvecheck.is_in_U(model.f):
-            raise _UsageError("polynomial is outside the admissible open set")
-        lat = curvecheck.ns_gram_model(model, max_ext=args.max_ext)
+        try:
+            lat = curvecheck.ns_gram_model(model, max_ext=args.max_ext)
+        except curvecheck.OutsideUError as exc:
+            raise _UsageError(str(exc)) from exc
         _emit(_canonical_json(lat.to_json_dict()), args, stdout)
         return 0
     results = _curve_payload(model, args)

@@ -17,6 +17,7 @@ from .discform import CHAIN_LEN, N_CHAINS, build_S0
 from .ffpoly import (
     GF,
     GFPoly,
+    SplittingFieldError,
     embedding,
     is_squarefree,
     roots_in_extension,
@@ -27,6 +28,10 @@ from .lattice import GramLattice
 
 class GenericityError(RuntimeError):
     """No admissible polar point was found within MAX_POLAR_DRAWS draws."""
+
+
+class OutsideUError(ValueError):
+    """f' has a repeated root: the sextic lies outside U."""
 
 
 #: polar points drawn from the base field before `analyze` gives up
@@ -104,10 +109,23 @@ def verify_A4(f, alpha):
 def _find_singular_points(m, max_ext):
     """Points (alpha, f(alpha)^(1/5)) with the A4 certificate, each over the
     minimal extension containing alpha, in the order of `roots_in_extension`
-    (field degree, then alpha); no polar data yet."""
-    if not is_in_U(m.f):
-        raise ValueError("polynomial is outside the admissible open set")
-    roots = roots_in_extension(m.f.derivative(), max_ext)
+    (field degree, then alpha); no polar data yet.
+
+    f is in U iff its derivative has deg f' = 5 simple roots, so the root
+    records decide membership and gcd(f', f'') is taken once, inside
+    `roots_in_extension`; only a SplittingFieldError takes it again.
+    Raises OutsideUError for f outside U.
+    """
+    fp = m.f.derivative()
+    try:
+        roots = roots_in_extension(fp, max_ext)
+        in_u = len(roots) == fp.degree
+    except SplittingFieldError:
+        if is_in_U(m.f):
+            raise
+        in_u = False
+    if not in_u:
+        raise OutsideUError("polynomial is outside the admissible open set")
     f_in = {ext: m.f.map_coeffs(embedding(m.field, ext), ext)
             for ext in {rec.field for rec in roots}}
     points = []
@@ -217,7 +235,8 @@ def analyze(m, max_ext=8, seed=0):
     curve, polar singular at a singular point of the curve, or identically
     zero polar), and GenericityError is raised after MAX_POLAR_DRAWS
     rejected draws.  Every draw stays base-rational so that each singular
-    point is handled inside its own extension tower.
+    point is handled inside its own extension tower.  A sextic outside U
+    raises OutsideUError.
     """
     points = _find_singular_points(m, max_ext)
     q, mults, attempts = _polar_corrections(m, points, seed)

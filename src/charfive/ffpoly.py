@@ -13,12 +13,20 @@ F5[t] arithmetic has two forms here: `_Kronecker`, whose maps come from
 t^(j+1) = t * t^j mod m, and `GFPoly` over GF(5).  Rabin's irreducibility
 test uses both.  The schoolbook reference lives in `tests/gf_kernels.py`.
 
+Root finding works by Frobenius orbits.  One table of x^(5^j) mod the
+radical, each entry a semilinear combination of the rows x^(5i), gives the
+distinct-degree parts; in each part one root per irreducible factor over
+GF(5^k) comes from one branch of Berlekamp's trace gcds, and its conjugates
+from the Frobenius map x -> x^(5^k).  The long-division table and the
+splitting that follows every branch are the oracle in `tests/root_kernels.py`.
+
 Polynomial literals:  "[c0,c1,...,cn]@5^k;mod=[m0,...,mk]"  with the
 prime-field shorthand "@5".  Coefficients over an extension are written
 as nested lists; `parse_field_degree` reads the field tag.
 """
 
 import ast
+import itertools
 import random
 import re
 from operator import add as _int_add
@@ -416,16 +424,15 @@ class GF:
             return self.one if e == 0 else self.zero
         return self._antilog[la * e % (self.order - 1)]
 
-    def frobenius(self, a):
+    def frobenius(self, a, e=1):
+        """a^(5^e), e >= 1 (any e >= 0 in a table field)."""
         if self._log is not None:
-            return self.pow(a, P)
-        return tuple(self._kron.frobenius(1).apply(bytes(a)))
+            return self.pow(a, P ** e)
+        return tuple(self._kron.frobenius(e).apply(bytes(a)))
 
     def fifth_root(self, a):
         """The unique c with c^5 = a (the inverse of the Frobenius)."""
-        if self._log is not None:
-            return self.pow(a, P ** (self.degree - 1))
-        return tuple(self._kron.frobenius(self.degree - 1).apply(bytes(a)))
+        return self.frobenius(a, self.degree - 1)
 
     def format_elem(self, a):
         if self.degree == 1:
@@ -469,13 +476,9 @@ def embedding(src, dst):
 
 def subfield_degree(field, a):
     """Degree over F5 of the subfield generated by `a`."""
-    n = field.degree
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        b = a
-        for _ in range(d):
-            b = field.frobenius(b)
+    b = a
+    for d in range(1, field.degree + 1):
+        b = field.frobenius(b)
         if b == a:
             return d
     raise AssertionError("unreachable")
@@ -647,60 +650,100 @@ def poly_fifth_root(u):
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _fifth_power_table(mod, top, table=None):
-    """[x^(5^j) mod `mod` for j = 0..top], extending `table` if one is given.
+def _fifth_power_table(mod):
+    """Yields x^(5^j) mod `mod` (monic) for j = 0, 1, 2, ...
 
-    Each entry is the fifth power of the one before: Frobenius on the
-    coefficients, x -> x^5, and one reduction mod `mod`.
+    Raising to the fifth power is semilinear: with X_j = sum_i c_i x^i,
+    X_{j+1} = sum_i c_i^5 R_i, where the rows R_i = x^(5i) mod `mod`
+    (i < deg mod) come once from t^(n+1) = x * t^n - (top coefficient) * mod.
+    Each entry then costs deg(mod)^2 multiplications and no division.
     """
     f = mod.field
-    if table is None:
-        table = [GFPoly.x(f) % mod]
-    while len(table) <= top:
-        coeffs = [f.zero] * (P * len(table[-1].coeffs))
-        coeffs[::P] = [f.frobenius(c) for c in table[-1].coeffs]
-        table.append(GFPoly(f, coeffs) % mod)
-    return table
+    d = mod.degree
+    rows, t = [], [f.one] + [f.zero] * (d - 1)
+    for n in range(P * (d - 1) + 1):
+        if n % P == 0:
+            rows.append(t)
+        top, t = t[-1], [f.zero] + t[:-1]
+        if any(top):
+            t = [f.sub(a, f.mul(top, b)) for a, b in zip(t, mod.coeffs)]
+    entry = list((GFPoly.x(f) % mod).coeffs)
+    while True:
+        yield GFPoly(f, entry)
+        acc = [f.zero] * d
+        for c, row in zip(entry, rows):
+            if any(c):
+                c = f.frobenius(c)
+                acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, row)]
+        entry = acc
 
 
-def _trace_split(lin, powers, seed):
-    """The roots of lin, a monic product of distinct linear factors over its
-    coefficient field GF(5^K), in no particular order; powers[j] is
-    x^(5^j) mod lin for j < K.
+def _split_orbits(g, powers, k, seed):
+    """The roots of g, grouped into orbits [r, r^q, ..., r^(q^(m-1))] of the
+    Frobenius r -> r^q, q = 5^k.
 
-    Berlekamp's trace algorithm: for a seeded random b the polynomial
-    T = sum_j b^(5^j) x^(5^j) takes the value Tr(b r) in F5 at every root r,
-    so the gcds of a factor g with T - c (c in F5) split g unless all its
-    roots share one trace, which happens with probability at most 1/5.
+    g is monic and squarefree over GF(5^K), K = len(powers) = k*m, and
+    every root of g has degree m over GF(q); powers[j] is x^(5^j) mod g.
+    Berlekamp's trace: for a seeded random b, T = sum_j b^(5^j) x^(5^j)
+    takes the value Tr(b r) in F5 at each root r, so the gcds of a factor
+    h with T - c (c in F5) split h unless T is constant mod h.  One branch
+    descends to a root, going on with the smallest proper factor at each
+    level and stopping the scan once a factor of at most half the degree
+    appears; the other factors wait in `pending`, whose product is always
+    the part of g still to be split.  The root brings its m - 1 conjugates
+    from the Frobenius map; dividing the product of the orbit out of g
+    certifies them, and each conjugate leaves the pending factor it divides.
     """
-    f = lin.field
+    f = g.field
+    n = g.degree
     rng = random.Random(seed)
-    roots = []
-    stack = [lin] if lin.degree > 0 else []
-    while stack:
-        g = stack.pop()
-        if g.degree == 1:
-            roots.append(f.neg(g.coeffs[0]))
-            continue
-        while True:
+
+    def x_minus(r):
+        return GFPoly(f, [f.neg(r), f.one])
+
+    orbits = []
+    pending = [g]
+    while g.degree > 0:
+        h = pending.pop()
+        while h.degree > 1:
             b = f.rand_elem(rng)
-            coeffs = [f.zero] * lin.degree
+            coeffs = [f.zero] * n
             for power in powers:
                 for i, c in enumerate(power.coeffs):
                     coeffs[i] = f.add(coeffs[i], f.mul(b, c))
                 b = f.frobenius(b)
-            trace = GFPoly(f, coeffs) % g
-            if trace.degree > 0:
-                break
-        found = 0
-        for c in range(P):
-            d = poly_gcd(g, trace - GFPoly(f, [f.elem(c)]))
-            if d.degree > 0:
-                stack.append(d)
-                found += d.degree
-                if found == g.degree:
-                    break
-    return roots
+            trace = GFPoly(f, coeffs) % h
+            if trace.degree < 1:
+                continue
+            parts, rest = [], h
+            for c in range(P):
+                d = poly_gcd(rest, trace - GFPoly(f, [f.elem(c)]))
+                if d.degree > 0:
+                    parts.append(d)
+                    rest = rest // d
+                    if 2 * d.degree <= h.degree:
+                        break
+            if rest.degree > 0:
+                parts.append(rest)
+            parts.sort(key=lambda p: p.degree, reverse=True)
+            h = parts.pop()
+            pending += parts
+        orbit = [f.neg(h.coeffs[0])]
+        for _ in range(len(powers) // k - 1):
+            orbit.append(f.frobenius(orbit[-1], k))
+        product = GFPoly(f, [f.one])
+        for r in orbit:
+            product = product * x_minus(r)
+        g, rem = divmod(g, product)
+        if not rem.is_zero():
+            raise AssertionError("the conjugates of a root do not divide the part")
+        orbits.append(orbit)
+        if g.degree > 0:
+            for r in orbit[1:]:
+                i = next(i for i, p in enumerate(pending) if not any(p.eval(r)))
+                pending[i] = pending[i] // x_minus(r)
+            pending = [p for p in pending if p.degree > 0]
+    return orbits
 
 
 def roots_in_field(u, seed=0):
@@ -708,17 +751,17 @@ def roots_in_field(u, seed=0):
     multiplicities.
 
     The product of the distinct linear factors, gcd(u, x^q - x), is split
-    by `_trace_split`; roots are sorted in element order.
+    by `_split_orbits` into orbits of length one; roots are sorted in
+    element order.
     """
     if u.is_zero():
         raise ValueError("zero polynomial")
     f = u.field
     m = u.monic()
-    x = GFPoly.x(f)
-    table = _fifth_power_table(m, f.degree)
-    lin = poly_gcd(table[-1] - x, m)
-    roots = _trace_split(lin, [h % lin for h in table[:-1]], seed)
-    return [(r, _root_multiplicity(u, r)) for r in sorted(roots)]
+    table = list(itertools.islice(_fifth_power_table(m), f.degree + 1))
+    lin = poly_gcd(table[-1] - GFPoly.x(f), m)
+    orbits = _split_orbits(lin, [h % lin for h in table[:-1]], f.degree, seed)
+    return [(r, _root_multiplicity(u, r)) for r in sorted(orbit[0] for orbit in orbits)]
 
 
 def taylor_coefficients(u, r, count):
@@ -782,15 +825,17 @@ def _radical(u):
 
 
 def roots_in_extension(u, max_degree, seed=0):
-    """All roots of u in extensions of its coefficient field of relative
-    degree at most `max_degree`.
+    """All roots of u in extensions of its coefficient field GF(5^k) of
+    relative degree at most `max_degree`.
 
     Returns RootInExtension records sorted by (relative degree, value).
-    One table of x^(5^j) mod the radical, over the coefficient field
-    GF(5^k), serves both steps.  Distinct-degree splitting reads x^(5^(km))
-    from it to peel off the degree-m part for each m; that part is embedded
-    in the absolute-degree k*m field and split there by `_trace_split` on
-    the first k*m entries.
+    One table of x^(5^j) mod the radical sf serves both steps.
+    Distinct-degree splitting reads x^(5^(km)) from it to peel off the
+    degree-m part for each m.  That part is embedded in GF(5^(km)), and
+    `_split_orbits` finds one root per irreducible factor there, with its
+    conjugates under x -> x^(5^k); the subfield degree is computed once per
+    orbit.  When u is squarefree (deg sf = deg u) every multiplicity is 1;
+    otherwise each root's multiplicity is read from u(x + r).
     Raises SplittingFieldError (carrying the partial result) if factors
     of larger degree remain.
     """
@@ -799,14 +844,16 @@ def roots_in_extension(u, max_degree, seed=0):
     base = u.field
     k = base.degree
     sf = _radical(u)
-    table = None
+    squarefree = sf.degree == u.degree
+    fifth_powers = _fifth_power_table(sf)
+    table = []
     chunks = []
     v = sf
     x = GFPoly.x(base)
     m = 0
     while v.degree > 0 and m < max_degree:
         m += 1
-        table = _fifth_power_table(sf, k * m, table)
+        table += itertools.islice(fifth_powers, k * m + 1 - len(table))
         g = poly_gcd(table[k * m] % v - x, v)
         if g.degree > 0:
             chunks.append((m, g))
@@ -816,19 +863,18 @@ def roots_in_extension(u, max_degree, seed=0):
     for m, g in chunks:
         ext = base if m == 1 else GF(k * m)
         emb = embedding(base, ext)
-        u_ext = u.map_coeffs(emb, ext)
-        # the degree-m part splits into distinct linear factors over ext
-        found = _trace_split(g.map_coeffs(emb, ext),
-                             [(h % g).map_coeffs(emb, ext) for h in table[:k * m]], seed)
-        if len(found) != g.degree:
-            raise AssertionError("degree-m part did not split into linears")
-        for r in found:
-            records.append(RootInExtension(
-                value=r,
-                multiplicity=_root_multiplicity(u_ext, r),
-                subfield_degree=subfield_degree(ext, r),
-                field=ext,
-            ))
+        u_ext = None if squarefree else u.map_coeffs(emb, ext)
+        orbits = _split_orbits(g.map_coeffs(emb, ext),
+                               [(h % g).map_coeffs(emb, ext) for h in table[:k * m]], k, seed)
+        for orbit in orbits:
+            degree = subfield_degree(ext, orbit[0])
+            for r in orbit:
+                records.append(RootInExtension(
+                    value=r,
+                    multiplicity=1 if squarefree else _root_multiplicity(u_ext, r),
+                    subfield_degree=degree,
+                    field=ext,
+                ))
     records.sort(key=lambda rec: (rec.field.degree, rec.value))
     if v.degree > 0:
         raise SplittingFieldError(

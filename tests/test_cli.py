@@ -51,6 +51,11 @@ def test_classify_matches_golden():
     ("curve_check_gf25_custom_mod.json",
      ["curve", "check", "--poly",
       "[[0,0],[0,3],[3,0],[4,4],[2,2],[4,0],[1,4]]@5^2;mod=[2,1,1]"]),
+    # `curve random --field 5^3 --seed 4`: f' is irreducible over GF(125), so
+    # one Frobenius orbit of length 5 in GF(5^15), a field outside MODULI
+    ("curve_check_gf125_deg15.json",
+     ["curve", "check", "--poly",
+      "[[0,1,1],[3,2,1],[3,2,0],[2,3,3],[0,0,2],[1,2,2],[4,3,0]]@5^3"]),
 ])
 def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)
@@ -125,6 +130,42 @@ def test_curve_not_in_u_reports_cleanly():
     res = json.loads(out)["results"]
     assert res["in_U"] is False
     assert "points" not in res
+
+
+def test_curve_not_in_u_beyond_max_ext():
+    """f = x^6 + x^4 + 2x^2 has f' = x (x^2 + 2)^2, whose repeated roots lie
+    in GF(25): with --max-ext 1 root finding stops at the quadratic, and
+    the verbs still report the curve as outside U."""
+    literal = "[0,0,2,0,1,0,1]@5"
+    for max_ext in ("1", "8"):
+        code, out, _ = invoke(["curve", "check", "--poly", literal, "--max-ext", max_ext])
+        assert code == 0
+        assert json.loads(out)["results"] == {"poly": literal, "in_U": False}
+        code, _, err = invoke(["curve", "ns", "--poly", literal, "--max-ext", max_ext])
+        assert code == 2 and "outside the admissible open set" in err
+
+
+@pytest.mark.parametrize("literal", [
+    FIXTURE, "[[0,2],[4,0],[2,2],[0,4],[1,0],[2,0],[2,3]]@5^2"])
+def test_one_squarefree_gcd_per_curve(monkeypatch, literal):
+    """Each curve verb takes gcd(f', f'') once: the root records of f'
+    decide membership in U."""
+    from charfive import ffpoly
+
+    fp = ffpoly.parse_poly_literal(literal).derivative()
+    calls = []
+    real = ffpoly.poly_gcd
+
+    def counting(u, v):
+        if u.monic() == fp.monic() and v.monic() == fp.derivative().monic():
+            calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(ffpoly, "poly_gcd", counting)
+    for verb in ("check", "sing", "wall", "ns"):
+        calls.clear()
+        assert invoke(["curve", verb, "--poly", literal])[0] == 0
+        assert len(calls) == 1, verb
 
 
 def test_curve_ns_lattice_json():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import gf_kernels as oracle
+import root_kernels
 from charfive.ffpoly import (
     GF,
     GFPoly,
@@ -19,7 +20,7 @@ from charfive.ffpoly import (
     _radical,
     _root_multiplicity,
     _search_modulus,
-    _trace_split,
+    _split_orbits,
     embedding,
     format_poly_literal,
     is_squarefree,
@@ -417,35 +418,98 @@ def _random_poly(fld, rng, degree):
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 10))
 def test_fifth_power_table_matches_pow_mod(k):
-    """x^(5^j) mod sf from successive fifth powers against square-and-multiply,
-    for seeded radicals sf over GF(5^k)."""
+    """x^(5^j) mod sf from the semilinear rows against the long-division
+    oracle and square-and-multiply, for seeded radicals sf over GF(5^k),
+    the constant and the linear modulus included."""
     fld = GF(k)
     rng = random.Random(500 + k)
     top = 3 * k if k < 10 else k
-    for _ in range(3):
-        sf = _radical(_random_poly(fld, rng, rng.randint(1, 6)))
-        table = _fifth_power_table(sf, top)
-        x = GFPoly.x(fld)
+    x = GFPoly.x(fld)
+    mods = [GFPoly(fld, [fld.one]), GFPoly(fld, [fld.rand_elem(rng), fld.one])]
+    mods += [_radical(_random_poly(fld, rng, rng.randint(2, 6))) for _ in range(3)]
+    for sf in mods:
+        table = list(itertools.islice(_fifth_power_table(sf), top + 1))
+        assert table == root_kernels.fifth_power_table(sf, top)
         assert table == [pow_mod(x, P ** j, sf) for j in range(top + 1)]
-        # extending a shorter table gives the same entries
-        assert _fifth_power_table(sf, top, _fifth_power_table(sf, 1)) == table
+
+
+def _planted_product(fld, roots):
+    product = GFPoly(fld, [fld.one])
+    for a in roots:
+        product = product * GFPoly(fld, [fld.neg(a), fld.one])
+    return product
 
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_trace_split_matches_cantor_zassenhaus(k):
-    """Trace splitting and the Cantor-Zassenhaus oracle find the planted
-    roots of seeded products of distinct linear factors over GF(5^k)."""
+    """`_split_orbits` with orbits of length one, the all-branches trace
+    splitting and the Cantor-Zassenhaus oracle find the planted roots of
+    seeded products of distinct linear factors over GF(5^k)."""
     fld = GF(k)
     rng = random.Random(700 + k)
     x = GFPoly.x(fld)
     for trial in range(4):
         planted = sorted({fld.rand_elem(rng) for _ in range(rng.randint(1, 7))})
-        lin = GFPoly(fld, [fld.one])
-        for a in planted:
-            lin = lin * GFPoly(fld, [fld.neg(a), fld.one])
+        lin = _planted_product(fld, planted)
         powers = [pow_mod(x, P ** j, lin) for j in range(k)]
-        assert sorted(_trace_split(lin, powers, trial)) == planted
+        orbits = _split_orbits(lin, powers, k, trial)
+        assert all(len(orbit) == 1 for orbit in orbits)
+        assert sorted(orbit[0] for orbit in orbits) == planted
+        assert sorted(root_kernels.trace_split(lin, powers, trial)) == planted
         assert sorted(split_linear(lin, trial)) == planted
+
+
+#: (k, m) with k * m <= 12: a degree-m part over GF(5^k), split in GF(5^(km))
+ORBIT_CASES = [(k, m) for k in range(1, 13) for m in range(1, 12 // k + 1)]
+
+
+@pytest.mark.parametrize("k, m", ORBIT_CASES)
+def test_split_orbits_finds_planted_orbits(k, m):
+    """Products of irreducible degree-m factors over GF(5^k), embedded in
+    GF(5^(km)): each factor is the product over a planted orbit
+    r, r^q, ..., r^(q^(m-1)) (q = 5^k) of length m.  `_split_orbits`
+    returns exactly those orbits, each in Frobenius order, and the
+    all-branches oracle finds the same roots.  m = 1 parts carry 1-5 roots,
+    and for m <= 6 a part also holds two factors (for m = 2, two
+    irreducible quadratics)."""
+    ext = GF(k * m)
+    rng = random.Random(1100 + 13 * k + m)
+    counts = (1, 2, 3, 4, 5) if m == 1 else (1, 2) if 2 * m <= 12 else (1,)
+    for trial, count in enumerate(counts):
+        planted = []
+        while len(planted) < count:
+            orbit = [ext.rand_elem(rng)]
+            for _ in range(m - 1):
+                orbit.append(ext.frobenius(orbit[-1], k))
+            if ext.frobenius(orbit[-1], k) != orbit[0] or len(set(orbit)) < m:
+                continue                # degree below m over GF(5^k)
+            if any(r in done for done in planted for r in orbit):
+                continue
+            planted.append(orbit)
+        g = _planted_product(ext, [r for orbit in planted for r in orbit])
+        # the coefficients lie in GF(5^k): the Frobenius x -> x^(5^k) fixes them
+        assert all(ext.frobenius(c, k) == c for c in g.coeffs)
+        powers = list(itertools.islice(_fifth_power_table(g), k * m))
+        found = _split_orbits(g, powers, k, trial)
+        assert len(found) == count
+        for orbit in found:
+            assert [ext.frobenius(r, k) for r in orbit] == orbit[1:] + orbit[:1]
+        assert sorted(map(sorted, found)) == sorted(map(sorted, planted))
+        assert sorted(root_kernels.trace_split(g, powers, trial)) \
+            == sorted(r for orbit in planted for r in orbit)
+
+
+def test_split_orbits_rejects_a_false_orbit():
+    """The division by the product of the conjugates is the certificate:
+    given powers from GF(5^2) for a part whose roots lie in GF(5), the
+    second "conjugate" of a root is the root itself, and the division
+    raises."""
+    fld = GF(2)
+    a, b = fld.elem(1), fld.elem(2)
+    g = _planted_product(fld, [a, b])
+    powers = list(itertools.islice(_fifth_power_table(g), 2))
+    with pytest.raises(AssertionError):
+        _split_orbits(g, powers, 1, 0)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -469,6 +533,55 @@ def test_roots_in_extension_matches_oracle(k):
             else:
                 assert roots_in_extension(u, max_degree, seed=trial) == want
     assert raised > 0
+
+
+def _irreducible_quadratic(fld, rng):
+    """A seeded monic quadratic with no root in fld: gcd(x^q - x, u) = 1."""
+    x = GFPoly.x(fld)
+    while True:
+        u = _random_poly(fld, rng, 2)
+        if poly_gcd(pow_mod(x, fld.order, u) - x, u).degree == 0:
+            return u
+
+
+def _power(p, e):
+    out = GFPoly(p.field, [p.field.one])
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_roots_in_extension_non_squarefree_matches_oracle(k):
+    """Inputs that are not squarefree take the multiplicity search, not
+    the squarefree shortcut: records, multiplicities included, against the
+    oracle for (x^2 + 1)^5, an irreducible quadratic to the fifth power,
+    roots of multiplicity 2, 6 and 7, and simple and multiple roots mixed."""
+    fld = GF(k)
+    rng = random.Random(1300 + k)
+    shift = fld.rand_elem(rng)
+    lin = [GFPoly(fld, [fld.neg(fld.add(shift, fld.elem(i))), fld.one]) for i in range(4)]
+    quad = _irreducible_quadratic(fld, rng)
+    cases = [
+        _power(GFPoly.from_ints(fld, [1, 0, 1]), 5),
+        _power(quad, 5),
+        _power(lin[0], 2) * lin[1],
+        _power(lin[0], 6) * quad,
+        _power(lin[1], 7) * lin[0] * _random_poly(fld, rng, 3),
+        _power(lin[0], 2) * _power(lin[1], 6) * _power(lin[2], 7) * lin[3] * quad,
+        _power(_random_poly(fld, rng, 2), 2) * _random_poly(fld, rng, 3),
+    ]
+    seen = set()
+    for trial, u in enumerate(cases):
+        assert not is_squarefree(u)
+        want, rest = oracle_roots_in_extension(u, 6, seed=trial)
+        assert rest.degree == 0
+        got = roots_in_extension(u, 6, seed=trial)
+        assert len(got) == len(want)
+        for rec, ref in zip(got, want):
+            assert rec == ref
+        seen |= {rec.multiplicity for rec in got}
+    assert {1, 2, 5, 6, 7} <= seen
 
 
 @pytest.mark.parametrize("k", (1, 2, 6, 10))
