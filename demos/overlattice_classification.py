@@ -7,17 +7,14 @@ classifies the admissible isotropic subgroups up to symmetry.
 """
 
 from charfive.discform import (
-    H_PRIMAL,
+    IsotropicSubgroup,
     build_S0,
     classify_isotropic_subgroups,
+    e_splittings,
     isotropic_table,
     max_isotropic_dimension,
+    root_type_orthogonal_to_h,
     verify_q_consistency,
-)
-from charfive.lattice import (
-    e_set,
-    overlattice_from_generators,
-    root_type_orthogonal_to,
 )
 
 print("=== The base lattice ===")
@@ -31,9 +28,10 @@ print(f"formula matches the lattice on {rep.n_checked} elements: {rep.passed}")
 print(f"dual of l in the reference basis: {rep.expansions['l']}  (= -2 * h-dual)")
 
 print("\n=== The hand check for the trivial overlattice ===")
-trivial = overlattice_from_generators(s0, [])
-print(f"root type orthogonal to h: {root_type_orthogonal_to(trivial, H_PRIMAL)}")
-print(f"degree-1 elliptic set: {e_set(trivial, H_PRIMAL)!r} (empty)")
+# H = 0: the roots orthogonal to h are the norm -2 catalogue entries of
+# class 0, and no splitting e = a + b of a vector of E exists
+print(f"root type orthogonal to h: {root_type_orthogonal_to_h(IsotropicSubgroup(gens=()))}")
+print(f"degree-1 elliptic set: {e_splittings()!r} (empty)")
 
 print("\n=== Isotropic vectors by (a, b, y)-type ===")
 for row in isotropic_table():

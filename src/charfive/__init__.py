@@ -6,18 +6,9 @@ __version__ = "0.1.0"
 from .lattice import (
     DegenerateLatticeError,
     DiscriminantGroup,
-    DivisibilityError,
-    EvennessViolation,
     GramLattice,
-    IndefiniteLatticeError,
-    Overlattice,
     RootSystemType,
-    coset_vectors_of_norm,
     discriminant_group,
-    e_set,
-    overlattice_from_generators,
-    root_type_orthogonal_to,
-    short_vectors_of_norm,
 )
 from .intmat import smith_normal_form
 from .discform import (
@@ -33,10 +24,11 @@ from .discform import (
     classify_isotropic_subgroups,
     condition_II,
     delta,
+    e_splittings,
     isotropic_table,
     max_isotropic_dimension,
     q_value,
-    subgroup_overlattice,
+    root_type_orthogonal_to_h,
     verify_q_consistency,
 )
 from .ffpoly import (

@@ -111,7 +111,6 @@ def build_parser():
         p = lat_sub.add_parser(verb)
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=_at_least(1), default=1)
     pv = lat_sub.add_parser("verify")
     pv.add_argument("--in", dest="infile", default=None,
                     help="classification JSON (defaults to stdin)")
@@ -143,7 +142,7 @@ def build_parser():
 # ---------------------------------------------------------------------------
 
 def _cmd_table1(args, stdout):
-    rows = discform.isotropic_table(jobs=args.jobs)
+    rows = discform.isotropic_table()
     if args.format == "md":
         body = _md_table(
             ["(a,b,y)-type", "roots orthogonal to h", "the set E", "star"],
@@ -157,7 +156,7 @@ def _cmd_table1(args, stdout):
 
 
 def _cmd_classify(args, stdout):
-    records = discform.classify_isotropic_subgroups(jobs=args.jobs)
+    records = discform.classify_isotropic_subgroups()
     if args.format == "md":
         body = _md_table(
             ["label", "gens", "disc", "sigma", "root type", "E empty"],

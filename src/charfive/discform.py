@@ -16,7 +16,6 @@ all 15625 elements.
 """
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
@@ -24,13 +23,7 @@ from operator import index
 import numpy as np
 
 from .intmat import adjugate, det_bareiss
-from .lattice import (
-    GramLattice,
-    dual_data,
-    e_set,
-    overlattice_from_generators,
-    root_type_orthogonal_to,
-)
+from .lattice import GramLattice, RootSystemType, dual_data
 
 RANK = 22
 N_CHAINS = 5
@@ -214,12 +207,6 @@ def condition_II(subgroup):
     return all(delta(v).starred for v in subgroup.elements())
 
 
-def subgroup_overlattice(subgroup):
-    """The even overlattice of the model lattice determined by the subgroup."""
-    return overlattice_from_generators(
-        build_S0(), [lift_to_dual(g) for g in subgroup.gens])
-
-
 # ---------------------------------------------------------------------------
 # Vectorized element tables
 # ---------------------------------------------------------------------------
@@ -374,6 +361,125 @@ def max_isotropic_dimension():
     return _witt_index([[b_value(u, v) for v in units] for u in units])
 
 
+# ---------------------------------------------------------------------------
+# Overlattice invariants from one root catalogue
+# ---------------------------------------------------------------------------
+
+#: the orthogonal summands of h^perp in S0^vee, as dual-coordinate indices:
+#: the five chains, and l (a vector of h^perp has no h^vee part)
+_SUMMANDS = tuple(list(range(CHAIN_LEN * j, CHAIN_LEN * (j + 1)))
+                  for j in range(N_CHAINS)) + ([L_INDEX],)
+
+
+def _n5():
+    """5 * gram^{-1} of the model lattice as an int64 array: d n5 d^T is
+    5 times the norm of a dual-coordinate vector d."""
+    return np.array(dual_data(build_S0().gram)[2], dtype=np.int64)
+
+
+@lru_cache(maxsize=1)
+def _short_summand_vectors():
+    """Per summand of h^perp in S0^vee, its vectors of norm >= -2: pairs
+    (dual coordinates as an (n, 22) int8 array, 5 * norms as an (n,) array).
+
+    The dual coordinates of a chain vector v are its pairings v.e_i with
+    the chain's roots, and |v.e_i| <= sqrt(v^2 e_i^2) <= 2 by
+    Cauchy-Schwarz on the definite chain, so the box [-2, 2]^4 holds them
+    all: per chain 1 of norm 0, 20 roots, and 10 + 20 glue vectors of
+    norms -4/5 and -6/5 (Conway-Sloane, SPLAG ch. 4).  On l the vector
+    j l^vee has norm -2 j^2 / 5, so |j| <= 2.
+    """
+    n5 = _n5()
+    tables = []
+    for idx in _SUMMANDS:
+        box = np.array(list(itertools.product(range(-2, 3), repeat=len(idx))),
+                       dtype=np.int64)
+        norms = np.einsum("ij,jk,ik->i", box, n5[np.ix_(idx, idx)], box)
+        keep = norms >= -10
+        vecs = np.zeros((int(keep.sum()), RANK), dtype=np.int8)
+        vecs[:, idx] = box[keep]
+        tables.append((vecs, norms[keep]))
+    return tables
+
+
+@lru_cache(maxsize=1)
+def _root_catalogue():
+    """The norm -2 vectors of h^perp in S0^vee: (dual coordinates as a
+    (6100, 22) int8 array, their class encodings in G as a (6100,) array).
+
+    Every even overlattice S_H lies in S0^vee as the vectors whose class
+    lies in H (Nikulin 1979, Prop. 1.4.1), so its roots orthogonal to h
+    are the entries whose class lies in H.  Norms add over the orthogonal
+    summands and none is positive, so each part of an entry has norm
+    >= -2 and comes from `_short_summand_vectors`.  Each entry is checked
+    to have norm -2 and to be orthogonal to h.
+    """
+    tables = _short_summand_vectors()
+    picks = np.zeros((1, 0), dtype=np.int64)    # table rows of each partial sum
+    norms = np.zeros(1, dtype=np.int64)
+    for _vecs, part in tables:
+        total = norms[:, None] + part[None, :]
+        rows, cols = np.nonzero(total >= -10)
+        picks = np.column_stack([picks[rows], cols])
+        norms = total[rows, cols]
+    picks = picks[norms == -10]
+    # the parts have disjoint supports and entries in [-2, 2]
+    vectors = sum(vecs[picks[:, s]] for s, (vecs, _part) in enumerate(tables))
+    wide = vectors.astype(np.int64)
+    n5 = _n5()
+    gram_h = np.array(build_S0().gram, dtype=np.int64) @ np.array(H_PRIMAL)
+    if not ((np.einsum("ij,jk,ik->i", wide, n5, wide) == -10).all()
+            and not (wide @ n5 @ gram_h).any()):
+        raise ArithmeticError("a catalogue entry is not a root orthogonal to h")
+    classes = _dual_classes()
+    if classes is None:
+        raise ArithmeticError("the reference classes are not a basis of G")
+    return vectors, (wide @ classes % 5) @ _POW
+
+
+def root_type_orthogonal_to_h(subgroup):
+    """ADE type of {r in S_H : r.h = 0, r^2 = -2} for the overlattice S_H
+    of the subgroup H: the catalogue entries whose class lies in H."""
+    vectors, classes = _root_catalogue()
+    member = np.zeros(5 ** 6, dtype=bool)
+    member[np.array(subgroup.elements(), dtype=np.int64) @ _POW] = True
+    roots = vectors[member[classes]]
+    return RootSystemType.of_roots(roots, _n5())
+
+
+def e_splittings():
+    """The ways (j, 5 a^2) to write a vector of E = {e : e.h = 1, e^2 = 0}
+    in S0^vee as e = a + b, with a in the chains' duals and
+    b = h^vee + j l^vee.  The list is empty, so E is empty for every
+    overlattice S_H, all of which lie in S0^vee.
+
+    e^2 = a^2 + b^2 with a^2 <= 0, and 5 b^2 = 2 (1 + j - j^2) is negative
+    unless j is 0 or 1, where it is 2.  So a^2 >= -2/5, every chain part
+    of a lies in `_short_summand_vectors`, and 5 a^2 is a sum of their
+    5 * norms.
+    """
+    sums = {0}
+    for _vecs, part in _short_summand_vectors()[:N_CHAINS]:
+        sums = {s + p for s in sums for p in set(part.tolist()) if s + p >= -10}
+    n5 = _n5()
+    out = []
+    for j in range(-2, 3):
+        b = np.zeros(RANK, dtype=np.int64)
+        b[H_INDEX], b[L_INDEX] = 1, j
+        b5 = int(b @ n5 @ b)
+        if -b5 in sums:
+            out.append((j, -b5))
+    return out
+
+
+def _subgroup_invariants(subgroup):
+    """(root type, whether E is empty, disc exponent) of the overlattice
+    S_H of the subgroup H.  [S_H : S0] = |H|, so |disc S_H| = 5^6 / |H|^2
+    and disc S_H = -5^(6 - 2 dim H)."""
+    return (str(root_type_orthogonal_to_h(subgroup)), not e_splittings(),
+            6 - 2 * subgroup.dim)
+
+
 @dataclass(frozen=True)
 class ClassifiedOrbit:
     label: str
@@ -396,32 +502,7 @@ class ClassifiedOrbit:
         }
 
 
-def _subgroup_invariants(subgroup):
-    s = subgroup_overlattice(subgroup)
-    if s.artin_sigma is None:
-        raise ArithmeticError(f"discriminant {s.disc} is not -5^(2 sigma)")
-    rt = root_type_orthogonal_to(s, H_PRIMAL)
-    es = e_set(s, H_PRIMAL)
-    return str(rt), len(es) == 0, 2 * s.artin_sigma
-
-
-def _parallel_map(fn, items, jobs):
-    """[fn(x) for x in items], spread over a process pool when jobs > 1.
-    jobs is clamped to the CPUs this process may run on (its affinity set
-    where the platform reports one, else the CPU count): more workers than
-    CPUs only add fork and pickling cost to this CPU-bound work."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    jobs = min(max(1, int(jobs)), cpus)
-    if jobs == 1:
-        return [fn(item) for item in items]
-    import multiprocessing
-
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items)
-
-
-def classify_isotropic_subgroups(jobs=1):
+def classify_isotropic_subgroups():
     """Orbit representatives of the admissible isotropic subgroups.
 
     Sweeps out whole orbits of `_orbit_candidates()` from their element
@@ -444,12 +525,11 @@ def classify_isotropic_subgroups(jobs=1):
         if label is not None:
             sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
         work.append((label, sub))
-
-    invariants = _parallel_map(
-        _subgroup_invariants, [sub for _label, sub in work], jobs)
-
+    # after the sweep, so that the catalogue is not resident while the
+    # orbit images take their peak memory
     records = []
-    for (label, sub), (rt, e_empty, disc_exp) in zip(work, invariants):
+    for label, sub in work:
+        rt, e_empty, disc_exp = _subgroup_invariants(sub)
         records.append(ClassifiedOrbit(
             label=label if label is not None else "unmatched",
             gens=sub.gens,
@@ -496,32 +576,24 @@ class IsotropyRow:
         }
 
 
-def isotropic_table(jobs=1):
-    """One row per (a, b, +-y)-class of isotropic vectors; for each class the
-    overlattice of one representative is built and its invariants computed."""
-    rows = _parallel_map(_isotropy_row_for, sorted(_type_representatives().items()), jobs)
-    rows.sort(key=lambda r: (r.a, r.b, r.y))
+def isotropic_table():
+    """One row per (a, b, +-y)-class of isotropic vectors, with the
+    invariants of the overlattice of one representative."""
+    rows = []
+    for (a, b, yn), e in sorted(_type_representatives().items()):
+        rep = decode(e)
+        rt, e_empty, disc_exp = _subgroup_invariants(
+            IsotropicSubgroup(gens=(rep,) if e else ()))
+        rows.append(IsotropyRow(
+            a=a, b=b, y=yn,
+            plus_minus=(yn != 0),
+            starred=(a, b, yn) in STARRED_TYPES,
+            representative=rep,
+            disc_exp=disc_exp,
+            root_type=rt,
+            e_empty=e_empty,
+        ))
     return rows
-
-
-def _isotropy_row_for(item):
-    key, e = item
-    a, b, yn = key
-    rep = decode(e)
-    if e == 0:
-        sub = IsotropicSubgroup(gens=())
-    else:
-        sub = IsotropicSubgroup(gens=(rep,))
-    rt, e_empty, disc_exp = _subgroup_invariants(sub)
-    return IsotropyRow(
-        a=a, b=b, y=yn,
-        plus_minus=(yn != 0),
-        starred=(a, b, yn) in STARRED_TYPES,
-        representative=rep,
-        disc_exp=disc_exp,
-        root_type=rt,
-        e_empty=e_empty,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +610,28 @@ class QConsistencyReport:
     expansions: dict           # selected dual vectors in the reference basis
 
 
+@lru_cache(maxsize=1)
+def _dual_classes():
+    """Classes of the 22 dual basis vectors in the reference basis, as a
+    (22, 6) int64 array read off the Smith form of the Gram matrix, or
+    None when the reference classes are not a basis of G.  The class of
+    a dual-coordinate vector d is d @ _dual_classes() mod 5."""
+    dg = dual_data(build_S0().gram)[0]
+    # tinv = t_rows^-1 mod 5 = adj * det^-1, when det is a unit mod 5
+    t_rows = [list(dg.project(lift_to_dual(decode(5 ** i)))) for i in range(6)]
+    adj, det = None, 0
+    if all(len(r) == 6 for r in t_rows):
+        try:
+            adj, det = adjugate(t_rows)
+        except ValueError:              # singular over Z, so over F5 too
+            pass
+    if det % 5 == 0:
+        return None
+    tinv = np.array(adj, dtype=np.int64) * pow(det, -1, 5) % 5
+    units = np.eye(RANK, dtype=np.int64).tolist()
+    return np.array([dg.project(u) for u in units], dtype=np.int64) @ tinv % 5
+
+
 def verify_q_consistency():
     """Recompute the discriminant form of the built lattice from first
     principles and compare with the encoded formula on all of G.
@@ -550,48 +644,30 @@ def verify_q_consistency():
     facs = dg.invariant_factors
     if m != 5:
         raise ArithmeticError("the discriminant group does not have exponent 5")
-    n5 = np.array(m_ginv, dtype=np.int64)
-
-    # reference basis: duals of the first root of each chain, then dual of h
-    basis_dual = [lift_to_dual(decode(5 ** i)) for i in range(6)]
-
-    # tinv = t_rows^-1 mod 5 = adj * det^-1, when det is a unit mod 5
-    t_rows = [list(dg.project(u)) for u in basis_dual]
-    adj, det = None, 0
-    if all(len(r) == 6 for r in t_rows):
-        try:
-            adj, det = adjugate(t_rows)
-        except ValueError:              # singular over Z, so over F5 too
-            pass
-    basis_ok = det % 5 != 0
-    tinv = [[x * pow(det, -1, 5) % 5 for x in row] for row in adj] if basis_ok else None
+    classes = _dual_classes()
+    basis_ok = classes is not None
 
     mismatches = []
     n_checked = 0
+    expansions = {}
     if basis_ok:
         tab = _tables()
         digits = tab["digits"]
-        lift_mat = np.array(basis_dual, dtype=np.int64)     # (6, 22)
+        # reference basis: duals of the first root of each chain, then dual of h
+        lift_mat = np.array([lift_to_dual(decode(5 ** i)) for i in range(6)],
+                            dtype=np.int64)                 # (6, 22)
         d = digits @ lift_mat                               # (15625, 22)
-        lattice_q = np.einsum("ij,jk,ik->i", d, n5, d) % 10
+        lattice_q = np.einsum("ij,jk,ik->i", d, np.array(m_ginv, dtype=np.int64), d) % 10
         diff = np.nonzero(lattice_q != tab["q"])[0]
         mismatches = [int(e) for e in diff]
         n_checked = int(len(digits))
 
-    expansions = {}
-    if basis_ok:
         targets = {"l": L_INDEX}
         for j in range(N_CHAINS):
             for i in range(2, CHAIN_LEN + 1):
                 targets[f"e_{i}^({j + 1})"] = CHAIN_LEN * j + (i - 1)
         for name, idx in sorted(targets.items()):
-            unit = [0] * RANK
-            unit[idx] = 1
-            proj = dg.project(unit)
-            coords = tuple(
-                sum(proj[i] * tinv[i][c] for i in range(6)) % 5
-                for c in range(6))
-            expansions[name] = coords
+            expansions[name] = tuple(int(x) for x in classes[idx])
 
     passed = (facs == (5,) * 6) and basis_ok and not mismatches
     return QConsistencyReport(

@@ -1,16 +1,12 @@
 """Exact linear algebra over the integers.
 
 All matrices are plain lists of lists of Python ints, and no floating
-point is used anywhere.  The lattice kernels are fraction-free: the
-adjugate and the LDL^T data come from Bareiss elimination, LLL is the
-integral version that keeps those integers, and Fincke-Pohst enumeration
-scales its budget by one common denominator, so its bounds are
-``math.isqrt`` of nonnegative integers.  ``fractions.Fraction`` appears
-only in `signature_symmetric`.
+point is used anywhere.  The determinant and the adjugate come from
+fraction-free Bareiss elimination; ``fractions.Fraction`` appears only in
+`signature_symmetric`.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
 
 
 def identity_matrix(n):
@@ -21,43 +17,11 @@ def copy_matrix(m):
     return [row[:] for row in m]
 
 
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
-def vec_mat(v, m):
-    return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
-
-
 def is_symmetric(m):
     n = len(m)
     return all(len(row) == n for row in m) and all(
         m[i][j] == m[j][i] for i in range(n) for j in range(i)
     )
-
-
-def xgcd(a, b):
-    """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 def det_bareiss(m):
@@ -265,40 +229,8 @@ def row_basis_hnf(rows, ncols):
     return [row for row in h if any(row)]
 
 
-def left_kernel(m):
-    """Basis of {x : x*m = 0} over the integers (rows of the result)."""
-    h, u = hermite_with_transform(m)
-    return [u[i] for i in range(len(h)) if not any(h[i])]
-
-
-def solve_left(m, b):
-    """One integer solution x of x*m = b, or None if none exists."""
-    h, u = hermite_with_transform(m)
-    pivots = []
-    for i, row in enumerate(h):
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is not None:
-            pivots.append((i, piv))
-    residual = list(b)
-    coeffs = [0] * len(h)
-    for i, piv in pivots:
-        q, r = divmod(residual[piv], h[i][piv])
-        if r:
-            return None
-        if q:
-            coeffs[i] = q
-            residual = [x - q * y for x, y in zip(residual, h[i])]
-    if any(residual):
-        return None
-    x = [0] * len(u)
-    for i, ci in enumerate(coeffs):
-        if ci:
-            x = [xx + ci * uu for xx, uu in zip(x, u[i])]
-    return x
-
-
 # ---------------------------------------------------------------------------
-# Symmetric forms: signature, LDL, LLL on Gram matrices
+# Symmetric forms
 # ---------------------------------------------------------------------------
 
 def signature_symmetric(m):
@@ -342,150 +274,3 @@ def signature_symmetric(m):
                 a[i][k] = Fraction(0)
                 a[k][i] = Fraction(0)
     return pos, neg
-
-
-def ldl_positive(m):
-    """LDL^T data of a positive definite symmetric matrix, in integers.
-
-    Returns (dets, lam): dets[i] is the leading principal minor of size
-    i + 1, and lam[i][j] (j < i) is an integer with mu[i][j] = lam[i][j] /
-    dets[j], where m = L D L^T, L unit lower triangular with entries mu,
-    and D = diag(dets[i] / dets[i - 1]) (dets[-1] read as 1).  Every
-    division is exact (Cohen, Alg. 2.6.7).  Raises ValueError if m is not
-    positive definite.
-    """
-    n = len(m)
-    dets = []
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row, lam_i = m[i], lam[i]
-        for j in range(i + 1):
-            lam_j = lam[j]
-            val = row[j]
-            prev = 1
-            for k in range(j):
-                val = (dets[k] * val - lam_i[k] * lam_j[k]) // prev
-                prev = dets[k]
-            if j < i:
-                lam_i[j] = val
-            elif val <= 0:
-                raise ValueError("matrix is not positive definite")
-            else:
-                dets.append(val)
-    return dets, lam
-
-
-def lll_gram(gram):
-    """Exact LLL (delta = 3/4) on a positive definite Gram matrix.
-
-    Returns (u, u_inv, dets, lam) with u unimodular such that
-    u * gram * u^T is LLL-reduced, u_inv = u^{-1}, and (dets, lam) the
-    `ldl_positive` data of that reduced matrix.  Only the Gram matrix is
-    used (no coordinate embedding).  Integral LLL (Cohen, Alg. 2.6.7):
-    the Gram-Schmidt data are kept as the integers of `ldl_positive` and
-    updated with every step, and the size-reduction multiplier is
-    q = floor(mu + 1/2).  Raises ValueError if gram is not positive
-    definite.
-    """
-    n = len(gram)
-    dets, lam = ldl_positive(gram)
-    u = identity_matrix(n)
-    u_inv_t = identity_matrix(n)        # transpose of u^{-1}: column ops become row ops
-
-    def reduce_entry(k, l):
-        dl = dets[l]
-        q = (2 * lam[k][l] + dl) // (2 * dl)
-        if q:
-            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
-            u_inv_t[l] = [x + q * y for x, y in zip(u_inv_t[l], u_inv_t[k])]
-            lam_k, lam_l = lam[k], lam[l]
-            lam_k[l] -= q * dl
-            for i in range(l):
-                lam_k[i] -= q * lam_l[i]
-
-    k = 1
-    while k < n:
-        reduce_entry(k, k - 1)
-        d_prev = dets[k - 2] if k >= 2 else 1
-        lk = lam[k][k - 1]
-        # Lovasz: d[k] < (3/4 - mu^2) d[k-1], times 4 dets[k-1] dets[k-2]
-        if 4 * dets[k] * d_prev < 3 * dets[k - 1] ** 2 - 4 * lk * lk:
-            u[k - 1], u[k] = u[k], u[k - 1]
-            u_inv_t[k - 1], u_inv_t[k] = u_inv_t[k], u_inv_t[k - 1]
-            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
-            b = (d_prev * dets[k] + lk * lk) // dets[k - 1]
-            for i in range(k + 1, n):
-                lam_i = lam[i]
-                t = lam_i[k]
-                lam_i[k] = (dets[k] * lam_i[k - 1] - lk * t) // dets[k - 1]
-                lam_i[k - 1] = (b * t + lk * lam_i[k]) // dets[k]
-            dets[k - 1] = b
-            k = max(k - 1, 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                reduce_entry(k, l)
-            k += 1
-    return u, transpose(u_inv_t), dets, lam
-
-
-# ---------------------------------------------------------------------------
-# Norm-equation enumeration (Fincke-Pohst, over the integers)
-# ---------------------------------------------------------------------------
-
-def enumerate_quadratic(dets, lam, target, shift, den=1):
-    """All integer w with Q(den * w + shift) == target, exactly.
-
-    Q is the positive definite form with integral LDL data (dets, lam)
-    from `ldl_positive`; `shift` is an integer vector, `den` a positive
-    integer and `target` an integer.  With x = den * w + shift,
-
-        Q(x) = sum_j Y_j^2 / (dets[j] dets[j-1]),
-        Y_j = dets[j] x_j + sum_{i>j} lam[i][j] x_i,
-
-    so after scaling by the common denominator P = lcm_j(dets[j]
-    dets[j-1]) each level costs weight_j * Y_j^2 of an integer budget:
-    the bound on Y_j is an `isqrt` and every comparison is between
-    integers.  Solutions are listed with the last coordinate varying
-    slowest, each coordinate ascending.
-    """
-    n = len(dets)
-    if target < 0:
-        return []
-    if n == 0:
-        return [()] if target == 0 else []
-    minors = [a * b for a, b in zip(dets, [1] + dets[:-1])]
-    scale = lcm(*minors)
-    weights = [scale // x for x in minors]
-    steps = [den * d for d in dets]         # Y_j = steps[j] * w_j + centre_j
-    out = []
-    current = [0] * n
-
-    def rec(level, rem, centres):
-        f, a, c = weights[level], steps[level], centres[level]
-        if level == 0:
-            # the last coordinate must use up the budget: Y_0 = +-sqrt(rem / f)
-            q, r = divmod(rem, f)
-            y = isqrt(q)
-            if r or y * y != q:
-                return
-            for yy in ((-y, y) if y else (0,)):
-                w, r = divmod(yy - c, a)
-                if not r:
-                    current[0] = w
-                    out.append(tuple(current))
-            return
-        r = isqrt(rem // f)
-        lam_row = lam[level]
-        s = shift[level]
-        for w in range(-((r + c) // a), (r - c) // a + 1):
-            y = a * w + c
-            current[level] = w
-            x = den * w + s
-            if x:
-                below = [cj + lj * x for cj, lj in zip(centres, lam_row[:level])]
-            else:
-                below = centres[:level]
-            rec(level - 1, rem - f * y * y, below)
-
-    rec(n - 1, scale * target, [d * s for d, s in zip(dets, shift)])
-    return out

@@ -1,5 +1,5 @@
-"""Even integer lattices: Gram matrices, discriminant groups, overlattices,
-and exact enumeration of vectors of prescribed norm.
+"""Even integer lattices: Gram matrices, discriminant groups and root
+systems.
 
 Conventions
 -----------
@@ -9,55 +9,28 @@ Conventions
   coordinates", integer vectors); primal coordinates of a dual vector are
   rational with denominators dividing the exponent of the discriminant
   group.
-* An overlattice S of L stores an integer matrix whose rows are the
-  coordinates of m * (basis of S) in the primal basis of L, where m is the
-  exponent of the discriminant group of L (m = 5 for the lattices this
-  package ships).
 
-Arithmetic is exact.  The enumerations run on the fraction-free integer
-kernels of `intmat`; numpy appears only to pair the roots found in
-`root_type_orthogonal_to`, whose pairings are small int64 values.
+Arithmetic is exact.  numpy appears only in `RootSystemType.of_roots`,
+to hold root pairings, which are small int64 values.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from math import gcd, lcm
+from functools import lru_cache
 
 import numpy as np
 
-from . import intmat
 from .intmat import (
     adjugate,
     det_bareiss,
-    enumerate_quadratic,
     is_symmetric,
-    left_kernel,
-    lll_gram,
-    mat_mul,
-    mat_vec,
     row_basis_hnf,
     signature_symmetric,
     smith_normal_form,
-    solve_left,
-    transpose,
-    xgcd,
 )
 
 
 class DegenerateLatticeError(ValueError):
     """The Gram matrix is singular."""
-
-
-class IndefiniteLatticeError(ValueError):
-    """A definite Gram matrix was required."""
-
-
-class EvennessViolation(ValueError):
-    """A generator set is not totally isotropic (odd or fractional norms)."""
-
-
-class DivisibilityError(ValueError):
-    """No lattice vector pairs to 1 with the given polarization vector."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +110,49 @@ class RootSystemType:
             return e_table[(rank, count)]
         raise ValueError(f"no ADE system has rank {rank} with {count} roots")
 
+    @classmethod
+    def of_roots(cls, roots, gram):
+        """Type of the root system whose roots are the integer rows of
+        `roots`, paired by the integer matrix `gram` (the form in their
+        coordinates, up to a nonzero scale).
+
+        Roots come in pairs +-r, and r and -r lie in one component, so
+        the rows whose first nonzero entry is positive stand for all.
+        Components are the classes of the non-orthogonality relation
+        among them, joined by union-find; each is identified by its root
+        count and the rank of its span.
+        """
+        roots = np.asarray(roots)
+        lead = roots[np.arange(len(roots)), (roots != 0).argmax(axis=1)]
+        half = roots[lead > 0]
+        pairings = half @ np.asarray(gram) @ half.T
+        rows = half.tolist()                    # Python ints for the HNF
+        parent = list(range(len(rows)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in np.argwhere(np.triu(pairings, 1)).tolist():
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+        groups = {}
+        for i in range(len(rows)):
+            groups.setdefault(find(i), []).append(rows[i])
+        comps = []
+        for vectors in groups.values():
+            ncols = len(vectors[0])
+            # fold the rows in, a few at a time, so that each Hermite
+            # transform stays small
+            basis = []
+            for start in range(0, len(vectors), ncols):
+                basis = row_basis_hnf(basis + vectors[start:start + ncols], ncols)
+            comps.append(cls.identify_component(len(basis), 2 * len(vectors)))
+        return cls(components=tuple(comps))
+
     def __str__(self):
         if not self.components:
             return "(empty)"
@@ -169,34 +185,6 @@ class DiscriminantGroup:
                for i in range(n)]
         return tuple(img[i] % self._diag[i]
                      for i in range(n) if self._diag[i] != 1)
-
-
-@dataclass(frozen=True)
-class Overlattice:
-    """An even overlattice S of an ambient lattice, inside the dual."""
-
-    ambient: GramLattice
-    basis_scaled: tuple     # rows = coordinates of scale * (basis of S), primal
-    scale: int              # exponent of the ambient discriminant group
-    gram_s: tuple
-    index: int              # [S : ambient]
-    disc: int
-    artin_sigma: object     # int when disc == -5^(2 sigma), else None
-
-    @property
-    def rank(self):
-        return self.ambient.rank
-
-    def s_coords_of_primal(self, vec):
-        """Coordinates in the S basis of a vector given in primal coordinates,
-        or None when the vector does not lie in S."""
-        target = [self.scale * x for x in vec]
-        return solve_left([list(r) for r in self.basis_scaled], target)
-
-    def scaled_primal_of_s(self, coords):
-        """scale * (vector) in primal coordinates, from S-basis coordinates."""
-        return [sum(coords[i] * self.basis_scaled[i][j] for i in range(self.rank))
-                for j in range(self.rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,235 +229,3 @@ def dual_data(gram):
     if any(m * x % det for row in adj for x in row):
         raise ValueError("exponent does not clear the dual denominators")
     return dg, m, tuple(tuple(m * x // det for x in row) for row in adj)
-
-
-def overlattice_from_generators(l, gens):
-    """Even overlattice generated over the `GramLattice` L by dual vectors.
-
-    `gens` are integer vectors in dual coordinates.  Their classes must
-    span a totally isotropic subgroup of the discriminant form, that is,
-    the lattice they generate over L must be even: its Gram matrix must be
-    integral with an even diagonal.  Raises EvennessViolation otherwise.
-    """
-    n = l.rank
-    gram = [list(r) for r in l.gram]
-    _dg, m, scaled_dual = dual_data(l.gram)
-
-    gens = [list(g) for g in gens]
-    for g in gens:
-        if len(g) != n or any(not isinstance(x, int) for x in g):
-            raise ValueError("generators must be integer dual-coordinate vectors")
-
-    rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
-    for g in gens:
-        rows.append([sum(scaled_dual[j][i] * g[j] for j in range(n))
-                     for i in range(n)])
-    basis = row_basis_hnf(rows, n)
-    if len(basis) != n:
-        raise ValueError("overlattice basis has wrong rank")
-    det_b = det_bareiss(basis)
-    if (m ** n) % abs(det_b):
-        raise ValueError("scaled basis determinant must divide the scale power")
-    index = (m ** n) // abs(det_b)
-
-    bg = mat_mul(basis, gram)
-    gram_s_raw = mat_mul(bg, transpose(basis))
-    gram_s = []
-    for row in gram_s_raw:
-        out_row = []
-        for x in row:
-            q, r = divmod(x, m * m)
-            if r:
-                raise EvennessViolation("overlattice pairing is not integral")
-            out_row.append(q)
-        gram_s.append(out_row)
-    if any(gram_s[i][i] % 2 for i in range(n)):
-        raise EvennessViolation("overlattice is not even")
-
-    disc = det_bareiss(gram_s)
-    if disc * index * index != l.det():
-        raise ArithmeticError("discriminant/index consistency failed")
-    sigma = None
-    if disc < 0:
-        e = 0
-        x = -disc
-        while x % 5 == 0:
-            x //= 5
-            e += 1
-        if x == 1 and e % 2 == 0:
-            sigma = e // 2
-    return Overlattice(
-        ambient=l,
-        basis_scaled=tuple(tuple(r) for r in basis),
-        scale=m,
-        gram_s=tuple(tuple(r) for r in gram_s),
-        index=index,
-        disc=disc,
-        artin_sigma=sigma,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Short vector enumeration
-# ---------------------------------------------------------------------------
-
-def _reduced_positive_form(g):
-    """`lll_gram` of -g for a negative definite g: (u, u_inv, dets, lam).
-
-    u * (-g) * u^T is LLL-reduced and (dets, lam) are its integral LDL
-    data.  The LLL's own Gram-Schmidt pass rejects a g that is not
-    negative definite.
-    """
-    if not is_symmetric(g):
-        raise ValueError("Gram matrix must be symmetric")
-    try:
-        return lll_gram([[-x for x in row] for row in g])
-    except ValueError as exc:
-        raise IndefiniteLatticeError(
-            "enumeration requires a negative definite Gram matrix") from exc
-
-
-def short_vectors_of_norm(g, n):
-    """All integer vectors v with v^T g v = n, for negative definite g.
-
-    Both v and -v appear; the output is sorted lexicographically.
-    """
-    if not isinstance(n, int) or n >= 0:
-        raise ValueError("norm must be a negative integer")
-    return coset_vectors_of_norm(g, [0] * len(g), n)
-
-
-def coset_vectors_of_norm(g, shift, n, den=1):
-    """All integer u with (den*u + shift)^T g (den*u + shift) = n, for
-    negative definite g.
-
-    `shift` is a rational vector, `n` a rational number and `den` a
-    positive integer; with den = 1 this is the coset u + shift of norm n.
-    Rationals are read through their numerator and denominator, and the
-    search runs over the integers.  The empty list is a legitimate result.
-    """
-    g = [list(r) for r in g]
-    if len(shift) != len(g):
-        raise ValueError("shift has wrong length")
-    if den < 1:
-        raise ValueError("den must be a positive integer")
-    u, u_inv, dets, lam = _reduced_positive_form(g)
-    # clear the denominators of shift: s * (den*u + shift) has norm s^2 n
-    s = lcm(*(x.denominator for x in shift)) if shift else 1
-    num = [x.numerator * (s // x.denominator) for x in shift]
-    target, r = divmod(-n.numerator * s * s, n.denominator)
-    if r or target < 0:
-        return []
-    found = enumerate_quadratic(dets, lam, target, intmat.vec_mat(num, u_inv), s * den)
-    out = [tuple(intmat.vec_mat(list(w), u)) for w in found]
-    out.sort()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Roots orthogonal to a polarization, and the degree-1 elliptic set
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def _h_data(s, h_primal):
-    """(h_s, gram_s, t, kernel, gram_perp) for the overlattice s and the
-    polarization h, as tuples: h in S coordinates, the Gram matrix of S,
-    t = gram_s h_s, a basis of h^perp in S and its Gram matrix.  The
-    root type and the E set of one overlattice share one computation;
-    `h_primal` must be a tuple (the cache key)."""
-    gram = s.ambient.gram
-    if sum(h_primal[i] * gram[i][j] * h_primal[j]
-           for i in range(s.rank) for j in range(s.rank)) != 2:
-        raise ValueError("polarization vector must have square 2")
-    h_s = s.s_coords_of_primal(h_primal)
-    if h_s is None:
-        raise ValueError("polarization vector does not lie in the overlattice")
-    gram_s = s.gram_s
-    t = mat_vec(gram_s, h_s)
-    kernel = left_kernel([[x] for x in t])
-    gram_perp = mat_mul(mat_mul(kernel, gram_s), transpose(kernel))
-    return (tuple(h_s), gram_s, tuple(t), tuple(map(tuple, kernel)),
-            tuple(map(tuple, gram_perp)))
-
-
-def root_type_orthogonal_to(s, h_primal):
-    """ADE type of {r in S : r.h = 0, r^2 = -2}."""
-    _h_s, _gram_s, _t, _kernel, gram_perp = _h_data(s, tuple(h_primal))
-    roots_w = short_vectors_of_norm(gram_perp, -2)
-    if not roots_w:
-        return RootSystemType(components=())
-    rmat = np.array(roots_w, dtype=np.int64)
-    pairings = rmat @ np.array(gram_perp, dtype=np.int64) @ rmat.T
-    nroots = len(roots_w)
-    parent = list(range(nroots))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(nroots):
-        for j in range(i + 1, nroots):
-            if pairings[i, j] != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(nroots):
-        groups.setdefault(find(i), []).append(i)
-    comps = []
-    for members in groups.values():
-        vectors = [list(roots_w[i]) for i in members]
-        rank = len(row_basis_hnf(vectors, len(vectors[0])))
-        comps.append(RootSystemType.identify_component(rank, len(members)))
-    return RootSystemType(components=tuple(comps))
-
-
-def e_set(s, h_primal):
-    """The finite set {e in S : e.h = 1, e^2 = 0}.
-
-    Vectors are returned in scale-scaled primal coordinates (coordinates
-    of scale * e in the ambient basis), sorted lexicographically.  Raises
-    DivisibilityError when no vector of S pairs to 1 with h.
-    """
-    h_s, gram_s, t, kernel, gram_perp = _h_data(s, tuple(h_primal))
-    if reduce(gcd, [abs(x) for x in h_s], 0) != 1:
-        raise ValueError("polarization vector must be primitive in S")
-
-    # build v1 with v1 . (gram_s h) = 1 by chaining extended gcds
-    g_run, v1 = 0, [0] * len(t)
-    for i, ti in enumerate(t):
-        if ti == 0:
-            continue
-        g_new, a, b = xgcd(g_run, ti)
-        v1 = [a * c for c in v1]
-        v1[i] = b
-        g_run = g_new
-        if g_run == 1:
-            break
-    if g_run != 1:
-        raise DivisibilityError("no vector pairs to 1 with h")
-
-    # e = v1 + w.kernel has e^2 = v1^2 + 2 w.rhs + w gram_perp w^T, and
-    # completing the square with shift = rhs gram_perp^{-1} = num / den gives
-    # e^2 = 0  <=>  (den w + num) gram_perp (den w + num)^T = den^2 (shift^2 - v1^2)
-    rhs = mat_vec(kernel, mat_vec(gram_s, v1))     # v1 gram_s kernel^T, gram_s symmetric
-    adj, den = adjugate(gram_perp)
-    num = intmat.vec_mat(rhs, adj)
-    if den < 0:
-        num, den = [-x for x in num], -den
-    v1_sq = sum(v1[i] * gram_s[i][j] * v1[j]
-                for i in range(len(v1)) for j in range(len(v1)))
-    # num gram_perp num^T = den (rhs . num)
-    n_target = den * sum(a * b for a, b in zip(rhs, num)) - den * den * v1_sq
-    ws = coset_vectors_of_norm(gram_perp, num, n_target, den)
-    out = []
-    for w in ws:
-        e_s = [a + b for a, b in zip(v1, intmat.vec_mat(list(w), kernel))]
-        assert sum(a * b for a, b in zip(e_s, t)) == 1
-        assert sum(e_s[i] * gram_s[i][j] * e_s[j]
-                   for i in range(len(e_s)) for j in range(len(e_s))) == 0
-        out.append(tuple(s.scaled_primal_of_s(e_s)))
-    out.sort()
-    return out

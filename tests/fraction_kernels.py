@@ -5,7 +5,7 @@ reduction and Fincke-Pohst enumeration that `charfive.intmat` used before
 its kernels became fraction-free, and an exhaustive box search for short
 vectors.  They are slow and obviously exact, and the differential tests
 in `test_intmat.py`, `test_lattice.py` and `test_acceptance.py` check the
-integer kernels against them.
+integer kernels of `lattice_kernels` against them.
 """
 
 from fractions import Fraction
@@ -13,7 +13,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from charfive.intmat import identity_matrix, mat_mul, transpose, vec_mat
+from charfive.intmat import identity_matrix
+from lattice_kernels import mat_mul, transpose, vec_mat
 
 
 def fraction_inverse(m):

@@ -1,7 +1,10 @@
-"""The discriminant form on F5^6, its symmetry group, and the classification."""
+"""The discriminant form on F5^6, its symmetry group, the classification,
+and the root catalogue behind the overlattice invariants."""
 
 import itertools
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,10 +25,11 @@ from charfive.discform import (
     isotropic_table,
     max_isotropic_dimension,
     q_value,
-    subgroup_overlattice,
     verify_q_consistency,
 )
 from discform_kernels import admissible_subgroups, isotropic_planes, line_representatives
+from fraction_kernels import fraction_inverse, short_vectors_box
+from lattice_kernels import subgroup_invariants, subgroup_overlattice
 from test_lattice import pairing
 
 
@@ -296,45 +300,6 @@ def test_isotropic_table():
         assert q_value(r.representative) == 0
 
 
-def test_parallel_map_clamps_jobs_to_cpu_count(monkeypatch):
-    import multiprocessing
-
-    asked = []
-
-    class RecordingPool:                 # starts no processes
-        def __init__(self, processes):
-            asked.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(discform.os, "cpu_count", lambda: 8)
-    # the affinity set, not the machine's CPU count, bounds the pool
-    monkeypatch.setattr(discform.os, "sched_getaffinity", lambda pid: {0, 2, 5},
-                        raising=False)
-    assert discform._parallel_map(abs, [-1, 2, -3], 10 ** 6) == [1, 2, 3]
-    assert discform._parallel_map(abs, [-1, 2, -3], 2) == [1, 2, 3]
-    assert asked == [3, 2]
-    # one usable CPU: no pool at all
-    monkeypatch.setattr(discform.os, "sched_getaffinity", lambda pid: {1})
-    assert discform._parallel_map(abs, [-1, 2, -3], 2) == [1, 2, 3]
-    assert asked == [3, 2]
-    # without sched_getaffinity the CPU count is the bound
-    monkeypatch.delattr(discform.os, "sched_getaffinity")
-    assert discform._parallel_map(abs, [-1, 2, -3], 10 ** 6) == [1, 2, 3]
-    assert asked == [3, 2, 8]
-    monkeypatch.setattr(discform.os, "cpu_count", lambda: 1)
-    assert discform._parallel_map(abs, [-4], 8) == [4]
-    assert asked == [3, 2, 8]            # one CPU: no pool at all
-
-
 def test_classification():
     records = classify_isotropic_subgroups()
     assert [r.label for r in records] == [f"H_{i}" for i in range(9)]
@@ -546,3 +511,107 @@ def test_verify_q_consistency():
         for i in range(2, 5):
             expect = tuple((i if c == j - 1 else 0) for c in range(5)) + (0,)
             assert rep.expansions[f"e_{i}^({j})"] == expect
+
+
+# ---------------------------------------------------------------------------
+# the root catalogue against the overlattice enumeration
+# ---------------------------------------------------------------------------
+
+def _table_subgroups():
+    """The subgroups behind the 13 table rows: 0 and one line per type."""
+    return [IsotropicSubgroup(gens=(discform.decode(e),) if e else ())
+            for _key, e in sorted(discform._type_representatives().items())]
+
+
+def _reference_subgroups():
+    return [IsotropicSubgroup(gens=gens) for gens in REFERENCE_SUBGROUPS.values()]
+
+
+@pytest.fixture(scope="module")
+def enumerated_invariants():
+    """generators -> (root type, E empty, disc exponent) by the retired
+    enumeration path, once per subgroup: the 138 orbit candidates, the 13
+    type representatives and H_0..H_8."""
+    subgroups = ([IsotropicSubgroup(gens=gens) for gens, _ in discform._orbit_candidates()]
+                 + _table_subgroups() + _reference_subgroups())
+    out = {}
+    for sub in subgroups:
+        if sub.gens not in out:
+            out[sub.gens] = subgroup_invariants(sub)
+    return out
+
+
+def test_catalogue_invariants_match_enumeration(enumerated_invariants):
+    assert len(enumerated_invariants) >= 138
+    for gens, expected in enumerated_invariants.items():
+        assert discform._subgroup_invariants(IsotropicSubgroup(gens=gens)) == expected, gens
+
+
+def test_e_certificate_matches_enumerated_e_set(enumerated_invariants):
+    """The certificate says E is empty, and so does the enumeration of E in
+    the overlattices of the table rows and of H_0..H_8."""
+    assert discform.e_splittings() == []
+    for sub in _table_subgroups() + _reference_subgroups():
+        assert enumerated_invariants[sub.gens][1] is True
+
+
+def test_short_summand_vectors():
+    """Per chain 1 + 20 vectors of class 0 (norms 0 and -2), 10 of classes
+    +-1 and 20 of classes +-2, as the box oracle finds them in the chain's
+    dual; on l the five multiples j l^vee, |j| <= 2."""
+    tables = discform._short_summand_vectors()
+    classes = discform._dual_classes()
+    n5 = discform._n5()
+    assert len(tables) == 6
+    for j, (vecs, norms) in enumerate(tables[:5]):
+        block = n5[4 * j:4 * j + 4, 4 * j:4 * j + 4].tolist()
+        part = vecs[:, 4 * j:4 * j + 4]
+        assert not np.delete(vecs, np.s_[4 * j:4 * j + 4], axis=1).any()
+        x = (vecs @ classes % 5)[:, j]
+        counts = {(c, n): 0 for c in (0, 1, 2) for n in (0, -4, -6, -10)}
+        for c, n in zip(np.minimum(x, 5 - x).tolist(), norms.tolist()):
+            counts[c, n] += 1
+        assert counts == {**dict.fromkeys(counts, 0), (0, 0): 1, (0, -10): 20,
+                          (1, -4): 10, (2, -6): 20}
+        for n in (-4, -6, -10):
+            assert sorted(map(tuple, part[norms == n].tolist())) == short_vectors_box(block, n)
+    vecs, norms = tables[5]
+    assert vecs[:, discform.L_INDEX].tolist() == [-2, -1, 0, 1, 2]
+    assert norms.tolist() == [-8, -2, 0, -2, -8]
+
+
+def test_root_catalogue_structure():
+    """6100 distinct vectors in 161 classes, every class isotropic; each
+    vector has norm -2 and is orthogonal to h, through 5 gram^{-1} from
+    the Fraction inverse."""
+    vectors, classes = discform._root_catalogue()
+    assert vectors.shape == (6100, 22)
+    assert len({tuple(v) for v in vectors.tolist()}) == 6100
+    assert len(set(classes.tolist())) == 161
+    assert all(q_value(discform.decode(int(e))) == 0 for e in set(classes.tolist()))
+    gram = [list(r) for r in build_S0().gram]
+    ginv5 = [[5 * x for x in row] for row in fraction_inverse(gram)]
+    assert all(x.denominator == 1 for row in ginv5 for x in row)
+    primal5 = vectors @ np.array(ginv5, dtype=np.int64)         # 5 x primal coordinates
+    assert (np.einsum("ij,jk,ik->i", primal5, np.array(gram), primal5) == -50).all()
+    assert not (primal5 @ np.array(gram) @ np.array(discform.H_PRIMAL)).any()
+
+
+def test_root_counts_by_type():
+    """The catalogue entries in the classes of H: 100 roots for 5A4, 150 for
+    A9+3A4 and 300 for E8+3A4."""
+    vectors, classes = discform._root_catalogue()
+    sizes = {"5A4": 100, "A9+3A4": 150, "E8+3A4": 300}
+    for sub in _table_subgroups() + _reference_subgroups():
+        encs = [sum(x * 5 ** i for i, x in enumerate(v)) for v in sub.elements()]
+        rt = str(discform.root_type_orthogonal_to_h(sub))
+        assert int(np.isin(classes, encs).sum()) == sizes[rt]
+
+
+def test_root_catalogue_is_lazy():
+    # importing the package builds nothing: the catalogue is built on first use
+    code = ("import charfive, charfive.discform as d; "
+            "print(d._root_catalogue.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"

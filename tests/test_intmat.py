@@ -1,5 +1,6 @@
-"""Exact matrix kernels: Smith/Hermite forms, kernels, LLL, LDL, Fincke-Pohst,
-adjugates, signatures.  The fraction-free kernels are checked against the
+"""Exact matrix kernels: Smith/Hermite forms, adjugates, signatures, and
+the kernels, LLL, LDL and Fincke-Pohst of the retired enumeration path in
+`lattice_kernels`.  The fraction-free kernels are checked against the
 Fraction oracle in `fraction_kernels`."""
 
 import random
@@ -10,6 +11,7 @@ from math import gcd
 import pytest
 
 import fraction_kernels
+import lattice_kernels as lk
 from charfive import intmat
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
@@ -18,7 +20,7 @@ HL_BLOCK = [[2, 1], [1, -2]]
 
 def snf_diag(m):
     d, u, v = intmat.smith_normal_form(m)
-    assert intmat.mat_mul(intmat.mat_mul(u, m), v) == d
+    assert lk.mat_mul(lk.mat_mul(u, m), v) == d
     assert abs(intmat.det_bareiss(u)) == 1
     assert abs(intmat.det_bareiss(v)) == 1
     return [d[i][i] for i in range(min(len(d), len(d[0])))]
@@ -91,10 +93,10 @@ def test_hermite_transform_and_kernel():
         m = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         h, u = intmat.hermite_with_transform(mat)
-        assert intmat.mat_mul(u, mat) == h
+        assert lk.mat_mul(u, mat) == h
         assert abs(intmat.det_bareiss(u)) == 1
-        for row in intmat.left_kernel(mat):
-            assert all(x == 0 for x in intmat.vec_mat(row, mat))
+        for row in lk.left_kernel(mat):
+            assert all(x == 0 for x in lk.vec_mat(row, mat))
 
 
 def test_solve_left():
@@ -104,17 +106,17 @@ def test_solve_left():
         m = rng.randint(1, 5)
         mat = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
         x_true = [rng.randint(-4, 4) for _ in range(n)]
-        b = intmat.vec_mat(x_true, mat)
-        x = intmat.solve_left(mat, b)
+        b = lk.vec_mat(x_true, mat)
+        x = lk.solve_left(mat, b)
         assert x is not None
-        assert intmat.vec_mat(x, mat) == b
+        assert lk.vec_mat(x, mat) == b
     # insoluble case
-    assert intmat.solve_left([[2]], [1]) is None
+    assert lk.solve_left([[2]], [1]) is None
 
 
 def _random_pos_def(rng, n):
     m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-    a = intmat.mat_mul(m, intmat.transpose(m))
+    a = lk.mat_mul(m, lk.transpose(m))
     for i in range(n):
         a[i][i] += 1 + n
     return a
@@ -125,10 +127,10 @@ def test_lll_reduction_properties():
     for _ in range(100):
         n = rng.randint(1, 7)
         a = _random_pos_def(rng, n)
-        u, u_inv, _dets, _lam = intmat.lll_gram(a)
-        assert intmat.mat_mul(u, u_inv) == intmat.identity_matrix(n)
-        red = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
-        dets, lam = intmat.ldl_positive(red)
+        u, u_inv, _dets, _lam = lk.lll_gram(a)
+        assert lk.mat_mul(u, u_inv) == intmat.identity_matrix(n)
+        red = lk.mat_mul(lk.mat_mul(u, a), lk.transpose(u))
+        dets, lam = lk.ldl_positive(red)
         d = [Fraction(x, y) for x, y in zip(dets, [1] + dets[:-1])]
         for i in range(n):
             mu = [Fraction(lam[i][j], dets[j]) for j in range(i)]
@@ -142,7 +144,7 @@ def test_lll_reduction_properties():
 
 def assert_ldl_matches_oracle(a):
     """The integer LDL data equal the oracle's d and mu as rationals."""
-    dets, lam = intmat.ldl_positive(a)
+    dets, lam = lk.ldl_positive(a)
     d, mu = fraction_kernels.ldl_positive(a)
     lower = [1] + dets[:-1]
     assert [Fraction(x, y) for x, y in zip(dets, lower)] == d
@@ -163,7 +165,7 @@ def test_lll_matches_fraction_oracle():
     for _ in range(200):
         n = rng.randint(1, 8)
         a = _random_pos_def(rng, n)
-        assert intmat.lll_gram(a)[:2] == fraction_kernels.lll_gram(a)
+        assert lk.lll_gram(a)[:2] == fraction_kernels.lll_gram(a)
 
 
 def test_lll_returns_ldl_of_reduced_gram():
@@ -172,17 +174,17 @@ def test_lll_returns_ldl_of_reduced_gram():
     for _ in range(400):
         n = rng.randint(1, 8)
         a = _random_pos_def(rng, n)
-        u, _u_inv, dets, lam = intmat.lll_gram(a)
-        reduced = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
-        assert (dets, lam) == intmat.ldl_positive(reduced)
+        u, _u_inv, dets, lam = lk.lll_gram(a)
+        reduced = lk.mat_mul(lk.mat_mul(u, a), lk.transpose(u))
+        assert (dets, lam) == lk.ldl_positive(reduced)
 
 
 def assert_enumeration_matches_oracle(a, target, shift, den):
     """enumerate_quadratic on the integer data of `a` and the oracle on
     its rational data find the same vectors (target/den^2, shift/den)."""
-    dets, lam = intmat.ldl_positive(a)
+    dets, lam = lk.ldl_positive(a)
     d, mu = fraction_kernels.ldl_positive(a)
-    got = intmat.enumerate_quadratic(dets, lam, target, shift, den)
+    got = lk.enumerate_quadratic(dets, lam, target, shift, den)
     want = fraction_kernels.enumerate_quadratic(
         d, mu, Fraction(target, den * den), [Fraction(x, den) for x in shift])
     assert sorted(got) == sorted(want)
@@ -196,8 +198,8 @@ def test_enumeration_matches_fraction_oracle():
     for _ in range(150):
         n = rng.randint(1, 6)
         a = _random_pos_def(rng, n)
-        u, _u_inv, _dets, _lam = intmat.lll_gram(a)
-        red = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
+        u, _u_inv, _dets, _lam = lk.lll_gram(a)
+        red = lk.mat_mul(lk.mat_mul(u, a), lk.transpose(u))
         for target in range(0, 3 * n + 8):
             found["zero shift"] += len(
                 assert_enumeration_matches_oracle(red, target, [0] * n, 1))
@@ -212,11 +214,11 @@ def test_enumeration_matches_fraction_oracle():
 
 
 def test_enumeration_edge_cases():
-    assert intmat.enumerate_quadratic([], [], 0, []) == [()]
-    assert intmat.enumerate_quadratic([], [], 1, []) == []
-    assert intmat.enumerate_quadratic([2], [[0]], -2, [0]) == []
+    assert lk.enumerate_quadratic([], [], 0, []) == [()]
+    assert lk.enumerate_quadratic([], [], 1, []) == []
+    assert lk.enumerate_quadratic([2], [[0]], -2, [0]) == []
     # 2 (3w + 1)^2 = 8 at w = -1 (3w + 1 = -2); 3w + 1 = 2 has no solution
-    assert intmat.enumerate_quadratic([2], [[0]], 8, [1], 3) == [(-1,)]
+    assert lk.enumerate_quadratic([2], [[0]], 8, [1], 3) == [(-1,)]
 
 
 def test_adjugate():
@@ -232,15 +234,15 @@ def test_adjugate():
         adj, d = intmat.adjugate(m)
         assert d == det
         scaled = [[det * x for x in row] for row in intmat.identity_matrix(n)]
-        assert intmat.mat_mul(m, adj) == scaled
-        assert intmat.mat_mul(adj, m) == scaled
+        assert lk.mat_mul(m, adj) == scaled
+        assert lk.mat_mul(adj, m) == scaled
         assert adj == [[x * det for x in row]
                        for row in fraction_kernels.fraction_inverse(m)]
 
 
 def test_ldl_rejects_indefinite():
     with pytest.raises(ValueError):
-        intmat.ldl_positive([[1, 0], [0, -1]])
+        lk.ldl_positive([[1, 0], [0, -1]])
 
 
 def test_signature():

@@ -1,4 +1,6 @@
-"""Lattice engine: discriminant groups, overlattices, enumeration, roots."""
+"""Lattice engine: discriminant groups and root systems, and the retired
+overlattice enumeration path of `lattice_kernels`, which is the oracle for
+the root catalogue."""
 
 import random
 import subprocess
@@ -9,24 +11,28 @@ import pytest
 
 from charfive import (
     DegenerateLatticeError,
+    GramLattice,
+    RootSystemType,
+    discriminant_group,
+)
+import fraction_kernels
+import lattice_kernels as lk
+from fraction_kernels import short_vectors_box
+from charfive.discform import H_PRIMAL, REFERENCE_SUBGROUPS, build_S0, lift_to_dual
+from charfive.intmat import det_bareiss
+from charfive.lattice import dual_data
+from lattice_kernels import (
     DivisibilityError,
     EvennessViolation,
-    GramLattice,
     IndefiniteLatticeError,
-    RootSystemType,
+    _h_data,
     coset_vectors_of_norm,
-    discriminant_group,
     e_set,
+    ldl_positive,
     overlattice_from_generators,
     root_type_orthogonal_to,
     short_vectors_of_norm,
 )
-import fraction_kernels
-from fraction_kernels import short_vectors_box
-from charfive import intmat
-from charfive.discform import H_PRIMAL, REFERENCE_SUBGROUPS, build_S0, lift_to_dual
-from charfive.intmat import det_bareiss, ldl_positive
-from charfive.lattice import _h_data, dual_data
 from test_intmat import assert_ldl_matches_oracle
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
@@ -48,7 +54,7 @@ def dual_gram(gram):
 def roots_orthogonal_to(s, h_primal):
     """All r in S with r.h = 0 and r^2 = -2, in S-basis coordinates."""
     _h_s, _gram_s, _t, kernel, gram_perp = _h_data(s, tuple(h_primal))
-    return sorted(tuple(intmat.vec_mat(list(w), kernel))
+    return sorted(tuple(lk.vec_mat(list(w), kernel))
                   for w in short_vectors_of_norm(gram_perp, -2))
 
 
@@ -113,7 +119,7 @@ def test_dual_data_of_s0():
     gram = build_S0().gram
     dg, m, m_ginv = dual_data(gram)
     assert dg.invariant_factors == (5,) * 6 and m == 5
-    assert intmat.mat_mul([list(r) for r in m_ginv], [list(r) for r in gram]) \
+    assert lk.mat_mul([list(r) for r in m_ginv], [list(r) for r in gram]) \
         == [[5 * int(i == j) for j in range(22)] for i in range(22)]
     assert dual_data(gram)[2] is m_ginv            # computed once per Gram
 
@@ -426,8 +432,8 @@ def reference_perp():
     for label in REFERENCE_SUBGROUPS:
         ov = _overlattice(label)
         _h_s, gram_s, t, kernel, gram_perp = _h_data(ov, H_PRIMAL)
-        v1 = intmat.solve_left([[x] for x in t], [1])
-        rhs = intmat.vec_mat(v1, intmat.mat_mul(gram_s, intmat.transpose(kernel)))
+        v1 = lk.solve_left([[x] for x in t], [1])
+        rhs = lk.vec_mat(v1, lk.mat_mul(gram_s, lk.transpose(kernel)))
         inv = fraction_kernels.fraction_inverse(gram_perp)
         shift = [sum(rhs[i] * inv[i][j] for i in range(len(rhs)))
                  for j in range(len(rhs))]
@@ -444,9 +450,9 @@ def test_rank21_ldl_and_lll_match_fraction_oracle(reference_perp):
         assert len(gram_perp) == 21
         a = [[-x for x in row] for row in gram_perp]
         assert_ldl_matches_oracle(a)
-        u, u_inv, dets, lam = intmat.lll_gram(a)
+        u, u_inv, dets, lam = lk.lll_gram(a)
         assert (u, u_inv) == fraction_kernels.lll_gram(a)
-        reduced = intmat.mat_mul(intmat.mat_mul(u, a), intmat.transpose(u))
+        reduced = lk.mat_mul(lk.mat_mul(u, a), lk.transpose(u))
         assert_ldl_matches_oracle(reduced)
         assert (dets, lam) == ldl_positive(reduced)
 
