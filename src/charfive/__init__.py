@@ -3,14 +3,7 @@ sextic double planes in characteristic 5."""
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    DegenerateLatticeError,
-    DiscriminantGroup,
-    GramLattice,
-    RootSystemType,
-    discriminant_group,
-)
-from .intmat import smith_normal_form
+from .lattice import DegenerateLatticeError, GramLattice, RootSystemType
 from .discform import (
     AutElement,
     DeltaType,

@@ -374,7 +374,7 @@ _SUMMANDS = tuple(list(range(CHAIN_LEN * j, CHAIN_LEN * (j + 1)))
 def _n5():
     """5 * gram^{-1} of the model lattice as an int64 array: d n5 d^T is
     5 times the norm of a dual-coordinate vector d."""
-    return np.array(dual_data(build_S0().gram)[2], dtype=np.int64)
+    return np.array(dual_data(build_S0().gram)[1], dtype=np.int64)
 
 
 @lru_cache(maxsize=1)
@@ -603,47 +603,56 @@ def isotropic_table():
 @dataclass(frozen=True)
 class QConsistencyReport:
     passed: bool
-    invariant_factors: tuple
+    exponent: int              # of L^vee / L
+    order: int                 # |L^vee / L| = |det|
     basis_is_isomorphism: bool
     n_checked: int
     mismatches: tuple          # encodings where formula and lattice disagree
     expansions: dict           # selected dual vectors in the reference basis
 
 
+def _reference_lifts():
+    """Dual-coordinate lifts of the reference basis of G, a (6, 22) array."""
+    return np.array([lift_to_dual(decode(5 ** i)) for i in range(6)], dtype=np.int64)
+
+
 @lru_cache(maxsize=1)
 def _dual_classes():
     """Classes of the 22 dual basis vectors in the reference basis, as a
-    (22, 6) int64 array read off the Smith form of the Gram matrix, or
-    None when the reference classes are not a basis of G.  The class of
-    a dual-coordinate vector d is d @ _dual_classes() mod 5."""
-    dg = dual_data(build_S0().gram)[0]
-    # tinv = t_rows^-1 mod 5 = adj * det^-1, when det is a unit mod 5
-    t_rows = [list(dg.project(lift_to_dual(decode(5 ** i)))) for i in range(6)]
-    adj, det = None, 0
-    if all(len(r) == 6 for r in t_rows):
-        try:
-            adj, det = adjugate(t_rows)
-        except ValueError:              # singular over Z, so over F5 too
-            pass
+    (22, 6) int64 array, or None when the reference classes are not a
+    basis of G.  The class of a dual-coordinate vector d is
+    d @ _dual_classes() mod 5.
+
+    With N = 5 gram^{-1} and R the reference lifts, d N R^T / 5 mod 1 are
+    the discriminant pairings of d with the reference classes, and
+    B = R N R^T mod 5 is 5 times their own pairing matrix.  The pairing
+    is nondegenerate (Nikulin 1979, sec. 1.3), so six classes of G = F5^6
+    are a basis iff det B is a unit mod 5; then the class of d has
+    coordinates c with c B = d N R^T mod 5, that is c = d N R^T B^{-1}.
+    """
+    lifts = _reference_lifts()
+    n_rt = _n5() @ lifts.T                                  # (22, 6)
+    b = (lifts @ n_rt % 5).tolist()
+    det = det_bareiss(b)
     if det % 5 == 0:
         return None
-    tinv = np.array(adj, dtype=np.int64) * pow(det, -1, 5) % 5
-    units = np.eye(RANK, dtype=np.int64).tolist()
-    return np.array([dg.project(u) for u in units], dtype=np.int64) @ tinv % 5
+    b_inv = np.array(adjugate(b)[0], dtype=np.int64) * pow(det, -1, 5)
+    return n_rt @ b_inv % 5
 
 
 def verify_q_consistency():
     """Recompute the discriminant form of the built lattice from first
     principles and compare with the encoded formula on all of G.
 
-    Also expands selected dual basis vectors (the deeper chain duals and
-    the dual of l) in the reference basis; these are computed, never
-    assumed.
+    An abelian group of prime exponent p and order p^r is F_p^r, so
+    exponent 5 and |det| = 5^6 show that G is F5^6.  The scan then
+    compares q on all of G, lifted through the reference basis, with the
+    encoded formula.  Also expands selected dual basis vectors (the
+    deeper chain duals and the dual of l) in the reference basis; these
+    are computed, never assumed.
     """
-    dg, m, m_ginv = dual_data(build_S0().gram)
-    facs = dg.invariant_factors
-    if m != 5:
-        raise ArithmeticError("the discriminant group does not have exponent 5")
+    m, m_ginv = dual_data(build_S0().gram)
+    order = abs(build_S0().det())
     classes = _dual_classes()
     basis_ok = classes is not None
 
@@ -654,9 +663,7 @@ def verify_q_consistency():
         tab = _tables()
         digits = tab["digits"]
         # reference basis: duals of the first root of each chain, then dual of h
-        lift_mat = np.array([lift_to_dual(decode(5 ** i)) for i in range(6)],
-                            dtype=np.int64)                 # (6, 22)
-        d = digits @ lift_mat                               # (15625, 22)
+        d = digits @ _reference_lifts()                     # (15625, 22)
         lattice_q = np.einsum("ij,jk,ik->i", d, np.array(m_ginv, dtype=np.int64), d) % 10
         diff = np.nonzero(lattice_q != tab["q"])[0]
         mismatches = [int(e) for e in diff]
@@ -669,10 +676,11 @@ def verify_q_consistency():
         for name, idx in sorted(targets.items()):
             expansions[name] = tuple(int(x) for x in classes[idx])
 
-    passed = (facs == (5,) * 6) and basis_ok and not mismatches
+    passed = m == 5 and order == 5 ** 6 and basis_ok and not mismatches
     return QConsistencyReport(
         passed=passed,
-        invariant_factors=facs,
+        exponent=m,
+        order=order,
         basis_is_isomorphism=basis_ok,
         n_checked=n_checked,
         mismatches=tuple(mismatches),

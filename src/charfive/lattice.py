@@ -1,4 +1,4 @@
-"""Even integer lattices: Gram matrices, discriminant groups and root
+"""Even integer lattices: Gram matrices, the dual lattice and root
 systems.
 
 Conventions
@@ -8,7 +8,9 @@ Conventions
 * Vectors of the dual lattice are written in the dual basis ("dual
   coordinates", integer vectors); primal coordinates of a dual vector are
   rational with denominators dividing the exponent of the discriminant
-  group.
+  group L^vee / L; `dual_data` gives that exponent m and the integer
+  matrix m * gram^{-1} that turns dual coordinates into m times primal
+  ones, from the adjugate alone.
 
 Arithmetic is exact.  numpy appears only in `RootSystemType.of_roots`,
 to hold root pairings, which are small int64 values.
@@ -16,17 +18,11 @@ to hold root pairings, which are small int64 values.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
-from .intmat import (
-    adjugate,
-    det_bareiss,
-    is_symmetric,
-    row_basis_hnf,
-    signature_symmetric,
-    smith_normal_form,
-)
+from .intmat import adjugate, det_bareiss, is_symmetric, signature_symmetric
 
 
 class DegenerateLatticeError(ValueError):
@@ -119,15 +115,20 @@ class RootSystemType:
         Roots come in pairs +-r, and r and -r lie in one component, so
         the rows whose first nonzero entry is positive stand for all.
         Components are the classes of the non-orthogonality relation
-        among them, joined by union-find; each is identified by its root
-        count and the rank of its span.
+        among them, joined by union-find.  In an irreducible simply-laced
+        system with Coxeter number h, each root is not orthogonal to
+        exactly 4h - 6 roots, itself and its negative included (Bourbaki,
+        Lie Groups ch. VI, sec. 1.11, Prop. 32), so its row of pairings
+        has 2h - 3 nonzero entries, and the rank is the root count over
+        h.  Raises ValueError when the rows of a component disagree or
+        h or the rank is not an integer.
         """
         roots = np.asarray(roots)
         lead = roots[np.arange(len(roots)), (roots != 0).argmax(axis=1)]
         half = roots[lead > 0]
         pairings = half @ np.asarray(gram) @ half.T
-        rows = half.tolist()                    # Python ints for the HNF
-        parent = list(range(len(rows)))
+        degree = np.count_nonzero(pairings, axis=1)
+        parent = list(range(len(half)))
 
         def find(x):
             while parent[x] != x:
@@ -140,17 +141,16 @@ class RootSystemType:
             if ri != rj:
                 parent[ri] = rj
         groups = {}
-        for i in range(len(rows)):
-            groups.setdefault(find(i), []).append(rows[i])
+        for i in range(len(half)):
+            groups.setdefault(find(i), []).append(i)
         comps = []
-        for vectors in groups.values():
-            ncols = len(vectors[0])
-            # fold the rows in, a few at a time, so that each Hermite
-            # transform stays small
-            basis = []
-            for start in range(0, len(vectors), ncols):
-                basis = row_basis_hnf(basis + vectors[start:start + ncols], ncols)
-            comps.append(cls.identify_component(len(basis), 2 * len(vectors)))
+        for members in groups.values():
+            count = 2 * len(members)
+            first = int(degree[members[0]])
+            coxeter, odd = divmod(first + 3, 2)
+            if odd or count % coxeter or (degree[members] != first).any():
+                raise ValueError("the roots do not form a simply-laced root system")
+            comps.append(cls.identify_component(count // coxeter, count))
         return cls(components=tuple(comps))
 
     def __str__(self):
@@ -167,65 +167,22 @@ class RootSystemType:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """Finite quotient L^vee / L with a projection map for dual vectors."""
-
-    invariant_factors: tuple    # the nontrivial ones, ascending divisibility
-    order: int
-    _u: tuple                   # row transform of the SNF of the Gram matrix
-    _diag: tuple                # all SNF diagonal entries
-
-    def project(self, dual_coords):
-        """Class of a dual-coordinate vector, as residues per invariant factor."""
-        n = len(self._diag)
-        if len(dual_coords) != n:
-            raise ValueError("coordinate vector has wrong length")
-        img = [sum(self._u[i][j] * dual_coords[j] for j in range(n))
-               for i in range(n)]
-        return tuple(img[i] % self._diag[i]
-                     for i in range(n) if self._diag[i] != 1)
-
-
 # ---------------------------------------------------------------------------
-# Discriminant machinery
+# The dual lattice
 # ---------------------------------------------------------------------------
-
-def _gram_of(l):
-    if isinstance(l, GramLattice):
-        return [list(r) for r in l.gram]
-    return [list(r) for r in l]
-
-
-def discriminant_group(l):
-    """Invariant factors and projection map of L^vee / L."""
-    gram = _gram_of(l)
-    det = det_bareiss(gram)
-    if det == 0:
-        raise DegenerateLatticeError("Gram matrix is singular")
-    d, u, _v = smith_normal_form(gram)
-    diag = tuple(d[i][i] for i in range(len(gram)))
-    facs = tuple(x for x in diag if x != 1)
-    return DiscriminantGroup(
-        invariant_factors=facs,
-        order=abs(det),
-        _u=tuple(tuple(r) for r in u),
-        _diag=diag,
-    )
-
 
 @lru_cache(maxsize=16)
 def dual_data(gram):
-    """(discriminant group, exponent m, m * gram^{-1}) of a Gram matrix.
+    """(exponent m of L^vee / L, m * gram^{-1}) of a nonsingular Gram matrix.
 
     `gram` is a tuple of row tuples, the cache key.  m * gram^{-1} is an
-    integer matrix (tuple of tuples) taken from the Bareiss adjugate; it
-    maps dual coordinates to m times primal coordinates.  Computed once
-    per Gram matrix, on first use.
+    integer matrix (tuple of tuples) that maps dual coordinates to m times
+    primal coordinates.  The exponent is the last invariant factor
+    |det| / d, with d the gcd of the (n-1)-minors, which are the entries
+    of the adjugate; so m = |det| / gcd(det, adj), and m * adj / det is
+    integral.  Computed once per Gram matrix, on first use; raises
+    ValueError when the matrix is singular.
     """
-    dg = discriminant_group(gram)
-    m = dg.invariant_factors[-1] if dg.invariant_factors else 1
     adj, det = adjugate([list(r) for r in gram])
-    if any(m * x % det for row in adj for x in row):
-        raise ValueError("exponent does not clear the dual denominators")
-    return dg, m, tuple(tuple(m * x // det for x in row) for row in adj)
+    m = abs(det) // gcd(det, *(x for row in adj for x in row))
+    return m, tuple(tuple(m * x // det for x in row) for row in adj)

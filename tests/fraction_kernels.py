@@ -13,8 +13,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from charfive.intmat import identity_matrix
-from lattice_kernels import mat_mul, transpose, vec_mat
+from lattice_kernels import identity_matrix, mat_mul, transpose, vec_mat
 
 
 def fraction_inverse(m):

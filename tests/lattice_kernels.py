@@ -8,6 +8,9 @@ E by Fincke-Pohst enumeration.  `subgroup_invariants` gives the triple
 that `discform._subgroup_invariants` now reads off the catalogue, and
 `test_lattice.py`, `test_intmat.py` and `test_acceptance.py` check the
 kernels themselves against `fraction_kernels` and the box oracle.
+`hnf_root_type`, which names each root component by the Hermite-form
+rank of its span, is the oracle for the Coxeter-number rank of
+`RootSystemType.of_roots`.
 """
 
 from dataclasses import dataclass
@@ -17,14 +20,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from charfive.discform import H_PRIMAL, build_S0, lift_to_dual
-from charfive.intmat import (
-    adjugate,
-    det_bareiss,
-    hermite_with_transform,
-    identity_matrix,
-    is_symmetric,
-    row_basis_hnf,
-)
+from charfive.intmat import adjugate, copy_matrix, det_bareiss, is_symmetric
 from charfive.lattice import GramLattice, RootSystemType, dual_data
 
 
@@ -41,8 +37,12 @@ class DivisibilityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Matrix products, gcds and kernels
+# Matrix products, gcds, Hermite forms and kernels
 # ---------------------------------------------------------------------------
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
@@ -74,6 +74,55 @@ def xgcd(a, b):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
+
+
+def hermite_with_transform(m):
+    """Row Hermite normal form with transform: returns (h, u), u*m = h.
+
+    `u` is unimodular; `h` is in row echelon form with positive pivots and
+    entries above each pivot reduced modulo the pivot.  Zero rows sink to
+    the bottom.
+    """
+    h = copy_matrix(m)
+    rows = len(h)
+    cols = len(h[0]) if rows else 0
+    u = identity_matrix(rows)
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if h[i][c] != 0), None)
+        if piv is None:
+            continue
+        h[r], h[piv] = h[piv], h[r]
+        u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, rows):
+            while h[i][c] != 0:
+                if abs(h[i][c]) >= abs(h[r][c]):
+                    q = h[i][c] // h[r][c]
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                else:
+                    h[r], h[i] = h[i], h[r]
+                    u[r], u[i] = u[i], u[r]
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+        if r == rows:
+            break
+    return h, u
+
+
+def row_basis_hnf(rows, ncols):
+    """Canonical (HNF) basis of the integer row span; zero rows dropped."""
+    if not rows:
+        return []
+    h, _ = hermite_with_transform([list(r) for r in rows])
+    return [row for row in h if any(row)]
 
 
 def left_kernel(m):
@@ -297,7 +346,7 @@ def overlattice_from_generators(l, gens):
     """
     n = l.rank
     gram = [list(r) for r in l.gram]
-    _dg, m, scaled_dual = dual_data(l.gram)
+    m, scaled_dual = dual_data(l.gram)
 
     gens = [list(g) for g in gens]
     for g in gens:
@@ -436,16 +485,15 @@ def _h_data(s, h_primal):
             tuple(map(tuple, gram_perp)))
 
 
-def root_type_orthogonal_to(s, h_primal):
-    """ADE type of {r in S : r.h = 0, r^2 = -2}."""
-    _h_s, _gram_s, _t, _kernel, gram_perp = _h_data(s, tuple(h_primal))
-    roots_w = short_vectors_of_norm(gram_perp, -2)
-    if not roots_w:
-        return RootSystemType(components=())
-    rmat = np.array(roots_w, dtype=np.int64)
-    pairings = rmat @ np.array(gram_perp, dtype=np.int64) @ rmat.T
-    nroots = len(roots_w)
-    parent = list(range(nroots))
+def hnf_root_type(roots, gram):
+    """ADE type of the root system formed by the integer rows of `roots`,
+    paired by `gram` up to a nonzero scale: components by union-find on
+    non-orthogonality, each named by its root count and the rank of its
+    span from the Hermite normal form."""
+    half = [list(r) for r in roots if next(x for x in r if x) > 0]
+    rows = np.array(half, dtype=np.int64).reshape(len(half), len(gram))
+    pairings = rows @ np.array(gram, dtype=np.int64) @ rows.T
+    parent = list(range(len(half)))
 
     def find(x):
         while parent[x] != x:
@@ -453,21 +501,29 @@ def root_type_orthogonal_to(s, h_primal):
             x = parent[x]
         return x
 
-    for i in range(nroots):
-        for j in range(i + 1, nroots):
-            if pairings[i, j] != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in np.argwhere(np.triu(pairings, 1)).tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups = {}
-    for i in range(nroots):
-        groups.setdefault(find(i), []).append(i)
+    for i, row in enumerate(half):
+        groups.setdefault(find(i), []).append(row)
     comps = []
-    for members in groups.values():
-        vectors = [list(roots_w[i]) for i in members]
-        rank = len(row_basis_hnf(vectors, len(vectors[0])))
-        comps.append(RootSystemType.identify_component(rank, len(members)))
+    for vectors in groups.values():
+        ncols = len(vectors[0])
+        # fold the rows in, a few at a time, so that each Hermite
+        # transform stays small
+        basis = []
+        for start in range(0, len(vectors), ncols):
+            basis = row_basis_hnf(basis + vectors[start:start + ncols], ncols)
+        comps.append(RootSystemType.identify_component(len(basis), 2 * len(vectors)))
     return RootSystemType(components=tuple(comps))
+
+
+def root_type_orthogonal_to(s, h_primal):
+    """ADE type of {r in S : r.h = 0, r^2 = -2}."""
+    _h_s, _gram_s, _t, _kernel, gram_perp = _h_data(s, tuple(h_primal))
+    return hnf_root_type(short_vectors_of_norm(gram_perp, -2), gram_perp)
 
 
 def e_set(s, h_primal):

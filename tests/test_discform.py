@@ -499,7 +499,7 @@ def test_witt_index_rejects_degenerate_forms():
 def test_verify_q_consistency():
     rep = verify_q_consistency()
     assert rep.passed
-    assert rep.invariant_factors == (5,) * 6
+    assert rep.exponent == 5 and rep.order == 5 ** 6
     assert rep.n_checked == 5 ** 6
     assert rep.mismatches == ()
     # the dual of l is -2 times the dual class of h (l* + 2h* = h lies in
@@ -511,6 +511,14 @@ def test_verify_q_consistency():
         for i in range(2, 5):
             expect = tuple((i if c == j - 1 else 0) for c in range(5)) + (0,)
             assert rep.expansions[f"e_{i}^({j})"] == expect
+
+
+def test_verify_q_consistency_fails_on_wrong_exponent(monkeypatch):
+    """An exponent other than 5 is a structured FAIL, not an exception."""
+    real = discform.dual_data(build_S0().gram)
+    monkeypatch.setattr(discform, "dual_data", lambda gram: (25, real[1]))
+    rep = verify_q_consistency()
+    assert not rep.passed and rep.exponent == 25 and rep.order == 5 ** 6
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Exact matrix kernels: Smith/Hermite forms, adjugates, signatures, and
-the kernels, LLL, LDL and Fincke-Pohst of the retired enumeration path in
+"""Exact matrix kernels: adjugates and signatures, and the Hermite form,
+kernels, LLL, LDL and Fincke-Pohst of the retired enumeration path in
 `lattice_kernels`.  The fraction-free kernels are checked against the
-Fraction oracle in `fraction_kernels`."""
+Fraction oracle in `fraction_kernels`; `minor_gcd_factors` is the oracle
+for the exponent of a discriminant group in `test_lattice.py` and
+`test_acceptance.py`."""
 
 import random
 from fractions import Fraction
@@ -16,14 +18,6 @@ from charfive import intmat
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
 HL_BLOCK = [[2, 1], [1, -2]]
-
-
-def snf_diag(m):
-    d, u, v = intmat.smith_normal_form(m)
-    assert lk.mat_mul(lk.mat_mul(u, m), v) == d
-    assert abs(intmat.det_bareiss(u)) == 1
-    assert abs(intmat.det_bareiss(v)) == 1
-    return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
 def minor_gcd_factors(m):
@@ -47,52 +41,13 @@ def minor_gcd_factors(m):
     return factors
 
 
-def test_snf_identity():
-    ident = intmat.identity_matrix(4)
-    assert snf_diag(ident) == [1, 1, 1, 1]
-
-
-def test_snf_a4_block():
-    # hand reduction: chain of unimodular row/column moves leaves (1,1,1,5)
-    assert snf_diag(A4_BLOCK) == [1, 1, 1, 5]
-
-
-def test_snf_hl_block():
-    # 2x2 reduction: det -5, gcd of entries 1
-    assert snf_diag(HL_BLOCK) == [1, 5]
-
-
-def test_snf_random_roundtrip():
-    rng = random.Random(20240501)
-    for _ in range(1000):
-        n = rng.randint(1, 8)
-        m = rng.randint(1, 8)
-        mat = [[rng.randint(-10, 10) for _ in range(m)] for _ in range(n)]
-        diag = snf_diag(mat)
-        assert all(x >= 0 for x in diag)
-        for i in range(len(diag) - 1):
-            if diag[i] == 0:
-                assert diag[i + 1] == 0
-            else:
-                assert diag[i + 1] % diag[i] == 0 or diag[i + 1] == 0
-
-
-def test_snf_against_minor_gcd_oracle():
-    rng = random.Random(99)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        m = rng.randint(1, 5)
-        mat = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        assert snf_diag(mat) == minor_gcd_factors(mat)
-
-
 def test_hermite_transform_and_kernel():
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        h, u = intmat.hermite_with_transform(mat)
+        h, u = lk.hermite_with_transform(mat)
         assert lk.mat_mul(u, mat) == h
         assert abs(intmat.det_bareiss(u)) == 1
         for row in lk.left_kernel(mat):
@@ -128,7 +83,7 @@ def test_lll_reduction_properties():
         n = rng.randint(1, 7)
         a = _random_pos_def(rng, n)
         u, u_inv, _dets, _lam = lk.lll_gram(a)
-        assert lk.mat_mul(u, u_inv) == intmat.identity_matrix(n)
+        assert lk.mat_mul(u, u_inv) == lk.identity_matrix(n)
         red = lk.mat_mul(lk.mat_mul(u, a), lk.transpose(u))
         dets, lam = lk.ldl_positive(red)
         d = [Fraction(x, y) for x, y in zip(dets, [1] + dets[:-1])]
@@ -233,7 +188,7 @@ def test_adjugate():
             continue
         adj, d = intmat.adjugate(m)
         assert d == det
-        scaled = [[det * x for x in row] for row in intmat.identity_matrix(n)]
+        scaled = [[det * x for x in row] for row in lk.identity_matrix(n)]
         assert lk.mat_mul(m, adj) == scaled
         assert lk.mat_mul(adj, m) == scaled
         assert adj == [[x * det for x in row]

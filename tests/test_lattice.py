@@ -6,19 +6,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
+import numpy as np
 import pytest
 
-from charfive import (
-    DegenerateLatticeError,
-    GramLattice,
-    RootSystemType,
-    discriminant_group,
-)
+from charfive import DegenerateLatticeError, GramLattice, RootSystemType
 import fraction_kernels
 import lattice_kernels as lk
 from fraction_kernels import short_vectors_box
-from charfive.discform import H_PRIMAL, REFERENCE_SUBGROUPS, build_S0, lift_to_dual
+from charfive.discform import (
+    H_PRIMAL,
+    REFERENCE_SUBGROUPS,
+    _dual_classes,
+    build_S0,
+    lift_to_dual,
+)
 from charfive.intmat import det_bareiss
 from charfive.lattice import dual_data
 from lattice_kernels import (
@@ -28,12 +32,13 @@ from lattice_kernels import (
     _h_data,
     coset_vectors_of_norm,
     e_set,
+    hnf_root_type,
     ldl_positive,
     overlattice_from_generators,
     root_type_orthogonal_to,
     short_vectors_of_norm,
 )
-from test_intmat import assert_ldl_matches_oracle
+from test_intmat import assert_ldl_matches_oracle, minor_gcd_factors
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
 HL_BLOCK = [[2, 1], [1, -2]]
@@ -74,32 +79,82 @@ def five_a4_gram():
 # ---------------------------------------------------------------------------
 
 def test_discriminant_group_s0():
-    assert discriminant_group(build_S0()).invariant_factors == (5,) * 6
+    # exponent 5 and order 5^6: an abelian group of prime exponent is a
+    # vector space, so L^vee / L is F5^6
+    assert dual_data(build_S0().gram)[0] == 5
+    assert abs(build_S0().det()) == 5 ** 6
 
 
 def test_discriminant_group_a4():
-    dg = discriminant_group(A4_BLOCK)
-    assert dg.invariant_factors == (5,)
-    assert dg.order == 5
+    gram = tuple(map(tuple, A4_BLOCK))
+    assert dual_data(gram)[0] == 5 and abs(det_bareiss(A4_BLOCK)) == 5
 
 
 def test_discriminant_group_unimodular():
-    dg = discriminant_group([[0, 1], [1, 0]])
-    assert dg.invariant_factors == ()
-    assert dg.order == 1
+    assert dual_data(((0, 1), (1, 0))) == (1, ((0, 1), (1, 0)))
 
 
 def test_discriminant_group_degenerate():
-    with pytest.raises(DegenerateLatticeError):
-        discriminant_group([[2, 2], [2, 2]])
+    with pytest.raises(ValueError):
+        dual_data(((2, 2), (2, 2)))
 
 
 def test_discriminant_group_projection_kernel():
-    # the projection kills exactly the lattice itself
-    dg = discriminant_group(A4_BLOCK)
-    for row in A4_BLOCK:
-        assert dg.project(list(row)) == (0,)
-    assert dg.project([1, 0, 0, 0]) != (0,)
+    """d -> d @ _dual_classes() mod 5 kills the lattice, whose vectors have
+    the rows of the Gram matrix as dual coordinates, and sends the six
+    reference lifts to the unit vectors, so it has rank 6 mod 5.  Its
+    kernel then has index 5^6 = |det| in the dual, so it is the lattice."""
+    classes = _dual_classes()
+    gram = np.array(build_S0().gram, dtype=np.int64)
+    assert classes.shape == (22, 6)
+    assert not (gram @ classes % 5).any()
+    lifts = [lift_to_dual(tuple(int(i == j) for j in range(6))) for i in range(6)]
+    assert (np.array(lifts, dtype=np.int64) @ classes % 5).tolist() \
+        == lk.identity_matrix(6)
+
+
+def _random_nonsingular(rng, n, symmetric):
+    while True:
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if symmetric:
+            m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if det_bareiss(m):
+            return m
+
+
+def test_dual_data_exponent_matches_minor_gcd_oracle():
+    """The exponent is the last invariant factor, and m * gram^{-1} is the
+    integer matrix that multiplies gram to m I (any square matrix)."""
+    rng = random.Random(99)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        mat = _random_nonsingular(rng, n, symmetric=rng.random() < 0.5)
+        m, m_inv = dual_data(tuple(map(tuple, mat)))
+        assert m == minor_gcd_factors(mat)[-1]
+        assert lk.mat_mul([list(r) for r in m_inv], mat) \
+            == [[m * int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_dual_data_exponent_is_least():
+    """No proper divisor of m clears the denominators of gram^{-1}: the
+    entries of m * gram^{-1} are coprime to m."""
+    rng = random.Random(20240501)
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        mat = _random_nonsingular(rng, n, symmetric=True)
+        m, m_inv = dual_data(tuple(map(tuple, mat)))
+        assert gcd(m, *(x for row in m_inv for x in row)) == 1
+        assert abs(det_bareiss(mat)) % m == 0
+
+
+def test_dual_data_of_identity():
+    ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert dual_data(ident) == (1, ident)
+
+
+def test_dual_data_of_hl_block():
+    # det -5, so 5 * gram^{-1} = -adj = [[2, 1], [1, -2]]
+    assert dual_data(tuple(map(tuple, HL_BLOCK))) == (5, ((2, 1), (1, -2)))
 
 
 def test_dual_gram_examples():
@@ -117,11 +172,11 @@ def test_dual_gram_examples():
 
 def test_dual_data_of_s0():
     gram = build_S0().gram
-    dg, m, m_ginv = dual_data(gram)
-    assert dg.invariant_factors == (5,) * 6 and m == 5
+    m, m_ginv = dual_data(gram)
+    assert m == 5
     assert lk.mat_mul([list(r) for r in m_ginv], [list(r) for r in gram]) \
         == [[5 * int(i == j) for j in range(22)] for i in range(22)]
-    assert dual_data(gram)[2] is m_ginv            # computed once per Gram
+    assert dual_data(gram)[1] is m_ginv            # computed once per Gram
 
 
 def test_dual_data_is_lazy():
@@ -389,6 +444,78 @@ def test_root_system_type_str():
     assert str(rt) == "5A4"
     rt = RootSystemType(components=(("A", 4), ("E", 8), ("A", 4), ("A", 4)))
     assert str(rt) == "E8+3A4"
+
+
+# ---------------------------------------------------------------------------
+# root types of ADE systems in standard coordinates
+# ---------------------------------------------------------------------------
+
+def a_roots(n):
+    """A_n: e_i - e_j in Z^(n+1)."""
+    return [tuple(int(k == i) - int(k == j) for k in range(n + 1))
+            for i in range(n + 1) for j in range(n + 1) if i != j]
+
+
+def d_roots(n):
+    """D_n: +-e_i +- e_j in Z^n."""
+    return [tuple(si * int(k == i) + sj * int(k == j) for k in range(n))
+            for i, j in combinations(range(n), 2) for si in (1, -1) for sj in (1, -1)]
+
+
+def e_roots(n):
+    """E8 doubled to be integral: 2(+-e_i +- e_j) and the sign vectors
+    (+-1)^8 with an even number of minus signs.  E7 is the part
+    orthogonal to the root (1,...,1), E6 the part orthogonal to that root
+    and to (1,...,1,-1,-1), which spans an A2 with it."""
+    roots = ([tuple(2 * x for x in r) for r in d_roots(8)]
+             + [s for s in product((1, -1), repeat=8) if s.count(-1) % 2 == 0])
+    fixed = [(1,) * 8, (1,) * 6 + (-1, -1)][:8 - n]
+    return [r for r in roots if all(np.dot(r, f) == 0 for f in fixed)]
+
+
+ROOTS = {"A": a_roots, "D": d_roots, "E": e_roots}
+ADE_TYPES = ([("A", n) for n in range(1, 22)] + [("D", n) for n in range(4, 22)]
+             + [("E", n) for n in (6, 7, 8)])
+
+
+def test_of_roots_on_ade_systems():
+    """A1-A21, D4-D21, E6, E7 and E8: the Coxeter-number rank agrees with
+    the rank of the span (the HNF oracle) and names the system."""
+    for letter, n in ADE_TYPES:
+        roots = ROOTS[letter](n)
+        gram = lk.identity_matrix(len(roots[0]))
+        rt = RootSystemType.of_roots(roots, gram)
+        assert rt == hnf_root_type(roots, gram) == RootSystemType(((letter, n),))
+
+
+def test_of_roots_separates_equal_root_counts():
+    """A8/E6, A15/E8 and A20/D15 have equal root counts; the Coxeter
+    numbers 9/12, 16/30 and 21/28 tell them apart."""
+    for (l1, n1), (l2, n2), count in ((("A", 8), ("E", 6), 72), (("A", 15), ("E", 8), 240),
+                                      (("A", 20), ("D", 15), 420)):
+        r1, r2 = ROOTS[l1](n1), ROOTS[l2](n2)
+        assert len(r1) == len(r2) == count
+        assert str(RootSystemType.of_roots(r1, lk.identity_matrix(len(r1[0])))) == f"{l1}{n1}"
+        assert str(RootSystemType.of_roots(r2, lk.identity_matrix(len(r2[0])))) == f"{l2}{n2}"
+
+
+def test_of_roots_on_orthogonal_sum():
+    """A4 + E8 + D5 in block coordinates (5 + 8 + 5)."""
+    blocks = [a_roots(4), e_roots(8), d_roots(5)]
+    widths = [len(b[0]) for b in blocks]
+    roots = [(0,) * sum(widths[:k]) + r + (0,) * sum(widths[k + 1:])
+             for k, block in enumerate(blocks) for r in block]
+    gram = lk.identity_matrix(sum(widths))
+    rt = RootSystemType.of_roots(roots, gram)
+    assert str(rt) == "E8+D5+A4" and rt == hnf_root_type(roots, gram)
+
+
+def test_of_roots_rejects_non_closed_sets():
+    """A2 without one +- pair: two roots at 120 degrees, which no root
+    system holds alone."""
+    roots = [r for r in a_roots(2) if r not in ((1, 0, -1), (-1, 0, 1))]
+    with pytest.raises(ValueError):
+        RootSystemType.of_roots(roots, lk.identity_matrix(3))
 
 
 # ---------------------------------------------------------------------------
