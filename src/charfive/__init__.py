@@ -36,7 +36,6 @@ from .ffpoly import (
     parse_poly_literal,
     poly_gcd,
     roots_in_extension,
-    roots_in_field,
     subfield_degree,
 )
 from .curvecheck import (

@@ -73,6 +73,7 @@ class SingularPointReport:
     multiplicity_in_fprime: int
     is_A4: bool
     g_at_alpha: tuple
+    orbit_leader: int                       # index of the first point of its orbit
     local_mult_with_polar: int = None       # filled in by `analyze`
 
     def to_json_dict(self):
@@ -111,6 +112,11 @@ def _find_singular_points(m, max_ext):
     minimal extension containing alpha, in the order of `roots_in_extension`
     (field degree, then alpha); no polar data yet.
 
+    f has coefficients in the base field GF(5^k), so the Frobenius
+    x -> x^(5^k) carries the facts at alpha to those at its conjugates:
+    they are computed at the first point of each orbit, its leader, and
+    mapped to the others.
+
     f is in U iff its derivative has deg f' = 5 simple roots, so the root
     records decide membership and gcd(f', f'') is taken once, inside
     `roots_in_extension`; only a SplittingFieldError takes it again.
@@ -126,16 +132,23 @@ def _find_singular_points(m, max_ext):
         in_u = False
     if not in_u:
         raise OutsideUError("polynomial is outside the admissible open set")
+    k = m.field.degree
     f_in = {ext: m.f.map_coeffs(embedding(m.field, ext), ext)
             for ext in {rec.field for rec in roots}}
-    points = []
+    points, facts = [], {}              # alpha -> (beta, g(alpha), leader)
     for rec in roots:
-        f_ext = f_in[rec.field]
-        is_a4, g_val = verify_A4(f_ext, rec.value)
+        fld, alpha = rec.field, rec.value
+        if alpha not in facts:
+            g_val = verify_A4(f_in[fld], alpha)[1]
+            beta = fld.fifth_root(f_in[fld].eval(alpha))
+            while alpha not in facts:
+                facts[alpha] = beta, g_val, len(points)
+                alpha, beta, g_val = (fld.frobenius(c, k) for c in (alpha, beta, g_val))
+        beta, g_val, leader = facts[rec.value]
         points.append(SingularPointReport(
-            alpha=rec.value, beta=rec.field.fifth_root(f_ext.eval(rec.value)),
-            field=rec.field, subfield_degree=rec.subfield_degree,
-            multiplicity_in_fprime=rec.multiplicity, is_A4=is_a4, g_at_alpha=g_val))
+            alpha=rec.value, beta=beta, field=fld, subfield_degree=rec.subfield_degree,
+            multiplicity_in_fprime=rec.multiplicity, is_A4=any(g_val), g_at_alpha=g_val,
+            orbit_leader=leader))
     return points
 
 
@@ -155,7 +168,9 @@ def _corrections_for(m, points, q):
     alpha of f' and the multiplicity there is 5 ord_alpha h (the resultant
     in y; Fulton, Algebraic Curves, 3.3).  One expansion of h(x + alpha)
     gives both: its x-coefficient is q2 f'(alpha) + B'(alpha) = B'(alpha),
-    zero iff the polar is singular there, and ord_alpha h.
+    zero iff the polar is singular there, and ord_alpha h.  h has
+    base-field coefficients, so a conjugate point takes both from its
+    orbit leader.
     """
     fld = m.field
     q0, q1, q2 = q
@@ -177,6 +192,9 @@ def _corrections_for(m, points, q):
             for ext in {pt.field for pt in points}}
     mults = []
     for pt in points:
+        if pt.orbit_leader < len(mults):
+            mults.append(mults[pt.orbit_leader])
+            continue
         h0, h1 = taylor_coefficients(h_in[pt.field], pt.alpha, 2)
         if not any(h1):
             return None                     # polar is singular at the point

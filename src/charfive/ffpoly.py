@@ -6,8 +6,11 @@ modulus over F5.  The shipped moduli (one per degree) are the
 lexicographically smallest monic irreducibles in the ordering by
 (c0, c1, ..., c_{k-1}); they are data, and re-verified irreducible the
 first time a field is built.  Fields of at most TABLE_MAX_ORDER elements
-compute through log/antilog tables, larger ones through a packed
-Kronecker kernel (`_Kronecker`).
+compute through log/antilog tables, and add through a Zech table
+log(1 + g^n); larger ones multiply through a packed Kronecker kernel
+(`_Kronecker`) and add on bytes.  An embedding GF(5^a) -> GF(5^b) is one
+packed F5-linear map, whose columns are the powers of the image of the
+generator.
 
 F5[t] arithmetic has two forms here: `_Kronecker`, whose maps come from
 t^(j+1) = t * t^j mod m, and `GFPoly` over GF(5).  Rabin's irreducibility
@@ -278,20 +281,21 @@ class _Kronecker:
 
 @lru_cache(maxsize=None)
 def _arithmetic(modulus):
-    """(log, antilog, kronecker) for the field of an irreducible modulus.
+    """(log, antilog, zech, kronecker) for the field of an irreducible modulus.
 
     The packed kernel always exists.  Fields with at most TABLE_MAX_ORDER
     elements also get log/antilog tables for a primitive element g (the
     smallest in element order): log maps each element tuple to its
     exponent, and zero to 2(q - 1); antilog[i] = g^i for i < 2(q - 1) and
     zero from there on, so the sum of two logs indexes antilog without a
-    reduction mod q - 1.
+    reduction mod q - 1.  zech[n] = log(1 + g^n), listed twice so that any
+    n in -2(q - 1) .. 2(q - 1) - 1 indexes it: g^a + g^b = g^(a + zech[b - a]).
     """
     kron = _Kronecker(_checked_modulus(modulus))
     k = len(modulus) - 1
     q = P ** k
     if q > TABLE_MAX_ORDER:
-        return None, None, kron
+        return None, None, None, kron
     zero, one = bytes(k), kron.one
     exponents = [(q - 1) // r for r in _prime_divisors(q - 1)]
     for code in range(2, q):
@@ -306,18 +310,20 @@ def _arithmetic(modulus):
     log = {a: i for i, a in enumerate(powers)}
     log[tuple(zero)] = 2 * (q - 1)
     antilog = powers * 2 + [tuple(zero)] * (2 * q - 1)
-    return log, antilog, kron
+    zech = [log[((a[0] + 1) % P,) + a[1:]] for a in powers] * 2
+    return log, antilog, zech, kron
 
 
 # ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
 
-#: fields of at most this many elements multiply and invert through
-#: log/antilog tables; larger ones use the packed kernel.  The
-#: tables of GF(5^5) hold 0.55 MB and take about 13 ms to build; those of
-#: GF(5^6) would hold 2.8 MB, GF(5^7) 14 MB and GF(5^8) about 70 MB,
-#: against a `curve check` process that peaks near 38 MB.
+#: fields of at most this many elements multiply, invert and add through
+#: log/antilog and Zech tables; larger ones use the packed kernel.  The
+#: tables of GF(5^5) hold about 0.6 MB (the Zech table 0.05 MB of it) and
+#: take about 13 ms to build; those of GF(5^6) would hold 2.8 MB, GF(5^7)
+#: 14 MB and GF(5^8) about 70 MB, against a `curve check` process that
+#: peaks near 38 MB.
 TABLE_MAX_ORDER = P ** 5
 
 
@@ -325,12 +331,14 @@ class GF:
     """The field with 5^degree elements, as residues mod a fixed modulus.
 
     Elements are tuples of k coefficients.  Fields with at most
-    TABLE_MAX_ORDER elements multiply through log tables, larger ones
-    through the packed Kronecker kernel; both are built on the first
-    construction of a field and shared by every later one.
+    TABLE_MAX_ORDER elements multiply and add through log and Zech tables,
+    larger ones through the packed Kronecker kernel and bytes; both are
+    built on the first construction of a field and shared by every later
+    one.
     """
 
-    __slots__ = ("degree", "modulus", "order", "zero", "one", "_log", "_antilog", "_kron")
+    __slots__ = ("degree", "modulus", "order", "zero", "one", "_log", "_antilog", "_zech",
+                 "_kron")
 
     def __init__(self, degree, modulus=None):
         degree = int(degree)
@@ -341,7 +349,7 @@ class GF:
         modulus = tuple(int(x) % P for x in modulus)
         if len(modulus) != degree + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of the field degree")
-        self._log, self._antilog, self._kron = _arithmetic(modulus)
+        self._log, self._antilog, self._zech, self._kron = _arithmetic(modulus)
         self.degree = degree
         self.modulus = modulus
         self.order = P ** degree
@@ -386,13 +394,33 @@ class GF:
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a, b):
-        return tuple(bytes(map(_int_add, a, b)).translate(_MOD5))
+        zech = self._zech
+        if zech is None:
+            return tuple(bytes(map(_int_add, a, b)).translate(_MOD5))
+        la, lb = self._log[a], self._log[b]
+        if la > lb:
+            la, lb = lb, la
+        if lb == len(zech):                 # the larger log is that of zero
+            return self._antilog[la]
+        return self._antilog[la + zech[lb - la]]
 
     def sub(self, a, b):
-        return tuple(bytes(map(_int_add, a, bytes(b).translate(_NEG5))).translate(_MOD5))
+        zech = self._zech
+        if zech is None:
+            return tuple(bytes(map(_int_add, a, bytes(b).translate(_NEG5))).translate(_MOD5))
+        # -1 = g^((q - 1)/2), and len(zech) = 2(q - 1) is the log of zero
+        la, lb = self._log[a], self._log[b] + len(zech) // 4
+        if lb > len(zech):
+            return a
+        if la == len(zech):
+            return self._antilog[lb]
+        return self._antilog[la + zech[lb - la]]
 
     def neg(self, a):
-        return tuple(bytes(a).translate(_NEG5))
+        zech = self._zech
+        if zech is None:
+            return tuple(bytes(a).translate(_NEG5))
+        return self._antilog[self._log[a] + len(zech) // 4]
 
     def mul(self, a, b):
         log = self._log
@@ -441,37 +469,40 @@ class GF:
 
 
 @lru_cache(maxsize=None)
-def _embedding_image(src_key, dst_key):
-    src = GF(src_key[0], src_key[1])
-    dst = GF(dst_key[0], dst_key[1])
-    mod_poly = GFPoly(dst, [dst.elem(c) for c in src.modulus])
-    roots = roots_in_field(mod_poly)
-    if not roots:
-        raise ValueError("source modulus has no root in the target field")
-    return min(r for r, _ in roots)
+def _embedding_image(src, dst):
+    """The smallest root in `dst` of the modulus of `src` (degree a): one
+    trace descent finds a root, and its a - 1 images under x -> x^5 are the
+    others."""
+    g = GFPoly(dst, [dst.elem(c) for c in src.modulus])
+    powers = list(itertools.islice(_fifth_power_table(g), dst.degree))
+    [orbit] = _split_orbits(g, powers, 1, src.degree, 0)
+    return min(orbit)
+
+
+@lru_cache(maxsize=None)
+def _embedding_map(src, dst):
+    """The F5-linear map of the embedding: its columns are rho^i (i < a)."""
+    cols = [dst.one]
+    if src.degree > 1:
+        rho = _embedding_image(src, dst)
+        for _ in range(src.degree - 1):
+            cols.append(dst.mul(cols[-1], rho))
+    return _PackedMap(list(zip(*cols)), _slot_bytes(src.degree))
 
 
 def embedding(src, dst):
     """The canonical field embedding GF(5^a) -> GF(5^b) for a | b.
 
     Maps the generator of the source to the minimal root (in element
-    order) of the source modulus inside the target.  Returns a callable.
+    order) of the source modulus inside the target.  Returns a callable,
+    which applies one cached F5-linear map.
     """
     if dst.degree % src.degree:
         raise ValueError("no embedding: source degree does not divide target")
     if src == dst:
         return lambda a: a
-    if src.degree == 1:
-        return lambda a: dst.elem(a[0])
-    rho = _embedding_image((src.degree, src.modulus), (dst.degree, dst.modulus))
-
-    def emb(a):
-        acc = dst.zero
-        for c in reversed(a):
-            acc = dst.add(dst.mul(acc, rho), dst.elem(c))
-        return acc
-
-    return emb
+    apply = _embedding_map(src, dst).apply
+    return lambda a: tuple(apply(bytes(a)))
 
 
 def subfield_degree(field, a):
@@ -678,12 +709,12 @@ def _fifth_power_table(mod):
         entry = acc
 
 
-def _split_orbits(g, powers, k, seed):
+def _split_orbits(g, powers, k, m, seed):
     """The roots of g, grouped into orbits [r, r^q, ..., r^(q^(m-1))] of the
     Frobenius r -> r^q, q = 5^k.
 
-    g is monic and squarefree over GF(5^K), K = len(powers) = k*m, and
-    every root of g has degree m over GF(q); powers[j] is x^(5^j) mod g.
+    g is monic and squarefree over GF(5^K), K = len(powers), and every
+    root of g has degree m over GF(q); powers[j] is x^(5^j) mod g.
     Berlekamp's trace: for a seeded random b, T = sum_j b^(5^j) x^(5^j)
     takes the value Tr(b r) in F5 at each root r, so the gcds of a factor
     h with T - c (c in F5) split h unless T is constant mod h.  One branch
@@ -729,7 +760,7 @@ def _split_orbits(g, powers, k, seed):
             h = parts.pop()
             pending += parts
         orbit = [f.neg(h.coeffs[0])]
-        for _ in range(len(powers) // k - 1):
+        for _ in range(m - 1):
             orbit.append(f.frobenius(orbit[-1], k))
         product = GFPoly(f, [f.one])
         for r in orbit:
@@ -744,24 +775,6 @@ def _split_orbits(g, powers, k, seed):
                 pending[i] = pending[i] // x_minus(r)
             pending = [p for p in pending if p.degree > 0]
     return orbits
-
-
-def roots_in_field(u, seed=0):
-    """All roots of u inside its own coefficient field GF(q), with
-    multiplicities.
-
-    The product of the distinct linear factors, gcd(u, x^q - x), is split
-    by `_split_orbits` into orbits of length one; roots are sorted in
-    element order.
-    """
-    if u.is_zero():
-        raise ValueError("zero polynomial")
-    f = u.field
-    m = u.monic()
-    table = list(itertools.islice(_fifth_power_table(m), f.degree + 1))
-    lin = poly_gcd(table[-1] - GFPoly.x(f), m)
-    orbits = _split_orbits(lin, [h % lin for h in table[:-1]], f.degree, seed)
-    return [(r, _root_multiplicity(u, r)) for r in sorted(orbit[0] for orbit in orbits)]
 
 
 def taylor_coefficients(u, r, count):
@@ -865,7 +878,7 @@ def roots_in_extension(u, max_degree, seed=0):
         emb = embedding(base, ext)
         u_ext = None if squarefree else u.map_coeffs(emb, ext)
         orbits = _split_orbits(g.map_coeffs(emb, ext),
-                               [(h % g).map_coeffs(emb, ext) for h in table[:k * m]], k, seed)
+                               [(h % g).map_coeffs(emb, ext) for h in table[:k * m]], k, m, seed)
         for orbit in orbits:
             degree = subfield_degree(ext, orbit[0])
             for r in orbit:

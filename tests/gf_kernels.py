@@ -5,6 +5,8 @@ Euclid inverse that `charfive.ffpoly` used before its log tables and packed
 Kronecker kernel.  They are slow and obviously exact, share no code with
 the module they check (only the prime `P` is imported), and the
 differential tests in `test_ffpoly.py` check the fast core against them.
+`horner_embedding` is the field embedding as `ffpoly.embedding` computed
+it before it became one linear map: Horner's rule in the target field.
 Polynomials are int lists, lowest degree first, with no trailing zeros.
 Elements are tuples of k coefficients in 0..4; the modulus is the monic
 tuple (m0, ..., mk) of a `GF`.
@@ -108,3 +110,17 @@ def pow_(modulus, a, e):
         a = mul(modulus, a, a)
         e >>= 1
     return result
+
+
+def horner_embedding(modulus, rho):
+    """The map sum a_i t^i -> sum a_i rho^i into the field of `modulus`, by
+    Horner's rule: one multiplication per source coefficient."""
+    degree = len(modulus) - 1
+
+    def emb(a):
+        acc = (0,) * degree
+        for c in reversed(a):
+            acc = add(mul(modulus, acc, rho), (c,) + (0,) * (degree - 1))
+        return acc
+
+    return emb

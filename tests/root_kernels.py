@@ -7,12 +7,22 @@ the fifth power by a long division of a degree-5d polynomial, where
 x^(5i) mod `mod`.  `trace_split` follows every branch of the trace gcds
 down to linear factors, where `ffpoly._split_orbits` follows one branch
 to one root per irreducible factor and takes the rest of its orbit from
-the Frobenius map.  `test_ffpoly.py` checks the fast forms against these.
+the Frobenius map.  `roots_in_field` lists every root of a polynomial in
+its own coefficient field, as `ffpoly._embedding_image` did before it took
+one orbit of x -> x^5.  `test_ffpoly.py` checks the fast forms against these.
 """
 
+import itertools
 import random
 
-from charfive.ffpoly import P, GFPoly, poly_gcd
+from charfive.ffpoly import (
+    P,
+    GFPoly,
+    _fifth_power_table,
+    _root_multiplicity,
+    _split_orbits,
+    poly_gcd,
+)
 
 
 def fifth_power_table(mod, top, table=None):
@@ -70,3 +80,21 @@ def trace_split(lin, powers, seed):
                 if found == g.degree:
                     break
     return roots
+
+
+def roots_in_field(u, seed=0):
+    """All roots of u inside its own coefficient field GF(q), with
+    multiplicities.
+
+    The product of the distinct linear factors, gcd(u, x^q - x), is split
+    by `_split_orbits` into orbits of length one; roots are sorted in
+    element order.
+    """
+    if u.is_zero():
+        raise ValueError("zero polynomial")
+    f = u.field
+    m = u.monic()
+    table = list(itertools.islice(_fifth_power_table(m), f.degree + 1))
+    lin = poly_gcd(table[-1] - GFPoly.x(f), m)
+    orbits = _split_orbits(lin, [h % lin for h in table[:-1]], f.degree, 1, seed)
+    return [(r, _root_multiplicity(u, r)) for r in sorted(orbit[0] for orbit in orbits)]

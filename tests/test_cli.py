@@ -56,6 +56,11 @@ def test_classify_matches_golden():
     ("curve_check_gf125_deg15.json",
      ["curve", "check", "--poly",
       "[[0,1,1],[3,2,1],[3,2,0],[2,3,3],[0,0,2],[1,2,2],[4,3,0]]@5^3"]),
+    # `curve random --field 5^4 --seed 6`: one orbit of five points in
+    # GF(5^20), past the one-byte slots of the packed kernel
+    ("curve_check_gf625_deg20.json",
+     ["curve", "check", "--poly",
+      "[[2,2,3,4],[2,1,3,0],[1,4,4,3],[2,3,0,2],[2,2,1,0],[0,0,0,0],[4,4,0,1]]@5^4"]),
 ])
 def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)

@@ -31,6 +31,7 @@ from charfive.ffpoly import (
     parse_poly_literal,
     roots_in_extension,
 )
+from point_kernels import corrections_per_point, point_facts
 from fulton_kernels import (
     Poly,
     check_infinity,
@@ -232,6 +233,47 @@ def test_taylor_forms_match_division_oracles():
             assert _corrections_for(m, points, q) == corrections_by_division(m, points, q)
             draws += 1
     assert points_seen == 400 and draws == 800
+
+
+#: (field degree, seeds) of the sextics for the orbit-leader checks; seed 6
+#: over GF(625) has one orbit of five points in GF(5^20)
+ORBIT_SEXTICS = ((1, range(30)), (2, range(30)), (3, range(10)), (4, (6, 0, 1, 2)))
+
+
+def test_orbit_facts_match_per_point_oracle():
+    """Facts mapped from orbit leaders by the Frobenius against the facts
+    computed at every point, and `_corrections_for` against the per-point
+    expansion of h, None included, draw by draw: ten seeded polar draws per
+    sextic and, at each base-rational point alpha, three with q0 = q2 alpha,
+    where the polar is singular."""
+    conjugates = draws = rejected = 0
+    for k, seeds in ORBIT_SEXTICS:
+        fld = GF(k)
+        for seed in seeds:
+            m = random_in_U(fld, seed)
+            points = _find_singular_points(m, 8)
+            assert [(p.alpha, p.beta, p.is_A4, p.g_at_alpha, p.multiplicity_in_fprime)
+                    for p in points] == point_facts(m, 8)
+            for i, p in enumerate(points):
+                leader = points[p.orbit_leader]
+                assert p.orbit_leader <= i and leader.field == p.field
+                alpha = leader.alpha
+                while alpha != p.alpha:
+                    alpha = p.field.frobenius(alpha, k)
+                conjugates += p.orbit_leader < i
+            rng = random.Random(f"{k}:{seed}")
+            qs = [tuple(fld.rand_elem(rng) for _ in range(3)) for _ in range(10)]
+            for p in points:
+                if p.field == fld:
+                    for _ in range(3):
+                        q2 = fld.rand_elem(rng)
+                        qs.append((fld.mul(q2, p.alpha), fld.rand_elem(rng), q2))
+            for q in qs:
+                got = _corrections_for(m, points, q)
+                assert got == corrections_per_point(m, points, q), (m.f, q)
+                draws += 1
+                rejected += got is None
+    assert conjugates > 150 and draws > 900 and rejected > 100, (conjugates, draws, rejected)
 
 
 def test_a4_iff_simple_critical_point():

@@ -15,6 +15,7 @@ from charfive.ffpoly import (
     TABLE_MAX_ORDER,
     RootInExtension,
     SplittingFieldError,
+    _embedding_image,
     _f5_is_irreducible,
     _fifth_power_table,
     _radical,
@@ -27,7 +28,6 @@ from charfive.ffpoly import (
     parse_poly_literal,
     poly_gcd,
     roots_in_extension,
-    roots_in_field,
     subfield_degree,
     taylor_coefficients,
 )
@@ -89,6 +89,30 @@ def test_core_matches_tuple_oracle(k):
         if any(a):
             base = a if e >= 0 else oracle.inv(m, a)
             assert fld.pow(a, e) == oracle.pow_(m, base, abs(e))
+
+
+def test_zech_sums_match_tuple_oracle():
+    """`add`, `sub` and `neg` of the table fields (Zech logarithms) against
+    the tuple oracle: every pair in GF(5), GF(25) and GF(125); 2000 seeded
+    pairs in GF(625) and GF(3125), a quarter each with a zero operand, with
+    a = b and with a = -b."""
+    for k in (1, 2, 3, 4, 5):
+        fld = GF(k)
+        assert fld._zech is not None
+        if k <= 3:
+            elems = [fld.from_int(i) for i in range(fld.order)]
+            pairs = list(itertools.product(elems, repeat=2))
+        else:
+            rng = random.Random(3000 + k)
+            pairs = [(fld.zero, fld.zero)]
+            for i in range(1999):
+                a = fld.rand_elem(rng)
+                b = (fld.zero, a, oracle.sub(fld.zero, a), fld.rand_elem(rng))[i % 4]
+                pairs.append((a, b) if i % 8 < 4 else (b, a))
+        for a, b in pairs:
+            assert fld.add(a, b) == oracle.add(a, b)
+            assert fld.sub(a, b) == oracle.sub(a, b)
+            assert fld.neg(b) == oracle.sub(fld.zero, b)
 
 
 @pytest.mark.parametrize("k", CORE_DEGREES)
@@ -254,7 +278,7 @@ def test_fifth_root():
 
 def test_roots_in_field_exhaustive_and_cz():
     u = GFPoly.from_ints(F5, [0, 2, 0, 0, 0, 1])          # x(x^4 + 2)
-    assert roots_in_field(u) == [(F5.zero, 1)]
+    assert root_kernels.roots_in_field(u) == [(F5.zero, 1)]
     big = GF(6)
     rng = random.Random(8)
     for _ in range(10):
@@ -263,7 +287,7 @@ def test_roots_in_field_exhaustive_and_cz():
         if a == b:
             continue
         poly = GFPoly(big, [big.mul(a, b), big.neg(big.add(a, b)), big.one])
-        assert [r for r, _ in roots_in_field(poly)] == sorted([a, b])
+        assert [r for r, _ in root_kernels.roots_in_field(poly)] == sorted([a, b])
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -289,7 +313,7 @@ def test_roots_in_field_matches_scan(k):
                 mult += 1
             if mult:
                 scan.append((a, mult))
-        assert roots_in_field(u, seed=k) == sorted(scan)
+        assert root_kernels.roots_in_field(u, seed=k) == sorted(scan)
 
 
 def test_roots_in_extension_quintic():
@@ -452,7 +476,7 @@ def test_trace_split_matches_cantor_zassenhaus(k):
         planted = sorted({fld.rand_elem(rng) for _ in range(rng.randint(1, 7))})
         lin = _planted_product(fld, planted)
         powers = [pow_mod(x, P ** j, lin) for j in range(k)]
-        orbits = _split_orbits(lin, powers, k, trial)
+        orbits = _split_orbits(lin, powers, k, 1, trial)
         assert all(len(orbit) == 1 for orbit in orbits)
         assert sorted(orbit[0] for orbit in orbits) == planted
         assert sorted(root_kernels.trace_split(lin, powers, trial)) == planted
@@ -490,7 +514,7 @@ def test_split_orbits_finds_planted_orbits(k, m):
         # the coefficients lie in GF(5^k): the Frobenius x -> x^(5^k) fixes them
         assert all(ext.frobenius(c, k) == c for c in g.coeffs)
         powers = list(itertools.islice(_fifth_power_table(g), k * m))
-        found = _split_orbits(g, powers, k, trial)
+        found = _split_orbits(g, powers, k, m, trial)
         assert len(found) == count
         for orbit in found:
             assert [ext.frobenius(r, k) for r in orbit] == orbit[1:] + orbit[:1]
@@ -509,7 +533,7 @@ def test_split_orbits_rejects_a_false_orbit():
     g = _planted_product(fld, [a, b])
     powers = list(itertools.islice(_fifth_power_table(g), 2))
     with pytest.raises(AssertionError):
-        _split_orbits(g, powers, 1, 0)
+        _split_orbits(g, powers, 1, 2, 0)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -623,6 +647,51 @@ def test_embedding_properties():
         assert emb(src.mul(a, b)) == dst.mul(emb(a), emb(b))
     with pytest.raises(ValueError):
         embedding(F25, GF(3))
+
+
+#: (a, b) with a | b <= 12 and a > 1, and three targets outside MODULI,
+#: GF(5^16) and GF(5^20) with two-byte slots
+IMAGE_CASES = [(a, b) for b in range(2, 13) for a in range(2, b) if b % a == 0]
+IMAGE_CASES += [(3, 15), (4, 16), (4, 20)]
+
+
+@pytest.mark.parametrize("a, b", IMAGE_CASES)
+def test_embedding_image_matches_all_roots_oracle(a, b):
+    """The smallest root of one Frobenius orbit is the smallest of all the
+    roots of the source modulus in the target, which splits it."""
+    src, dst = GF(a), GF(b)
+    roots = root_kernels.roots_in_field(GFPoly.from_ints(dst, src.modulus))
+    assert len(roots) == a and all(mult == 1 for _r, mult in roots)
+    assert _embedding_image(src, dst) == roots[0][0]
+
+
+def _embedding_cases():
+    """(a, b, all elements?): every a | b <= 12, and (4, 20)."""
+    cases = [(a, b) for b in range(1, 13) for a in range(1, b + 1) if b % a == 0]
+    return [(a, b, (a, b) in ((2, 4), (3, 15))) for a, b in cases + [(3, 15), (4, 20)]]
+
+
+@pytest.mark.parametrize("a, b, exhaustive", _embedding_cases())
+def test_embedding_map_matches_horner_oracle(a, b, exhaustive):
+    """The linear map against Horner's rule with the same image of the
+    generator: on every element of GF(25) -> GF(5^4) and GF(125) ->
+    GF(5^15), on seeded elements elsewhere."""
+    src, dst = GF(a), GF(b)
+    if a == 1:
+        rho = dst.one                   # a constant has no generator to map
+    elif a == b:
+        rho = dst.elem([0, 1])          # the identity
+    else:
+        rho = _embedding_image(src, dst)
+    horner = oracle.horner_embedding(dst.modulus, rho)
+    emb = embedding(src, dst)
+    if exhaustive:
+        elems = [src.from_int(i) for i in range(src.order)]
+    else:
+        rng = random.Random(40 * a + b)
+        elems = [src.zero, src.one, (P - 1,) * a] + [src.rand_elem(rng) for _ in range(60)]
+    for x in elems:
+        assert emb(x) == horner(x)
 
 
 def test_subfield_degree():
