@@ -5,12 +5,10 @@ __version__ = "0.1.0"
 
 from .lattice import DegenerateLatticeError, GramLattice, RootSystemType
 from .discform import (
-    AutElement,
     DeltaType,
     IsotropicSubgroup,
     REFERENCE_SUBGROUPS,
     STARRED_TYPES,
-    all_aut,
     b_value,
     build_S0,
     canonical_key,

@@ -210,8 +210,7 @@ def _cmd_verify(args, stdout, stderr):
     check("dimension_bound", discform.max_isotropic_dimension() == 2)
     check("entry_count", len(entries) == 9, f"{len(entries)} entries")
 
-    keys = set()
-    reference_labels = discform.reference_labels()
+    orbits_met = set()
     for entry in entries:
         if not isinstance(entry, dict):
             check("?:fields", False, "entry is not an object")
@@ -228,11 +227,12 @@ def _cmd_verify(args, stdout, stderr):
             check(f"{label}:isotropic", False, str(exc))
             continue
         check(f"{label}:condition_II", discform.condition_II(sub))
-        key = discform.canonical_key(sub)
-        check(f"{label}:distinct_orbit", key not in keys)
-        keys.add(key)
-        check(f"{label}:matches_reference", reference_labels.get(key) == label,
-              f"orbit is {reference_labels.get(key)}")
+        # a reference orbit is named by its label, any other by its key
+        orbit = discform.reference_orbit(sub)
+        named = orbit if orbit is not None else discform.canonical_key(sub)
+        check(f"{label}:distinct_orbit", named not in orbits_met)
+        orbits_met.add(named)
+        check(f"{label}:matches_reference", orbit == label, f"orbit is {orbit}")
         check(f"{label}:dim", _same(entry.get("dim"), sub.dim), f"computed {sub.dim}")
         rt, e_empty, disc_exp = discform._subgroup_invariants(sub)
         check(f"{label}:disc", _same(entry["disc_exp"], disc_exp),

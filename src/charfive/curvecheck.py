@@ -167,8 +167,9 @@ def _corrections_for(m, points, q):
     y^5 - f(alpha) is a fifth power, so the curve has one point above a root
     alpha of f' and the multiplicity there is 5 ord_alpha h (the resultant
     in y; Fulton, Algebraic Curves, 3.3).  One expansion of h(x + alpha)
-    gives both: its x-coefficient is q2 f'(alpha) + B'(alpha) = B'(alpha),
-    zero iff the polar is singular there, and ord_alpha h.  h has
+    gives both: its constant term is zero with f'(alpha) (checked), and its
+    x-coefficient q2 f'(alpha) + B'(alpha) = B'(alpha) is zero iff the
+    polar is singular there; otherwise ord_alpha h = 1.  h has
     base-field coefficients, so a conjugate point takes both from its
     orbit leader.
     """
@@ -198,7 +199,9 @@ def _corrections_for(m, points, q):
         h0, h1 = taylor_coefficients(h_in[pt.field], pt.alpha, 2)
         if not any(h1):
             return None                     # polar is singular at the point
-        mults.append(0 if any(h0) else 5)   # 5 ord_alpha h, and h1 != 0
+        if any(h0):
+            raise AssertionError("polar restriction does not vanish at a root of f'")
+        mults.append(5)                     # 5 ord_alpha h, and h1 != 0
     return mults
 
 

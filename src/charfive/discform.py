@@ -138,28 +138,6 @@ def delta(v):
 
 
 # ---------------------------------------------------------------------------
-# The symmetry group of the fundamental system: {+-1}^5 semidirect S5
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AutElement:
-    """x'_i = signs[i] * x[perm[i]], y fixed."""
-
-    signs: tuple
-    perm: tuple
-
-
-@lru_cache(maxsize=1)
-def all_aut():
-    """The full group, 3840 elements, in a fixed order."""
-    out = []
-    for signs in itertools.product((1, -1), repeat=5):
-        for perm in itertools.permutations(range(5)):
-            out.append(AutElement(signs=signs, perm=perm))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # Isotropic subgroups
 # ---------------------------------------------------------------------------
 
@@ -244,27 +222,34 @@ def _tables():
 
 @lru_cache(maxsize=1)
 def _aut_arrays():
-    auts = all_aut()
-    perms = np.array([g.perm for g in auts], dtype=np.int64)
-    signs = np.array([[1 if s == 1 else 4 for s in g.signs] for g in auts],
-                     dtype=np.int64)
-    return perms, signs
+    """The symmetry group {+-1}^5 x| S5 of the fundamental system, 3840
+    elements in a fixed order, as (perms, signs), two (3840, 5) int16
+    arrays: element g maps [x|y] to x'_i = signs[g, i] x[perms[g, i]]
+    mod 5, with the sign -1 stored as 4, and fixes y."""
+    perms = np.array(list(itertools.permutations(range(5))), dtype=np.int16)
+    signs = np.array(list(itertools.product((1, 4), repeat=5)), dtype=np.int16)
+    return np.tile(perms, (len(signs), 1)), np.repeat(signs, len(perms), axis=0)
 
 
 def _orbit_images(elem_digits):
     """Encodings of g(M) for every group element g: shape (3840, m), rows sorted.
 
-    `elem_digits` is an (m, 6) integer array of [x1..x5, y] rows.
+    `elem_digits` is an (m, 6) integer array of [x1..x5, y] rows.  The
+    arithmetic runs in int16, which holds every encoding (below 5^6).
     """
     perms, signs = _aut_arrays()
-    xs = elem_digits[:, :5]
-    ys = elem_digits[:, 5]
-    moved = xs[:, perms]                       # (m, 3840, 5)
-    moved = (moved * signs[None, :, :]) % 5
-    enc = np.tensordot(moved, _POW[:5], axes=([2], [0]))   # (m, 3840)
-    enc = enc + (ys * 3125)[:, None]
-    images = np.sort(enc.T, axis=1)
-    return images
+    digits = elem_digits.astype(np.int16)
+    moved = (digits[:, :5][:, perms] * signs) % 5          # (m, 3840, 5)
+    enc = moved @ _POW[:5].astype(np.int16) + digits[:, 5:] * 3125
+    return np.sort(enc.T, axis=1).astype(np.int64)
+
+
+def _keys(images):
+    """The key of each row of sorted element encodings, such as a row of
+    an `_orbit_images` array: the row as uint16 bytes, which hold every
+    encoding (below 5^6 < 2^16)."""
+    rows = np.ascontiguousarray(images, dtype=np.uint16)
+    return rows.view(np.dtype((np.void, 2 * rows.shape[1]))).ravel().tolist()
 
 
 def _min_row(images):
@@ -280,10 +265,20 @@ def canonical_key(subgroup):
 
 
 @lru_cache(maxsize=1)
-def reference_labels():
-    """Canonical key -> label of the reference subgroups H_0..H_8."""
-    return {canonical_key(IsotropicSubgroup(gens=gens)): label
-            for label, gens in REFERENCE_SUBGROUPS.items()}
+def reference_orbits():
+    """Key (see `_keys`) -> label of every subgroup in the orbits of
+    H_0..H_8."""
+    orbits = {}
+    for label, gens in REFERENCE_SUBGROUPS.items():
+        elems = np.array(IsotropicSubgroup(gens=gens).elements(), dtype=np.int64)
+        orbits.update(dict.fromkeys(_keys(_orbit_images(elems)), label))
+    return orbits
+
+
+def reference_orbit(subgroup):
+    """The label of the reference orbit holding the subgroup, or None."""
+    elems = np.sort(np.array(subgroup.elements(), dtype=np.int64) @ _POW)
+    return reference_orbits().get(_keys(elems[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -505,24 +500,27 @@ class ClassifiedOrbit:
 def classify_isotropic_subgroups():
     """Orbit representatives of the admissible isotropic subgroups.
 
-    Sweeps out whole orbits of `_orbit_candidates()` from their element
-    encodings, with the same vectorized image machinery that backs
-    `canonical_key`; only the orbit representatives become validated
-    `IsotropicSubgroup`s.  Representatives matching a reference subgroup
-    H_0..H_8 carry its label and generator set.
+    Walks `_orbit_candidates()` and looks each one up in
+    `reference_orbits()`: the first candidate met in the orbit of H_i is
+    validated as an `IsotropicSubgroup` and stands for that orbit with
+    the label and generator set of H_i.  A candidate in no reference
+    orbit opens an "unmatched" orbit, swept out whole with
+    `_orbit_images` so that its other members are skipped.
     """
     digits = _tables()["digits"]
-    labels = reference_labels()
-    seen = set()
+    orbits = reference_orbits()
+    met, unmatched = set(), set()
     work = []
     for gens, elems in _orbit_candidates():
-        if elems.tobytes() in seen:
+        [key] = _keys(elems[None])
+        label = orbits.get(key)
+        if label in met or key in unmatched:
             continue
-        images = _orbit_images(digits[elems])
-        seen.update(row.tobytes() for row in images)
-        label = labels.get(_min_row(images))
         sub = IsotropicSubgroup(gens=gens)      # validates the representative
-        if label is not None:
+        if label is None:
+            unmatched.update(_keys(_orbit_images(digits[elems])))
+        else:
+            met.add(label)
             sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
         work.append((label, sub))
     # after the sweep, so that the catalogue is not resident while the

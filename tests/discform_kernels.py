@@ -7,11 +7,37 @@ form (3276 planes) and keep the 2713 subgroups on which every element
 has a starred type.  `test_discform.py` checks that sweeping them gives
 the same orbits as sweeping `discform._orbit_candidates()`, and reads the
 exhaustive form of the dimension bound off the planes.
+
+`AutElement` and `all_aut` are the symmetry group as the package held it
+before `discform._aut_arrays` built its arrays directly: the oracle for
+those arrays and for the group law.
 """
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from charfive.discform import _POW, _tables, decode
+
+
+@dataclass(frozen=True)
+class AutElement:
+    """x'_i = signs[i] * x[perm[i]], y fixed."""
+
+    signs: tuple
+    perm: tuple
+
+
+@lru_cache(maxsize=1)
+def all_aut():
+    """The symmetry group {+-1}^5 x| S5, 3840 elements, in a fixed order."""
+    out = []
+    for signs in itertools.product((1, -1), repeat=5):
+        for perm in itertools.permutations(range(5)):
+            out.append(AutElement(signs=signs, perm=perm))
+    return tuple(out)
 
 
 def line_representatives():

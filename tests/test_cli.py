@@ -4,9 +4,11 @@ import io
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
+from charfive import discform
 from charfive.cli import run
 from charfive.curvecheck import random_in_U
 from charfive.ffpoly import GF, format_poly_literal
@@ -195,6 +197,61 @@ def test_verify_round_trip(tmp_path):
     assert code == 0, err
     report = json.loads(out)
     assert report["passed"] is True
+
+
+def test_verify_matches_golden():
+    code, out, _ = invoke(["lattice", "verify", "--in", str(GOLDEN / "classify.json")])
+    assert code == 0
+    assert out == (GOLDEN / "lattice_verify.json").read_text()
+
+
+def test_classify_then_verify_builds_each_reference_orbit_once(monkeypatch):
+    """One process running classify and then verify on its output builds
+    the orbit images of H_0..H_8 and nothing else: no canonical key."""
+    calls = []
+    real = discform._orbit_images
+
+    def counting(elem_digits):
+        calls.append(len(elem_digits))
+        return real(elem_digits)
+
+    monkeypatch.setattr(discform, "_orbit_images", counting)
+    discform.reference_orbits.cache_clear()
+    try:
+        code, out, _ = invoke(["lattice", "classify"])
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, _ = invoke(["lattice", "verify"])
+        assert code == 0
+    finally:
+        discform.reference_orbits.cache_clear()
+    assert out == (GOLDEN / "lattice_verify.json").read_text()
+    assert sorted(calls) == sorted(
+        5 ** len(gens) for gens in discform.REFERENCE_SUBGROUPS.values())
+
+
+def test_verify_names_orbits_outside_the_references(tmp_path, monkeypatch):
+    """Two lines of the unstarred type (1,1,0) in one orbit: verify names
+    the orbit by its canonical key, fails both claims on condition II and
+    the reference match, and the second also on distinctness."""
+    keyed = []
+    real = discform.canonical_key
+    monkeypatch.setattr(discform, "canonical_key", lambda sub: keyed.append(sub) or real(sub))
+    claim = {"dim": 1, "disc_exp": 4, "sigma": 2, "root_type": "5A4", "E_empty": True}
+    path = tmp_path / "unstarred.json"
+    path.write_text(json.dumps({"results": [
+        dict(claim, label="X_1", gens=[[1, 2, 0, 0, 0, 0]]),
+        dict(claim, label="X_2", gens=[[2, 1, 0, 0, 0, 0]])]}))
+    code, out, err = invoke(["lattice", "verify", "--in", str(path)])
+    assert code == 1 and len(keyed) == 2
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for label in ("X_1", "X_2"):
+        assert not checks[f"{label}:condition_II"]["passed"]
+        assert not checks[f"{label}:matches_reference"]["passed"]
+        assert checks[f"{label}:matches_reference"]["detail"] == "orbit is None"
+    assert checks["X_1:distinct_orbit"]["passed"]
+    assert not checks["X_2:distinct_orbit"]["passed"]
+    assert "FAIL X_2:distinct_orbit" in err
 
 
 def test_verify_detects_tampering(tmp_path):

@@ -11,11 +11,9 @@ import pytest
 
 from charfive import discform
 from charfive.discform import (
-    AutElement,
     IsotropicSubgroup,
     REFERENCE_SUBGROUPS,
     STARRED_TYPES,
-    all_aut,
     b_value,
     build_S0,
     canonical_key,
@@ -27,7 +25,8 @@ from charfive.discform import (
     q_value,
     verify_q_consistency,
 )
-from discform_kernels import admissible_subgroups, isotropic_planes, line_representatives
+from discform_kernels import (
+    AutElement, admissible_subgroups, all_aut, isotropic_planes, line_representatives)
 from fraction_kernels import fraction_inverse, short_vectors_box
 from lattice_kernels import subgroup_invariants, subgroup_overlattice
 from test_lattice import pairing
@@ -167,6 +166,26 @@ def test_aut_group_order_and_law():
         h = auts[rng.randrange(3840)]
         v = tuple(rng.randrange(5) for _ in range(6))
         assert aut_apply(g, aut_apply(h, v)) == aut_apply(aut_compose(g, h), v)
+
+
+def test_aut_arrays_match_the_oracle():
+    """The arrays behind `_orbit_images` hold the oracle group row for row,
+    with the sign -1 stored as 4."""
+    perms, signs = discform._aut_arrays()
+    auts = all_aut()
+    assert perms.tolist() == [list(g.perm) for g in auts]
+    assert signs.tolist() == [[s % 5 for s in g.signs] for g in auts]
+
+
+def test_orbit_images_match_the_oracle_group():
+    """Row g of `_orbit_images` holds the sorted element encodings of g(H)
+    for the g-th element of the oracle group."""
+    sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_6"])
+    images = discform._orbit_images(np.array(sub.elements(), dtype=np.int64))
+    assert images.dtype == np.int64 and images.shape == (3840, 25)
+    for g, row in zip(all_aut(), images.tolist()):
+        assert row == sorted(sum(x * 5 ** i for i, x in enumerate(aut_apply(g, v)))
+                             for v in sub.elements())
 
 
 def test_aut_preserves_q():
@@ -366,12 +385,12 @@ def test_orbit_candidates_meet_every_orbit_of_the_oracle():
 
 
 def test_classification_memory_peak():
-    """With the tables and reference keys warm, classify allocates less
+    """With the tables and reference orbits warm, classify allocates less
     than 32 MB at its peak."""
     import tracemalloc
 
     discform._tables()
-    discform.reference_labels()
+    discform.reference_orbits()
     tracemalloc.start()
     try:
         classify_isotropic_subgroups()
@@ -390,13 +409,48 @@ def test_classification_validates_only_representatives(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(IsotropicSubgroup, "__post_init__", counting)
-    discform.reference_labels.cache_clear()
+    discform.reference_orbits.cache_clear()
     try:
         records = classify_isotropic_subgroups()
     finally:
-        discform.reference_labels.cache_clear()
+        discform.reference_orbits.cache_clear()
     assert len(records) == 9
     assert len(built) < 50
+
+
+def test_classification_sweeps_an_orbit_outside_the_references(monkeypatch):
+    """With H_5 dropped from the references, its orbit is swept out as
+    "unmatched" and still gives one record, with the invariants of H_5."""
+    h5 = next(r for r in classify_isotropic_subgroups() if r.label == "H_5")
+    references = {k: v for k, v in REFERENCE_SUBGROUPS.items() if k != "H_5"}
+    monkeypatch.setattr(discform, "REFERENCE_SUBGROUPS", references)
+    discform.reference_orbits.cache_clear()
+    try:
+        records = classify_isotropic_subgroups()
+    finally:
+        discform.reference_orbits.cache_clear()
+    assert len(records) == 9
+    assert sorted(r.label for r in records) == sorted(references) + ["unmatched"]
+    [odd] = [r for r in records if r.label == "unmatched"]
+    assert (odd.dim, odd.disc_exp, odd.root_type, odd.e_empty) == (
+        h5.dim, h5.disc_exp, h5.root_type, h5.e_empty)
+    assert (canonical_key(IsotropicSubgroup(gens=odd.gens))
+            == canonical_key(IsotropicSubgroup(gens=h5.gens)))
+
+
+def test_reference_orbits_are_the_admissible_subgroups():
+    """The nine reference orbits hold exactly the 2713 admissible
+    subgroups of the exhaustive oracle, and a subgroup and its image
+    under a symmetry share a label."""
+    orbits = discform.reference_orbits()
+    assert set(orbits) == {elems.astype(np.uint16).tobytes()
+                           for _gens, elems in admissible_subgroups()}
+    assert sorted(set(orbits.values())) == sorted(REFERENCE_SUBGROUPS)
+    for label, gens in REFERENCE_SUBGROUPS.items():
+        assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) == label
+    swap = tuple(tuple(v[i] for i in (1, 0, 2, 3, 4, 5)) for v in REFERENCE_SUBGROUPS["H_6"])
+    assert discform.reference_orbit(IsotropicSubgroup(gens=swap)) == "H_6"
+    assert discform.reference_orbit(IsotropicSubgroup(gens=((1, 2, 0, 0, 0, 0),))) is None
 
 
 def test_reference_subgroups_distinct_orbits():
