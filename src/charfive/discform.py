@@ -12,7 +12,8 @@ q-values are encoded as integers mod 10 (value n means n/5 mod 2Z) and
 bilinear values as integers mod 5 (n means n/5 mod Z).  That the encoded
 formula agrees with the discriminant form computed from the Gram matrix
 from first principles is checked by `verify_q_consistency`, which scans
-all 15625 elements.
+all 15625 elements.  Subgroups are keyed by their reduced row echelon
+basis over F5 (`_echelon_keys`), orbits from the images of that basis.
 """
 
 import itertools
@@ -82,16 +83,6 @@ def build_S0():
     return GramLattice(gram=tuple(tuple(r) for r in gram), labels=tuple(labels))
 
 
-def lift_to_dual(v):
-    """Dual-coordinate lift of [x1..x5 | y]: x_j at the first root of chain j,
-    y at h."""
-    coords = [0] * RANK
-    for j in range(N_CHAINS):
-        coords[CHAIN_LEN * j] = int(v[j]) % 5
-    coords[H_INDEX] = int(v[5]) % 5
-    return coords
-
-
 # ---------------------------------------------------------------------------
 # The discriminant form in the reference basis
 # ---------------------------------------------------------------------------
@@ -116,11 +107,6 @@ def b_value(v, w):
     return (sum(a * b for a, b in zip(v[:5], w[:5])) + 2 * v[5] * w[5]) % 5
 
 
-def y_normalized(y):
-    y = y % 5
-    return y if y <= 2 else 5 - y
-
-
 @dataclass(frozen=True)
 class DeltaType:
     a: int
@@ -134,7 +120,7 @@ def delta(v):
     a = sum(1 for x in v[:5] if x % 5 in (1, 4))
     b = sum(1 for x in v[:5] if x % 5 in (2, 3))
     y = v[5] % 5
-    return DeltaType(a=a, b=b, y=y, starred=(a, b, y_normalized(y)) in STARRED_TYPES)
+    return DeltaType(a=a, b=b, y=y, starred=(a, b, min(y, 5 - y)) in STARRED_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -231,54 +217,62 @@ def _aut_arrays():
     return np.tile(perms, (len(signs), 1)), np.repeat(signs, len(perms), axis=0)
 
 
-def _orbit_images(elem_digits):
-    """Encodings of g(M) for every group element g: shape (3840, m), rows sorted.
-
-    `elem_digits` is an (m, 6) integer array of [x1..x5, y] rows.  The
-    arithmetic runs in int16, which holds every encoding (below 5^6).
-    """
+def _images(basis):
+    """g(basis) for every group element g: the images of the rows of the
+    (d, 6) array `basis`, entries in 0..4, as a (3840, d, 6) int16 array."""
     perms, signs = _aut_arrays()
-    digits = elem_digits.astype(np.int16)
-    moved = (digits[:, :5][:, perms] * signs) % 5          # (m, 3840, 5)
-    enc = moved @ _POW[:5].astype(np.int16) + digits[:, 5:] * 3125
-    return np.sort(enc.T, axis=1).astype(np.int64)
+    basis = np.asarray(basis, dtype=np.int16).reshape(-1, 6)
+    # x'_i = signs[g, i] x[perms[g, i]]: the entry of (x, -x) at perms + 5 [sign -1]
+    signed = np.concatenate([basis[:, :5], (5 - basis[:, :5]) % 5], axis=1)
+    images = np.empty((len(perms), len(basis), 6), dtype=np.int16)
+    images[..., :5] = np.take(signed, perms + 5 * (signs == 4), axis=1).transpose(1, 0, 2)
+    images[..., 5] = basis[:, 5]
+    return images
 
 
-def _keys(images):
-    """The key of each row of sorted element encodings, such as a row of
-    an `_orbit_images` array: the row as uint16 bytes, which hold every
-    encoding (below 5^6 < 2^16)."""
-    rows = np.ascontiguousarray(images, dtype=np.uint16)
-    return rows.view(np.dtype((np.void, 2 * rows.shape[1]))).ravel().tolist()
-
-
-def _min_row(images):
-    """The lexicographically smallest row of an `_orbit_images` array, as
-    bytes: the key of the orbit."""
-    return images[np.lexsort(images.T[::-1])[0]].tobytes()
+def _echelon_keys(bases):
+    """The key of the span of each basis in an (n, d, 6) array of
+    independent rows with entries in 0..4: the rows r_1..r_d of its
+    reduced row echelon form over F5, encoded and packed into one int,
+    enc(r_1) 5^6 + enc(r_2) for a plane and 0 for the zero subgroup.  A
+    subspace has exactly one such basis, so keys are equal iff spans are.
+    """
+    rows = list(np.moveaxis(np.asarray(bases, dtype=np.int16), 1, 0))
+    at, inverse = np.arange(len(bases)), np.array([0, 1, 3, 2, 4], dtype=np.int16)
+    for i in range(len(rows)):
+        # the pivot column: the first column nonzero in some row i..d-1
+        col = np.logical_or.reduce([r != 0 for r in rows[i:]]).argmax(axis=1)
+        for j in range(i + 1, len(rows)):
+            # where row i misses the pivot, adding row j gives it one
+            rows[i] = rows[i] + rows[j] * (rows[i][at, col] % 5 == 0)[:, None]
+        rows[i] = rows[i] * inverse[rows[i][at, col] % 5][:, None] % 5
+        for j in range(len(rows)):
+            if j != i:
+                rows[j] = (rows[j] - rows[j][at, col][:, None] * rows[i]) % 5
+    keys = np.zeros(len(bases), dtype=np.int64)
+    for row in rows:
+        keys = keys * 5 ** 6 + row @ _POW
+    return keys
 
 
 def canonical_key(subgroup):
-    """Orbit-invariant key: the minimum over the symmetry group of the sorted
-    element list of the image subgroup, serialized to bytes."""
-    return _min_row(_orbit_images(np.array(subgroup.elements(), dtype=np.int64)))
+    """Orbit-invariant key: the smallest echelon key of the subgroup's images."""
+    return int(_echelon_keys(_images(subgroup.gens)).min())
 
 
 @lru_cache(maxsize=1)
 def reference_orbits():
-    """Key (see `_keys`) -> label of every subgroup in the orbits of
-    H_0..H_8."""
+    """Echelon key -> label of every subgroup in the orbits of H_0..H_8."""
     orbits = {}
     for label, gens in REFERENCE_SUBGROUPS.items():
-        elems = np.array(IsotropicSubgroup(gens=gens).elements(), dtype=np.int64)
-        orbits.update(dict.fromkeys(_keys(_orbit_images(elems)), label))
+        orbits.update(dict.fromkeys(_echelon_keys(_images(gens)).tolist(), label))
     return orbits
 
 
 def reference_orbit(subgroup):
     """The label of the reference orbit holding the subgroup, or None."""
-    elems = np.sort(np.array(subgroup.elements(), dtype=np.int64) @ _POW)
-    return reference_orbits().get(_keys(elems[None])[0])
+    [key] = _echelon_keys(np.reshape(subgroup.gens, (1, -1, 6))).tolist()
+    return reference_orbits().get(key)
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +282,26 @@ def reference_orbit(subgroup):
 def _type_representatives():
     """{(a, b, y normalized): smallest isotropic encoding of that type}."""
     t = _tables()
-    classes = {}
-    for e in np.nonzero(t["iso"])[0]:        # ascending, so the first is smallest
-        e = int(e)
-        classes.setdefault((int(t["a"][e]), int(t["b"][e]), int(t["yn"][e])), e)
-    return classes
+    iso = np.nonzero(t["iso"])[0]              # ascending, so the first is smallest
+    codes = (t["a"][iso] * 6 + t["b"][iso]) * 3 + t["yn"][iso]
+    codes, first = np.unique(codes, return_index=True)
+    return {(c // 18, c // 3 % 6, c % 3): e
+            for c, e in zip(codes.tolist(), iso[first].tolist())}
 
 
 def _orbit_candidates():
-    """Admissible subgroups meeting every orbit, as (gens, elems) pairs:
-    the generators as tuples and the sorted int64 array of the element
-    encodings.
+    """Admissible subgroups meeting every orbit, as (gens, key) pairs: the
+    generators as tuples and the echelon key (see `_echelon_keys`).
 
     A nonzero admissible subgroup holds some u != 0.  The symmetry group
     fixes y and moves the x-part of u onto that of any vector of the same
     (a, b) counts, so it carries u or -u onto the representative v of the
     type of u.  Every orbit therefore meets the zero subgroup, a starred
     line <v>, or a plane <v, w> with w admissible and b(v, w) = 0; the
-    dimension bound rules out anything larger.
+    dimension bound rules out anything larger.  The multiples of an
+    admissible vector are admissible (doubling sends the type (a, b, y)
+    to (b, a, 2y), which keeps STARRED_TYPES), so <v, w> is admissible
+    iff each w + c v, c = 1..4, is.
     """
     t = _tables()
     digits = t["digits"]
@@ -313,20 +309,19 @@ def _orbit_candidates():
     ws = np.nonzero(admissible)[0]
     weights = digits[ws].copy()
     weights[:, 5] = (2 * weights[:, 5]) % 5
-    ca, cb = np.divmod(np.arange(25), 5)        # the 25 coefficient pairs
-    yield (), np.zeros(1, dtype=np.int64)
+    yield (), 0
     for key, v in sorted(_type_representatives().items()):
         if v == 0 or key not in STARRED_TYPES:
             continue
-        line = np.sort((np.arange(5)[:, None] * digits[v]) % 5 @ _POW)
-        yield (decode(v),), line
-        w = ws[((weights @ digits[v]) % 5 == 0) & ~np.isin(ws, line)]
-        elems = (ca[:, None] * digits[v] + cb[:, None] * digits[w][:, None]) % 5
-        planes = np.sort(elems @ _POW, axis=1)
-        keep = admissible[planes].all(axis=1)
-        planes, first = np.unique(planes[keep], axis=0, return_index=True)
-        for plane, w_e in zip(planes, w[keep][first]):
-            yield (decode(v), decode(int(w_e))), plane
+        multiples = np.arange(5)[:, None] * digits[v] % 5
+        yield (decode(v),), int(_echelon_keys(digits[v][None, None])[0])
+        w = ws[((weights @ digits[v]) % 5 == 0) & ~np.isin(ws, multiples @ _POW)]
+        cosets = (digits[w][:, None] + multiples[1:]) % 5 @ _POW          # (n, 4)
+        w = w[admissible[cosets].all(axis=1)]
+        bases = np.stack([np.broadcast_to(digits[v], (len(w), 6)), digits[w]], axis=1)
+        keys, first = np.unique(_echelon_keys(bases), return_index=True)
+        for plane_key, w_e in zip(keys.tolist(), w[first].tolist()):
+            yield (decode(v), decode(w_e)), plane_key
 
 
 def _witt_index(gram, p=5):
@@ -366,10 +361,13 @@ _SUMMANDS = tuple(list(range(CHAIN_LEN * j, CHAIN_LEN * (j + 1)))
                   for j in range(N_CHAINS)) + ([L_INDEX],)
 
 
+@lru_cache(maxsize=1)
 def _n5():
-    """5 * gram^{-1} of the model lattice as an int64 array: d n5 d^T is
-    5 times the norm of a dual-coordinate vector d."""
-    return np.array(dual_data(build_S0().gram)[1], dtype=np.int64)
+    """5 * gram^{-1} of the model lattice as a read-only int64 array:
+    d n5 d^T is 5 times the norm of a dual-coordinate vector d."""
+    n5 = np.array(dual_data(build_S0().gram)[1], dtype=np.int64)
+    n5.setflags(write=False)
+    return n5
 
 
 @lru_cache(maxsize=1)
@@ -423,7 +421,7 @@ def _root_catalogue():
     wide = vectors.astype(np.int64)
     n5 = _n5()
     gram_h = np.array(build_S0().gram, dtype=np.int64) @ np.array(H_PRIMAL)
-    if not ((np.einsum("ij,jk,ik->i", wide, n5, wide) == -10).all()
+    if not ((((wide @ n5) * wide).sum(axis=1) == -10).all()
             and not (wide @ n5 @ gram_h).any()):
         raise ArithmeticError("a catalogue entry is not a root orthogonal to h")
     classes = _dual_classes()
@@ -446,7 +444,13 @@ def e_splittings():
     """The ways (j, 5 a^2) to write a vector of E = {e : e.h = 1, e^2 = 0}
     in S0^vee as e = a + b, with a in the chains' duals and
     b = h^vee + j l^vee.  The list is empty, so E is empty for every
-    overlattice S_H, all of which lie in S0^vee.
+    overlattice S_H, all of which lie in S0^vee."""
+    return list(_e_splittings())
+
+
+@lru_cache(maxsize=1)
+def _e_splittings():
+    """`e_splittings` as a tuple, derived once per process.
 
     e^2 = a^2 + b^2 with a^2 <= 0, and 5 b^2 = 2 (1 + j - j^2) is negative
     unless j is 0 or 1, where it is 2.  So a^2 >= -2/5, every chain part
@@ -464,7 +468,7 @@ def e_splittings():
         b5 = int(b @ n5 @ b)
         if -b5 in sums:
             out.append((j, -b5))
-    return out
+    return tuple(out)
 
 
 def _subgroup_invariants(subgroup):
@@ -500,33 +504,26 @@ class ClassifiedOrbit:
 def classify_isotropic_subgroups():
     """Orbit representatives of the admissible isotropic subgroups.
 
-    Walks `_orbit_candidates()` and looks each one up in
+    Walks `_orbit_candidates()` and looks each key up in
     `reference_orbits()`: the first candidate met in the orbit of H_i is
     validated as an `IsotropicSubgroup` and stands for that orbit with
     the label and generator set of H_i.  A candidate in no reference
-    orbit opens an "unmatched" orbit, swept out whole with
-    `_orbit_images` so that its other members are skipped.
+    orbit opens an "unmatched" orbit, whose keys are all recorded from
+    its images so that its other members are skipped.
     """
-    digits = _tables()["digits"]
     orbits = reference_orbits()
     met, unmatched = set(), set()
-    work = []
-    for gens, elems in _orbit_candidates():
-        [key] = _keys(elems[None])
+    records = []
+    for gens, key in _orbit_candidates():
         label = orbits.get(key)
         if label in met or key in unmatched:
             continue
         sub = IsotropicSubgroup(gens=gens)      # validates the representative
         if label is None:
-            unmatched.update(_keys(_orbit_images(digits[elems])))
+            unmatched.update(_echelon_keys(_images(gens)).tolist())
         else:
             met.add(label)
             sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
-        work.append((label, sub))
-    # after the sweep, so that the catalogue is not resident while the
-    # orbit images take their peak memory
-    records = []
-    for label, sub in work:
         rt, e_empty, disc_exp = _subgroup_invariants(sub)
         records.append(ClassifiedOrbit(
             label=label if label is not None else "unmatched",
@@ -610,8 +607,9 @@ class QConsistencyReport:
 
 
 def _reference_lifts():
-    """Dual-coordinate lifts of the reference basis of G, a (6, 22) array."""
-    return np.array([lift_to_dual(decode(5 ** i)) for i in range(6)], dtype=np.int64)
+    """Dual-coordinate lifts of the reference basis of G, a (6, 22) array:
+    the dual of the first root of each chain, then the dual of h."""
+    return np.eye(RANK, dtype=np.int64)[[CHAIN_LEN * j for j in range(N_CHAINS)] + [H_INDEX]]
 
 
 @lru_cache(maxsize=1)
@@ -645,9 +643,10 @@ def verify_q_consistency():
     An abelian group of prime exponent p and order p^r is F_p^r, so
     exponent 5 and |det| = 5^6 show that G is F5^6.  The scan then
     compares q on all of G, lifted through the reference basis, with the
-    encoded formula.  Also expands selected dual basis vectors (the
-    deeper chain duals and the dual of l) in the reference basis; these
-    are computed, never assumed.
+    encoded formula: the lift of c is d = c R, so with N = 5 gram^{-1},
+    5 q = d N d^T = c (R N R^T) c^T.  Also expands selected dual basis
+    vectors (the deeper chain duals and the dual of l) in the reference
+    basis; these are computed, never assumed.
     """
     m, m_ginv = dual_data(build_S0().gram)
     order = abs(build_S0().det())
@@ -660,11 +659,10 @@ def verify_q_consistency():
     if basis_ok:
         tab = _tables()
         digits = tab["digits"]
-        # reference basis: duals of the first root of each chain, then dual of h
-        d = digits @ _reference_lifts()                     # (15625, 22)
-        lattice_q = np.einsum("ij,jk,ik->i", d, np.array(m_ginv, dtype=np.int64), d) % 10
-        diff = np.nonzero(lattice_q != tab["q"])[0]
-        mismatches = [int(e) for e in diff]
+        lifts = _reference_lifts()
+        form = lifts @ np.array(m_ginv, dtype=np.int64) @ lifts.T      # (6, 6)
+        lattice_q = ((digits @ form) * digits).sum(axis=1) % 10
+        mismatches = np.nonzero(lattice_q != tab["q"])[0].tolist()
         n_checked = int(len(digits))
 
         targets = {"l": L_INDEX}

@@ -108,10 +108,12 @@ def _f5_is_irreducible(m):
 
 
 def _search_modulus(k):
-    """Smallest monic irreducible of degree k in (c0, c1, ...) order."""
+    """Smallest monic irreducible of degree k in (c0, c1, ...) order.  For
+    k >= 2 a candidate with a root in F5 is reducible and skips Rabin's test."""
     for code in range(P ** k):
         m = [(code // P ** i) % P for i in range(k)] + [1]
-        if _f5_is_irreducible(m):
+        rooted = any(sum(c * x ** i for i, c in enumerate(m)) % P == 0 for x in range(P))
+        if not (k >= 2 and rooted) and _f5_is_irreducible(m):
             return tuple(m)
     raise ArithmeticError(f"no irreducible of degree {k}")
 

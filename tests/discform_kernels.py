@@ -11,6 +11,11 @@ exhaustive form of the dimension bound off the planes.
 `AutElement` and `all_aut` are the symmetry group as the package held it
 before `discform._aut_arrays` built its arrays directly: the oracle for
 those arrays and for the group law.
+
+`orbit_images` and `min_row` key a subgroup and its orbit by sorted
+element encodings, as the package did before it keyed subgroups by their
+reduced echelon basis (`discform._echelon_keys`): the oracle for those
+keys.
 """
 
 import itertools
@@ -19,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from charfive.discform import _POW, _tables, decode
+from charfive.discform import _POW, _aut_arrays, _tables, decode
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,24 @@ def all_aut():
         for perm in itertools.permutations(range(5)):
             out.append(AutElement(signs=signs, perm=perm))
     return tuple(out)
+
+
+def orbit_images(elem_digits):
+    """Encodings of g(M) for every group element g: shape (3840, m), rows sorted.
+
+    `elem_digits` is an (m, 6) integer array of [x1..x5, y] rows.
+    """
+    perms, signs = _aut_arrays()
+    digits = elem_digits.astype(np.int16)
+    moved = (digits[:, :5][:, perms] * signs) % 5          # (m, 3840, 5)
+    enc = moved @ _POW[:5].astype(np.int16) + digits[:, 5:] * 3125
+    return np.sort(enc.T, axis=1).astype(np.int64)
+
+
+def min_row(images):
+    """The lexicographically smallest row of an `orbit_images` array, as
+    bytes: the key of the orbit."""
+    return images[np.lexsort(images.T[::-1])[0]].tobytes()
 
 
 def line_representatives():

@@ -10,7 +10,8 @@ that `discform._subgroup_invariants` now reads off the catalogue, and
 kernels themselves against `fraction_kernels` and the box oracle.
 `hnf_root_type`, which names each root component by the Hermite-form
 rank of its span, is the oracle for the Coxeter-number rank of
-`RootSystemType.of_roots`.
+`RootSystemType.of_roots`.  `lift_to_dual` lifts a generator of H to S0^vee
+for the overlattice construction.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from charfive.discform import H_PRIMAL, build_S0, lift_to_dual
+from charfive.discform import CHAIN_LEN, H_INDEX, H_PRIMAL, N_CHAINS, RANK, build_S0
 from charfive.intmat import adjugate, copy_matrix, det_bareiss, is_symmetric
 from charfive.lattice import GramLattice, RootSystemType, dual_data
 
@@ -573,6 +574,16 @@ def e_set(s, h_primal):
         out.append(tuple(s.scaled_primal_of_s(e_s)))
     out.sort()
     return out
+
+
+def lift_to_dual(v):
+    """Dual-coordinate lift of [x1..x5 | y]: x_j at the first root of chain j,
+    y at h."""
+    coords = [0] * RANK
+    for j in range(N_CHAINS):
+        coords[CHAIN_LEN * j] = int(v[j]) % 5
+    coords[H_INDEX] = int(v[5]) % 5
+    return coords
 
 
 def subgroup_overlattice(subgroup):

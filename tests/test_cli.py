@@ -207,15 +207,19 @@ def test_verify_matches_golden():
 
 def test_classify_then_verify_builds_each_reference_orbit_once(monkeypatch):
     """One process running classify and then verify on its output builds
-    the orbit images of H_0..H_8 and nothing else: no canonical key."""
+    the generator images of H_0..H_8 and nothing else: no canonical key."""
     calls = []
-    real = discform._orbit_images
+    real = discform._images
+    keyed = []
+    real_key = discform.canonical_key
 
-    def counting(elem_digits):
-        calls.append(len(elem_digits))
-        return real(elem_digits)
+    def counting(basis):
+        calls.append(tuple(map(tuple, basis)))
+        return real(basis)
 
-    monkeypatch.setattr(discform, "_orbit_images", counting)
+    monkeypatch.setattr(discform, "_images", counting)
+    monkeypatch.setattr(discform, "canonical_key",
+                        lambda sub: keyed.append(sub) or real_key(sub))
     discform.reference_orbits.cache_clear()
     try:
         code, out, _ = invoke(["lattice", "classify"])
@@ -226,22 +230,21 @@ def test_classify_then_verify_builds_each_reference_orbit_once(monkeypatch):
     finally:
         discform.reference_orbits.cache_clear()
     assert out == (GOLDEN / "lattice_verify.json").read_text()
-    assert sorted(calls) == sorted(
-        5 ** len(gens) for gens in discform.REFERENCE_SUBGROUPS.values())
+    assert sorted(calls) == sorted(discform.REFERENCE_SUBGROUPS.values())
+    assert keyed == []
 
 
-def test_verify_names_orbits_outside_the_references(tmp_path, monkeypatch):
+def test_verify_names_orbits_outside_the_references(monkeypatch):
     """Two lines of the unstarred type (1,1,0) in one orbit: verify names
     the orbit by its canonical key, fails both claims on condition II and
     the reference match, and the second also on distinctness."""
     keyed = []
     real = discform.canonical_key
     monkeypatch.setattr(discform, "canonical_key", lambda sub: keyed.append(sub) or real(sub))
-    claim = {"dim": 1, "disc_exp": 4, "sigma": 2, "root_type": "5A4", "E_empty": True}
-    path = tmp_path / "unstarred.json"
-    path.write_text(json.dumps({"results": [
-        dict(claim, label="X_1", gens=[[1, 2, 0, 0, 0, 0]]),
-        dict(claim, label="X_2", gens=[[2, 1, 0, 0, 0, 0]])]}))
+    path = GOLDEN / "lattice_verify_unmatched_claims.json"
+    claims = json.loads(path.read_text())["results"]
+    assert [(c["label"], c["gens"]) for c in claims] == [
+        ("X_1", [[1, 2, 0, 0, 0, 0]]), ("X_2", [[2, 1, 0, 0, 0, 0]])]
     code, out, err = invoke(["lattice", "verify", "--in", str(path)])
     assert code == 1 and len(keyed) == 2
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -252,6 +255,15 @@ def test_verify_names_orbits_outside_the_references(tmp_path, monkeypatch):
     assert checks["X_1:distinct_orbit"]["passed"]
     assert not checks["X_2:distinct_orbit"]["passed"]
     assert "FAIL X_2:distinct_orbit" in err
+
+
+def test_verify_unmatched_matches_golden():
+    """The report on the claims of the test above is pinned byte for
+    byte, and verify exits 1."""
+    code, out, _ = invoke(["lattice", "verify", "--in",
+                           str(GOLDEN / "lattice_verify_unmatched_claims.json")])
+    assert code == 1
+    assert out == (GOLDEN / "lattice_verify_unmatched.json").read_text()
 
 
 def test_verify_detects_tampering(tmp_path):

@@ -26,7 +26,8 @@ from charfive.discform import (
     verify_q_consistency,
 )
 from discform_kernels import (
-    AutElement, admissible_subgroups, all_aut, isotropic_planes, line_representatives)
+    AutElement, admissible_subgroups, all_aut, isotropic_planes, line_representatives,
+    min_row, orbit_images)
 from fraction_kernels import fraction_inverse, short_vectors_box
 from lattice_kernels import subgroup_invariants, subgroup_overlattice
 from test_lattice import pairing
@@ -169,7 +170,7 @@ def test_aut_group_order_and_law():
 
 
 def test_aut_arrays_match_the_oracle():
-    """The arrays behind `_orbit_images` hold the oracle group row for row,
+    """The arrays behind `_images` hold the oracle group row for row,
     with the sign -1 stored as 4."""
     perms, signs = discform._aut_arrays()
     auts = all_aut()
@@ -178,12 +179,16 @@ def test_aut_arrays_match_the_oracle():
 
 
 def test_orbit_images_match_the_oracle_group():
-    """Row g of `_orbit_images` holds the sorted element encodings of g(H)
-    for the g-th element of the oracle group."""
+    """Row g of `_images` holds g applied to each generator, and row g of
+    the oracle's `orbit_images` the sorted element encodings of g(H), for
+    the g-th element of the oracle group."""
     sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_6"])
-    images = discform._orbit_images(np.array(sub.elements(), dtype=np.int64))
+    gen_images = discform._images(sub.gens)
+    images = orbit_images(np.array(sub.elements(), dtype=np.int64))
+    assert gen_images.shape == (3840, 2, 6)
     assert images.dtype == np.int64 and images.shape == (3840, 25)
-    for g, row in zip(all_aut(), images.tolist()):
+    for g, gens, row in zip(all_aut(), gen_images.tolist(), images.tolist()):
+        assert gens == [list(aut_apply(g, v)) for v in sub.gens]
         assert row == sorted(sum(x * 5 ** i for i, x in enumerate(aut_apply(g, v)))
                              for v in sub.elements())
 
@@ -264,7 +269,7 @@ def test_condition_ii():
 
 def test_canonical_key_examples():
     h0 = IsotropicSubgroup(gens=())
-    assert canonical_key(h0) == np.array([0], dtype=np.int64).tobytes()
+    assert canonical_key(h0) == 0
     h5 = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_5"])
     rotated = IsotropicSubgroup(
         gens=(tuple(REFERENCE_SUBGROUPS["H_5"][0][i] for i in (4, 3, 2, 1, 0))
@@ -273,6 +278,58 @@ def test_canonical_key_examples():
     other = IsotropicSubgroup(gens=((0, 1, 1, 2, 2, 0),))
     h2 = IsotropicSubgroup(gens=((2, 2, 2, 2, 2, 0),))
     assert canonical_key(other) != canonical_key(h2)
+
+
+def key_gens(key):
+    """The reduced echelon basis packed into an echelon key."""
+    gens = ()
+    while key:
+        key, row = divmod(key, 5 ** 6)
+        gens = (discform.decode(row),) + gens
+    return gens
+
+
+def test_echelon_keys_match_element_lists():
+    """Over every isotropic line and all 3276 isotropic planes of the
+    oracle, two bases have the same echelon key iff they span the same
+    element list: each subgroup is keyed from three bases, and distinct
+    subgroups get distinct keys, each packing a basis of the subgroup."""
+    digits = discform._tables()["digits"]
+    reps = line_representatives()
+    planes, gen_pairs = isotropic_planes()
+    assert len(planes) == 3276
+    u, v, w = digits[reps], digits[gen_pairs[:, 0]], digits[gen_pairs[:, 1]]
+    keys = [discform._echelon_keys(np.stack(line, axis=1)).tolist()
+            + discform._echelon_keys(np.stack(plane, axis=1)).tolist()
+            for line, plane in (((u,), (v, w)),
+                                ((2 * u % 5,), (w, v)),
+                                ((4 * u % 5,), ((v + w) % 5, (v + 2 * w) % 5)))]
+    assert keys[0] == keys[1] == keys[2]
+    lines = [sorted(int((c * digits[e]) % 5 @ discform._POW) for c in range(5))
+             for e in reps.tolist()]
+    elem_lists = [tuple(x) for x in lines] + [tuple(x) for x in planes.tolist()]
+    assert len(set(keys[0])) == len(set(elem_lists)) == len(elem_lists)
+    for key, elems in zip(keys[0], elem_lists):
+        assert tuple(encodings(IsotropicSubgroup(gens=key_gens(key)))) == elems
+
+
+def test_canonical_key_is_invariant_under_the_group():
+    """canonical_key(g(H)) = canonical_key(H) for every symmetry g and
+    H_0..H_8, and differs between the nine.  g(H) is keyed once per
+    distinct image subgroup (by its sorted elements), from the images of
+    the generators under the first g that reaches it."""
+    auts = all_aut()
+    keys = set()
+    for label, gens in REFERENCE_SUBGROUPS.items():
+        sub = IsotropicSubgroup(gens=gens)
+        key = canonical_key(sub)
+        images = orbit_images(np.array(sub.elements(), dtype=np.int64))
+        _rows, first = np.unique(images, axis=0, return_index=True)
+        for g in first.tolist():
+            image = IsotropicSubgroup(gens=tuple(aut_apply(auts[g], v) for v in gens))
+            assert canonical_key(image) == key, (label, g)
+        keys.add(key)
+    assert len(keys) == 9
 
 
 def test_canonical_key_scaling_invariance():
@@ -349,28 +406,33 @@ def test_admissible_subgroups_carry_their_elements():
 
 
 def test_orbit_candidates_are_admissible():
-    """Each candidate is an admissible subgroup carrying its own elements:
-    the zero subgroup, nine starred lines and 128 planes through them."""
+    """Each candidate is an admissible subgroup carrying its own echelon
+    key: the zero subgroup, nine starred lines and 128 planes through
+    them.  Candidates share a key iff they share their elements."""
     candidates = list(discform._orbit_candidates())
     dims = [len(gens) for gens, _ in candidates]
     assert (dims.count(0), dims.count(1), dims.count(2)) == (1, 9, 128)
-    for gens, elems in candidates:
+    elem_lists = set()
+    for gens, key in candidates:
         sub = IsotropicSubgroup(gens=gens)
         assert condition_II(sub)
-        assert elems.dtype == np.int64 and elems.tolist() == encodings(sub)
+        assert encodings(IsotropicSubgroup(gens=key_gens(key))) == encodings(sub)
+        elem_lists.add(tuple(encodings(sub)))
+    assert len(elem_lists) == len({key for _gens, key in candidates})
 
 
 def swept_orbits(subgroups):
-    """Sweep `subgroups` as `classify_isotropic_subgroups` does: the keys
-    of the orbits met, and the element encodings of every subgroup in them."""
+    """Sweep (gens, elems) pairs as `classify_isotropic_subgroups` sweeps
+    its candidates, but on the oracle's sorted element lists: the keys of
+    the orbits met, and the element encodings of every subgroup in them."""
     digits = discform._tables()["digits"]
     keys, seen = set(), set()
     for _gens, elems in subgroups:
         if elems.tobytes() in seen:
             continue
-        images = discform._orbit_images(digits[elems])
+        images = orbit_images(digits[elems])
         seen.update(row.tobytes() for row in images)
-        keys.add(discform._min_row(images))
+        keys.add(min_row(images))
     return keys, seen
 
 
@@ -379,7 +441,9 @@ def test_orbit_candidates_meet_every_orbit_of_the_oracle():
     out the same nine orbits, with no reference labels involved."""
     survivors = admissible_subgroups()
     oracle_keys, _ = swept_orbits(survivors)
-    keys, seen = swept_orbits(discform._orbit_candidates())
+    keys, seen = swept_orbits(
+        (gens, np.array(encodings(IsotropicSubgroup(gens=gens)), dtype=np.int64))
+        for gens, _key in discform._orbit_candidates())
     assert len(keys) == 9 and keys == oracle_keys
     assert all(elems.tobytes() in seen for _gens, elems in survivors)
 
@@ -443,8 +507,9 @@ def test_reference_orbits_are_the_admissible_subgroups():
     subgroups of the exhaustive oracle, and a subgroup and its image
     under a symmetry share a label."""
     orbits = discform.reference_orbits()
-    assert set(orbits) == {elems.astype(np.uint16).tobytes()
-                           for _gens, elems in admissible_subgroups()}
+    assert len(orbits) == 2713
+    assert ({tuple(encodings(IsotropicSubgroup(gens=key_gens(key)))) for key in orbits}
+            == {tuple(elems.tolist()) for _gens, elems in admissible_subgroups()})
     assert sorted(set(orbits.values())) == sorted(REFERENCE_SUBGROUPS)
     for label, gens in REFERENCE_SUBGROUPS.items():
         assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) == label

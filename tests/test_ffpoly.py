@@ -172,6 +172,24 @@ def test_moduli_are_the_canonical_data():
         assert _search_modulus(k) == mod
 
 
+#: k -> {i: c_i}, the nonzero coefficients of the modulus `_search_modulus(k)`
+#: returns for fields outside MODULI, recorded from the search without its
+#: filter on roots in F5
+SEARCHED_MODULI = {
+    13: {0: 2, 1: 3, 2: 1, 13: 1},
+    16: {0: 2, 16: 1},
+    20: {0: 1, 1: 1, 2: 1, 20: 1},
+    24: {0: 1, 1: 4, 3: 1, 24: 1},
+    30: {0: 3, 1: 1, 3: 1, 30: 1},
+}
+
+
+@pytest.mark.parametrize("k", sorted(SEARCHED_MODULI))
+def test_searched_moduli_are_pinned(k):
+    expected = tuple(SEARCHED_MODULI[k].get(i, 0) for i in range(k + 1))
+    assert _search_modulus(k) == expected
+
+
 def _has_monic_factor(m):
     """Brute force: some monic polynomial of degree 1..deg(m)/2 divides m."""
     k = len(m) - 1

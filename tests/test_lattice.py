@@ -21,7 +21,6 @@ from charfive.discform import (
     REFERENCE_SUBGROUPS,
     _dual_classes,
     build_S0,
-    lift_to_dual,
 )
 from charfive.intmat import det_bareiss
 from charfive.lattice import dual_data
@@ -34,6 +33,7 @@ from lattice_kernels import (
     e_set,
     hnf_root_type,
     ldl_positive,
+    lift_to_dual,
     overlattice_from_generators,
     root_type_orthogonal_to,
     short_vectors_of_norm,
