@@ -19,6 +19,7 @@ basis over F5 (`_echelon_keys`), orbits from the images of that basis.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from operator import index
 
 import numpy as np
@@ -31,9 +32,6 @@ N_CHAINS = 5
 CHAIN_LEN = 4
 H_INDEX = 20
 L_INDEX = 21
-
-#: primal coordinates of the degree-2 polarization vector h
-H_PRIMAL = tuple(1 if i == H_INDEX else 0 for i in range(RANK))
 
 #: (a, b, y)-types whose overlattices keep the 5A4 root system and an
 #: empty degree-1 elliptic set; y is normalized to {0, 1, 2} (y ~ -y).
@@ -186,16 +184,21 @@ def decode(e):
     return tuple(out)
 
 
+#: +-x normalized to {0, 1, 2}, by residue: 1 for x in {1, 4}, 2 for {2, 3}
+_KIND = np.array([0, 1, 2, 2, 1], dtype=np.int64)
+
+
 @lru_cache(maxsize=1)
 def _tables():
-    enc = np.arange(5 ** 6, dtype=np.int64)
-    digits = np.stack([(enc // int(_POW[i])) % 5 for i in range(6)], axis=1)
+    # coordinate i is the digit of 5^i; the last axis of np.indices varies fastest
+    digits = np.ascontiguousarray(np.indices((5,) * 6).reshape(6, -1)[::-1].T)
     xs = digits[:, :5]
     ys = digits[:, 5]
     qenc = (6 * (xs * xs).sum(axis=1) + 2 * ys * ys) % 10
-    a_cnt = np.isin(xs, (1, 4)).sum(axis=1)
-    b_cnt = np.isin(xs, (2, 3)).sum(axis=1)
-    yn = np.minimum(ys, 5 - ys) % 5
+    kind = _KIND[xs]
+    a_cnt = (kind == 1).sum(axis=1)
+    b_cnt = (kind == 2).sum(axis=1)
+    yn = _KIND[ys]
     star_arr = np.zeros((6, 6, 3), dtype=bool)
     for (a, b, y) in STARRED_TYPES:
         star_arr[a, b, y] = True
@@ -352,7 +355,7 @@ def max_isotropic_dimension():
 
 
 # ---------------------------------------------------------------------------
-# Overlattice invariants from one root catalogue
+# Overlattice invariants from the class shells of h^perp
 # ---------------------------------------------------------------------------
 
 #: the orthogonal summands of h^perp in S0^vee, as dual-coordinate indices:
@@ -373,7 +376,8 @@ def _n5():
 @lru_cache(maxsize=1)
 def _short_summand_vectors():
     """Per summand of h^perp in S0^vee, its vectors of norm >= -2: pairs
-    (dual coordinates as an (n, 22) int8 array, 5 * norms as an (n,) array).
+    (dual coordinates as an (n, 22) int8 array, 5 * norms as an (n,) array),
+    from which `_shell_table` reads the shells of each class.
 
     The dual coordinates of a chain vector v are its pairings v.e_i with
     the chain's roots, and |v.e_i| <= sqrt(v^2 e_i^2) <= 2 by
@@ -396,48 +400,86 @@ def _short_summand_vectors():
 
 
 @lru_cache(maxsize=1)
-def _root_catalogue():
-    """The norm -2 vectors of h^perp in S0^vee: (dual coordinates as a
-    (6100, 22) int8 array, their class encodings in G as a (6100,) array).
+def _shell_table():
+    """Per summand of h^perp in S0^vee: (dimension, roots, shells).  roots
+    counts the summand's norm -2 vectors of class 0; shells[r] is
+    (top, count) for its vectors of norm >= -2 whose class has coordinate
+    r, top being their largest 5 * norm and count how many reach it, or
+    None when there are none.
 
-    Every even overlattice S_H lies in S0^vee as the vectors whose class
-    lies in H (Nikulin 1979, Prop. 1.4.1), so its roots orthogonal to h
-    are the entries whose class lies in H.  Norms add over the orthogonal
-    summands and none is positive, so each part of an entry has norm
-    >= -2 and comes from `_short_summand_vectors`.  Each entry is checked
-    to have norm -2 and to be orthogonal to h.
+    Raises ArithmeticError unless 5 gram^{-1} has zero blocks between the
+    summands (so norms add over them) and the dual basis of summand s has
+    classes in coordinate s of G alone (chain j in x_j, l in y), so that
+    the class of a vector of h^perp is read summand by summand.
     """
-    tables = _short_summand_vectors()
-    picks = np.zeros((1, 0), dtype=np.int64)    # table rows of each partial sum
-    norms = np.zeros(1, dtype=np.int64)
-    for _vecs, part in tables:
-        total = norms[:, None] + part[None, :]
-        rows, cols = np.nonzero(total >= -10)
-        picks = np.column_stack([picks[rows], cols])
-        norms = total[rows, cols]
-    picks = picks[norms == -10]
-    # the parts have disjoint supports and entries in [-2, 2]
-    vectors = sum(vecs[picks[:, s]] for s, (vecs, _part) in enumerate(tables))
-    wide = vectors.astype(np.int64)
-    n5 = _n5()
-    gram_h = np.array(build_S0().gram, dtype=np.int64) @ np.array(H_PRIMAL)
-    if not ((((wide @ n5) * wide).sum(axis=1) == -10).all()
-            and not (wide @ n5 @ gram_h).any()):
-        raise ArithmeticError("a catalogue entry is not a root orthogonal to h")
-    classes = _dual_classes()
+    n5, classes = _n5(), _dual_classes()
     if classes is None:
         raise ArithmeticError("the reference classes are not a basis of G")
-    return vectors, (wide @ classes % 5) @ _POW
+    cols = [i for idx in _SUMMANDS for i in idx]
+    owner = np.repeat(np.arange(len(_SUMMANDS)), [len(idx) for idx in _SUMMANDS])
+    if (n5[np.ix_(cols, cols)] * (owner[:, None] != owner)).any():
+        raise ArithmeticError("the summands of h^perp are not orthogonal")
+    if (classes[cols] * (owner[:, None] != np.arange(6))).any():
+        raise ArithmeticError("a summand has classes outside its own coordinate")
+    table = []
+    for s, (vecs, norms) in enumerate(_short_summand_vectors()):
+        residues = (vecs @ classes % 5)[:, s]
+        shells = []
+        for r in range(5):
+            here = norms[residues == r]
+            shells.append((int(here.max()), int((here == here.max()).sum()))
+                          if len(here) else None)
+        roots = int(((residues == 0) & (norms == -10)).sum())
+        table.append((len(_SUMMANDS[s]), roots, tuple(shells)))
+    return tuple(table)
+
+
+def _glue_roots(c):
+    """(count, support) of the norm -2 vectors of h^perp in S0^vee in the
+    class c != 0 of G, or None when it holds none (and for c = 0).
+
+    Norms in a coset of an even lattice agree mod 2, so the 5 * norm of
+    each part of a vector is its shell top minus a multiple of 10.  A
+    class c != 0 has a nonzero coordinate, whose top is negative, so c
+    holds vectors of 5 * norm -10 iff its tops sum to -10, and they are
+    the sums of top parts: the product of the shell counts, each vector
+    nonzero exactly on the summands of the nonzero coordinates of c.
+    """
+    table = _shell_table()
+    shells = [table[s][2][r] for s, r in enumerate(c)]
+    if None in shells or sum(top for top, _count in shells) != -10:
+        return None
+    return prod(count for _top, count in shells), [s for s, r in enumerate(c) if r]
 
 
 def root_type_orthogonal_to_h(subgroup):
     """ADE type of {r in S_H : r.h = 0, r^2 = -2} for the overlattice S_H
-    of the subgroup H: the catalogue entries whose class lies in H."""
-    vectors, classes = _root_catalogue()
-    member = np.zeros(5 ** 6, dtype=bool)
-    member[np.array(subgroup.elements(), dtype=np.int64) @ _POW] = True
-    roots = vectors[member[classes]]
-    return RootSystemType.of_roots(roots, _n5())
+    of the subgroup H, read from the classes of H.
+
+    S_H is the part of S0^vee whose class lies in H (Nikulin 1979,
+    Prop. 1.4.1), so these roots are the norm -2 vectors of h^perp in
+    S0^vee with class in H: the roots of each summand in class 0, and the
+    `_glue_roots` of the other classes.  A glue root meets a root of each
+    summand in its support (Conway-Sloane, SPLAG ch. 4 and 16), so the
+    components are the unions of overlapping supports, a graph on the six
+    summands.  Each is named by `RootSystemType.identify_component` from
+    its rank, the summed dimensions, and its root count.
+    """
+    table = _shell_table()
+    label = list(range(len(table)))         # component label of each summand
+    counts = [roots for _dim, roots, _shells in table]
+    for count, support in filter(None, map(_glue_roots, subgroup.elements())):
+        counts[support[0]] += count
+        for s in support[1:]:
+            old, new = label[s], label[support[0]]
+            label = [new if x == old else x for x in label]
+    comps = {}                              # label -> (rank, root count)
+    for s, lab in enumerate(label):
+        rank, count = comps.get(lab, (0, 0))
+        comps[lab] = (rank + table[s][0], count + counts[s])
+    return RootSystemType(components=tuple(
+        RootSystemType.identify_component(rank, count)
+        for rank, count in comps.values() if count))
 
 
 def e_splittings():
@@ -453,22 +495,19 @@ def _e_splittings():
     """`e_splittings` as a tuple, derived once per process.
 
     e^2 = a^2 + b^2 with a^2 <= 0, and 5 b^2 = 2 (1 + j - j^2) is negative
-    unless j is 0 or 1, where it is 2.  So a^2 >= -2/5, every chain part
-    of a lies in `_short_summand_vectors`, and 5 a^2 is a sum of their
-    5 * norms.
+    unless j is 0 or 1, where it is 2.  So a^2 >= -2/5 and 5 a^2 is a sum
+    of chain parts of 5 * norm >= -10.  Below its shell top t a coset's
+    5 * norms are at most t - 10, so those of a chain part are t and, in
+    class 0 (t = 0), the -10 of the chain's roots.
     """
     sums = {0}
-    for _vecs, part in _short_summand_vectors()[:N_CHAINS]:
-        sums = {s + p for s in sums for p in set(part.tolist()) if s + p >= -10}
+    for _dim, roots, shells in _shell_table()[:N_CHAINS]:
+        values = {top for top, _count in filter(None, shells)} | ({-10} if roots else set())
+        sums = {s + p for s in sums for p in values if s + p >= -10}
     n5 = _n5()
-    out = []
-    for j in range(-2, 3):
-        b = np.zeros(RANK, dtype=np.int64)
-        b[H_INDEX], b[L_INDEX] = 1, j
-        b5 = int(b @ n5 @ b)
-        if -b5 in sums:
-            out.append((j, -b5))
-    return tuple(out)
+    b5 = [int(n5[H_INDEX, H_INDEX] + 2 * j * n5[H_INDEX, L_INDEX] + j * j * n5[L_INDEX, L_INDEX])
+          for j in range(-2, 3)]            # 5 b^2 for b = h^vee + j l^vee
+    return tuple((j, -b) for j, b in zip(range(-2, 3), b5) if -b in sums)
 
 
 def _subgroup_invariants(subgroup):

@@ -12,15 +12,12 @@ Conventions
   matrix m * gram^{-1} that turns dual coordinates into m times primal
   ones, from the adjugate alone.
 
-Arithmetic is exact.  numpy appears only in `RootSystemType.of_roots`,
-to hold root pairings, which are small int64 values.
+Arithmetic is exact and uses Python integers only.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
 
 from .intmat import adjugate, det_bareiss, is_symmetric, signature_symmetric
 
@@ -105,53 +102,6 @@ class RootSystemType:
         if (rank, count) in e_table:
             return e_table[(rank, count)]
         raise ValueError(f"no ADE system has rank {rank} with {count} roots")
-
-    @classmethod
-    def of_roots(cls, roots, gram):
-        """Type of the root system whose roots are the integer rows of
-        `roots`, paired by the integer matrix `gram` (the form in their
-        coordinates, up to a nonzero scale).
-
-        Roots come in pairs +-r, and r and -r lie in one component, so
-        the rows whose first nonzero entry is positive stand for all.
-        Components are the classes of the non-orthogonality relation
-        among them, joined by union-find.  In an irreducible simply-laced
-        system with Coxeter number h, each root is not orthogonal to
-        exactly 4h - 6 roots, itself and its negative included (Bourbaki,
-        Lie Groups ch. VI, sec. 1.11, Prop. 32), so its row of pairings
-        has 2h - 3 nonzero entries, and the rank is the root count over
-        h.  Raises ValueError when the rows of a component disagree or
-        h or the rank is not an integer.
-        """
-        roots = np.asarray(roots)
-        lead = roots[np.arange(len(roots)), (roots != 0).argmax(axis=1)]
-        half = roots[lead > 0]
-        pairings = half @ np.asarray(gram) @ half.T
-        degree = np.count_nonzero(pairings, axis=1)
-        parent = list(range(len(half)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in np.argwhere(np.triu(pairings, 1)).tolist():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        groups = {}
-        for i in range(len(half)):
-            groups.setdefault(find(i), []).append(i)
-        comps = []
-        for members in groups.values():
-            count = 2 * len(members)
-            first = int(degree[members[0]])
-            coxeter, odd = divmod(first + 3, 2)
-            if odd or count % coxeter or (degree[members] != first).any():
-                raise ValueError("the roots do not form a simply-laced root system")
-            comps.append(cls.identify_component(count // coxeter, count))
-        return cls(components=tuple(comps))
 
     def __str__(self):
         if not self.components:

@@ -1,16 +1,17 @@
-"""The overlattice enumeration path: the test oracle for the root catalogue.
+"""The overlattice enumeration path: the test oracle for the overlattice
+invariants.
 
 This is the code `charfive` ran for the invariants of each isotropic
-subgroup H before they came from one catalogue of the norm -2 vectors of
-h^perp in S0^vee: it builds the overlattice S_H, reduces h^perp in it
-with the integral LLL, and lists its roots and the degree-1 elliptic set
-E by Fincke-Pohst enumeration.  `subgroup_invariants` gives the triple
-that `discform._subgroup_invariants` now reads off the catalogue, and
+subgroup H before they came from the norm -2 vectors of h^perp in
+S0^vee: it builds the overlattice S_H, reduces h^perp in it with the
+integral LLL, and lists its roots and the degree-1 elliptic set E by
+Fincke-Pohst enumeration.  `subgroup_invariants` gives the triple that
+`discform._subgroup_invariants` now reads off the class shells, and
 `test_lattice.py`, `test_intmat.py` and `test_acceptance.py` check the
 kernels themselves against `fraction_kernels` and the box oracle.
 `hnf_root_type`, which names each root component by the Hermite-form
 rank of its span, is the oracle for the Coxeter-number rank of
-`RootSystemType.of_roots`.  `lift_to_dual` lifts a generator of H to S0^vee
+`catalogue_kernels.of_roots`.  `lift_to_dual` lifts a generator of H to S0^vee
 for the overlattice construction.
 """
 
@@ -20,9 +21,13 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from charfive.discform import CHAIN_LEN, H_INDEX, H_PRIMAL, N_CHAINS, RANK, build_S0
+from charfive.discform import CHAIN_LEN, H_INDEX, N_CHAINS, RANK, build_S0
 from charfive.intmat import adjugate, copy_matrix, det_bareiss, is_symmetric
 from charfive.lattice import GramLattice, RootSystemType, dual_data
+
+
+#: primal coordinates of the degree-2 polarization vector h
+H_PRIMAL = tuple(1 if i == H_INDEX else 0 for i in range(RANK))
 
 
 class IndefiniteLatticeError(ValueError):

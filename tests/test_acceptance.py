@@ -11,7 +11,6 @@ import random
 from charfive.cli import run
 from charfive.curvecheck import analyze, ns_gram_model, random_in_U
 from charfive.discform import (
-    H_PRIMAL,
     IsotropicSubgroup,
     REFERENCE_SUBGROUPS,
     build_S0,
@@ -26,6 +25,7 @@ from charfive.lattice import dual_data
 
 from fraction_kernels import short_vectors_box
 from lattice_kernels import (
+    H_PRIMAL,
     e_set,
     mat_mul,
     overlattice_from_generators,

@@ -32,6 +32,12 @@ def test_table1_md_matches_golden():
     assert len(data_rows) == 13
 
 
+def test_table1_json_matches_golden():
+    code, out, _ = invoke(["lattice", "table1", "--format", "json"])
+    assert code == 0
+    assert out == (GOLDEN / "table1.json").read_text()
+
+
 def test_classify_matches_golden():
     code, out, _ = invoke(["lattice", "classify"])
     assert code == 0

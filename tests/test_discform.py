@@ -1,5 +1,6 @@
 """The discriminant form on F5^6, its symmetry group, the classification,
-and the root catalogue behind the overlattice invariants."""
+and the class shells behind the overlattice invariants, checked against
+the root catalogue oracle."""
 
 import itertools
 import random
@@ -25,11 +26,12 @@ from charfive.discform import (
     q_value,
     verify_q_consistency,
 )
+from catalogue_kernels import catalogue_root_type, root_catalogue
 from discform_kernels import (
     AutElement, admissible_subgroups, all_aut, isotropic_planes, line_representatives,
     min_row, orbit_images)
 from fraction_kernels import fraction_inverse, short_vectors_box
-from lattice_kernels import subgroup_invariants, subgroup_overlattice
+from lattice_kernels import H_PRIMAL, subgroup_invariants, subgroup_overlattice
 from test_lattice import pairing
 
 
@@ -641,7 +643,7 @@ def test_verify_q_consistency_fails_on_wrong_exponent(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the root catalogue against the overlattice enumeration
+# the class shells and the root catalogue against the overlattice enumeration
 # ---------------------------------------------------------------------------
 
 def _table_subgroups():
@@ -711,7 +713,7 @@ def test_root_catalogue_structure():
     """6100 distinct vectors in 161 classes, every class isotropic; each
     vector has norm -2 and is orthogonal to h, through 5 gram^{-1} from
     the Fraction inverse."""
-    vectors, classes = discform._root_catalogue()
+    vectors, classes = root_catalogue()
     assert vectors.shape == (6100, 22)
     assert len({tuple(v) for v in vectors.tolist()}) == 6100
     assert len(set(classes.tolist())) == 161
@@ -721,13 +723,13 @@ def test_root_catalogue_structure():
     assert all(x.denominator == 1 for row in ginv5 for x in row)
     primal5 = vectors @ np.array(ginv5, dtype=np.int64)         # 5 x primal coordinates
     assert (np.einsum("ij,jk,ik->i", primal5, np.array(gram), primal5) == -50).all()
-    assert not (primal5 @ np.array(gram) @ np.array(discform.H_PRIMAL)).any()
+    assert not (primal5 @ np.array(gram) @ np.array(H_PRIMAL)).any()
 
 
 def test_root_counts_by_type():
     """The catalogue entries in the classes of H: 100 roots for 5A4, 150 for
     A9+3A4 and 300 for E8+3A4."""
-    vectors, classes = discform._root_catalogue()
+    vectors, classes = root_catalogue()
     sizes = {"5A4": 100, "A9+3A4": 150, "E8+3A4": 300}
     for sub in _table_subgroups() + _reference_subgroups():
         encs = [sum(x * 5 ** i for i, x in enumerate(v)) for v in sub.elements()]
@@ -735,10 +737,95 @@ def test_root_counts_by_type():
         assert int(np.isin(classes, encs).sum()) == sizes[rt]
 
 
-def test_root_catalogue_is_lazy():
-    # importing the package builds nothing: the catalogue is built on first use
+def test_shell_table_is_lazy():
+    # importing the package builds nothing: the shell table is built on first use
     code = ("import charfive, charfive.discform as d; "
-            "print(d._root_catalogue.cache_info().currsize)")
+            "print(d._shell_table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "0"
+
+
+def test_shell_table():
+    """Per chain: dimension 4, 20 roots in class 0, and the tops 0, -4/5,
+    -6/5 of classes 0, +-1, +-2 reached by 1, 5 and 10 vectors; on l the
+    class y = 3 j of j l^vee with top -2 j^2 / 5."""
+    chain = (4, 20, ((0, 1), (-4, 5), (-6, 10), (-6, 10), (-4, 5)))
+    line = (1, 0, ((0, 1), (-8, 1), (-2, 1), (-2, 1), (-8, 1)))
+    assert discform._shell_table() == (chain,) * 5 + (line,)
+
+
+@pytest.mark.parametrize("block", ["norms", "classes"])
+def test_shell_table_certificates(monkeypatch, block):
+    """A coupling between two chains in 5 gram^{-1}, or a chain class with
+    a part in another coordinate, makes the build raise."""
+    # built from the true Gram matrix before it is patched
+    discform._short_summand_vectors(), discform._dual_classes()
+    if block == "norms":
+        n5 = discform._n5().copy()
+        n5[0, 4] = n5[4, 0] = 1
+        monkeypatch.setattr(discform, "_n5", lambda: n5)
+    else:
+        classes = discform._dual_classes().copy()
+        classes[0, 1] = 1
+        monkeypatch.setattr(discform, "_dual_classes", lambda: classes)
+    discform._shell_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            discform._shell_table()
+    finally:
+        discform._shell_table.cache_clear()
+
+
+def test_glue_roots_match_the_catalogue_on_every_class():
+    """On all 15625 classes, `_glue_roots` gives the number of catalogue
+    entries in the class, and every entry is nonzero on exactly the
+    summands of its support: 160 glue classes holding 6000 roots.  Class 0
+    holds the 100 roots of the chains, each in one summand, 20 per chain
+    as the shell table counts them."""
+    vectors, classes = root_catalogue()
+    touched = np.stack([vectors[:, idx].any(axis=1) for idx in discform._SUMMANDS], axis=1)
+    order = np.argsort(classes, kind="stable")
+    keys, starts = np.unique(classes[order], return_index=True)
+    groups = dict(zip(keys.tolist(), np.split(order, starts[1:])))
+    n_glue = n_roots = 0
+    for e in range(1, 5 ** 6):
+        glue = discform._glue_roots(discform.decode(e))
+        rows = groups.get(e)
+        if rows is None:
+            assert glue is None, e
+            continue
+        supports = {tuple(np.nonzero(t)[0].tolist()) for t in touched[rows]}
+        assert glue is not None and glue[0] == len(rows), e
+        assert supports == {tuple(glue[1])}, e
+        n_glue, n_roots = n_glue + 1, n_roots + glue[0]
+    assert (n_glue, n_roots) == (160, 6000)
+    assert discform._glue_roots((0,) * 6) is None
+    assert touched[groups[0]].sum(axis=1).tolist() == [1] * 100
+    assert touched[groups[0]].sum(axis=0).tolist() == [
+        roots for _dim, roots, _shells in discform._shell_table()]
+
+
+@pytest.fixture(scope="module")
+def isotropic_subgroups():
+    """All 4033 totally isotropic subgroups: 0, 756 lines and 3276 planes."""
+    _planes, gen_pairs = isotropic_planes()
+    return ([IsotropicSubgroup(gens=())]
+            + [IsotropicSubgroup(gens=(discform.decode(int(e)),))
+               for e in line_representatives()]
+            + [IsotropicSubgroup(gens=tuple(discform.decode(int(e)) for e in pair))
+               for pair in gen_pairs])
+
+
+def test_root_types_match_the_catalogue_on_every_isotropic_subgroup(isotropic_subgroups):
+    """The support-graph root type equals `of_roots` on the catalogue
+    entries in the classes of H, for every isotropic H; 5A4 exactly on the
+    2713 admissible subgroups."""
+    assert len(isotropic_subgroups) == 4033
+    tally = {}
+    for sub in isotropic_subgroups:
+        rt = discform.root_type_orthogonal_to_h(sub)
+        assert rt == catalogue_root_type(sub), sub.gens
+        tally[str(rt)] = tally.get(str(rt), 0) + 1
+    assert tally == {"5A4": 2713, "A9+3A4": 840, "A9+E8+A4": 240, "E8+3A4": 180,
+                     "2E8+A4": 60}

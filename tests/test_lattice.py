@@ -1,23 +1,26 @@
-"""Lattice engine: discriminant groups and root systems, and the retired
+"""Lattice engine: discriminant groups and root systems, the retired
 overlattice enumeration path of `lattice_kernels`, which is the oracle for
-the root catalogue."""
+the root catalogue, and `catalogue_kernels.of_roots` against the Hermite
+form ranks of `lattice_kernels.hnf_root_type`."""
 
+import ast
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from charfive import DegenerateLatticeError, GramLattice, RootSystemType
 import fraction_kernels
+from catalogue_kernels import of_roots
 import lattice_kernels as lk
 from fraction_kernels import short_vectors_box
 from charfive.discform import (
-    H_PRIMAL,
     REFERENCE_SUBGROUPS,
     _dual_classes,
     build_S0,
@@ -25,6 +28,7 @@ from charfive.discform import (
 from charfive.intmat import det_bareiss
 from charfive.lattice import dual_data
 from lattice_kernels import (
+    H_PRIMAL,
     DivisibilityError,
     EvennessViolation,
     IndefiniteLatticeError,
@@ -478,13 +482,26 @@ ADE_TYPES = ([("A", n) for n in range(1, 22)] + [("D", n) for n in range(4, 22)]
              + [("E", n) for n in (6, 7, 8)])
 
 
+def test_lattice_module_imports_no_numpy():
+    """`charfive.lattice` stays on Python integers, so a path through it
+    alone need not load numpy."""
+    path = Path(__file__).resolve().parent.parent / "src" / "charfive" / "lattice.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    assert modules and not any(m.split(".")[0] == "numpy" for m in modules)
+
+
 def test_of_roots_on_ade_systems():
     """A1-A21, D4-D21, E6, E7 and E8: the Coxeter-number rank agrees with
     the rank of the span (the HNF oracle) and names the system."""
     for letter, n in ADE_TYPES:
         roots = ROOTS[letter](n)
         gram = lk.identity_matrix(len(roots[0]))
-        rt = RootSystemType.of_roots(roots, gram)
+        rt = of_roots(roots, gram)
         assert rt == hnf_root_type(roots, gram) == RootSystemType(((letter, n),))
 
 
@@ -495,8 +512,8 @@ def test_of_roots_separates_equal_root_counts():
                                       (("A", 20), ("D", 15), 420)):
         r1, r2 = ROOTS[l1](n1), ROOTS[l2](n2)
         assert len(r1) == len(r2) == count
-        assert str(RootSystemType.of_roots(r1, lk.identity_matrix(len(r1[0])))) == f"{l1}{n1}"
-        assert str(RootSystemType.of_roots(r2, lk.identity_matrix(len(r2[0])))) == f"{l2}{n2}"
+        assert str(of_roots(r1, lk.identity_matrix(len(r1[0])))) == f"{l1}{n1}"
+        assert str(of_roots(r2, lk.identity_matrix(len(r2[0])))) == f"{l2}{n2}"
 
 
 def test_of_roots_on_orthogonal_sum():
@@ -506,7 +523,7 @@ def test_of_roots_on_orthogonal_sum():
     roots = [(0,) * sum(widths[:k]) + r + (0,) * sum(widths[k + 1:])
              for k, block in enumerate(blocks) for r in block]
     gram = lk.identity_matrix(sum(widths))
-    rt = RootSystemType.of_roots(roots, gram)
+    rt = of_roots(roots, gram)
     assert str(rt) == "E8+D5+A4" and rt == hnf_root_type(roots, gram)
 
 
@@ -515,7 +532,7 @@ def test_of_roots_rejects_non_closed_sets():
     system holds alone."""
     roots = [r for r in a_roots(2) if r not in ((1, 0, -1), (-1, 0, 1))]
     with pytest.raises(ValueError):
-        RootSystemType.of_roots(roots, lk.identity_matrix(3))
+        of_roots(roots, lk.identity_matrix(3))
 
 
 # ---------------------------------------------------------------------------
