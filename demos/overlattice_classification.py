@@ -8,7 +8,6 @@ classifies the admissible isotropic subgroups up to symmetry.
 
 from charfive.discform import (
     IsotropicSubgroup,
-    build_S0,
     classify_isotropic_subgroups,
     e_splittings,
     isotropic_table,
@@ -16,6 +15,7 @@ from charfive.discform import (
     root_type_orthogonal_to_h,
     verify_q_consistency,
 )
+from charfive.lattice import build_S0
 
 print("=== The base lattice ===")
 s0 = build_S0()

@@ -13,7 +13,6 @@ polar and the point share one coefficient ring.
 import random
 from dataclasses import dataclass, replace
 
-from .discform import CHAIN_LEN, N_CHAINS, build_S0
 from .ffpoly import (
     GF,
     GFPoly,
@@ -23,7 +22,7 @@ from .ffpoly import (
     roots_in_extension,
     taylor_coefficients,
 )
-from .lattice import GramLattice
+from .lattice import CHAIN_LEN, N_CHAINS, GramLattice, build_S0
 
 
 class GenericityError(RuntimeError):

@@ -1,19 +1,22 @@
-"""The rank-22 model lattice (five A4 chains plus a hyperbolic-like pair)
+"""The discriminant form of the model lattice S0 (`lattice.build_S0`)
 and the classification of its even overlattices.
 
-The discriminant group G of the model lattice is F5^6.  Elements are
-written [x1,...,x5 | y] in the reference basis (the classes of the first
-dual root of each chain, plus the class of the dual of h); the quadratic
-form is
+The discriminant group G of S0 is F5^6.  Elements are written
+[x1,...,x5 | y] in the reference basis (the classes of the first dual
+root of each chain, plus the class of the dual of h); the quadratic form
+is
 
     q([x|y]) = -(4/5)(x1^2 + ... + x5^2) + (2/5) y^2   mod 2Z.
 
 q-values are encoded as integers mod 10 (value n means n/5 mod 2Z) and
-bilinear values as integers mod 5 (n means n/5 mod Z).  That the encoded
-formula agrees with the discriminant form computed from the Gram matrix
-from first principles is checked by `verify_q_consistency`, which scans
-all 15625 elements.  Subgroups are keyed by their reduced row echelon
-basis over F5 (`_echelon_keys`), orbits from the images of that basis.
+bilinear values as integers mod 5 (n means n/5 mod Z); `q_value` and
+`b_value` are the only copies of the two formulas, and `_tables` holds
+q, the (a, b, y)-type and the starred rule for all 15625 elements, which
+the rest of the module reads.  That the encoded formula agrees with the
+discriminant form computed from the Gram matrix from first principles is
+checked by `verify_q_consistency`, which scans all of G.  Subgroups are
+keyed by their reduced row echelon basis over F5 (`_echelon_keys`),
+orbits from the images of that basis.
 """
 
 import itertools
@@ -25,13 +28,8 @@ from operator import index
 import numpy as np
 
 from .intmat import adjugate, det_bareiss
-from .lattice import GramLattice, RootSystemType, dual_data
-
-RANK = 22
-N_CHAINS = 5
-CHAIN_LEN = 4
-H_INDEX = 20
-L_INDEX = 21
+from .lattice import (
+    CHAIN_LEN, H_INDEX, L_INDEX, N_CHAINS, RANK, RootSystemType, build_S0, dual_data)
 
 #: (a, b, y)-types whose overlattices keep the 5A4 root system and an
 #: empty degree-1 elliptic set; y is normalized to {0, 1, 2} (y ~ -y).
@@ -56,69 +54,20 @@ REFERENCE_SUBGROUPS = {
 
 
 # ---------------------------------------------------------------------------
-# The model lattice
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def build_S0():
-    """Gram matrix of the rank-22 lattice: five negative A4 chains plus the
-    rank-2 block [[2,1],[1,-2]], with labeled basis."""
-    gram = [[0] * RANK for _ in range(RANK)]
-    labels = []
-    for j in range(N_CHAINS):
-        base = CHAIN_LEN * j
-        for i in range(CHAIN_LEN):
-            gram[base + i][base + i] = -2
-            if i + 1 < CHAIN_LEN:
-                gram[base + i][base + i + 1] = 1
-                gram[base + i + 1][base + i] = 1
-            labels.append(f"e_{i + 1}^({j + 1})")
-    gram[H_INDEX][H_INDEX] = 2
-    gram[H_INDEX][L_INDEX] = 1
-    gram[L_INDEX][H_INDEX] = 1
-    gram[L_INDEX][L_INDEX] = -2
-    labels += ["h", "l"]
-    return GramLattice(gram=tuple(tuple(r) for r in gram), labels=tuple(labels))
-
-
-# ---------------------------------------------------------------------------
 # The discriminant form in the reference basis
 # ---------------------------------------------------------------------------
 
-def g_add(v, w):
-    return tuple((a + b) % 5 for a, b in zip(v, w))
-
-
-def g_scale(c, v):
-    return tuple((c * a) % 5 for a in v)
-
-
 def q_value(v):
-    """q(v) encoded as an integer mod 10; value n means n/5 mod 2Z."""
-    xs = v[:5]
-    y = v[5]
-    return (6 * sum(x * x for x in xs) + 2 * y * y) % 10
+    """q(v) encoded as 6 (x1^2 + ... + x5^2) + 2 y^2 mod 10; value n means
+    n/5 mod 2Z.  v holds elements [x|y] along its last axis, so an (n, 6)
+    array gives n values."""
+    return np.multiply(v, v) @ (6, 6, 6, 6, 6, 2) % 10
 
 
 def b_value(v, w):
-    """b(v, w) = (q(v+w) - q(v) - q(w))/2, encoded mod 5 (n means n/5 mod Z)."""
-    return (sum(a * b for a, b in zip(v[:5], w[:5])) + 2 * v[5] * w[5]) % 5
-
-
-@dataclass(frozen=True)
-class DeltaType:
-    a: int
-    b: int
-    y: int
-    starred: bool
-
-
-def delta(v):
-    """(a, b, y)-type: a counts coordinates in {1,4}, b counts {2,3}."""
-    a = sum(1 for x in v[:5] if x % 5 in (1, 4))
-    b = sum(1 for x in v[:5] if x % 5 in (2, 3))
-    y = v[5] % 5
-    return DeltaType(a=a, b=b, y=y, starred=(a, b, min(y, 5 - y)) in STARRED_TYPES)
+    """b(v, w) = (q(v+w) - q(v) - q(w))/2, encoded as x.x' + 2 y y' mod 5
+    (n means n/5 mod Z); v and w broadcast along all but their last axis."""
+    return np.multiply(v, w) @ (1, 1, 1, 1, 1, 2) % 5
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +95,28 @@ class IsotropicSubgroup:
         # more than six vectors of F5^6 are never independent
         if len(gens) > 6:
             raise ValueError("generators are not independent")
-        bad = [v for v in self.elements() if q_value(v) != 0]
+        # the 5^dim combinations of the generators, as rows of `_tables()`
+        coeffs = np.indices((5,) * len(gens)).reshape(len(gens), 5 ** len(gens)).T
+        codes = np.sort(coeffs @ np.array(gens, dtype=np.int64).reshape(-1, 6) % 5 @ _POW)
+        if (codes[1:] == codes[:-1]).any():
+            raise ValueError("generators are not independent")
+        object.__setattr__(self, "_codes", codes)
+        t = _tables()
+        bad = t["digits"][codes[~t["iso"][codes]]].tolist()
         if bad:
-            raise ValueError(f"subgroup is not totally isotropic at {bad[0]}")
+            raise ValueError(f"subgroup is not totally isotropic at {tuple(min(bad))}")
 
     @property
     def dim(self):
         return len(self.gens)
 
     def elements(self):
-        elems = {(0,) * 6}
-        for g in self.gens:
-            # stop at the first generator already in the span of the others
-            if g in elems:
-                raise ValueError("generators are not independent")
-            elems = {g_add(v, g_scale(c, g)) for v in elems for c in range(5)}
-        return tuple(sorted(elems))
+        return tuple(sorted(map(tuple, _tables()["digits"][self._codes].tolist())))
 
 
 def condition_II(subgroup):
     """True iff every element (including 0) has a starred (a,b,y)-type."""
-    return all(delta(v).starred for v in subgroup.elements())
+    return bool(_tables()["starred"][subgroup._codes].all())
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +127,8 @@ _POW = np.array([1, 5, 25, 125, 625, 3125], dtype=np.int64)
 
 
 def decode(e):
-    out = []
-    for _ in range(6):
-        out.append(int(e % 5))
-        e //= 5
-    return tuple(out)
+    """The element [x|y] encoded as e = x1 + 5 x2 + ... + 5^4 x5 + 5^5 y."""
+    return tuple(_tables()["digits"][e].tolist())
 
 
 #: +-x normalized to {0, 1, 2}, by residue: 1 for x in {1, 4}, 2 for {2, 3}
@@ -192,13 +139,11 @@ _KIND = np.array([0, 1, 2, 2, 1], dtype=np.int64)
 def _tables():
     # coordinate i is the digit of 5^i; the last axis of np.indices varies fastest
     digits = np.ascontiguousarray(np.indices((5,) * 6).reshape(6, -1)[::-1].T)
-    xs = digits[:, :5]
-    ys = digits[:, 5]
-    qenc = (6 * (xs * xs).sum(axis=1) + 2 * ys * ys) % 10
-    kind = _KIND[xs]
+    qenc = q_value(digits)
+    kind = _KIND[digits[:, :5]]
     a_cnt = (kind == 1).sum(axis=1)
     b_cnt = (kind == 2).sum(axis=1)
-    yn = _KIND[ys]
+    yn = _KIND[digits[:, 5]]
     star_arr = np.zeros((6, 6, 3), dtype=bool)
     for (a, b, y) in STARRED_TYPES:
         star_arr[a, b, y] = True
@@ -310,15 +255,14 @@ def _orbit_candidates():
     digits = t["digits"]
     admissible = t["iso"] & t["starred"]
     ws = np.nonzero(admissible)[0]
-    weights = digits[ws].copy()
-    weights[:, 5] = (2 * weights[:, 5]) % 5
+    ws_digits = digits[ws]
     yield (), 0
     for key, v in sorted(_type_representatives().items()):
-        if v == 0 or key not in STARRED_TYPES:
+        if v == 0 or not admissible[v]:
             continue
         multiples = np.arange(5)[:, None] * digits[v] % 5
         yield (decode(v),), int(_echelon_keys(digits[v][None, None])[0])
-        w = ws[((weights @ digits[v]) % 5 == 0) & ~np.isin(ws, multiples @ _POW)]
+        w = ws[(b_value(ws_digits, digits[v]) == 0) & ~np.isin(ws, multiples @ _POW)]
         cosets = (digits[w][:, None] + multiples[1:]) % 5 @ _POW          # (n, 4)
         w = w[admissible[cosets].all(axis=1)]
         bases = np.stack([np.broadcast_to(digits[v], (len(w), 6)), digits[w]], axis=1)
@@ -350,8 +294,8 @@ def max_isotropic_dimension():
     b on the reference basis: det = 2 and -2 is not a square mod 5, so it
     is 2.
     """
-    units = [decode(5 ** i) for i in range(6)]
-    return _witt_index([[b_value(u, v) for v in units] for u in units])
+    units = np.eye(6, dtype=np.int64)
+    return _witt_index(b_value(units[:, None], units).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +308,23 @@ _SUMMANDS = tuple(list(range(CHAIN_LEN * j, CHAIN_LEN * (j + 1)))
                   for j in range(N_CHAINS)) + ([L_INDEX],)
 
 
+#: dual-coordinate indices of the lifts R of the reference basis of G:
+#: the dual of the first root of each chain, then the dual of h
+_REFERENCE = [CHAIN_LEN * j for j in range(N_CHAINS)] + [H_INDEX]
+
+
 @lru_cache(maxsize=1)
-def _n5():
-    """5 * gram^{-1} of the model lattice as a read-only int64 array:
-    d n5 d^T is 5 times the norm of a dual-coordinate vector d."""
-    n5 = np.array(dual_data(build_S0().gram)[1], dtype=np.int64)
-    n5.setflags(write=False)
-    return n5
+def _reference_form():
+    """(m, N, R N R^T) for the model lattice: the exponent m of its
+    discriminant group, N = m gram^{-1} as a read-only int64 array, and
+    the 6x6 block of N on the reference lifts R.  d N d^T is m times the
+    norm of a dual-coordinate vector d, and c R N R^T c^T that of the
+    lift c R of the class c.  m is 5, which `verify_q_consistency`
+    certifies, so the other callers read N as 5 gram^{-1}."""
+    m, m_ginv = dual_data(build_S0().gram)
+    n = np.array(m_ginv, dtype=np.int64)
+    n.setflags(write=False)
+    return m, n, n[np.ix_(_REFERENCE, _REFERENCE)]
 
 
 @lru_cache(maxsize=1)
@@ -386,7 +340,7 @@ def _short_summand_vectors():
     norms -4/5 and -6/5 (Conway-Sloane, SPLAG ch. 4).  On l the vector
     j l^vee has norm -2 j^2 / 5, so |j| <= 2.
     """
-    n5 = _n5()
+    n5 = _reference_form()[1]
     tables = []
     for idx in _SUMMANDS:
         box = np.array(list(itertools.product(range(-2, 3), repeat=len(idx))),
@@ -412,7 +366,7 @@ def _shell_table():
     classes in coordinate s of G alone (chain j in x_j, l in y), so that
     the class of a vector of h^perp is read summand by summand.
     """
-    n5, classes = _n5(), _dual_classes()
+    n5, classes = _reference_form()[1], _dual_classes()
     if classes is None:
         raise ArithmeticError("the reference classes are not a basis of G")
     cols = [i for idx in _SUMMANDS for i in idx]
@@ -504,7 +458,7 @@ def _e_splittings():
     for _dim, roots, shells in _shell_table()[:N_CHAINS]:
         values = {top for top, _count in filter(None, shells)} | ({-10} if roots else set())
         sums = {s + p for s in sums for p in values if s + p >= -10}
-    n5 = _n5()
+    n5 = _reference_form()[1]
     b5 = [int(n5[H_INDEX, H_INDEX] + 2 * j * n5[H_INDEX, L_INDEX] + j * j * n5[L_INDEX, L_INDEX])
           for j in range(-2, 3)]            # 5 b^2 for b = h^vee + j l^vee
     return tuple((j, -b) for j, b in zip(range(-2, 3), b5) if -b in sums)
@@ -613,7 +567,7 @@ class IsotropyRow:
 def isotropic_table():
     """One row per (a, b, +-y)-class of isotropic vectors, with the
     invariants of the overlattice of one representative."""
-    rows = []
+    rows, starred = [], _tables()["starred"]
     for (a, b, yn), e in sorted(_type_representatives().items()):
         rep = decode(e)
         rt, e_empty, disc_exp = _subgroup_invariants(
@@ -621,7 +575,7 @@ def isotropic_table():
         rows.append(IsotropyRow(
             a=a, b=b, y=yn,
             plus_minus=(yn != 0),
-            starred=(a, b, yn) in STARRED_TYPES,
+            starred=bool(starred[e]),
             representative=rep,
             disc_exp=disc_exp,
             root_type=rt,
@@ -645,12 +599,6 @@ class QConsistencyReport:
     expansions: dict           # selected dual vectors in the reference basis
 
 
-def _reference_lifts():
-    """Dual-coordinate lifts of the reference basis of G, a (6, 22) array:
-    the dual of the first root of each chain, then the dual of h."""
-    return np.eye(RANK, dtype=np.int64)[[CHAIN_LEN * j for j in range(N_CHAINS)] + [H_INDEX]]
-
-
 @lru_cache(maxsize=1)
 def _dual_classes():
     """Classes of the 22 dual basis vectors in the reference basis, as a
@@ -665,9 +613,9 @@ def _dual_classes():
     are a basis iff det B is a unit mod 5; then the class of d has
     coordinates c with c B = d N R^T mod 5, that is c = d N R^T B^{-1}.
     """
-    lifts = _reference_lifts()
-    n_rt = _n5() @ lifts.T                                  # (22, 6)
-    b = (lifts @ n_rt % 5).tolist()
+    _m, n, form = _reference_form()
+    n_rt = n[:, _REFERENCE]                                 # N R^T, (22, 6)
+    b = (form % 5).tolist()
     det = det_bareiss(b)
     if det % 5 == 0:
         return None
@@ -687,29 +635,22 @@ def verify_q_consistency():
     vectors (the deeper chain duals and the dual of l) in the reference
     basis; these are computed, never assumed.
     """
-    m, m_ginv = dual_data(build_S0().gram)
+    m, _n, form = _reference_form()
     order = abs(build_S0().det())
     classes = _dual_classes()
     basis_ok = classes is not None
 
-    mismatches = []
-    n_checked = 0
-    expansions = {}
+    mismatches, n_checked, expansions = [], 0, {}
     if basis_ok:
         tab = _tables()
         digits = tab["digits"]
-        lifts = _reference_lifts()
-        form = lifts @ np.array(m_ginv, dtype=np.int64) @ lifts.T      # (6, 6)
         lattice_q = ((digits @ form) * digits).sum(axis=1) % 10
         mismatches = np.nonzero(lattice_q != tab["q"])[0].tolist()
         n_checked = int(len(digits))
 
-        targets = {"l": L_INDEX}
-        for j in range(N_CHAINS):
-            for i in range(2, CHAIN_LEN + 1):
-                targets[f"e_{i}^({j + 1})"] = CHAIN_LEN * j + (i - 1)
-        for name, idx in sorted(targets.items()):
-            expansions[name] = tuple(int(x) for x in classes[idx])
+        targets = {"l": L_INDEX} | {f"e_{i}^({j + 1})": CHAIN_LEN * j + (i - 1)
+                                    for j in range(N_CHAINS) for i in range(2, CHAIN_LEN + 1)}
+        expansions = {name: tuple(classes[idx].tolist()) for name, idx in sorted(targets.items())}
 
     passed = m == 5 and order == 5 ** 6 and basis_ok and not mismatches
     return QConsistencyReport(

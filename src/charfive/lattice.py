@@ -1,5 +1,5 @@
-"""Even integer lattices: Gram matrices, the dual lattice and root
-systems.
+"""Even integer lattices: Gram matrices, the dual lattice, root systems,
+and the rank-22 model lattice S0 = 5A4 + U.
 
 Conventions
 -----------
@@ -12,6 +12,10 @@ Conventions
   matrix m * gram^{-1} that turns dual coordinates into m times primal
   ones, from the adjugate alone.
 
+* The model lattice S0 = 5A4 + U of the package is built here, once, by
+  `build_S0`, with the index constants of its basis; `discform` and
+  `curvecheck` import them from this module.
+
 Arithmetic is exact and uses Python integers only.
 """
 
@@ -20,6 +24,13 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import adjugate, det_bareiss, is_symmetric, signature_symmetric
+
+
+RANK = 22
+N_CHAINS = 5
+CHAIN_LEN = 4
+H_INDEX = 20
+L_INDEX = 21
 
 
 class DegenerateLatticeError(ValueError):
@@ -136,3 +147,29 @@ def dual_data(gram):
     adj, det = adjugate([list(r) for r in gram])
     m = abs(det) // gcd(det, *(x for row in adj for x in row))
     return m, tuple(tuple(m * x // det for x in row) for row in adj)
+
+
+# ---------------------------------------------------------------------------
+# The model lattice
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def build_S0():
+    """Gram matrix of the rank-22 lattice: five negative A4 chains plus the
+    rank-2 block [[2,1],[1,-2]], with labeled basis."""
+    gram = [[0] * RANK for _ in range(RANK)]
+    labels = []
+    for j in range(N_CHAINS):
+        base = CHAIN_LEN * j
+        for i in range(CHAIN_LEN):
+            gram[base + i][base + i] = -2
+            if i + 1 < CHAIN_LEN:
+                gram[base + i][base + i + 1] = 1
+                gram[base + i + 1][base + i] = 1
+            labels.append(f"e_{i + 1}^({j + 1})")
+    gram[H_INDEX][H_INDEX] = 2
+    gram[H_INDEX][L_INDEX] = 1
+    gram[L_INDEX][H_INDEX] = 1
+    gram[L_INDEX][L_INDEX] = -2
+    labels += ["h", "l"]
+    return GramLattice(gram=tuple(tuple(r) for r in gram), labels=tuple(labels))

@@ -14,8 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from charfive import discform
-from charfive.discform import build_S0
-from charfive.lattice import RootSystemType
+from charfive.lattice import RootSystemType, build_S0
 from lattice_kernels import H_PRIMAL
 
 
@@ -90,7 +89,7 @@ def root_catalogue():
     # the parts have disjoint supports and entries in [-2, 2]
     vectors = sum(vecs[picks[:, s]] for s, (vecs, _part) in enumerate(tables))
     wide = vectors.astype(np.int64)
-    n5 = discform._n5()
+    n5 = discform._reference_form()[1]
     gram_h = np.array(build_S0().gram, dtype=np.int64) @ np.array(H_PRIMAL)
     if not ((((wide @ n5) * wide).sum(axis=1) == -10).all()
             and not (wide @ n5 @ gram_h).any()):
@@ -107,4 +106,4 @@ def catalogue_root_type(subgroup):
     vectors, classes = root_catalogue()
     member = np.zeros(5 ** 6, dtype=bool)
     member[np.array(subgroup.elements(), dtype=np.int64) @ discform._POW] = True
-    return of_roots(vectors[member[classes]], discform._n5())
+    return of_roots(vectors[member[classes]], discform._reference_form()[1])

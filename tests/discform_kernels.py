@@ -12,6 +12,12 @@ exhaustive form of the dimension bound off the planes.
 before `discform._aut_arrays` built its arrays directly: the oracle for
 those arrays and for the group law.
 
+`q_scalar`, `delta` and `span` are the discriminant form, the
+(a, b, y)-type with its starred rule, and the span of a generator set,
+written one element at a time as the package wrote them before
+`discform._tables` and `IsotropicSubgroup` held them as arrays: the
+oracle for those arrays.
+
 `orbit_images` and `min_row` key a subgroup and its orbit by sorted
 element encodings, as the package did before it keyed subgroups by their
 reduced echelon basis (`discform._echelon_keys`): the oracle for those
@@ -24,7 +30,40 @@ from functools import lru_cache
 
 import numpy as np
 
-from charfive.discform import _POW, _aut_arrays, _tables, decode
+from charfive.discform import STARRED_TYPES, _POW, _aut_arrays, _tables, decode
+
+
+def q_scalar(v):
+    """q(v) of one element [x|y], encoded mod 10: 6 sum x_i^2 + 2 y^2."""
+    return (6 * sum(x * x for x in v[:5]) + 2 * v[5] * v[5]) % 10
+
+
+@dataclass(frozen=True)
+class DeltaType:
+    a: int
+    b: int
+    y: int
+    starred: bool
+
+
+def delta(v):
+    """(a, b, y)-type: a counts coordinates in {1,4}, b counts {2,3}."""
+    a = sum(1 for x in v[:5] if x % 5 in (1, 4))
+    b = sum(1 for x in v[:5] if x % 5 in (2, 3))
+    y = v[5] % 5
+    return DeltaType(a=a, b=b, y=y, starred=(a, b, min(y, 5 - y)) in STARRED_TYPES)
+
+
+def span(gens):
+    """The elements of the span of `gens`, sorted, added one generator at a
+    time; raises ValueError at the first generator already in the span."""
+    elems = {(0,) * 6}
+    for g in gens:
+        if g in elems:
+            raise ValueError("generators are not independent")
+        elems = {tuple((a + c * b) % 5 for a, b in zip(v, g))
+                 for v in elems for c in range(5)}
+    return tuple(sorted(elems))
 
 
 @dataclass(frozen=True)

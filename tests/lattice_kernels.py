@@ -21,9 +21,9 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from charfive.discform import CHAIN_LEN, H_INDEX, N_CHAINS, RANK, build_S0
 from charfive.intmat import adjugate, copy_matrix, det_bareiss, is_symmetric
-from charfive.lattice import GramLattice, RootSystemType, dual_data
+from charfive.lattice import (
+    CHAIN_LEN, H_INDEX, N_CHAINS, RANK, GramLattice, RootSystemType, build_S0, dual_data)
 
 
 #: primal coordinates of the degree-2 polarization vector h

@@ -13,7 +13,6 @@ from charfive.curvecheck import analyze, ns_gram_model, random_in_U
 from charfive.discform import (
     IsotropicSubgroup,
     REFERENCE_SUBGROUPS,
-    build_S0,
     canonical_key,
     e_splittings,
     max_isotropic_dimension,
@@ -21,7 +20,7 @@ from charfive.discform import (
     verify_q_consistency,
 )
 from charfive.ffpoly import GF, parse_poly_literal
-from charfive.lattice import dual_data
+from charfive.lattice import build_S0, dual_data
 
 from fraction_kernels import short_vectors_box
 from lattice_kernels import (

@@ -4,6 +4,7 @@ the root catalogue oracle."""
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 
@@ -16,20 +17,19 @@ from charfive.discform import (
     REFERENCE_SUBGROUPS,
     STARRED_TYPES,
     b_value,
-    build_S0,
     canonical_key,
     classify_isotropic_subgroups,
     condition_II,
-    delta,
     isotropic_table,
     max_isotropic_dimension,
     q_value,
     verify_q_consistency,
 )
+from charfive.lattice import L_INDEX, build_S0
 from catalogue_kernels import catalogue_root_type, root_catalogue
 from discform_kernels import (
-    AutElement, admissible_subgroups, all_aut, isotropic_planes, line_representatives,
-    min_row, orbit_images)
+    AutElement, admissible_subgroups, all_aut, delta, isotropic_planes,
+    line_representatives, min_row, orbit_images, q_scalar, span)
 from fraction_kernels import fraction_inverse, short_vectors_box
 from lattice_kernels import H_PRIMAL, subgroup_invariants, subgroup_overlattice
 from test_lattice import pairing
@@ -125,6 +125,31 @@ def test_b_is_polarization_of_q():
         assert lhs == (2 * b_value(v, w)) % 10
         # and b(v, v) = q(v) mod Z
         assert b_value(v, v) == q_value(v) % 5
+
+
+def test_q_and_b_broadcast_over_the_last_axis():
+    """An (n, 6) array gives the n values that the elements give one by one."""
+    rng = random.Random(4)
+    vs = [tuple(rng.randrange(5) for _ in range(6)) for _ in range(50)]
+    ws = [tuple(rng.randrange(5) for _ in range(6)) for _ in range(50)]
+    assert q_value(np.array(vs)).tolist() == [q_value(v) for v in vs]
+    assert b_value(np.array(vs), np.array(ws)).tolist() == [
+        b_value(v, w) for v, w in zip(vs, ws)]
+    assert b_value(np.array(vs), ws[0]).tolist() == [b_value(v, ws[0]) for v in vs]
+
+
+def test_tables_match_the_scalar_oracle():
+    """On all 15625 elements the tables hold q, the (a, b, +-y)-type, the
+    starred rule and isotropy as the one-element oracle formulas give them."""
+    t = discform._tables()
+    assert [tuple(v) for v in t["digits"].tolist()] == all_elements()
+    oracle = [(q_scalar(v), delta(v)) for v in all_elements()]
+    assert t["q"].tolist() == [q for q, _d in oracle]
+    assert t["iso"].tolist() == [q == 0 for q, _d in oracle]
+    assert t["a"].tolist() == [d.a for _q, d in oracle]
+    assert t["b"].tolist() == [d.b for _q, d in oracle]
+    assert t["yn"].tolist() == [min(d.y, 5 - d.y) for _q, d in oracle]
+    assert t["starred"].tolist() == [d.starred for _q, d in oracle]
 
 
 def test_delta_examples():
@@ -233,11 +258,12 @@ def test_subgroup_validation():
 
 
 def test_dependent_generators_fail_before_the_span(monkeypatch):
-    """Independence is decided generator by generator: more than six
-    generators build no span, and a repeated one stops after the first."""
+    """More than six generators are rejected before any span is built (the
+    span of 50 would have 5^50 elements) or any table is read; a repeated
+    generator is rejected from the repeated element codes of its span."""
     calls = []
-    real_add = discform.g_add
-    monkeypatch.setattr(discform, "g_add", lambda u, v: calls.append(1) or real_add(u, v))
+    real_tables = discform._tables
+    monkeypatch.setattr(discform, "_tables", lambda: calls.append(1) or real_tables())
     rng = random.Random(5)
     many = tuple(tuple(rng.randrange(5) for _ in range(6)) for _ in range(50))
     with pytest.raises(ValueError, match="not independent"):
@@ -246,7 +272,32 @@ def test_dependent_generators_fail_before_the_span(monkeypatch):
     g = REFERENCE_SUBGROUPS["H_6"][0]
     with pytest.raises(ValueError, match="not independent"):
         IsotropicSubgroup(gens=(g, tuple(2 * x for x in g), g))
-    assert len(calls) == 5
+    with pytest.raises(ValueError, match="not independent"):
+        IsotropicSubgroup(gens=(g, (0,) * 6))
+    assert calls == []
+
+
+def test_non_isotropic_subgroup_names_its_smallest_bad_element():
+    """The error names the smallest non-isotropic element in tuple order,
+    as the sorted element list of the generator-by-generator span has it."""
+    for gens in (((1, 0, 0, 0, 0, 0),), ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)),
+                 ((2, 2, 2, 2, 2, 0), (0, 1, 2, 0, 0, 0))):
+        bad = next(v for v in span(gens) if q_scalar(v) != 0)
+        with pytest.raises(ValueError, match=f"totally isotropic at {re.escape(str(bad))}$"):
+            IsotropicSubgroup(gens=gens)
+
+
+def test_elements_match_the_generator_by_generator_span():
+    """On every isotropic line and all 3276 isotropic planes of the oracle,
+    the element codes give the span that adding one generator at a time
+    gives, as sorted tuples."""
+    _planes, gen_pairs = isotropic_planes()
+    subgroups = [(discform.decode(int(e)),) for e in line_representatives()]
+    subgroups += [tuple(discform.decode(int(e)) for e in pair) for pair in gen_pairs]
+    assert len(subgroups) == 756 + 3276
+    for gens in subgroups:
+        elems = IsotropicSubgroup(gens=gens).elements()
+        assert elems == span(gens) and all(type(x) is int for v in elems for x in v)
 
 
 def test_generator_coordinates_must_be_integers():
@@ -638,7 +689,11 @@ def test_verify_q_consistency_fails_on_wrong_exponent(monkeypatch):
     """An exponent other than 5 is a structured FAIL, not an exception."""
     real = discform.dual_data(build_S0().gram)
     monkeypatch.setattr(discform, "dual_data", lambda gram: (25, real[1]))
-    rep = verify_q_consistency()
+    discform._reference_form.cache_clear()
+    try:
+        rep = verify_q_consistency()
+    finally:
+        discform._reference_form.cache_clear()
     assert not rep.passed and rep.exponent == 25 and rep.order == 5 ** 6
 
 
@@ -690,7 +745,7 @@ def test_short_summand_vectors():
     dual; on l the five multiples j l^vee, |j| <= 2."""
     tables = discform._short_summand_vectors()
     classes = discform._dual_classes()
-    n5 = discform._n5()
+    n5 = discform._reference_form()[1]
     assert len(tables) == 6
     for j, (vecs, norms) in enumerate(tables[:5]):
         block = n5[4 * j:4 * j + 4, 4 * j:4 * j + 4].tolist()
@@ -705,7 +760,7 @@ def test_short_summand_vectors():
         for n in (-4, -6, -10):
             assert sorted(map(tuple, part[norms == n].tolist())) == short_vectors_box(block, n)
     vecs, norms = tables[5]
-    assert vecs[:, discform.L_INDEX].tolist() == [-2, -1, 0, 1, 2]
+    assert vecs[:, L_INDEX].tolist() == [-2, -1, 0, 1, 2]
     assert norms.tolist() == [-8, -2, 0, -2, -8]
 
 
@@ -762,9 +817,10 @@ def test_shell_table_certificates(monkeypatch, block):
     # built from the true Gram matrix before it is patched
     discform._short_summand_vectors(), discform._dual_classes()
     if block == "norms":
-        n5 = discform._n5().copy()
+        m, n5, form = discform._reference_form()
+        n5 = n5.copy()
         n5[0, 4] = n5[4, 0] = 1
-        monkeypatch.setattr(discform, "_n5", lambda: n5)
+        monkeypatch.setattr(discform, "_reference_form", lambda: (m, n5, form))
     else:
         classes = discform._dual_classes().copy()
         classes[0, 1] = 1

@@ -15,18 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charfive import DegenerateLatticeError, GramLattice, RootSystemType
 import fraction_kernels
 from catalogue_kernels import of_roots
 import lattice_kernels as lk
 from fraction_kernels import short_vectors_box
-from charfive.discform import (
-    REFERENCE_SUBGROUPS,
-    _dual_classes,
-    build_S0,
-)
+from charfive.discform import REFERENCE_SUBGROUPS, _dual_classes
 from charfive.intmat import det_bareiss
-from charfive.lattice import dual_data
+from charfive.lattice import (
+    DegenerateLatticeError, GramLattice, RootSystemType, build_S0, dual_data)
 from lattice_kernels import (
     H_PRIMAL,
     DivisibilityError,
