@@ -14,9 +14,10 @@ bilinear values as integers mod 5 (n means n/5 mod Z); `q_value` and
 q, the (a, b, y)-type and the starred rule for all 15625 elements, which
 the rest of the module reads.  That the encoded formula agrees with the
 discriminant form computed from the Gram matrix from first principles is
-checked by `verify_q_consistency`, which scans all of G.  Subgroups are
-keyed by their reduced row echelon basis over F5 (`_echelon_keys`),
-orbits from the images of that basis.
+checked by `verify_q_consistency`, which scans all of G.  A subgroup is
+held as the codes of its elements; it lies in the orbit of a subgroup of
+its own dimension iff it holds the image of that subgroup's basis under
+some symmetry (`_orbit_members`).
 """
 
 import itertools
@@ -95,9 +96,7 @@ class IsotropicSubgroup:
         # more than six vectors of F5^6 are never independent
         if len(gens) > 6:
             raise ValueError("generators are not independent")
-        # the 5^dim combinations of the generators, as rows of `_tables()`
-        coeffs = np.indices((5,) * len(gens)).reshape(len(gens), 5 ** len(gens)).T
-        codes = np.sort(coeffs @ np.array(gens, dtype=np.int64).reshape(-1, 6) % 5 @ _POW)
+        codes = np.sort(_span_codes(np.array(gens, dtype=np.int64).reshape(-1, 6)))
         if (codes[1:] == codes[:-1]).any():
             raise ValueError("generators are not independent")
         object.__setattr__(self, "_codes", codes)
@@ -124,6 +123,15 @@ def condition_II(subgroup):
 # ---------------------------------------------------------------------------
 
 _POW = np.array([1, 5, 25, 125, 625, 3125], dtype=np.int64)
+
+
+def _span_codes(bases):
+    """The codes of the 5^d combinations of the rows of each basis in a
+    (..., d, 6) array with entries in 0..4, as a (..., 5^d) array: the
+    rows of `_tables()` that the span holds, the zero element first."""
+    d = bases.shape[-2]
+    coeffs = np.indices((5,) * d).reshape(d, 5 ** d).T
+    return coeffs @ bases % 5 @ _POW
 
 
 def decode(e):
@@ -208,23 +216,54 @@ def canonical_key(subgroup):
     return int(_echelon_keys(_images(subgroup.gens)).min())
 
 
+def _image_codes(basis):
+    """The codes of g(basis) for every group element g, as a (3840, d)
+    int16 array (every code is below 5^6 < 2^15)."""
+    return _images(basis) @ _POW.astype(np.int16)
+
+
 @lru_cache(maxsize=1)
-def reference_orbits():
-    """Echelon key -> label of every subgroup in the orbits of H_0..H_8."""
-    orbits = {}
-    for label, gens in REFERENCE_SUBGROUPS.items():
-        orbits.update(dict.fromkeys(_echelon_keys(_images(gens)).tolist(), label))
-    return orbits
+def _reference_images():
+    """{label: `_image_codes` of the basis of H_i}, built once per process."""
+    return {label: _image_codes(gens) for label, gens in REFERENCE_SUBGROUPS.items()}
+
+
+def _orbit_members(elements):
+    """Orbit membership of n subgroups of one dimension d, given by the
+    codes of their elements as an (n, 5^d) array: returns a function
+    that maps the basis image codes of a subgroup H of dimension d, an
+    (m, d) array such as `_reference_images()[label]`, to a bool (n,)
+    array that is true where the subgroup lies in the orbit of H.
+
+    g(H) is a subgroup of dimension d, so it equals a subgroup S of
+    dimension d iff S holds g(basis of H).  The test reads one bitset:
+    word [c, k // 64] has bit k % 64 set iff subgroup k holds the element
+    of code c, so the AND of the words of one row of images has bit k
+    set iff subgroup k holds the whole row.
+    """
+    k = np.arange(len(elements))
+    words = np.zeros((5 ** 6, -(-len(k) // 64)), dtype=np.uint64)
+    bits = np.uint64(1) << (k % 64).astype(np.uint64)
+    np.bitwise_or.at(words, (elements, (k // 64)[:, None]), bits[:, None])
+
+    def members(images):
+        rows = np.full((len(images), words.shape[1]), np.iinfo(np.uint64).max)
+        for column in images.T:
+            rows &= words.take(column, axis=0)
+        return np.bitwise_or.reduce(rows, axis=0)[k // 64] & bits != 0
+
+    return members
 
 
 def reference_orbit(subgroup):
     """The label of the reference orbit holding the subgroup, or None."""
-    [key] = _echelon_keys(np.reshape(subgroup.gens, (1, -1, 6))).tolist()
-    return reference_orbits().get(key)
+    members = _orbit_members(subgroup._codes[None])
+    return next((label for label, images in _reference_images().items()
+                 if images.shape[1] == subgroup.dim and members(images)[0]), None)
 
 
 # ---------------------------------------------------------------------------
-# Orbit candidates: admissible subgroups through one line per type
+# Orbit candidates: admissible subgroups through one line per line orbit
 # ---------------------------------------------------------------------------
 
 def _type_representatives():
@@ -238,37 +277,39 @@ def _type_representatives():
 
 
 def _orbit_candidates():
-    """Admissible subgroups meeting every orbit, as (gens, key) pairs: the
-    generators as tuples and the echelon key (see `_echelon_keys`).
+    """Admissible subgroups meeting every orbit, one (bases, elements)
+    pair per dimension 0, 1, 2: the generators as an (n, d, 6) array and
+    the codes of the elements as an (n, 5^d) array (see `_span_codes`).
 
     A nonzero admissible subgroup holds some u != 0.  The symmetry group
     fixes y and moves the x-part of u onto that of any vector of the same
-    (a, b) counts, so it carries u or -u onto the representative v of the
-    type of u.  Every orbit therefore meets the zero subgroup, a starred
-    line <v>, or a plane <v, w> with w admissible and b(v, w) = 0; the
-    dimension bound rules out anything larger.  The multiples of an
-    admissible vector are admissible (doubling sends the type (a, b, y)
-    to (b, a, 2y), which keeps STARRED_TYPES), so <v, w> is admissible
-    iff each w + c v, c = 1..4, is.
+    (a, b) counts, so it carries u or -u onto the representative of the
+    type of u.  Doubling sends the type (a, b, y) to (b, a, 2y), which
+    keeps STARRED_TYPES, so a line holds vectors of both types of such a
+    pair, and one line <v> per pair (v the representative of the smaller
+    type) meets every orbit of lines.  Every orbit therefore meets the
+    zero subgroup, one of these five lines, or a plane <v, w> with w
+    admissible and b(v, w) = 0; the dimension bound rules out anything
+    larger.  The multiples of an admissible vector are admissible, so
+    <v, w> is admissible iff each w + c v, c = 1..4, is.  Each plane
+    through <v> is met once, by the w in it that vanishes at the first
+    nonzero coordinate p of v and has leading coordinate 1.
     """
     t = _tables()
     digits = t["digits"]
     admissible = t["iso"] & t["starred"]
-    ws = np.nonzero(admissible)[0]
-    ws_digits = digits[ws]
-    yield (), 0
-    for key, v in sorted(_type_representatives().items()):
-        if v == 0 or not admissible[v]:
-            continue
-        multiples = np.arange(5)[:, None] * digits[v] % 5
-        yield (decode(v),), int(_echelon_keys(digits[v][None, None])[0])
-        w = ws[(b_value(ws_digits, digits[v]) == 0) & ~np.isin(ws, multiples @ _POW)]
-        cosets = (digits[w][:, None] + multiples[1:]) % 5 @ _POW          # (n, 4)
-        w = w[admissible[cosets].all(axis=1)]
-        bases = np.stack([np.broadcast_to(digits[v], (len(w), 6)), digits[w]], axis=1)
-        keys, first = np.unique(_echelon_keys(bases), return_index=True)
-        for plane_key, w_e in zip(keys.tolist(), w[first].tolist()):
-            yield (decode(v), decode(w_e)), plane_key
+    lines = np.array([v for (a, b, y), v in sorted(_type_representatives().items())
+                      if v and admissible[v] and (a, b, y) <= (b, a, (0, 2, 1)[y])])
+    vs = digits[lines]                                              # (5, 6)
+    ws = digits[admissible]
+    ws = ws[ws[np.arange(len(ws)), (ws != 0).argmax(axis=1)] == 1]   # leading 1, so not 0
+    pivots = (vs != 0).argmax(axis=1)
+    i, j = np.nonzero((b_value(vs[:, None], ws) == 0) & (ws.T[pivots] == 0))
+    cosets = (ws[j][:, None] + np.arange(1, 5)[:, None] * vs[i][:, None]) % 5 @ _POW
+    keep = admissible[cosets].all(axis=1)
+    planes = np.stack([vs[i[keep]], ws[j[keep]]], axis=1)           # (n, 2, 6)
+    for bases in (np.zeros((1, 0, 6), dtype=np.int64), vs[:, None], planes):
+        yield bases, _span_codes(bases)
 
 
 def _witt_index(gram, p=5):
@@ -343,8 +384,8 @@ def _short_summand_vectors():
     n5 = _reference_form()[1]
     tables = []
     for idx in _SUMMANDS:
-        box = np.array(list(itertools.product(range(-2, 3), repeat=len(idx))),
-                       dtype=np.int64)
+        # the rows of [-2, 2]^n in lexicographic order, the last entry fastest
+        box = np.indices((5,) * len(idx)).reshape(len(idx), -1).T - 2
         norms = np.einsum("ij,jk,ik->i", box, n5[np.ix_(idx, idx)], box)
         keep = norms >= -10
         vecs = np.zeros((int(keep.sum()), RANK), dtype=np.int8)
@@ -497,36 +538,45 @@ class ClassifiedOrbit:
 def classify_isotropic_subgroups():
     """Orbit representatives of the admissible isotropic subgroups.
 
-    Walks `_orbit_candidates()` and looks each key up in
-    `reference_orbits()`: the first candidate met in the orbit of H_i is
-    validated as an `IsotropicSubgroup` and stands for that orbit with
-    the label and generator set of H_i.  A candidate in no reference
-    orbit opens an "unmatched" orbit, whose keys are all recorded from
-    its images so that its other members are skipped.
+    Tests the candidates of each dimension of `_orbit_candidates()` for
+    membership in each reference orbit of that dimension at once
+    (`_orbit_members`): the first candidate in the orbit of H_i is
+    validated as an `IsotropicSubgroup` and the orbit stands with the
+    label and generator set of H_i.  A candidate in no reference orbit
+    opens an "unmatched" orbit, which is swept out of the candidates left
+    by the same test on the images of its own basis.
     """
-    orbits = reference_orbits()
-    met, unmatched = set(), set()
+    references = _reference_images()
     records = []
-    for gens, key in _orbit_candidates():
-        label = orbits.get(key)
-        if label in met or key in unmatched:
-            continue
-        sub = IsotropicSubgroup(gens=gens)      # validates the representative
-        if label is None:
-            unmatched.update(_echelon_keys(_images(gens)).tolist())
-        else:
-            met.add(label)
-            sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
-        rt, e_empty, disc_exp = _subgroup_invariants(sub)
-        records.append(ClassifiedOrbit(
-            label=label if label is not None else "unmatched",
-            gens=sub.gens,
-            dim=sub.dim,
-            disc_exp=disc_exp,
-            sigma=disc_exp // 2,
-            root_type=rt,
-            e_empty=e_empty,
-        ))
+    for bases, elements in _orbit_candidates():
+        members = _orbit_members(elements)
+        left = np.ones(len(bases), dtype=bool)
+        found = [(label, members(images)) for label, images in references.items()
+                 if images.shape[1] == bases.shape[1]]
+        for label, hits in found:
+            left &= ~hits
+        while left.any():
+            first = int(left.argmax())
+            hits = members(_image_codes(bases[first]))
+            found.append((None, hits))
+            left &= ~hits
+        for label, hits in found:
+            if not hits.any():
+                continue
+            # validates the representative
+            sub = IsotropicSubgroup(gens=tuple(map(tuple, bases[int(hits.argmax())].tolist())))
+            if label is not None:
+                sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
+            rt, e_empty, disc_exp = _subgroup_invariants(sub)
+            records.append(ClassifiedOrbit(
+                label=label if label is not None else "unmatched",
+                gens=sub.gens,
+                dim=sub.dim,
+                disc_exp=disc_exp,
+                sigma=disc_exp // 2,
+                root_type=rt,
+                e_empty=e_empty,
+            ))
     records.sort(key=lambda r: (r.dim, r.label))
     return records
 

@@ -3,17 +3,15 @@ and the signature of a symmetric form.
 
 All matrices are plain lists of lists of Python ints, and no floating
 point is used anywhere.  The determinant and the adjugate come from
-fraction-free Bareiss elimination; ``fractions.Fraction`` appears only in
-`signature_symmetric`.  No normal form is needed: the exponent of a
-discriminant group and the scaled inverse Gram matrix come from the
+fraction-free Bareiss elimination on each diagonal block of the matrix
+(the components of its nonzero pattern); ``fractions.Fraction`` appears
+only in `signature_symmetric`.  No normal form is needed: the exponent of
+a discriminant group and the scaled inverse Gram matrix come from the
 adjugate alone (`lattice.dual_data`).
 """
 
 from fractions import Fraction
-
-
-def copy_matrix(m):
-    return [row[:] for row in m]
+from math import prod
 
 
 def is_symmetric(m):
@@ -23,38 +21,33 @@ def is_symmetric(m):
     )
 
 
-def det_bareiss(m):
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
+def _blocks(m):
+    """The diagonal blocks of a square matrix: the connected components of
+    its nonzero pattern (i ~ j when m[i][j] or m[j][i] is nonzero), as
+    ascending index lists in the order of their smallest index."""
     n = len(m)
-    if n == 0:
-        return 1
-    a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    seen, blocks = [False] * n, []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [start], [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if not seen[j] and (m[i][j] or m[j][i]):
+                    seen[j] = True
+                    block.append(j)
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
 
 
-def adjugate(m):
-    """Adjugate and determinant of a nonsingular square integer matrix.
+def _bareiss(m):
+    """(adj, det) of a square integer matrix, with adj None when det = 0.
 
-    Returns (adj, det) with m * adj = adj * m = det * I.  Fraction-free
-    Gauss-Jordan elimination on [m | I] (Bareiss): every division is
-    exact, so all intermediate entries are integers.  Raises ValueError
-    when m is singular.
+    Fraction-free Gauss-Jordan elimination on [m | I] (Bareiss): every
+    division is exact, so all intermediate entries are integers.
     """
     n = len(m)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
@@ -63,7 +56,7 @@ def adjugate(m):
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
+            return None, 0
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
@@ -76,6 +69,41 @@ def adjugate(m):
         prev = p
     # the left block is now prev * I with prev = sign * det(m)
     return [[sign * x for x in row[n:]] for row in a], sign * prev
+
+
+def _block_bareiss(m):
+    """(indices, adj, det) of each diagonal block of a square integer
+    matrix, from `_bareiss` on the block."""
+    return [(idx, *_bareiss([[m[i][j] for j in idx] for i in idx])) for idx in _blocks(m)]
+
+
+def det_bareiss(m):
+    """Exact determinant of a square integer matrix: a simultaneous
+    permutation of rows and columns keeps it, so it is the product of the
+    determinants of the diagonal blocks (fraction-free elimination)."""
+    return prod(det for _idx, _adj, det in _block_bareiss(m))
+
+
+def adjugate(m):
+    """Adjugate and determinant of a nonsingular square integer matrix.
+
+    Returns (adj, det) with m * adj = adj * m = det * I, from Bareiss
+    elimination on each diagonal block.  The adjugate of the direct sum of
+    A and B is the direct sum of det B adj A and det A adj B, so block k
+    of the adjugate is (det / det_k) adj_k.  Raises ValueError when m is
+    singular.
+    """
+    parts = _block_bareiss(m)
+    det = prod(d for _idx, _adj, d in parts)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    adj = [[0] * len(m) for _ in m]
+    for idx, block_adj, d in parts:
+        scale = det // d
+        for i, row in zip(idx, block_adj):
+            for j, x in zip(idx, row):
+                adj[i][j] = scale * x
+    return adj, det
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ has a starred type.  `test_discform.py` checks that sweeping them gives
 the same orbits as sweeping `discform._orbit_candidates()`, and reads the
 exhaustive form of the dimension bound off the planes.
 
+`reference_orbits` maps the echelon key of every subgroup in the orbits
+of H_0..H_8 to its label, 2713 keys, as the package did before it tested
+orbit membership on the codes of the images of a basis
+(`discform._orbit_members`): the oracle for those labels.
+
 `AutElement` and `all_aut` are the symmetry group as the package held it
 before `discform._aut_arrays` built its arrays directly: the oracle for
 those arrays and for the group law.
@@ -30,7 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from charfive.discform import STARRED_TYPES, _POW, _aut_arrays, _tables, decode
+from charfive.discform import (
+    REFERENCE_SUBGROUPS, STARRED_TYPES, _POW, _aut_arrays, _echelon_keys, _images, _tables,
+    decode)
 
 
 def q_scalar(v):
@@ -163,3 +170,12 @@ def admissible_subgroups():
         for idx in np.nonzero(t["starred"][elems].all(axis=1))[0]:
             survivors.append((tuple(decode(int(e)) for e in gens[idx]), elems[idx]))
     return survivors
+
+
+@lru_cache(maxsize=1)
+def reference_orbits():
+    """Echelon key -> label of every subgroup in the orbits of H_0..H_8."""
+    orbits = {}
+    for label, gens in REFERENCE_SUBGROUPS.items():
+        orbits.update(dict.fromkeys(_echelon_keys(_images(gens)).tolist(), label))
+    return orbits

@@ -13,6 +13,10 @@ kernels themselves against `fraction_kernels` and the box oracle.
 rank of its span, is the oracle for the Coxeter-number rank of
 `catalogue_kernels.of_roots`.  `lift_to_dual` lifts a generator of H to S0^vee
 for the overlattice construction.
+
+`bareiss_det` and `bareiss_adjugate` are Bareiss elimination on the whole
+matrix, as `charfive.intmat` ran it before it split a matrix into its
+diagonal blocks: the oracle for `det_bareiss` and `adjugate`.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from charfive.intmat import adjugate, copy_matrix, det_bareiss, is_symmetric
+from charfive.intmat import adjugate, det_bareiss, is_symmetric
 from charfive.lattice import (
     CHAIN_LEN, H_INDEX, N_CHAINS, RANK, GramLattice, RootSystemType, build_S0, dual_data)
 
@@ -45,6 +49,60 @@ class DivisibilityError(ValueError):
 # ---------------------------------------------------------------------------
 # Matrix products, gcds, Hermite forms and kernels
 # ---------------------------------------------------------------------------
+
+def copy_matrix(m):
+    return [row[:] for row in m]
+
+
+def bareiss_det(m):
+    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = copy_matrix(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def bareiss_adjugate(m):
+    """(adj, det) of a nonsingular square integer matrix by fraction-free
+    Gauss-Jordan elimination on [m | I]; raises ValueError when m is
+    singular."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

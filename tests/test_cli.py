@@ -38,6 +38,14 @@ def test_table1_json_matches_golden():
     assert out == (GOLDEN / "table1.json").read_text()
 
 
+def test_classify_md_matches_golden():
+    code, out, _ = invoke(["lattice", "classify", "--format", "md"])
+    assert code == 0
+    assert out == (GOLDEN / "classify.md").read_text()
+    data_rows = [l for l in out.splitlines()[2:] if l.strip()]
+    assert [row.split()[1] for row in data_rows] == [f"H_{i}" for i in range(9)]
+
+
 def test_classify_matches_golden():
     code, out, _ = invoke(["lattice", "classify"])
     assert code == 0
@@ -226,7 +234,7 @@ def test_classify_then_verify_builds_each_reference_orbit_once(monkeypatch):
     monkeypatch.setattr(discform, "_images", counting)
     monkeypatch.setattr(discform, "canonical_key",
                         lambda sub: keyed.append(sub) or real_key(sub))
-    discform.reference_orbits.cache_clear()
+    discform._reference_images.cache_clear()
     try:
         code, out, _ = invoke(["lattice", "classify"])
         assert code == 0
@@ -234,7 +242,7 @@ def test_classify_then_verify_builds_each_reference_orbit_once(monkeypatch):
         code, out, _ = invoke(["lattice", "verify"])
         assert code == 0
     finally:
-        discform.reference_orbits.cache_clear()
+        discform._reference_images.cache_clear()
     assert out == (GOLDEN / "lattice_verify.json").read_text()
     assert sorted(calls) == sorted(discform.REFERENCE_SUBGROUPS.values())
     assert keyed == []

@@ -29,7 +29,7 @@ from charfive.lattice import L_INDEX, build_S0
 from catalogue_kernels import catalogue_root_type, root_catalogue
 from discform_kernels import (
     AutElement, admissible_subgroups, all_aut, delta, isotropic_planes,
-    line_representatives, min_row, orbit_images, q_scalar, span)
+    line_representatives, min_row, orbit_images, q_scalar, reference_orbits, span)
 from fraction_kernels import fraction_inverse, short_vectors_box
 from lattice_kernels import H_PRIMAL, subgroup_invariants, subgroup_overlattice
 from test_lattice import pairing
@@ -458,20 +458,37 @@ def test_admissible_subgroups_carry_their_elements():
         assert elems.dtype == np.int64 and elems.tolist() == encodings(sub)
 
 
+def candidate_gens():
+    """The generators of every orbit candidate as tuples, dimension by
+    dimension."""
+    return [tuple(map(tuple, gens))
+            for bases, _elements in discform._orbit_candidates() for gens in bases.tolist()]
+
+
 def test_orbit_candidates_are_admissible():
-    """Each candidate is an admissible subgroup carrying its own echelon
-    key: the zero subgroup, nine starred lines and 128 planes through
-    them.  Candidates share a key iff they share their elements."""
+    """The candidates are the zero subgroup, five starred lines and 74
+    planes through them, each admissible and carrying the codes of its own
+    elements, and no two of them are the same subgroup.  Each line holds
+    vectors of the two types (a, b, y) and (b, a, 2y), and the five lines
+    hold all nine nonzero starred types."""
     candidates = list(discform._orbit_candidates())
-    dims = [len(gens) for gens, _ in candidates]
-    assert (dims.count(0), dims.count(1), dims.count(2)) == (1, 9, 128)
+    assert [(bases.shape, elements.shape) for bases, elements in candidates] == [
+        ((1, 0, 6), (1, 1)), ((5, 1, 6), (5, 5)), ((74, 2, 6), (74, 25))]
     elem_lists = set()
-    for gens, key in candidates:
-        sub = IsotropicSubgroup(gens=gens)
-        assert condition_II(sub)
-        assert encodings(IsotropicSubgroup(gens=key_gens(key))) == encodings(sub)
-        elem_lists.add(tuple(encodings(sub)))
-    assert len(elem_lists) == len({key for _gens, key in candidates})
+    for bases, elements in candidates:
+        for gens, elems in zip(bases.tolist(), elements.tolist()):
+            sub = IsotropicSubgroup(gens=tuple(map(tuple, gens)))
+            assert condition_II(sub)
+            assert sorted(elems) == encodings(sub)
+            elem_lists.add(tuple(sorted(elems)))
+    assert len(elem_lists) == 80
+    types = {}
+    for v in candidates[1][0][:, 0].tolist():
+        for c in (1, 2):
+            t = delta([c * x % 5 for x in v])
+            types[t.a, t.b, min(t.y, 5 - t.y)] = v
+    assert len(set(map(tuple, types.values()))) == 5
+    assert set(types) == STARRED_TYPES - {(0, 0, 0)}
 
 
 def swept_orbits(subgroups):
@@ -496,18 +513,18 @@ def test_orbit_candidates_meet_every_orbit_of_the_oracle():
     oracle_keys, _ = swept_orbits(survivors)
     keys, seen = swept_orbits(
         (gens, np.array(encodings(IsotropicSubgroup(gens=gens)), dtype=np.int64))
-        for gens, _key in discform._orbit_candidates())
+        for gens in candidate_gens())
     assert len(keys) == 9 and keys == oracle_keys
     assert all(elems.tobytes() in seen for _gens, elems in survivors)
 
 
 def test_classification_memory_peak():
-    """With the tables and reference orbits warm, classify allocates less
+    """With the tables and reference images warm, classify allocates less
     than 32 MB at its peak."""
     import tracemalloc
 
     discform._tables()
-    discform.reference_orbits()
+    discform._reference_images()
     tracemalloc.start()
     try:
         classify_isotropic_subgroups()
@@ -526,49 +543,98 @@ def test_classification_validates_only_representatives(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(IsotropicSubgroup, "__post_init__", counting)
-    discform.reference_orbits.cache_clear()
+    discform._reference_images.cache_clear()
     try:
         records = classify_isotropic_subgroups()
     finally:
-        discform.reference_orbits.cache_clear()
+        discform._reference_images.cache_clear()
     assert len(records) == 9
     assert len(built) < 50
 
 
 def test_classification_sweeps_an_orbit_outside_the_references(monkeypatch):
-    """With H_5 dropped from the references, its orbit is swept out as
-    "unmatched" and still gives one record, with the invariants of H_5."""
-    h5 = next(r for r in classify_isotropic_subgroups() if r.label == "H_5")
-    references = {k: v for k, v in REFERENCE_SUBGROUPS.items() if k != "H_5"}
-    monkeypatch.setattr(discform, "REFERENCE_SUBGROUPS", references)
-    discform.reference_orbits.cache_clear()
-    try:
-        records = classify_isotropic_subgroups()
-    finally:
-        discform.reference_orbits.cache_clear()
-    assert len(records) == 9
-    assert sorted(r.label for r in records) == sorted(references) + ["unmatched"]
-    [odd] = [r for r in records if r.label == "unmatched"]
-    assert (odd.dim, odd.disc_exp, odd.root_type, odd.e_empty) == (
-        h5.dim, h5.disc_exp, h5.root_type, h5.e_empty)
-    assert (canonical_key(IsotropicSubgroup(gens=odd.gens))
-            == canonical_key(IsotropicSubgroup(gens=h5.gens)))
+    """With a line (H_5), a plane (H_7) or both dropped from the
+    references, each dropped orbit is swept out as one "unmatched" record,
+    with the dimension, invariants and canonical key of the reference it
+    stands for."""
+    expected = {r.label: r for r in classify_isotropic_subgroups()}
+    for dropped in (("H_5",), ("H_7",), ("H_5", "H_7")):
+        references = {k: v for k, v in REFERENCE_SUBGROUPS.items() if k not in dropped}
+        monkeypatch.setattr(discform, "REFERENCE_SUBGROUPS", references)
+        discform._reference_images.cache_clear()
+        try:
+            records = classify_isotropic_subgroups()
+        finally:
+            discform._reference_images.cache_clear()
+        assert len(records) == 9
+        assert (sorted(r.label for r in records)
+                == sorted(references) + ["unmatched"] * len(dropped))
+        # records are sorted by dimension, and H_5 is a line, H_7 a plane
+        odd = [r for r in records if r.label == "unmatched"]
+        for record, label in zip(odd, dropped, strict=True):
+            ref = expected[label]
+            assert (record.dim, record.disc_exp, record.root_type, record.e_empty) == (
+                ref.dim, ref.disc_exp, ref.root_type, ref.e_empty)
+            assert (canonical_key(IsotropicSubgroup(gens=record.gens))
+                    == canonical_key(IsotropicSubgroup(gens=ref.gens)))
 
 
 def test_reference_orbits_are_the_admissible_subgroups():
     """The nine reference orbits hold exactly the 2713 admissible
-    subgroups of the exhaustive oracle, and a subgroup and its image
-    under a symmetry share a label."""
-    orbits = discform.reference_orbits()
+    subgroups of the exhaustive oracle: `reference_orbit` gives each the
+    label of the echelon-key orbit map (the oracle), a subgroup and its
+    image under a symmetry share a label, and an isotropic line or plane
+    that is not admissible has none."""
+    orbits = reference_orbits()
+    survivors = admissible_subgroups()
     assert len(orbits) == 2713
     assert ({tuple(encodings(IsotropicSubgroup(gens=key_gens(key)))) for key in orbits}
-            == {tuple(elems.tolist()) for _gens, elems in admissible_subgroups()})
+            == {tuple(elems.tolist()) for _gens, elems in survivors})
     assert sorted(set(orbits.values())) == sorted(REFERENCE_SUBGROUPS)
+    for gens, _elems in survivors:
+        [key] = discform._echelon_keys(np.reshape(gens, (1, -1, 6))).tolist()
+        assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) == orbits[key], gens
     for label, gens in REFERENCE_SUBGROUPS.items():
         assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) == label
     swap = tuple(tuple(v[i] for i in (1, 0, 2, 3, 4, 5)) for v in REFERENCE_SUBGROUPS["H_6"])
     assert discform.reference_orbit(IsotropicSubgroup(gens=swap)) == "H_6"
-    assert discform.reference_orbit(IsotropicSubgroup(gens=((1, 2, 0, 0, 0, 0),))) is None
+    line = (1, 2, 0, 0, 0, 0)                   # type (1, 1, 0), not starred
+    assert discform.reference_orbit(IsotropicSubgroup(gens=(line,))) is None
+    plane = IsotropicSubgroup(gens=(line, (0, 0, 1, 2, 0, 0)))
+    assert not condition_II(plane) and discform.reference_orbit(plane) is None
+
+
+def test_reference_orbit_compares_like_dimensions(monkeypatch):
+    """Every subgroup holds the image of the empty basis of H_0, so only
+    references of the subgroup's own dimension may name its orbit: with
+    H_0 and H_6 as the only references, the zero subgroup and a plane in
+    the orbit of H_6 are named, and a line, even one inside H_6, is not."""
+    h6 = REFERENCE_SUBGROUPS["H_6"]
+    monkeypatch.setattr(discform, "REFERENCE_SUBGROUPS", {"H_0": (), "H_6": h6})
+    discform._reference_images.cache_clear()
+    try:
+        assert discform.reference_orbit(IsotropicSubgroup(gens=())) == "H_0"
+        assert discform.reference_orbit(IsotropicSubgroup(gens=h6[::-1])) == "H_6"
+        for gens in (h6[:1], REFERENCE_SUBGROUPS["H_5"]):
+            assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) is None
+    finally:
+        discform._reference_images.cache_clear()
+
+
+def test_orbit_members_match_the_echelon_oracle():
+    """One bitset per dimension over all 2713 admissible subgroups (2016
+    planes, 32 words): the members of each reference orbit are exactly the
+    subgroups that the echelon-key oracle labels with it."""
+    orbits = reference_orbits()
+    survivors = admissible_subgroups()
+    for d in (0, 1, 2):
+        subs = [(g, elems) for g, elems in survivors if len(g) == d]
+        gens = np.array([g for g, _ in subs]).reshape(len(subs), d, 6)
+        members = discform._orbit_members(np.array([elems for _, elems in subs]))
+        labels = [orbits[key] for key in discform._echelon_keys(gens).tolist()]
+        for label, images in discform._reference_images().items():
+            if images.shape[1] == d:
+                assert members(images).tolist() == [x == label for x in labels], label
 
 
 def test_reference_subgroups_distinct_orbits():
@@ -714,9 +780,11 @@ def _reference_subgroups():
 @pytest.fixture(scope="module")
 def enumerated_invariants():
     """generators -> (root type, E empty, disc exponent) by the retired
-    enumeration path, once per subgroup: the 138 orbit candidates, the 13
-    type representatives and H_0..H_8."""
-    subgroups = ([IsotropicSubgroup(gens=gens) for gens, _ in discform._orbit_candidates()]
+    enumeration path, once per subgroup: the 80 orbit candidates, the 13
+    type representatives, H_0..H_8 and a seeded sample of 60 admissible
+    subgroups of the exhaustive oracle."""
+    sample = random.Random(23).sample([gens for gens, _ in admissible_subgroups()], 60)
+    subgroups = ([IsotropicSubgroup(gens=gens) for gens in candidate_gens() + sample]
                  + _table_subgroups() + _reference_subgroups())
     out = {}
     for sub in subgroups:
@@ -762,6 +830,20 @@ def test_short_summand_vectors():
     vecs, norms = tables[5]
     assert vecs[:, L_INDEX].tolist() == [-2, -1, 0, 1, 2]
     assert norms.tolist() == [-8, -2, 0, -2, -8]
+
+
+def test_short_summand_vectors_match_the_product_box():
+    """The box of each summand is [-2, 2]^n row for row as
+    `itertools.product` lists it, so the kept vectors, their norms and
+    their order (and with them `_shell_table`) are those of that box."""
+    n5 = discform._reference_form()[1]
+    for idx, (vecs, norms) in zip(discform._SUMMANDS, discform._short_summand_vectors()):
+        box = np.array(list(itertools.product(range(-2, 3), repeat=len(idx))))
+        box_norms = np.einsum("ij,jk,ik->i", box, n5[np.ix_(idx, idx)], box)
+        keep = box_norms >= -10
+        assert vecs.dtype == np.int8 and vecs[:, idx].tolist() == box[keep].tolist()
+        assert not np.delete(vecs, idx, axis=1).any()
+        assert norms.tolist() == box_norms[keep].tolist()
 
 
 def test_root_catalogue_structure():

@@ -15,6 +15,7 @@ import pytest
 import fraction_kernels
 import lattice_kernels as lk
 from charfive import intmat
+from charfive.lattice import build_S0
 
 A4_BLOCK = [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
 HL_BLOCK = [[2, 1], [1, -2]]
@@ -193,6 +194,52 @@ def test_adjugate():
         assert lk.mat_mul(adj, m) == scaled
         assert adj == [[x * det for x in row]
                        for row in fraction_kernels.fraction_inverse(m)]
+
+
+def block_diagonal(rng, sizes, singular=None):
+    """A seeded integer matrix with nonsingular diagonal blocks of the given
+    sizes, its indices shuffled; block `singular` gets a repeated row (a
+    zero row when it is 1 x 1)."""
+    n = sum(sizes)
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for b, size in enumerate(sizes):
+        while True:
+            block = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+            if lk.bareiss_det(block):
+                break
+        if b == singular:
+            block[-1] = block[0][:] if size > 1 else [0]
+        for i in range(size):
+            m[start + i][start:start + size] = block[i]
+        start += size
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[m[i][j] for j in order] for i in order]
+
+
+def test_block_bareiss_matches_the_whole_matrix_oracle():
+    """On seeded block-diagonal matrices with shuffled indices and on the
+    Gram matrix of S0, the adjugate and determinant from the diagonal
+    blocks equal those of Bareiss on the whole matrix; a singular block
+    gives det 0 and makes `adjugate` raise ValueError."""
+    rng = random.Random(23)
+    for _ in range(100):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        m = block_diagonal(rng, sizes)
+        # the components of the nonzero pattern refine the blocks
+        assert len(intmat._blocks(m)) >= len(sizes)
+        assert intmat.adjugate(m) == lk.bareiss_adjugate(m)
+        assert intmat.det_bareiss(m) == lk.bareiss_det(m)
+        m = block_diagonal(rng, sizes, singular=rng.randrange(len(sizes)))
+        assert intmat.det_bareiss(m) == lk.bareiss_det(m) == 0
+        with pytest.raises(ValueError):
+            intmat.adjugate(m)
+    gram = [list(r) for r in build_S0().gram]
+    assert [len(b) for b in intmat._blocks(gram)] == [4] * 5 + [2]
+    assert intmat.adjugate(gram) == lk.bareiss_adjugate(gram)
+    assert intmat.det_bareiss(gram) == lk.bareiss_det(gram) == -5 ** 6
+    assert intmat.det_bareiss([]) == 1 and intmat.adjugate([]) == ([], 1)
 
 
 def test_ldl_rejects_indefinite():
