@@ -183,6 +183,21 @@ def _same(claimed, computed):
     return type(claimed) is type(computed) and claimed == computed
 
 
+def _claim(entry):
+    """(subgroup, None) for a classification entry that spans an isotropic
+    subgroup, else (None, (check name, detail)) for the check it fails."""
+    if not isinstance(entry, dict):
+        return None, ("?:fields", "entry is not an object")
+    label = entry.get("label", "?")
+    missing = [k for k in _ENTRY_FIELDS if k not in entry]
+    if missing:
+        return None, (f"{label}:fields", "missing " + ", ".join(missing))
+    try:
+        return discform.IsotropicSubgroup(gens=tuple(tuple(g) for g in entry["gens"])), None
+    except (TypeError, ValueError) as exc:
+        return None, (f"{label}:isotropic", str(exc))
+
+
 def _cmd_verify(args, stdout, stderr):
     checks = []
 
@@ -213,28 +228,18 @@ def _cmd_verify(args, stdout, stderr):
     check("dimension_bound", discform.max_isotropic_dimension() == 2)
     check("entry_count", len(entries) == 9, f"{len(entries)} entries")
 
-    orbits_met = set()
-    for entry in entries:
-        if not isinstance(entry, dict):
-            check("?:fields", False, "entry is not an object")
+    # all claims first, so that one orbit test per dimension names their orbits
+    claims = [_claim(entry) for entry in entries]
+    names = enumerate(discform.orbit_names([sub for sub, _ in claims if sub is not None]))
+    for entry, (sub, failure) in zip(entries, claims):
+        if sub is None:
+            check(failure[0], False, failure[1])
             continue
         label = entry.get("label", "?")
-        missing = [k for k in _ENTRY_FIELDS if k not in entry]
-        if missing:
-            check(f"{label}:fields", False, "missing " + ", ".join(missing))
-            continue
-        try:
-            sub = discform.IsotropicSubgroup(
-                gens=tuple(tuple(g) for g in entry["gens"]))
-        except (TypeError, ValueError) as exc:
-            check(f"{label}:isotropic", False, str(exc))
-            continue
+        i, (orbit, first) = next(names)
         check(f"{label}:condition_II", discform.condition_II(sub))
-        # a reference orbit is named by its label, any other by its key
-        orbit = discform.reference_orbit(sub)
-        named = orbit if orbit is not None else discform.canonical_key(sub)
-        check(f"{label}:distinct_orbit", named not in orbits_met)
-        orbits_met.add(named)
+        # the claim repeats an orbit iff an earlier claim lies in it
+        check(f"{label}:distinct_orbit", first == i)
         check(f"{label}:matches_reference", orbit == label, f"orbit is {orbit}")
         check(f"{label}:dim", _same(entry.get("dim"), sub.dim), f"computed {sub.dim}")
         rt, e_empty, disc_exp = discform._subgroup_invariants(sub)

@@ -17,7 +17,7 @@ discriminant form computed from the Gram matrix from first principles is
 checked by `verify_q_consistency`, which scans all of G.  A subgroup is
 held as the codes of its elements; it lies in the orbit of a subgroup of
 its own dimension iff it holds the image of that subgroup's basis under
-some symmetry (`_orbit_members`).
+some symmetry (`_orbits`).
 """
 
 import itertools
@@ -173,53 +173,16 @@ def _aut_arrays():
     return np.tile(perms, (len(signs), 1)), np.repeat(signs, len(perms), axis=0)
 
 
-def _images(basis):
-    """g(basis) for every group element g: the images of the rows of the
-    (d, 6) array `basis`, entries in 0..4, as a (3840, d, 6) int16 array."""
+def _image_codes(basis):
+    """The codes of g(basis) for every group element g: the images of the
+    rows of the (d, 6) array `basis`, entries in 0..4, as a (3840, d)
+    int16 array (every code is below 5^6 < 2^15)."""
     perms, signs = _aut_arrays()
     basis = np.asarray(basis, dtype=np.int16).reshape(-1, 6)
     # x'_i = signs[g, i] x[perms[g, i]]: the entry of (x, -x) at perms + 5 [sign -1]
     signed = np.concatenate([basis[:, :5], (5 - basis[:, :5]) % 5], axis=1)
-    images = np.empty((len(perms), len(basis), 6), dtype=np.int16)
-    images[..., :5] = np.take(signed, perms + 5 * (signs == 4), axis=1).transpose(1, 0, 2)
-    images[..., 5] = basis[:, 5]
-    return images
-
-
-def _echelon_keys(bases):
-    """The key of the span of each basis in an (n, d, 6) array of
-    independent rows with entries in 0..4: the rows r_1..r_d of its
-    reduced row echelon form over F5, encoded and packed into one int,
-    enc(r_1) 5^6 + enc(r_2) for a plane and 0 for the zero subgroup.  A
-    subspace has exactly one such basis, so keys are equal iff spans are.
-    """
-    rows = list(np.moveaxis(np.asarray(bases, dtype=np.int16), 1, 0))
-    at, inverse = np.arange(len(bases)), np.array([0, 1, 3, 2, 4], dtype=np.int16)
-    for i in range(len(rows)):
-        # the pivot column: the first column nonzero in some row i..d-1
-        col = np.logical_or.reduce([r != 0 for r in rows[i:]]).argmax(axis=1)
-        for j in range(i + 1, len(rows)):
-            # where row i misses the pivot, adding row j gives it one
-            rows[i] = rows[i] + rows[j] * (rows[i][at, col] % 5 == 0)[:, None]
-        rows[i] = rows[i] * inverse[rows[i][at, col] % 5][:, None] % 5
-        for j in range(len(rows)):
-            if j != i:
-                rows[j] = (rows[j] - rows[j][at, col][:, None] * rows[i]) % 5
-    keys = np.zeros(len(bases), dtype=np.int64)
-    for row in rows:
-        keys = keys * 5 ** 6 + row @ _POW
-    return keys
-
-
-def canonical_key(subgroup):
-    """Orbit-invariant key: the smallest echelon key of the subgroup's images."""
-    return int(_echelon_keys(_images(subgroup.gens)).min())
-
-
-def _image_codes(basis):
-    """The codes of g(basis) for every group element g, as a (3840, d)
-    int16 array (every code is below 5^6 < 2^15)."""
-    return _images(basis) @ _POW.astype(np.int16)
+    moved = np.take(signed, perms + 5 * (signs == 4), axis=1)      # (d, 3840, 5)
+    return (moved @ _POW[:5].astype(np.int16) + basis[:, 5:] * 3125).T
 
 
 @lru_cache(maxsize=1)
@@ -228,18 +191,22 @@ def _reference_images():
     return {label: _image_codes(gens) for label, gens in REFERENCE_SUBGROUPS.items()}
 
 
-def _orbit_members(elements):
-    """Orbit membership of n subgroups of one dimension d, given by the
-    codes of their elements as an (n, 5^d) array: returns a function
-    that maps the basis image codes of a subgroup H of dimension d, an
-    (m, d) array such as `_reference_images()[label]`, to a bool (n,)
-    array that is true where the subgroup lies in the orbit of H.
+def _orbits(bases, elements):
+    """The orbits met by n subgroups of one dimension d, given by their
+    bases as an (n, d, 6) array and the codes of their elements as an
+    (n, 5^d) array: one (label, members) pair per orbit, members a bool
+    (n,) array that is true on the subgroups in it, label that of its
+    reference H_i or None.  The reference orbits of dimension d come
+    first, in the order of `REFERENCE_SUBGROUPS`, then the others in the
+    order of their first members.
 
     g(H) is a subgroup of dimension d, so it equals a subgroup S of
     dimension d iff S holds g(basis of H).  The test reads one bitset:
     word [c, k // 64] has bit k % 64 set iff subgroup k holds the element
     of code c, so the AND of the words of one row of images has bit k
-    set iff subgroup k holds the whole row.
+    set iff subgroup k holds the whole row.  It runs on the images of
+    each reference basis of dimension d, then on those of the first
+    subgroup left over, until every subgroup lies in a found orbit.
     """
     k = np.arange(len(elements))
     words = np.zeros((5 ** 6, -(-len(k) // 64)), dtype=np.uint64)
@@ -252,14 +219,31 @@ def _orbit_members(elements):
             rows &= words.take(column, axis=0)
         return np.bitwise_or.reduce(rows, axis=0)[k // 64] & bits != 0
 
-    return members
+    found = [(label, members(images)) for label, images in _reference_images().items()
+             if images.shape[1] == bases.shape[1]]
+    left = np.ones(len(k), dtype=bool)
+    for _label, hits in found:
+        left &= ~hits
+    while left.any():
+        found.append((None, members(_image_codes(bases[left.argmax()]))))
+        left &= ~found[-1][1]
+    return [(label, hits) for label, hits in found if hits.any()]
 
 
-def reference_orbit(subgroup):
-    """The label of the reference orbit holding the subgroup, or None."""
-    members = _orbit_members(subgroup._codes[None])
-    return next((label for label, images in _reference_images().items()
-                 if images.shape[1] == subgroup.dim and members(images)[0]), None)
+def orbit_names(subgroups):
+    """(label, first) for each of a list of `IsotropicSubgroup`s: the
+    label of the reference orbit that holds it, or None, and the position
+    in the list of the first subgroup in its orbit, so two subgroups share
+    an orbit iff they share `first`.  `_orbits` runs once per dimension."""
+    names = [None] * len(subgroups)
+    for d in sorted({sub.dim for sub in subgroups}):
+        at = np.array([i for i, sub in enumerate(subgroups) if sub.dim == d])
+        bases = np.array([subgroups[i].gens for i in at], dtype=np.int64).reshape(len(at), d, 6)
+        for label, hits in _orbits(bases, np.array([subgroups[i]._codes for i in at])):
+            members = at[hits].tolist()
+            for i in members:
+                names[i] = (label, members[0])
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +296,19 @@ def _orbit_candidates():
         yield bases, _span_codes(bases)
 
 
-def _witt_index(gram, p=5):
+def _witt_index(gram):
     """Witt index (the dimension of a maximal totally isotropic subspace) of
-    the nondegenerate symmetric form `gram` over F_p, p odd: (n-1)/2 in odd
-    dimension n; in dimension 2m, m when (-1)^m det is a square mod p and
+    the nondegenerate symmetric form `gram` over F5: (n-1)/2 in odd
+    dimension n; in dimension 2m, m when (-1)^m det is a square mod 5 and
     m-1 otherwise (Serre, A Course in Arithmetic, ch. IV)."""
-    n, det = len(gram), det_bareiss(gram) % p
+    n, det = len(gram), det_bareiss(gram) % 5
     if det == 0:
         raise ArithmeticError("the form is degenerate")
     if n % 2:
         return (n - 1) // 2
     m = n // 2
-    # Euler's criterion: a unit is a square mod p iff its (p-1)/2 power is 1
-    return m if pow((-1) ** m * det, (p - 1) // 2, p) == 1 else m - 1
+    # Euler's criterion: a unit is a square mod 5 iff its square is 1
+    return m if pow((-1) ** m * det, 2, 5) == 1 else m - 1
 
 
 def max_isotropic_dimension():
@@ -536,33 +520,16 @@ class ClassifiedOrbit:
 
 
 def classify_isotropic_subgroups():
-    """Orbit representatives of the admissible isotropic subgroups.
-
-    Tests the candidates of each dimension of `_orbit_candidates()` for
-    membership in each reference orbit of that dimension at once
-    (`_orbit_members`): the first candidate in the orbit of H_i is
-    validated as an `IsotropicSubgroup` and the orbit stands with the
-    label and generator set of H_i.  A candidate in no reference orbit
-    opens an "unmatched" orbit, which is swept out of the candidates left
-    by the same test on the images of its own basis.
+    """Orbit representatives of the admissible isotropic subgroups: one
+    record per orbit that `_orbits` finds among the candidates of each
+    dimension of `_orbit_candidates()`.  The first candidate in an orbit
+    is validated as an `IsotropicSubgroup`; a reference orbit then stands
+    with the label and generator set of its H_i, any other as "unmatched"
+    with that candidate.
     """
-    references = _reference_images()
     records = []
     for bases, elements in _orbit_candidates():
-        members = _orbit_members(elements)
-        left = np.ones(len(bases), dtype=bool)
-        found = [(label, members(images)) for label, images in references.items()
-                 if images.shape[1] == bases.shape[1]]
-        for label, hits in found:
-            left &= ~hits
-        while left.any():
-            first = int(left.argmax())
-            hits = members(_image_codes(bases[first]))
-            found.append((None, hits))
-            left &= ~hits
-        for label, hits in found:
-            if not hits.any():
-                continue
+        for label, hits in _orbits(bases, elements):
             # validates the representative
             sub = IsotropicSubgroup(gens=tuple(map(tuple, bases[int(hits.argmax())].tolist())))
             if label is not None:

@@ -8,10 +8,11 @@ has a starred type.  `test_discform.py` checks that sweeping them gives
 the same orbits as sweeping `discform._orbit_candidates()`, and reads the
 exhaustive form of the dimension bound off the planes.
 
+`_echelon_keys` keys a subgroup by its reduced row echelon basis, and
 `reference_orbits` maps the echelon key of every subgroup in the orbits
 of H_0..H_8 to its label, 2713 keys, as the package did before it tested
 orbit membership on the codes of the images of a basis
-(`discform._orbit_members`): the oracle for those labels.
+(`discform._orbits`): the oracle for those labels.
 
 `AutElement` and `all_aut` are the symmetry group as the package held it
 before `discform._aut_arrays` built its arrays directly: the oracle for
@@ -25,8 +26,7 @@ oracle for those arrays.
 
 `orbit_images` and `min_row` key a subgroup and its orbit by sorted
 element encodings, as the package did before it keyed subgroups by their
-reduced echelon basis (`discform._echelon_keys`): the oracle for those
-keys.
+reduced echelon basis: the oracle for `_echelon_keys`.
 """
 
 import itertools
@@ -36,8 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from charfive.discform import (
-    REFERENCE_SUBGROUPS, STARRED_TYPES, _POW, _aut_arrays, _echelon_keys, _images, _tables,
-    decode)
+    REFERENCE_SUBGROUPS, STARRED_TYPES, _POW, _aut_arrays, _image_codes, _tables, decode)
 
 
 def q_scalar(v):
@@ -172,10 +171,36 @@ def admissible_subgroups():
     return survivors
 
 
+def _echelon_keys(bases):
+    """The key of the span of each basis in an (n, d, 6) array of
+    independent rows with entries in 0..4: the rows r_1..r_d of its
+    reduced row echelon form over F5, encoded and packed into one int,
+    enc(r_1) 5^6 + enc(r_2) for a plane and 0 for the zero subgroup.  A
+    subspace has exactly one such basis, so keys are equal iff spans are.
+    """
+    rows = list(np.moveaxis(np.asarray(bases, dtype=np.int16), 1, 0))
+    at, inverse = np.arange(len(bases)), np.array([0, 1, 3, 2, 4], dtype=np.int16)
+    for i in range(len(rows)):
+        # the pivot column: the first column nonzero in some row i..d-1
+        col = np.logical_or.reduce([r != 0 for r in rows[i:]]).argmax(axis=1)
+        for j in range(i + 1, len(rows)):
+            # where row i misses the pivot, adding row j gives it one
+            rows[i] = rows[i] + rows[j] * (rows[i][at, col] % 5 == 0)[:, None]
+        rows[i] = rows[i] * inverse[rows[i][at, col] % 5][:, None] % 5
+        for j in range(len(rows)):
+            if j != i:
+                rows[j] = (rows[j] - rows[j][at, col][:, None] * rows[i]) % 5
+    keys = np.zeros(len(bases), dtype=np.int64)
+    for row in rows:
+        keys = keys * 5 ** 6 + row @ _POW
+    return keys
+
+
 @lru_cache(maxsize=1)
 def reference_orbits():
     """Echelon key -> label of every subgroup in the orbits of H_0..H_8."""
     orbits = {}
     for label, gens in REFERENCE_SUBGROUPS.items():
-        orbits.update(dict.fromkeys(_echelon_keys(_images(gens)).tolist(), label))
+        images = _tables()["digits"][_image_codes(gens)]          # (3840, d, 6)
+        orbits.update(dict.fromkeys(_echelon_keys(images).tolist(), label))
     return orbits

@@ -13,9 +13,9 @@ from charfive.curvecheck import analyze, ns_gram_model, random_in_U
 from charfive.discform import (
     IsotropicSubgroup,
     REFERENCE_SUBGROUPS,
-    canonical_key,
     e_splittings,
     max_isotropic_dimension,
+    orbit_names,
     root_type_orthogonal_to_h,
     verify_q_consistency,
 )
@@ -73,14 +73,12 @@ def test_criterion_2_classification():
     ok = ok and dist == {6: 1, 4: 5, 2: 3}
     # the nine reference generator sets fall into nine distinct orbits that
     # match the computed representatives one-to-one
-    reference_keys = {}
-    for label, gens in REFERENCE_SUBGROUPS.items():
-        reference_keys[label] = canonical_key(IsotropicSubgroup(gens=gens))
-    ok = ok and len(set(reference_keys.values())) == 9
-    for r in recs:
-        key = canonical_key(IsotropicSubgroup(
-            gens=tuple(tuple(g) for g in r["gens"])))
-        ok = ok and key == reference_keys[r["label"]]
+    labels = list(REFERENCE_SUBGROUPS)
+    names = orbit_names(
+        [IsotropicSubgroup(gens=gens) for gens in REFERENCE_SUBGROUPS.values()]
+        + [IsotropicSubgroup(gens=tuple(map(tuple, r["gens"]))) for r in recs])
+    ok = ok and names[:9] == [(label, i) for i, label in enumerate(labels)]
+    ok = ok and names[9:] == [(r["label"], labels.index(r["label"])) for r in recs]
     _report(2, ok, "9 orbit representatives, discriminants {-5^6:1, -5^4:5, -5^2:3}")
 
 

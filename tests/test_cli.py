@@ -219,48 +219,47 @@ def test_verify_matches_golden():
     assert out == (GOLDEN / "lattice_verify.json").read_text()
 
 
-def test_classify_then_verify_builds_each_reference_orbit_once(monkeypatch):
-    """One process running classify and then verify on its output builds
-    the generator images of H_0..H_8 and nothing else: no canonical key."""
+@pytest.fixture
+def image_calls(monkeypatch):
+    """The bases that `discform._image_codes` is called on, with the
+    reference images built afresh."""
     calls = []
-    real = discform._images
-    keyed = []
-    real_key = discform.canonical_key
+    real = discform._image_codes
 
     def counting(basis):
-        calls.append(tuple(map(tuple, basis)))
+        calls.append(tuple(tuple(int(x) for x in v) for v in basis))
         return real(basis)
 
-    monkeypatch.setattr(discform, "_images", counting)
-    monkeypatch.setattr(discform, "canonical_key",
-                        lambda sub: keyed.append(sub) or real_key(sub))
+    monkeypatch.setattr(discform, "_image_codes", counting)
     discform._reference_images.cache_clear()
-    try:
-        code, out, _ = invoke(["lattice", "classify"])
-        assert code == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
-        code, out, _ = invoke(["lattice", "verify"])
-        assert code == 0
-    finally:
-        discform._reference_images.cache_clear()
+    yield calls
+    discform._reference_images.cache_clear()
+
+
+def test_classify_then_verify_builds_each_reference_orbit_once(image_calls, monkeypatch):
+    """One process running classify and then verify on its output builds
+    the generator images of H_0..H_8 and nothing else."""
+    code, out, _ = invoke(["lattice", "classify"])
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, _ = invoke(["lattice", "verify"])
+    assert code == 0
     assert out == (GOLDEN / "lattice_verify.json").read_text()
-    assert sorted(calls) == sorted(discform.REFERENCE_SUBGROUPS.values())
-    assert keyed == []
+    assert sorted(image_calls) == sorted(discform.REFERENCE_SUBGROUPS.values())
 
 
-def test_verify_names_orbits_outside_the_references(monkeypatch):
-    """Two lines of the unstarred type (1,1,0) in one orbit: verify names
-    the orbit by its canonical key, fails both claims on condition II and
-    the reference match, and the second also on distinctness."""
-    keyed = []
-    real = discform.canonical_key
-    monkeypatch.setattr(discform, "canonical_key", lambda sub: keyed.append(sub) or real(sub))
+def test_verify_names_orbits_outside_the_references(image_calls):
+    """Two lines of the unstarred type (1,1,0) in one orbit: verify finds
+    the orbit outside the references from the images of X_1, which sweep
+    X_2 too, fails both claims on condition II and the reference match,
+    and the second also on distinctness."""
     path = GOLDEN / "lattice_verify_unmatched_claims.json"
     claims = json.loads(path.read_text())["results"]
     assert [(c["label"], c["gens"]) for c in claims] == [
         ("X_1", [[1, 2, 0, 0, 0, 0]]), ("X_2", [[2, 1, 0, 0, 0, 0]])]
     code, out, err = invoke(["lattice", "verify", "--in", str(path)])
-    assert code == 1 and len(keyed) == 2
+    assert code == 1
+    assert len(image_calls) == 10 and image_calls[-1] == ((1, 2, 0, 0, 0, 0),)
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     for label in ("X_1", "X_2"):
         assert not checks[f"{label}:condition_II"]["passed"]
@@ -269,6 +268,31 @@ def test_verify_names_orbits_outside_the_references(monkeypatch):
     assert checks["X_1:distinct_orbit"]["passed"]
     assert not checks["X_2:distinct_orbit"]["passed"]
     assert "FAIL X_2:distinct_orbit" in err
+
+
+def test_verify_mixed_claims_match_golden():
+    """Malformed, non-isotropic, unmatched, mislabelled and repeated claims
+    in one payload: the checks keep the order of the claims, planes in one
+    orbit outside the references share it, and verify exits 1."""
+    code, out, _ = invoke(["lattice", "verify", "--in",
+                           str(GOLDEN / "lattice_verify_mixed_claims.json")])
+    assert code == 1
+    assert out == (GOLDEN / "lattice_verify_mixed.json").read_text()
+
+
+def test_verify_spans_several_bitset_words(image_calls, tmp_path):
+    """64 copies of the nine golden claims, 576 entries, so every dimension
+    spans several words of the orbit bitset: each copy after the first
+    fails on distinctness and nothing else, and only the nine reference
+    images are built."""
+    golden = json.loads((GOLDEN / "classify.json").read_text())["results"]
+    path = tmp_path / "copies.json"
+    path.write_text(json.dumps({"results": golden * 64}))
+    code, out, _ = invoke(["lattice", "verify", "--in", str(path)])
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["entry_count"] + [f"{r['label']}:distinct_orbit" for r in golden] * 63
+    assert sorted(image_calls) == sorted(discform.REFERENCE_SUBGROUPS.values())
 
 
 def test_verify_unmatched_matches_golden():

@@ -17,18 +17,18 @@ from charfive.discform import (
     REFERENCE_SUBGROUPS,
     STARRED_TYPES,
     b_value,
-    canonical_key,
     classify_isotropic_subgroups,
     condition_II,
     isotropic_table,
     max_isotropic_dimension,
+    orbit_names,
     q_value,
     verify_q_consistency,
 )
 from charfive.lattice import L_INDEX, build_S0
 from catalogue_kernels import catalogue_root_type, root_catalogue
 from discform_kernels import (
-    AutElement, admissible_subgroups, all_aut, delta, isotropic_planes,
+    AutElement, _echelon_keys, admissible_subgroups, all_aut, delta, isotropic_planes,
     line_representatives, min_row, orbit_images, q_scalar, reference_orbits, span)
 from fraction_kernels import fraction_inverse, short_vectors_box
 from lattice_kernels import H_PRIMAL, subgroup_invariants, subgroup_overlattice
@@ -197,7 +197,7 @@ def test_aut_group_order_and_law():
 
 
 def test_aut_arrays_match_the_oracle():
-    """The arrays behind `_images` hold the oracle group row for row,
+    """The arrays behind `_image_codes` hold the oracle group row for row,
     with the sign -1 stored as 4."""
     perms, signs = discform._aut_arrays()
     auts = all_aut()
@@ -205,19 +205,22 @@ def test_aut_arrays_match_the_oracle():
     assert signs.tolist() == [[s % 5 for s in g.signs] for g in auts]
 
 
+def code(v):
+    return sum(x * 5 ** i for i, x in enumerate(v))
+
+
 def test_orbit_images_match_the_oracle_group():
-    """Row g of `_images` holds g applied to each generator, and row g of
-    the oracle's `orbit_images` the sorted element encodings of g(H), for
-    the g-th element of the oracle group."""
+    """Row g of `_image_codes` holds the codes of g applied to each
+    generator, and row g of the oracle's `orbit_images` the sorted element
+    encodings of g(H), for the g-th element of the oracle group."""
     sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_6"])
-    gen_images = discform._images(sub.gens)
+    gen_images = discform._image_codes(sub.gens)
     images = orbit_images(np.array(sub.elements(), dtype=np.int64))
-    assert gen_images.shape == (3840, 2, 6)
+    assert gen_images.dtype == np.int16 and gen_images.shape == (3840, 2)
     assert images.dtype == np.int64 and images.shape == (3840, 25)
     for g, gens, row in zip(all_aut(), gen_images.tolist(), images.tolist()):
-        assert gens == [list(aut_apply(g, v)) for v in sub.gens]
-        assert row == sorted(sum(x * 5 ** i for i, x in enumerate(aut_apply(g, v)))
-                             for v in sub.elements())
+        assert gens == [code(aut_apply(g, v)) for v in sub.gens]
+        assert row == sorted(code(aut_apply(g, v)) for v in sub.elements())
 
 
 def test_aut_preserves_q():
@@ -320,17 +323,18 @@ def test_condition_ii():
         assert delta(v).starred
 
 
-def test_canonical_key_examples():
-    h0 = IsotropicSubgroup(gens=())
-    assert canonical_key(h0) == 0
-    h5 = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_5"])
-    rotated = IsotropicSubgroup(
-        gens=(tuple(REFERENCE_SUBGROUPS["H_5"][0][i] for i in (4, 3, 2, 1, 0))
-              + (REFERENCE_SUBGROUPS["H_5"][0][5],),))
-    assert canonical_key(h5) == canonical_key(rotated)
-    other = IsotropicSubgroup(gens=((0, 1, 1, 2, 2, 0),))
-    h2 = IsotropicSubgroup(gens=((2, 2, 2, 2, 2, 0),))
-    assert canonical_key(other) != canonical_key(h2)
+def named(*gen_sets):
+    """`orbit_names` of the subgroups spanned by each generator set."""
+    return orbit_names([IsotropicSubgroup(gens=gens) for gens in gen_sets])
+
+
+def test_orbit_names_examples():
+    """A subgroup is named by its reference orbit and the first subgroup of
+    the list in that orbit: H_5 and its reversal share both, H_2 does not."""
+    [h5] = REFERENCE_SUBGROUPS["H_5"]
+    rotated = h5[4::-1] + h5[5:]
+    assert named((), (h5,), (rotated,), ((2, 2, 2, 2, 2, 0),), ((0, 1, 1, 2, 2, 0),)) == [
+        ("H_0", 0), ("H_5", 1), ("H_5", 1), ("H_2", 3), ("H_5", 1)]
 
 
 def key_gens(key):
@@ -352,8 +356,8 @@ def test_echelon_keys_match_element_lists():
     planes, gen_pairs = isotropic_planes()
     assert len(planes) == 3276
     u, v, w = digits[reps], digits[gen_pairs[:, 0]], digits[gen_pairs[:, 1]]
-    keys = [discform._echelon_keys(np.stack(line, axis=1)).tolist()
-            + discform._echelon_keys(np.stack(plane, axis=1)).tolist()
+    keys = [_echelon_keys(np.stack(line, axis=1)).tolist()
+            + _echelon_keys(np.stack(plane, axis=1)).tolist()
             for line, plane in (((u,), (v, w)),
                                 ((2 * u % 5,), (w, v)),
                                 ((4 * u % 5,), ((v + w) % 5, (v + 2 * w) % 5)))]
@@ -366,32 +370,23 @@ def test_echelon_keys_match_element_lists():
         assert tuple(encodings(IsotropicSubgroup(gens=key_gens(key)))) == elems
 
 
-def test_canonical_key_is_invariant_under_the_group():
-    """canonical_key(g(H)) = canonical_key(H) for every symmetry g and
-    H_0..H_8, and differs between the nine.  g(H) is keyed once per
-    distinct image subgroup (by its sorted elements), from the images of
-    the generators under the first g that reaches it."""
-    auts = all_aut()
-    keys = set()
+def test_orbits_hold_every_image_of_a_reference():
+    """For each H_i, the 3840 images g(H_i), their elements taken from the
+    oracle's `orbit_images`, form the one orbit labelled H_i."""
+    digits = discform._tables()["digits"]
     for label, gens in REFERENCE_SUBGROUPS.items():
         sub = IsotropicSubgroup(gens=gens)
-        key = canonical_key(sub)
-        images = orbit_images(np.array(sub.elements(), dtype=np.int64))
-        _rows, first = np.unique(images, axis=0, return_index=True)
-        for g in first.tolist():
-            image = IsotropicSubgroup(gens=tuple(aut_apply(auts[g], v) for v in gens))
-            assert canonical_key(image) == key, (label, g)
-        keys.add(key)
-    assert len(keys) == 9
+        bases = digits[discform._image_codes(gens)]
+        elements = orbit_images(np.array(sub.elements(), dtype=np.int64))
+        [(found, hits)] = discform._orbits(bases, elements)
+        assert found == label and hits.all(), label
 
 
-def test_canonical_key_scaling_invariance():
+def test_orbit_names_scaling_invariance():
     for label in ("H_1", "H_3", "H_5"):
-        gen = REFERENCE_SUBGROUPS[label][0]
-        base = canonical_key(IsotropicSubgroup(gens=(gen,)))
-        for c in (2, 3, 4):
-            scaled = tuple((c * x) % 5 for x in gen)
-            assert canonical_key(IsotropicSubgroup(gens=(scaled,))) == base
+        [gen] = REFERENCE_SUBGROUPS[label]
+        scaled = [(tuple(c * x % 5 for x in gen),) for c in range(1, 5)]
+        assert named(*scaled) == [(label, 0)] * 4
 
 
 def test_isotropic_count_matches_integral_form():
@@ -442,7 +437,7 @@ def test_classification():
 
 
 def encodings(sub):
-    return sorted(sum(x * 5 ** i for i, x in enumerate(v)) for v in sub.elements())
+    return sorted(map(code, sub.elements()))
 
 
 def test_admissible_subgroups_carry_their_elements():
@@ -555,8 +550,8 @@ def test_classification_validates_only_representatives(monkeypatch):
 def test_classification_sweeps_an_orbit_outside_the_references(monkeypatch):
     """With a line (H_5), a plane (H_7) or both dropped from the
     references, each dropped orbit is swept out as one "unmatched" record,
-    with the dimension, invariants and canonical key of the reference it
-    stands for."""
+    with the dimension and invariants of the reference it stands for, and
+    in its orbit, which `orbit_names` then finds outside the references."""
     expected = {r.label: r for r in classify_isotropic_subgroups()}
     for dropped in (("H_5",), ("H_7",), ("H_5", "H_7")):
         references = {k: v for k, v in REFERENCE_SUBGROUPS.items() if k not in dropped}
@@ -564,24 +559,25 @@ def test_classification_sweeps_an_orbit_outside_the_references(monkeypatch):
         discform._reference_images.cache_clear()
         try:
             records = classify_isotropic_subgroups()
+            # records are sorted by dimension, and H_5 is a line, H_7 a plane
+            odd = [r for r in records if r.label == "unmatched"]
+            names = [named(record.gens, expected[label].gens)
+                     for record, label in zip(odd, dropped, strict=True)]
         finally:
             discform._reference_images.cache_clear()
         assert len(records) == 9
         assert (sorted(r.label for r in records)
                 == sorted(references) + ["unmatched"] * len(dropped))
-        # records are sorted by dimension, and H_5 is a line, H_7 a plane
-        odd = [r for r in records if r.label == "unmatched"]
-        for record, label in zip(odd, dropped, strict=True):
+        for record, label, pair in zip(odd, dropped, names):
             ref = expected[label]
             assert (record.dim, record.disc_exp, record.root_type, record.e_empty) == (
                 ref.dim, ref.disc_exp, ref.root_type, ref.e_empty)
-            assert (canonical_key(IsotropicSubgroup(gens=record.gens))
-                    == canonical_key(IsotropicSubgroup(gens=ref.gens)))
+            assert pair == [(None, 0), (None, 0)]
 
 
 def test_reference_orbits_are_the_admissible_subgroups():
     """The nine reference orbits hold exactly the 2713 admissible
-    subgroups of the exhaustive oracle: `reference_orbit` gives each the
+    subgroups of the exhaustive oracle: `orbit_names` gives each the
     label of the echelon-key orbit map (the oracle), a subgroup and its
     image under a symmetry share a label, and an isotropic line or plane
     that is not admissible has none."""
@@ -591,56 +587,57 @@ def test_reference_orbits_are_the_admissible_subgroups():
     assert ({tuple(encodings(IsotropicSubgroup(gens=key_gens(key)))) for key in orbits}
             == {tuple(elems.tolist()) for _gens, elems in survivors})
     assert sorted(set(orbits.values())) == sorted(REFERENCE_SUBGROUPS)
-    for gens, _elems in survivors:
-        [key] = discform._echelon_keys(np.reshape(gens, (1, -1, 6))).tolist()
-        assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) == orbits[key], gens
-    for label, gens in REFERENCE_SUBGROUPS.items():
-        assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) == label
-    swap = tuple(tuple(v[i] for i in (1, 0, 2, 3, 4, 5)) for v in REFERENCE_SUBGROUPS["H_6"])
-    assert discform.reference_orbit(IsotropicSubgroup(gens=swap)) == "H_6"
+    names = named(*(gens for gens, _elems in survivors))
+    for (gens, _elems), (label, _first) in zip(survivors, names, strict=True):
+        [key] = _echelon_keys(np.reshape(gens, (1, -1, 6))).tolist()
+        assert label == orbits[key], gens
+    assert named(*REFERENCE_SUBGROUPS.values()) == [
+        (label, i) for i, label in enumerate(REFERENCE_SUBGROUPS)]
+    h6 = REFERENCE_SUBGROUPS["H_6"]
+    swap = tuple(tuple(v[i] for i in (1, 0, 2, 3, 4, 5)) for v in h6)
+    assert named(h6, swap) == [("H_6", 0), ("H_6", 0)]
     line = (1, 2, 0, 0, 0, 0)                   # type (1, 1, 0), not starred
-    assert discform.reference_orbit(IsotropicSubgroup(gens=(line,))) is None
-    plane = IsotropicSubgroup(gens=(line, (0, 0, 1, 2, 0, 0)))
-    assert not condition_II(plane) and discform.reference_orbit(plane) is None
+    plane = (line, (0, 0, 1, 2, 0, 0))
+    assert not condition_II(IsotropicSubgroup(gens=plane))
+    assert [label for label, _first in named((line,), plane)] == [None, None]
 
 
 def test_reference_orbit_compares_like_dimensions(monkeypatch):
     """Every subgroup holds the image of the empty basis of H_0, so only
     references of the subgroup's own dimension may name its orbit: with
     H_0 and H_6 as the only references, the zero subgroup and a plane in
-    the orbit of H_6 are named, and a line, even one inside H_6, is not."""
+    the orbit of H_6 are named, and a line, even one inside H_6, is not.
+    That line and H_5 share the type (2, 2, 0), so they share an orbit."""
     h6 = REFERENCE_SUBGROUPS["H_6"]
     monkeypatch.setattr(discform, "REFERENCE_SUBGROUPS", {"H_0": (), "H_6": h6})
     discform._reference_images.cache_clear()
     try:
-        assert discform.reference_orbit(IsotropicSubgroup(gens=())) == "H_0"
-        assert discform.reference_orbit(IsotropicSubgroup(gens=h6[::-1])) == "H_6"
-        for gens in (h6[:1], REFERENCE_SUBGROUPS["H_5"]):
-            assert discform.reference_orbit(IsotropicSubgroup(gens=gens)) is None
+        assert named((), h6[::-1], h6[:1], REFERENCE_SUBGROUPS["H_5"]) == [
+            ("H_0", 0), ("H_6", 1), (None, 2), (None, 2)]
     finally:
         discform._reference_images.cache_clear()
 
 
 def test_orbit_members_match_the_echelon_oracle():
     """One bitset per dimension over all 2713 admissible subgroups (2016
-    planes, 32 words): the members of each reference orbit are exactly the
-    subgroups that the echelon-key oracle labels with it."""
+    planes, 32 words): `_orbits` finds the reference orbits of that
+    dimension and no other, each holding exactly the subgroups that the
+    echelon-key oracle labels with it."""
     orbits = reference_orbits()
     survivors = admissible_subgroups()
     for d in (0, 1, 2):
         subs = [(g, elems) for g, elems in survivors if len(g) == d]
         gens = np.array([g for g, _ in subs]).reshape(len(subs), d, 6)
-        members = discform._orbit_members(np.array([elems for _, elems in subs]))
-        labels = [orbits[key] for key in discform._echelon_keys(gens).tolist()]
-        for label, images in discform._reference_images().items():
-            if images.shape[1] == d:
-                assert members(images).tolist() == [x == label for x in labels], label
+        found = discform._orbits(gens, np.array([elems for _, elems in subs]))
+        labels = [orbits[key] for key in _echelon_keys(gens).tolist()]
+        assert [label for label, _hits in found] == sorted(set(labels)), d
+        for label, hits in found:
+            assert hits.tolist() == [x == label for x in labels], label
 
 
 def test_reference_subgroups_distinct_orbits():
-    keys = {label: canonical_key(IsotropicSubgroup(gens=gens))
-            for label, gens in REFERENCE_SUBGROUPS.items()}
-    assert len(set(keys.values())) == 9
+    names = named(*REFERENCE_SUBGROUPS.values())
+    assert len({first for _label, first in names}) == 9
 
 
 def test_overlattice_disc_by_dimension():
@@ -869,7 +866,7 @@ def test_root_counts_by_type():
     vectors, classes = root_catalogue()
     sizes = {"5A4": 100, "A9+3A4": 150, "E8+3A4": 300}
     for sub in _table_subgroups() + _reference_subgroups():
-        encs = [sum(x * 5 ** i for i, x in enumerate(v)) for v in sub.elements()]
+        encs = list(map(code, sub.elements()))
         rt = str(discform.root_type_orthogonal_to_h(sub))
         assert int(np.isin(classes, encs).sum()) == sizes[rt]
 

@@ -1,10 +1,13 @@
-"""What an import loads, each fact checked in a fresh interpreter.
+"""What an import loads, each fact checked in a fresh interpreter or
+read from the source.
 
 The package has no re-export layer, the curve modules run without numpy,
-and the lattice verbs never reach `numpy.ma`, whose lazy import (for
-example through a plain `np.unique`) costs tens of milliseconds.
+`cli` imports no numpy of its own, and the lattice verbs never reach
+`numpy.ma`, whose lazy import (for example through a plain `np.unique`)
+costs tens of milliseconds.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -48,3 +51,14 @@ def test_lattice_verbs_never_import_numpy_ma(tmp_path):
     codes, numpy_loaded, ma_loaded = fresh(code)
     assert codes == [0, 0, 0] and numpy_loaded
     assert not ma_loaded
+
+
+def test_cli_imports_no_numpy():
+    """`cli` leaves numpy to the modules it calls: importing numpy there
+    changes the import order, whose heap effect slows the lattice verbs."""
+    tree = ast.parse(Path(SRC, "charfive", "cli.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "numpy" not in imported
