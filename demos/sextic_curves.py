@@ -11,7 +11,7 @@ from charfive.curvecheck import SexticModel, analyze, ns_gram_model, random_in_U
 from charfive.ffpoly import GF, format_poly_literal, parse_poly_literal
 
 f = parse_poly_literal("[0,0,1,0,0,0,1]@5")          # x^6 + x^2
-model = SexticModel(field=f.field, f=f)
+model = SexticModel(f)
 
 print(f"=== {format_poly_literal(f)} ===")
 report = analyze(model)
@@ -21,7 +21,7 @@ for p in report.points:
 wall = report.wall
 print(f"degree product: {wall.total} - {sum(wall.corrections)} = {wall.product}")
 
-lat = ns_gram_model(model)
+lat = ns_gram_model(report.points)
 print(f"lattice model: rank {lat.rank}, det {lat.det()}, "
       f"signature {lat.signature()}")
 print(f"chain labels: {lat.labels[:4]} ... {lat.labels[16:20]} + {lat.labels[20:]}")

@@ -46,14 +46,15 @@ class SexticModel:
     """The plane curve y^5 = f(x); deg f = 6 makes [0:1:0] its only,
     and smooth, point at infinity."""
 
-    field: GF
     f: GFPoly
 
     def __post_init__(self):
-        if self.f.field != self.field:
-            raise ValueError("polynomial field mismatch")
         if self.f.degree != 6:
             raise ValueError("defining polynomial must have degree 6")
+
+    @property
+    def field(self):
+        return self.f.field
 
 
 def is_in_U(f):
@@ -69,7 +70,6 @@ class SingularPointReport:
     beta: tuple
     field: GF
     subfield_degree: int
-    multiplicity_in_fprime: int
     is_A4: bool
     g_at_alpha: tuple
     orbit_leader: int                       # index of the first point of its orbit
@@ -106,10 +106,11 @@ def verify_A4(f, alpha):
     return any(g_val), g_val
 
 
-def _find_singular_points(m, max_ext):
+def singular_points(m, max_ext):
     """Points (alpha, f(alpha)^(1/5)) with the A4 certificate, each over the
     minimal extension containing alpha, in the order of `roots_in_extension`
-    (field degree, then alpha); no polar data yet.
+    (field degree, then alpha); no polar data yet.  Each sextic is
+    root-found here once: `analyze` and `ns_gram_model` read these records.
 
     f has coefficients in the base field GF(5^k), so the Frobenius
     x -> x^(5^k) carries the facts at alpha to those at its conjugates:
@@ -146,8 +147,7 @@ def _find_singular_points(m, max_ext):
         beta, g_val, leader = facts[rec.value]
         points.append(SingularPointReport(
             alpha=rec.value, beta=beta, field=fld, subfield_degree=rec.subfield_degree,
-            multiplicity_in_fprime=rec.multiplicity, is_A4=any(g_val), g_at_alpha=g_val,
-            orbit_leader=leader))
+            is_A4=any(g_val), g_at_alpha=g_val, orbit_leader=leader))
     return points
 
 
@@ -258,7 +258,7 @@ def analyze(m, max_ext=8, seed=0):
     point is handled inside its own extension tower.  A sextic outside U
     raises OutsideUError.
     """
-    points = _find_singular_points(m, max_ext)
+    points = singular_points(m, max_ext)
     q, mults, attempts = _polar_corrections(m, points, seed)
     reports = tuple(replace(pt, local_mult_with_polar=mult)
                     for pt, mult in zip(points, mults))
@@ -278,12 +278,12 @@ def analyze(m, max_ext=8, seed=0):
 # The rank-22 sublattice model and sampling
 # ---------------------------------------------------------------------------
 
-def ns_gram_model(m, max_ext=8):
+def ns_gram_model(points):
     """Gram matrix of the rank-22 sublattice spanned by the resolution
     curves of the five singular points together with the polarization
     pair: five negative A4 chains plus [[2,1],[1,-2]], with chain labels
-    tied to the singular points in their deterministic order."""
-    points = _find_singular_points(m, max_ext)
+    tied to the singular points in their deterministic order.  `points`
+    are the records of `singular_points` or `CurveReport.points`."""
     if len(points) != 5 or not all(p.is_A4 for p in points):
         raise ValueError("model does not have five certified A4 points")
     labels = [f"e_{i + 1}^(P{j + 1})"
@@ -302,5 +302,5 @@ def random_in_U(field, seed):
             lead = field.rand_elem(rng)
         f = GFPoly(field, coeffs + [lead])
         if is_in_U(f):
-            return SexticModel(field=field, f=f)
+            return SexticModel(f)
     raise RuntimeError("rejection sampling failed to find an admissible sextic")

@@ -225,8 +225,13 @@ def _orbits(bases, elements):
     for _label, hits in found:
         left &= ~hits
     while left.any():
-        found.append((None, members(_image_codes(bases[left.argmax()]))))
-        left &= ~found[-1][1]
+        first = left.argmax()
+        hits = members(_image_codes(bases[first]))
+        if not hits[first]:         # the sweep would never empty `left`
+            raise RuntimeError(f"the images of a basis of dimension {bases.shape[1]} "
+                               "miss the subgroup it spans")
+        found.append((None, hits))
+        left &= ~hits
     return [(label, hits) for label, hits in found if hits.any()]
 
 

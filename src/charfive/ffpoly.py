@@ -2,10 +2,11 @@
 
 Field elements are tuples of length k with entries in {0,...,4}: the
 residue c0 + c1*t + ... + c_{k-1}*t^{k-1} modulo a fixed irreducible
-modulus over F5.  The shipped moduli (one per degree) are the
-lexicographically smallest monic irreducibles in the ordering by
-(c0, c1, ..., c_{k-1}); they are data, and re-verified irreducible the
-first time a field is built.  Fields of at most TABLE_MAX_ORDER elements
+modulus over F5.  The default modulus of each degree is the
+lexicographically smallest monic irreducible in the ordering by
+(c0, c1, ..., c_{k-1}), found by `_search_modulus` the first time a field
+of that degree is built; a modulus given by the caller is checked with
+Rabin's test instead.  Fields of at most TABLE_MAX_ORDER elements
 compute through log/antilog tables, and add through a Zech table
 log(1 + g^n); larger ones multiply through a packed Kronecker kernel
 (`_Kronecker`) and add on bytes.  An embedding GF(5^a) -> GF(5^b) is one
@@ -38,27 +39,10 @@ from functools import lru_cache
 
 P = 5
 
-#: smallest monic irreducible modulus per degree (c0, c1, ..., 1).
-#: Regenerate with `_search_modulus`; verified on first use.
-MODULI = {
-    1: (0, 1),
-    2: (2, 0, 1),
-    3: (1, 1, 0, 1),
-    4: (2, 0, 0, 0, 1),
-    5: (1, 4, 0, 0, 0, 1),
-    6: (2, 1, 0, 0, 0, 0, 1),
-    7: (1, 1, 0, 0, 0, 0, 0, 1),
-    8: (2, 0, 0, 0, 0, 0, 0, 0, 1),
-    9: (3, 2, 1, 0, 0, 0, 0, 0, 0, 1),
-    10: (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
-    11: (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    12: (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-}
-
-#: the largest field degree a polynomial literal may name, the range of
-#: MODULI: larger degrees would send `GF` into `_search_modulus`, whose
-#: cost grows with 5^k
-MAX_LITERAL_DEGREE = max(MODULI)
+#: the largest field degree a polynomial literal may name: a field built
+#: without a modulus searches for one (`_search_modulus`), whose cost grows
+#: with 5^k
+MAX_LITERAL_DEGREE = 12
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +91,11 @@ def _f5_is_irreducible(m):
     return True
 
 
+@lru_cache(maxsize=None)
 def _search_modulus(k):
-    """Smallest monic irreducible of degree k in (c0, c1, ...) order.  For
-    k >= 2 a candidate with a root in F5 is reducible and skips Rabin's test."""
+    """Smallest monic irreducible of degree k in (c0, c1, ...) order, the
+    default modulus of GF(5^k).  For k >= 2 a candidate with a root in F5
+    is reducible and skips Rabin's test."""
     for code in range(P ** k):
         m = [(code // P ** i) % P for i in range(k)] + [1]
         rooted = any(sum(c * x ** i for i, c in enumerate(m)) % P == 0 for x in range(P))
@@ -119,8 +105,13 @@ def _search_modulus(k):
 
 
 @lru_cache(maxsize=None)
-def _checked_modulus(modulus):
-    if not _f5_is_irreducible(list(modulus)):
+def _checked_modulus(k, modulus):
+    """A caller's modulus, reduced mod 5 and checked monic of degree k and
+    irreducible."""
+    modulus = tuple(int(x) % P for x in modulus)
+    if len(modulus) != k + 1 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of the field degree")
+    if not _f5_is_irreducible(modulus):
         raise ValueError(f"modulus {list(modulus)} is not irreducible over F5")
     return modulus
 
@@ -283,7 +274,8 @@ class _Kronecker:
 
 @lru_cache(maxsize=None)
 def _arithmetic(modulus):
-    """(log, antilog, zech, kronecker) for the field of an irreducible modulus.
+    """(log, antilog, zech, kronecker) for the field of an irreducible
+    modulus, which the caller has found or checked.
 
     The packed kernel always exists.  Fields with at most TABLE_MAX_ORDER
     elements also get log/antilog tables for a primitive element g (the
@@ -293,7 +285,7 @@ def _arithmetic(modulus):
     reduction mod q - 1.  zech[n] = log(1 + g^n), listed twice so that any
     n in -2(q - 1) .. 2(q - 1) - 1 indexes it: g^a + g^b = g^(a + zech[b - a]).
     """
-    kron = _Kronecker(_checked_modulus(modulus))
+    kron = _Kronecker(modulus)
     k = len(modulus) - 1
     q = P ** k
     if q > TABLE_MAX_ORDER:
@@ -347,10 +339,9 @@ class GF:
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if modulus is None:
-            modulus = MODULI.get(degree) or _search_modulus(degree)
-        modulus = tuple(int(x) % P for x in modulus)
-        if len(modulus) != degree + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the field degree")
+            modulus = _search_modulus(degree)
+        else:
+            modulus = _checked_modulus(degree, tuple(modulus))
         self._log, self._antilog, self._zech, self._kron = _arithmetic(modulus)
         self.degree = degree
         self.modulus = modulus
@@ -527,11 +518,8 @@ class GFPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, int):
-                c = field.elem(c)
-            cs.append(tuple(c))
+        """`coeffs` are elements of `field`; `from_ints` takes ints."""
+        cs = list(coeffs)
         while cs and not any(cs[-1]):
             cs.pop()
         self.field = field
@@ -811,11 +799,6 @@ class RootInExtension:
 class SplittingFieldError(ValueError):
     """The splitting field exceeds the requested extension degree."""
 
-    def __init__(self, message, partial, remaining):
-        super().__init__(message)
-        self.partial = partial
-        self.remaining = remaining
-
 
 def _radical(u):
     """Monic squarefree polynomial with the same roots as u."""
@@ -851,8 +834,8 @@ def roots_in_extension(u, max_degree, seed=0):
     conjugates under x -> x^(5^k); the subfield degree is computed once per
     orbit.  When u is squarefree (deg sf = deg u) every multiplicity is 1;
     otherwise each root's multiplicity is read from u(x + r).
-    Raises SplittingFieldError (carrying the partial result) if factors
-    of larger degree remain.
+    Raises SplittingFieldError, before any part is split, if factors of
+    larger degree remain.
     """
     if u.is_zero():
         raise ValueError("zero polynomial")
@@ -873,6 +856,8 @@ def roots_in_extension(u, max_degree, seed=0):
         if g.degree > 0:
             chunks.append((m, g))
             v = v // g
+    if v.degree > 0:
+        raise SplittingFieldError(f"irreducible factors of degree > {max_degree} remain")
 
     records = []
     for m, g in chunks:
@@ -891,10 +876,6 @@ def roots_in_extension(u, max_degree, seed=0):
                     field=ext,
                 ))
     records.sort(key=lambda rec: (rec.field.degree, rec.value))
-    if v.degree > 0:
-        raise SplittingFieldError(
-            f"irreducible factors of degree > {max_degree} remain",
-            partial=records, remaining=v)
     return records
 
 
@@ -957,8 +938,7 @@ def format_poly_literal(p):
         parts.append("[" + ",".join(str(x) for x in c) + "]")
     body = "[" + ",".join(parts) + "]"
     tag = f"@5^{field.degree}"
-    default = MODULI.get(field.degree)
-    if default is not None and tuple(default) == field.modulus:
+    if field.modulus == _search_modulus(field.degree):
         return body + tag
     mod = "[" + ",".join(str(x) for x in field.modulus) + "]"
     return body + tag + ";mod=" + mod

@@ -3,7 +3,7 @@
 of each Frobenius orbit: the test oracle.
 
 `point_facts` expands f at every root of f', and `corrections_per_point`
-expands the polar restriction h at every point, where `_find_singular_points`
+expands the polar restriction h at every point, where `singular_points`
 and `_corrections_for` work at orbit leaders and map the results to the
 conjugates.  `test_curvecheck.py` checks the two forms against each other.
 """
@@ -13,14 +13,14 @@ from charfive.ffpoly import GFPoly, embedding, roots_in_extension, taylor_coeffi
 
 
 def point_facts(m, max_ext):
-    """[(alpha, beta, is_A4, g(alpha), multiplicity in f')] at every root of
-    f', in the order of `roots_in_extension`."""
+    """[(alpha, beta, is_A4, g(alpha))] at every root of f', in the order
+    of `roots_in_extension`."""
     out = []
     for rec in roots_in_extension(m.f.derivative(), max_ext):
         f_ext = m.f.map_coeffs(embedding(m.field, rec.field), rec.field)
         is_a4, g_val = verify_A4(f_ext, rec.value)
         beta = rec.field.fifth_root(f_ext.eval(rec.value))
-        out.append((rec.value, beta, is_a4, g_val, rec.multiplicity))
+        out.append((rec.value, beta, is_a4, g_val))
     return out
 
 

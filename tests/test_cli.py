@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -68,7 +69,7 @@ def test_classify_matches_golden():
      ["curve", "check", "--poly",
       "[[0,0],[0,3],[3,0],[4,4],[2,2],[4,0],[1,4]]@5^2;mod=[2,1,1]"]),
     # `curve random --field 5^3 --seed 4`: f' is irreducible over GF(125), so
-    # one Frobenius orbit of length 5 in GF(5^15), a field outside MODULI
+    # one Frobenius orbit of length 5 in GF(5^15), past MAX_LITERAL_DEGREE
     ("curve_check_gf125_deg15.json",
      ["curve", "check", "--poly",
       "[[0,1,1],[3,2,1],[3,2,0],[2,3,3],[0,0,2],[1,2,2],[4,3,0]]@5^3"]),
@@ -293,6 +294,39 @@ def test_verify_spans_several_bitset_words(image_calls, tmp_path):
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == ["entry_count"] + [f"{r['label']}:distinct_orbit" for r in golden] * 63
     assert sorted(image_calls) == sorted(discform.REFERENCE_SUBGROUPS.values())
+
+
+def test_verify_bounds_its_input(image_calls, tmp_path):
+    """A payload past MAX_VERIFY_ENTRIES (4097 copies of golden claims)
+    fails `entry_count` and builds no subgroup; the form checks still run."""
+    golden = json.loads((GOLDEN / "classify.json").read_text())["results"]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"results": (golden * 456)[:4097]}))
+    code, out, err = invoke(["lattice", "verify", "--in", str(path)])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [
+        ("q_consistency", True), ("dimension_bound", True), ("entry_count", False)]
+    assert checks[-1]["detail"] == "4097 entries, more than 4096: none verified"
+    assert "FAIL entry_count" in err
+    assert image_calls == []
+
+
+def test_orbit_sweep_fails_rather_than_spins():
+    """With `_image_codes` patched to the code 1, which is not isotropic
+    and so lies in no subgroup, no image marks the subgroup it came from:
+    classify reports the error and exits 1 instead of sweeping forever."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+            "from charfive import cli, discform; "
+            "discform._image_codes = lambda basis: np.ones((3840, len(basis)), np.int16); "
+            "discform._reference_images.cache_clear(); "
+            "sys.exit(cli.run(['lattice', 'classify']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == ("error: the images of a basis of dimension 1 "
+                          "miss the subgroup it spans\n")
 
 
 def test_verify_unmatched_matches_golden():

@@ -7,6 +7,7 @@ recursion in `fulton_kernels.py` and the resultant in y below."""
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,12 +16,12 @@ from charfive.curvecheck import (
     GenericityError,
     SexticModel,
     _corrections_for,
-    _find_singular_points,
     _polar_corrections,
     analyze,
     is_in_U,
     ns_gram_model,
     random_in_U,
+    singular_points,
     verify_A4,
 )
 from charfive.ffpoly import (
@@ -49,10 +50,6 @@ FIXTURE = parse_poly_literal("[0,0,1,0,0,0,1]@5")        # x^6 + x^2
 SEED7 = parse_poly_literal("[[0,2],[4,0],[2,2],[0,4],[1,0],[2,0],[2,3]]@5^2")
 
 
-def model(f):
-    return SexticModel(field=f.field, f=f)
-
-
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
@@ -79,9 +76,8 @@ def test_is_in_u_matches_simple_roots():
 
 def test_sextic_model_validation():
     with pytest.raises(ValueError):
-        SexticModel(field=F5, f=GFPoly.from_ints(F5, [1, 1]))
-    with pytest.raises(ValueError):
-        SexticModel(field=F25, f=FIXTURE)
+        SexticModel(GFPoly.from_ints(F5, [1, 1]))
+    assert SexticModel(SEED7).field == SEED7.field == F25
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +85,13 @@ def test_sextic_model_validation():
 # ---------------------------------------------------------------------------
 
 def test_check_infinity():
-    assert check_infinity(model(FIXTURE)) == (True, True)
+    assert check_infinity(SexticModel(FIXTURE)) == (True, True)
     for seed in range(5):
         assert check_infinity(random_in_U(F25, seed)) == (True, True)
 
 
 def test_y_partial_vanishes_identically():
-    big = homogeneous_equation(model(FIXTURE))
+    big = homogeneous_equation(SexticModel(FIXTURE))
     assert big.partial(1).is_zero()
     affine = big.chart(2)
     assert affine.partial(1).is_zero()
@@ -106,7 +102,7 @@ def test_y_partial_vanishes_identically():
 # ---------------------------------------------------------------------------
 
 def test_singular_points_fixture():
-    pts = analyze(model(FIXTURE)).points
+    pts = analyze(SexticModel(FIXTURE)).points
     assert len(pts) == 5
     origin = pts[0]
     assert origin.alpha == F5.zero and origin.beta == F5.zero
@@ -117,13 +113,13 @@ def test_singular_points_fixture():
         assert ext.pow(p.beta, 5) == f_ext.eval(p.alpha)
         assert not any(f_ext.derivative().eval(p.alpha))
         assert p.is_A4
-        assert p.multiplicity_in_fprime == 1
+        assert _root_multiplicity(f_ext.derivative(), p.alpha) == 1
         assert p.local_mult_with_polar == 5
 
 
 def test_singular_points_rejects_inadmissible():
     with pytest.raises(ValueError):
-        analyze(model(GFPoly.from_ints(F5, [0, 0, 0, 0, 0, 0, 1])))
+        analyze(SexticModel(GFPoly.from_ints(F5, [0, 0, 0, 0, 0, 0, 1])))
 
 
 def test_verify_a4_examples():
@@ -215,14 +211,13 @@ def test_taylor_forms_match_division_oracles():
     points_seen = draws = 0
     for m in _batch_models():
         fld = m.field
-        points = _find_singular_points(m, 8)
+        points = singular_points(m, 8)
         for p in points:
             f_ext = m.f.map_coeffs(embedding(fld, p.field), p.field)
             assert verify_A4(f_ext, p.alpha) == verify_a4_by_division(f_ext, p.alpha)
             assert verify_A4(f_ext, p.alpha) == (p.is_A4, p.g_at_alpha)
             fp_ext = f_ext.derivative()
             assert _root_multiplicity(fp_ext, p.alpha) == _order_at(fp_ext, p.alpha) == 1
-            assert p.multiplicity_in_fprime == 1
             # f - f(alpha) vanishes doubly: the division loop runs past one step
             tail = f_ext - GFPoly(p.field, [f_ext.eval(p.alpha)])
             assert _root_multiplicity(tail, p.alpha) == _order_at(tail, p.alpha) == 2
@@ -251,8 +246,8 @@ def test_orbit_facts_match_per_point_oracle():
         fld = GF(k)
         for seed in seeds:
             m = random_in_U(fld, seed)
-            points = _find_singular_points(m, 8)
-            assert [(p.alpha, p.beta, p.is_A4, p.g_at_alpha, p.multiplicity_in_fprime)
+            points = singular_points(m, 8)
+            assert [(p.alpha, p.beta, p.is_A4, p.g_at_alpha)
                     for p in points] == point_facts(m, 8)
             for i, p in enumerate(points):
                 leader = points[p.orbit_leader]
@@ -327,7 +322,7 @@ def test_imult_translation():
 
 
 def test_imult_a4_point_with_polar():
-    m = model(FIXTURE)
+    m = SexticModel(FIXTURE)
     big = homogeneous_equation(m)
     polar = polar_of(m, (F5.one, F5.zero, F5.zero))  # the f'-polar
     curve2 = big.chart(2)
@@ -359,7 +354,7 @@ def _oracle_cases():
     polar point.  For every polar point with q2 != 0 also the curve points
     above x = q0/q2, where the polar passes through the curve even where it
     is smooth, and above x = q0/q2 + 1, with claimed None."""
-    cases = [(model(FIXTURE), [(0, 0, 1)])]       # degenerate: x f' at 0
+    cases = [(SexticModel(FIXTURE), [(0, 0, 1)])]       # degenerate: x f' at 0
     for k, seeds in ((1, range(12)), (2, range(3))):
         fld = GF(k)
         rng = random.Random(k)
@@ -370,7 +365,7 @@ def _oracle_cases():
     for m, qs in cases:
         fld = m.field
         big = homogeneous_equation(m)
-        points = _find_singular_points(m, 8)
+        points = singular_points(m, 8)
         for q in qs:
             q = tuple(fld.elem(c) for c in q)
             polar = polar_of(m, q)
@@ -413,13 +408,13 @@ def _polar_draws():
     is singular at the point."""
     for seed in range(12):
         m = random_in_U(F5, seed)
-        points = _find_singular_points(m, 8)
+        points = singular_points(m, 8)
         for q in itertools.product(range(5), repeat=3):
             if any(q):
                 yield m, points, tuple(F5.elem(c) for c in q)
     for seed in range(4):
         m = random_in_U(F25, seed)
-        points = _find_singular_points(m, 8)
+        points = singular_points(m, 8)
         rng = random.Random(seed)
         for _ in range(60):
             yield m, points, tuple(F25.rand_elem(rng) for _ in range(3))
@@ -447,24 +442,24 @@ def test_corrections_match_fulton_draw_by_draw():
 # ---------------------------------------------------------------------------
 
 def test_wall_fixture():
-    w = analyze(model(FIXTURE)).wall
+    w = analyze(SexticModel(FIXTURE)).wall
     assert w.total == 30
     assert w.corrections == (5, 5, 5, 5, 5)
     assert w.product == 5
-    again = analyze(model(FIXTURE)).wall
+    again = analyze(SexticModel(FIXTURE)).wall
     assert again == w                       # deterministic for a fixed seed
 
 
 def test_each_polynomial_embedded_once_per_field(monkeypatch):
     """On the seed-7 sextic, whose five points share GF(5^10), f is embedded
-    once per `_find_singular_points` call and h once per polar draw that
+    once per `singular_points` call and h once per polar draw that
     reaches the points."""
     calls = []
     real = curvecheck.embedding
     monkeypatch.setattr(curvecheck, "embedding",
                         lambda src, dst: calls.append(dst) or real(src, dst))
-    m = model(SEED7)
-    points = _find_singular_points(m, 8)
+    m = SexticModel(SEED7)
+    points = singular_points(m, 8)
     assert len(points) == 5 and {p.field.degree for p in points} == {10}
     assert len(calls) == 1
     rng = random.Random(7)
@@ -486,7 +481,7 @@ def test_each_polynomial_embedded_once_per_field(monkeypatch):
 def test_wall_retry_budget(monkeypatch):
     monkeypatch.setattr(curvecheck, "MAX_POLAR_DRAWS", 0)
     with pytest.raises(GenericityError):
-        analyze(model(FIXTURE))
+        analyze(SexticModel(FIXTURE))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +489,8 @@ def test_wall_retry_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_ns_gram_model():
-    lat = ns_gram_model(model(FIXTURE))
+    points = singular_points(SexticModel(FIXTURE), 8)
+    lat = ns_gram_model(points)
     assert lat.rank == 22
     assert lat.det() == -(5 ** 6)
     assert lat.signature() == (1, 21)
@@ -506,8 +502,24 @@ def test_ns_gram_model():
     for i in range(20):
         for j in (20, 21):
             assert lat.gram[i][j] == 0
-    with pytest.raises(ValueError):
-        ns_gram_model(model(GFPoly.from_ints(F5, [0, 0, 0, 0, 0, 0, 1])))
+    assert ns_gram_model(analyze(SexticModel(FIXTURE)).points) == lat
+    for bad in (points[:4], [*points[:4], replace(points[4], is_A4=False)]):
+        with pytest.raises(ValueError):
+            ns_gram_model(bad)
+
+
+def test_each_sextic_is_root_found_once(monkeypatch):
+    """`analyze` and then `ns_gram_model` on its points, as the demo runs
+    them: one `roots_in_extension` call in all."""
+    calls = []
+    real = curvecheck.roots_in_extension
+    monkeypatch.setattr(curvecheck, "roots_in_extension",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    for f in (FIXTURE, SEED7):
+        calls.clear()
+        report = analyze(SexticModel(f))
+        assert ns_gram_model(report.points).rank == 22
+        assert len(calls) == 1
 
 
 def test_random_in_u_deterministic():
@@ -522,10 +534,8 @@ def test_random_in_u_deterministic():
 def test_random_in_u_batch_count():
     """Batch self-check: seeded samples always have five singular points
     over the closure (the derivative is a squarefree quintic)."""
-    from charfive.curvecheck import _find_singular_points
-
     for seed in range(1000):
         m = random_in_U(F25, seed)
-        pts = _find_singular_points(m, 8)
+        pts = singular_points(m, 8)
         assert len(pts) == 5
         assert all(p.is_A4 for p in pts)

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+import charfive.ffpoly as ffpoly
 import gf_kernels as oracle
 import root_kernels
 from charfive.ffpoly import (
     GF,
     GFPoly,
-    MODULI,
+    MAX_LITERAL_DEGREE,
     P,
     TABLE_MAX_ORDER,
     RootInExtension,
@@ -166,15 +167,42 @@ def test_antilog_lists_each_nonzero_element_once():
     assert GF(6)._log is None    # the cap is 5^5
 
 
+#: the default modulus (c0, c1, ..., 1) of each degree a literal may name,
+#: the smallest monic irreducible in (c0, c1, ...) order
+MODULI = {
+    1: (0, 1),
+    2: (2, 0, 1),
+    3: (1, 1, 0, 1),
+    4: (2, 0, 0, 0, 1),
+    5: (1, 4, 0, 0, 0, 1),
+    6: (2, 1, 0, 0, 0, 0, 1),
+    7: (1, 1, 0, 0, 0, 0, 0, 1),
+    8: (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    9: (3, 2, 1, 0, 0, 0, 0, 0, 0, 1),
+    10: (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    11: (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    12: (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
 def test_moduli_are_the_canonical_data():
+    """The searched default of every literal degree against the table, and
+    for k <= 3 every smaller candidate against the brute-force factor search."""
+    assert sorted(MODULI) == list(range(1, MAX_LITERAL_DEGREE + 1))
     for k, mod in MODULI.items():
-        assert _f5_is_irreducible(list(mod))
-        assert _search_modulus(k) == mod
+        assert _f5_is_irreducible(mod)
+        assert GF(k).modulus == _search_modulus(k) == mod
+    for k in (2, 3):
+        for low in itertools.product(range(P), repeat=k):
+            m = list(reversed(low)) + [1]
+            if tuple(m) == MODULI[k]:
+                break
+            assert _has_monic_factor(m), m
 
 
 #: k -> {i: c_i}, the nonzero coefficients of the modulus `_search_modulus(k)`
-#: returns for fields outside MODULI, recorded from the search without its
-#: filter on roots in F5
+#: returns for fields past MAX_LITERAL_DEGREE, recorded from the search without
+#: its filter on roots in F5
 SEARCHED_MODULI = {
     13: {0: 2, 1: 3, 2: 1, 13: 1},
     16: {0: 2, 16: 1},
@@ -380,12 +408,19 @@ def test_roots_in_extension_reconstruction():
     assert prod == u_top.monic()
 
 
-def test_roots_in_extension_partial_error():
-    u = GFPoly.from_ints(F5, [2, 0, 0, 0, 1])             # irreducible quartic
-    with pytest.raises(SplittingFieldError) as exc:
+def test_roots_in_extension_partial_error(monkeypatch):
+    """A root in F5 beside an irreducible quartic, searched up to degree 3:
+    the error comes straight from distinct-degree splitting, so the linear
+    part is never split."""
+    calls = []
+    real = ffpoly._split_orbits
+    monkeypatch.setattr(ffpoly, "_split_orbits", lambda *a: calls.append(a) or real(*a))
+    quartic = GFPoly.from_ints(F5, [2, 0, 0, 0, 1])       # irreducible
+    u = quartic * GFPoly.from_ints(F5, [4, 1])
+    with pytest.raises(SplittingFieldError):
         roots_in_extension(u, 3)
-    assert exc.value.partial == []
-    assert exc.value.remaining == u.monic()
+    assert calls == []
+    assert len(roots_in_extension(u, 4)) == 5 and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +591,8 @@ def test_split_orbits_rejects_a_false_orbit():
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_roots_in_extension_matches_oracle(k):
-    """Records, and on a too-small max_degree the partial result and the
-    remaining factor of SplittingFieldError, against the oracle."""
+    """Records against the oracle, and SplittingFieldError exactly when the
+    oracle leaves a factor of degree above max_degree."""
     fld = GF(k)
     rng = random.Random(900 + k)
     raised = 0
@@ -569,9 +604,8 @@ def test_roots_in_extension_matches_oracle(k):
             want, rest = oracle_roots_in_extension(u, max_degree, seed=trial)
             if rest.degree > 0:
                 raised += 1
-                with pytest.raises(SplittingFieldError) as exc:
+                with pytest.raises(SplittingFieldError):
                     roots_in_extension(u, max_degree, seed=trial)
-                assert exc.value.partial == want and exc.value.remaining == rest
             else:
                 assert roots_in_extension(u, max_degree, seed=trial) == want
     assert raised > 0
@@ -667,7 +701,7 @@ def test_embedding_properties():
         embedding(F25, GF(3))
 
 
-#: (a, b) with a | b <= 12 and a > 1, and three targets outside MODULI,
+#: (a, b) with a | b <= 12 and a > 1, and three targets past MAX_LITERAL_DEGREE,
 #: GF(5^16) and GF(5^20) with two-byte slots
 IMAGE_CASES = [(a, b) for b in range(2, 13) for a in range(2, b) if b % a == 0]
 IMAGE_CASES += [(3, 15), (4, 16), (4, 20)]

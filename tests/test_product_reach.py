@@ -3,9 +3,9 @@
 Every non-dunder `def` and `class` in the package must be named somewhere
 the product runs: in `src/charfive` itself, in `demos/` or in `perfbench/`
 (its test files excluded).  A name counts as used when it appears as a
-`Name`, an `Attribute` or a keyword argument; the re-exports in
-`__init__.py` are import aliases, so they do not count.  Helpers that only
-tests call belong in `tests/`, as oracles or fixtures.
+`Name`, an `Attribute` or a keyword argument; an import alias does not
+count, and `__init__.py` re-exports nothing.  Helpers that only tests
+call belong in `tests/`, as oracles or fixtures.
 
 The check is by name, not by binding: a name shared by several
 definitions, such as `to_json_dict`, counts as used for all of them once
