@@ -22,11 +22,7 @@ import sys
 import time
 from functools import lru_cache
 
-from . import __version__
-# discform (and numpy) before curvecheck and ffpoly: the other order leaves a heap
-# that a cold `lattice classify` grows and trims, 1950 minor page faults against 610
-from . import discform
-from . import curvecheck
+from . import __version__, curvecheck, discform
 from .ffpoly import (
     GF, SplittingFieldError, format_poly_literal, parse_field_degree, parse_poly_literal)
 
@@ -174,8 +170,8 @@ def _cmd_classify(args, stdout):
     return 0
 
 
-#: the most entries `lattice verify` reads: its orbit bitset takes about 2 KB
-#: per claim, so a larger payload fails `entry_count` and builds no subgroup
+#: the most entries `lattice verify` reads: each claim becomes a subgroup held
+#: as its element codes, so a larger payload fails `entry_count` and builds none
 MAX_VERIFY_ENTRIES = 4096
 
 #: the fields a classification entry must carry; verify also compares `dim`
@@ -218,7 +214,7 @@ def _cmd_verify(args, stdout, stderr):
             data = json.load(sys.stdin)
     except OSError as exc:
         raise _FileError(exc) from exc
-    except ValueError as exc:           # not JSON (or not text)
+    except (ValueError, RecursionError) as exc:     # not JSON (or not text, or too deep)
         check("payload", False, f"not JSON: {exc}")
         data = []
     entries = data.get("results") if isinstance(data, dict) else data

@@ -10,27 +10,27 @@ is
 
 q-values are encoded as integers mod 10 (value n means n/5 mod 2Z) and
 bilinear values as integers mod 5 (n means n/5 mod Z); `q_value` and
-`b_value` are the only copies of the two formulas, and `_tables` holds
-q, the (a, b, y)-type and the starred rule for all 15625 elements, which
-the rest of the module reads.  That the encoded formula agrees with the
-discriminant form computed from the Gram matrix from first principles is
-checked by `verify_q_consistency`, which scans all of G.  A subgroup is
-held as the codes of its elements; it lies in the orbit of a subgroup of
-its own dimension iff it holds the image of that subgroup's basis under
-some symmetry (`_orbits`).
+`b_value` are the only copies of the two formulas.  An element is held
+as its code e = x1 + 5 x2 + ... + 5^4 x5 + 5^5 y, a subgroup as the
+sorted codes of its elements, an image of a basis as one int.  x^2 is 1
+on +-1 and 4 on +-2, so q, isotropy and the starred rule depend only on
+the (a, b, y)-type (`_x_parts`).  `verify_q_consistency` checks the
+encoded formula against the discriminant form of the Gram matrix on all
+of G.  A subgroup lies in the orbit of a subgroup of its own dimension
+iff it holds the image of that subgroup's basis under some symmetry
+(`_orbits`).
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import prod
-from operator import index
-
-import numpy as np
+from operator import add, index, mod, mul
 
 from .intmat import adjugate, det_bareiss
 from .lattice import (
-    CHAIN_LEN, H_INDEX, L_INDEX, N_CHAINS, RANK, RootSystemType, build_S0, dual_data)
+    CHAIN_LEN, H_INDEX, L_INDEX, N_CHAINS, RootSystemType, build_S0, dual_data)
 
 #: (a, b, y)-types whose overlattices keep the 5A4 root system and an
 #: empty degree-1 elliptic set; y is normalized to {0, 1, 2} (y ~ -y).
@@ -58,17 +58,83 @@ REFERENCE_SUBGROUPS = {
 # The discriminant form in the reference basis
 # ---------------------------------------------------------------------------
 
+#: the coefficients of q and of b on [x1, ..., x5 | y]
+_Q = (6, 6, 6, 6, 6, 2)
+_B = (1, 1, 1, 1, 1, 2)
+
+#: the order of G, and that of its x-parts [x1, ..., x5]
+_ORDER = 5 ** 6
+_X = 5 ** 5
+
+
 def q_value(v):
-    """q(v) encoded as 6 (x1^2 + ... + x5^2) + 2 y^2 mod 10; value n means
-    n/5 mod 2Z.  v holds elements [x|y] along its last axis, so an (n, 6)
-    array gives n values."""
-    return np.multiply(v, v) @ (6, 6, 6, 6, 6, 2) % 10
+    """q(v) of one element [x|y], encoded as 6 (x1^2 + ... + x5^2) + 2 y^2
+    mod 10; value n means n/5 mod 2Z."""
+    return sum(map(mul, _Q, map(mul, v, v))) % 10
 
 
 def b_value(v, w):
-    """b(v, w) = (q(v+w) - q(v) - q(w))/2, encoded as x.x' + 2 y y' mod 5
-    (n means n/5 mod Z); v and w broadcast along all but their last axis."""
-    return np.multiply(v, w) @ (1, 1, 1, 1, 1, 2) % 5
+    """b(v, w) = (q(v+w) - q(v) - q(w))/2 of two elements, encoded as
+    x.x' + 2 y y' mod 5 (n means n/5 mod Z)."""
+    return sum(map(mul, _B, map(mul, v, w))) % 5
+
+
+def decode(e):
+    """The element [x|y] of code e = x1 + 5 x2 + ... + 5^4 x5 + 5^5 y."""
+    return e % 5, e // 5 % 5, e // 25 % 5, e // 125 % 5, e // 625 % 5, e // 3125 % 5
+
+
+#: +-x normalized to {0, 1, 2}, by residue: 1 for x in {1, 4}, 2 for {2, 3}
+_KIND = (0, 1, 2, 2, 1)
+
+
+@lru_cache(maxsize=1)
+def _x_parts():
+    """{(a, b): the codes x = x1 + ... + 5^4 x5 of the x-parts with a
+    coordinates in {1, 4} and b in {2, 3}}, one coordinate at a time."""
+    by_counts = {(0, 0): [0]}
+    for i in range(5):
+        grown = {}
+        for (a, b), xs in by_counts.items():
+            for x, k in enumerate(_KIND):
+                grown.setdefault((a + (k == 1), b + (k == 2)), []).extend(
+                    map(add, xs, repeat(x * 5 ** i)))
+        by_counts = grown
+    return by_counts
+
+
+@lru_cache(maxsize=None)
+def _column(entries, i):
+    """5^i (c1 z1 + ... + cd zd mod 5) over the coefficients c in 0..4,
+    the first fastest, for the entries z of coordinate i of d generators."""
+    column = [0]
+    for z in entries:
+        column = [(x + c * z) % 5 for c in range(5) for x in column]
+    return [x * 5 ** i for x in column]
+
+
+def _span_codes(gens):
+    """The codes of the 5^d combinations of the generator tuples `gens`,
+    the zero element first.  Lines and planes share their few columns."""
+    column = _column if len(gens) <= 2 else _column.__wrapped__
+    return list(map(sum, zip(*(column(e, i) for i, e in enumerate(zip(*gens)))))) or [0]
+
+
+def _echelon(gens):
+    """The reduced echelon basis of the span of the generator tuples over
+    F5, rows by increasing pivot: its combinations in lexicographic order
+    run through the span in tuple order.  Raises ValueError when the
+    generators are dependent."""
+    rows = []
+    for g in gens:
+        for r in rows:
+            g = [(x - g[r.index(1)] * y) % 5 for x, y in zip(g, r)]
+        if not any(g):
+            raise ValueError("generators are not independent")
+        p = next(i for i, x in enumerate(g) if x)
+        g = [x * pow(g[p], -1, 5) % 5 for x in g]
+        rows = [[(x - r[p] * y) % 5 for x, y in zip(r, g)] for r in rows] + [g]
+    return sorted(rows, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +150,11 @@ def _residue(x):
 
 @dataclass(frozen=True)
 class IsotropicSubgroup:
-    """A totally isotropic subgroup of (G, q), given by independent generators."""
+    """A totally isotropic subgroup of (G, q), given by independent
+    generators.  q(u + w) = q(u) + q(w) + 2 b(u, w), so the span is
+    totally isotropic iff q vanishes on the generators and b on their
+    pairs; only a span that is not is searched for its smallest
+    non-isotropic element."""
 
     gens: tuple
 
@@ -96,143 +166,111 @@ class IsotropicSubgroup:
         # more than six vectors of F5^6 are never independent
         if len(gens) > 6:
             raise ValueError("generators are not independent")
-        codes = np.sort(_span_codes(np.array(gens, dtype=np.int64).reshape(-1, 6)))
-        if (codes[1:] == codes[:-1]).any():
-            raise ValueError("generators are not independent")
-        object.__setattr__(self, "_codes", codes)
-        t = _tables()
-        bad = t["digits"][codes[~t["iso"][codes]]].tolist()
-        if bad:
-            raise ValueError(f"subgroup is not totally isotropic at {tuple(min(bad))}")
+        basis = _echelon(gens)
+        pairs = itertools.combinations(gens, 2)
+        if any(map(q_value, gens)) or any(b_value(u, w) for u, w in pairs):
+            span = (tuple(sum(map(mul, c, col)) % 5 for col in zip(*basis))
+                    for c in itertools.product(range(5), repeat=len(basis)))
+            bad = next(v for v in span if q_value(v))
+            raise ValueError(f"subgroup is not totally isotropic at {bad}")
+        object.__setattr__(self, "_codes", tuple(sorted(_span_codes(gens))))
 
     @property
     def dim(self):
         return len(self.gens)
 
-    def elements(self):
-        return tuple(sorted(map(tuple, _tables()["digits"][self._codes].tolist())))
-
 
 def condition_II(subgroup):
     """True iff every element (including 0) has a starred (a,b,y)-type."""
-    return bool(_tables()["starred"][subgroup._codes].all())
+    kinds = ([_KIND[x] for x in decode(e)] for e in subgroup._codes)
+    return all((k[:5].count(1), k[:5].count(2), k[5]) in STARRED_TYPES for k in kinds)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized element tables
+# Orbits
 # ---------------------------------------------------------------------------
-
-_POW = np.array([1, 5, 25, 125, 625, 3125], dtype=np.int64)
-
-
-def _span_codes(bases):
-    """The codes of the 5^d combinations of the rows of each basis in a
-    (..., d, 6) array with entries in 0..4, as a (..., 5^d) array: the
-    rows of `_tables()` that the span holds, the zero element first."""
-    d = bases.shape[-2]
-    coeffs = np.indices((5,) * d).reshape(d, 5 ** d).T
-    return coeffs @ bases % 5 @ _POW
-
-
-def decode(e):
-    """The element [x|y] encoded as e = x1 + 5 x2 + ... + 5^4 x5 + 5^5 y."""
-    return tuple(_tables()["digits"][e].tolist())
-
-
-#: +-x normalized to {0, 1, 2}, by residue: 1 for x in {1, 4}, 2 for {2, 3}
-_KIND = np.array([0, 1, 2, 2, 1], dtype=np.int64)
-
-
-@lru_cache(maxsize=1)
-def _tables():
-    # coordinate i is the digit of 5^i; the last axis of np.indices varies fastest
-    digits = np.ascontiguousarray(np.indices((5,) * 6).reshape(6, -1)[::-1].T)
-    qenc = q_value(digits)
-    kind = _KIND[digits[:, :5]]
-    a_cnt = (kind == 1).sum(axis=1)
-    b_cnt = (kind == 2).sum(axis=1)
-    yn = _KIND[digits[:, 5]]
-    star_arr = np.zeros((6, 6, 3), dtype=bool)
-    for (a, b, y) in STARRED_TYPES:
-        star_arr[a, b, y] = True
-    starred = star_arr[a_cnt, b_cnt, yn]
-    return {
-        "digits": digits, "q": qenc, "a": a_cnt, "b": b_cnt, "yn": yn,
-        "starred": starred, "iso": qenc == 0,
-    }
-
-
-@lru_cache(maxsize=1)
-def _aut_arrays():
-    """The symmetry group {+-1}^5 x| S5 of the fundamental system, 3840
-    elements in a fixed order, as (perms, signs), two (3840, 5) int16
-    arrays: element g maps [x|y] to x'_i = signs[g, i] x[perms[g, i]]
-    mod 5, with the sign -1 stored as 4, and fixes y."""
-    perms = np.array(list(itertools.permutations(range(5))), dtype=np.int16)
-    signs = np.array(list(itertools.product((1, 4), repeat=5)), dtype=np.int16)
-    return np.tile(perms, (len(signs), 1)), np.repeat(signs, len(perms), axis=0)
-
 
 def _image_codes(basis):
-    """The codes of g(basis) for every group element g: the images of the
-    rows of the (d, 6) array `basis`, entries in 0..4, as a (3840, d)
-    int16 array (every code is below 5^6 < 2^15)."""
-    perms, signs = _aut_arrays()
-    basis = np.asarray(basis, dtype=np.int16).reshape(-1, 6)
-    # x'_i = signs[g, i] x[perms[g, i]]: the entry of (x, -x) at perms + 5 [sign -1]
-    signed = np.concatenate([basis[:, :5], (5 - basis[:, :5]) % 5], axis=1)
-    moved = np.take(signed, perms + 5 * (signs == 4), axis=1)      # (d, 3840, 5)
-    return (moved @ _POW[:5].astype(np.int16) + basis[:, 5:] * 3125).T
+    """The distinct images g(basis) of d generator tuples under the
+    symmetry group {+-1}^5 x| S5 (x'_i = +-x_pi(i), y fixed), each one int
+    with the codes of the d image vectors as its base-5^6 digits, the
+    first lowest.  An image orders the x-columns (the d entries of each
+    coordinate) and signs each; with columns taken up to sign, the
+    distinct orders and the signs of the nonzero columns give each once,
+    summed one coordinate at a time and grouped by the columns left."""
+    def packed(column, sign=1):
+        return sum(sign * x % 5 * _ORDER ** k for k, x in enumerate(column))
+
+    columns = [min(c, tuple(-x % 5 for x in c)) for c in zip(*(g[:5] for g in basis))]
+    kinds = sorted(set(columns)) or [()]
+    left = {tuple(map(columns.count, kinds)) if columns else (5,):
+            [_X * packed([g[5] for g in basis])]}
+    for i in range(5):
+        grown = {}
+        for counts, sums in left.items():
+            for k, n in enumerate(counts):
+                if n:
+                    # the one or two values of a column of kind k at coordinate i
+                    steps = {5 ** i * packed(kinds[k], s) for s in (1, -1)}
+                    grown.setdefault(counts[:k] + (n - 1,) + counts[k + 1:], []).extend(
+                        [s + t for t in steps for s in sums])
+        left = grown
+    [images] = left.values()
+    return images
+
+
+def _image_sets(basis):
+    """The `_image_codes` of a basis as a set, and the set of their first codes."""
+    images = set(_image_codes(basis))
+    return images, set(map(_ORDER.__rmod__, images)) if len(basis) > 1 else images
 
 
 @lru_cache(maxsize=1)
 def _reference_images():
-    """{label: `_image_codes` of the basis of H_i}, built once per process."""
-    return {label: _image_codes(gens) for label, gens in REFERENCE_SUBGROUPS.items()}
+    """{label: `_image_sets` of the basis of H_i}, built once per process."""
+    return {label: _image_sets(gens) for label, gens in REFERENCE_SUBGROUPS.items()}
 
 
 def _orbits(bases, elements):
     """The orbits met by n subgroups of one dimension d, given by their
-    bases as an (n, d, 6) array and the codes of their elements as an
-    (n, 5^d) array: one (label, members) pair per orbit, members a bool
-    (n,) array that is true on the subgroups in it, label that of its
-    reference H_i or None.  The reference orbits of dimension d come
-    first, in the order of `REFERENCE_SUBGROUPS`, then the others in the
-    order of their first members.
+    bases and the codes of their elements: (label, members) per orbit,
+    members the ascending positions of its subgroups, label that of its
+    reference H_i or None; the reference orbits first, in the order of
+    `REFERENCE_SUBGROUPS`, then the others by their first members.
 
-    g(H) is a subgroup of dimension d, so it equals a subgroup S of
-    dimension d iff S holds g(basis of H).  The test reads one bitset:
-    word [c, k // 64] has bit k % 64 set iff subgroup k holds the element
-    of code c, so the AND of the words of one row of images has bit k
-    set iff subgroup k holds the whole row.  It runs on the images of
-    each reference basis of dimension d, then on those of the first
+    g(H) has dimension d, so it equals a subgroup S of dimension d iff S
+    holds g(basis of H): iff some first image code u lies in S and packs
+    with d - 1 codes of S (`rests`) to an image.  The images of each
+    reference basis of dimension d are tested, then those of the first
     subgroup left over, until every subgroup lies in a found orbit.
     """
-    k = np.arange(len(elements))
-    words = np.zeros((5 ** 6, -(-len(k) // 64)), dtype=np.uint64)
-    bits = np.uint64(1) << (k % 64).astype(np.uint64)
-    np.bitwise_or.at(words, (elements, (k // 64)[:, None]), bits[:, None])
+    d = len(bases[0])
+    rests = []
+    for codes in elements:
+        rest = [0]
+        for _ in range(d - 1):
+            rest = [_ORDER * (c + r) for r in rest for c in codes]
+        rests.append(rest)
 
-    def members(images):
-        rows = np.full((len(images), words.shape[1]), np.iinfo(np.uint64).max)
-        for column in images.T:
-            rows &= words.take(column, axis=0)
-        return np.bitwise_or.reduce(rows, axis=0)[k // 64] & bits != 0
+    def members(image_sets, among):
+        images, firsts = image_sets
+        return {k for k in among if any(
+            not images.isdisjoint(map(add, rests[k], repeat(u)))
+            for u in firsts.intersection(elements[k]))}
 
-    found = [(label, members(images)) for label, images in _reference_images().items()
-             if images.shape[1] == bases.shape[1]]
-    left = np.ones(len(k), dtype=bool)
-    for _label, hits in found:
-        left &= ~hits
-    while left.any():
-        first = left.argmax()
-        hits = members(_image_codes(bases[first]))
-        if not hits[first]:         # the sweep would never empty `left`
-            raise RuntimeError(f"the images of a basis of dimension {bases.shape[1]} "
+    found, left = [], range(len(elements))
+    for label, image_sets in _reference_images().items():
+        if len(REFERENCE_SUBGROUPS[label]) == d:
+            found.append((label, members(image_sets, left)))
+            left = [k for k in left if k not in found[-1][1]]
+    while left:
+        hits = members(_image_sets(bases[left[0]]), left)
+        if left[0] not in hits:         # the sweep would never empty `left`
+            raise RuntimeError(f"the images of a basis of dimension {d} "
                                "miss the subgroup it spans")
         found.append((None, hits))
-        left &= ~hits
-    return [(label, hits) for label, hits in found if hits.any()]
+        left = [k for k in left if k not in hits]
+    return [(label, sorted(hits)) for label, hits in found if hits]
 
 
 def orbit_names(subgroups):
@@ -242,12 +280,11 @@ def orbit_names(subgroups):
     an orbit iff they share `first`.  `_orbits` runs once per dimension."""
     names = [None] * len(subgroups)
     for d in sorted({sub.dim for sub in subgroups}):
-        at = np.array([i for i, sub in enumerate(subgroups) if sub.dim == d])
-        bases = np.array([subgroups[i].gens for i in at], dtype=np.int64).reshape(len(at), d, 6)
-        for label, hits in _orbits(bases, np.array([subgroups[i]._codes for i in at])):
-            members = at[hits].tolist()
-            for i in members:
-                names[i] = (label, members[0])
+        at = [i for i, sub in enumerate(subgroups) if sub.dim == d]
+        for label, hits in _orbits([subgroups[i].gens for i in at],
+                                   [subgroups[i]._codes for i in at]):
+            for k in hits:
+                names[at[k]] = (label, at[hits[0]])
     return names
 
 
@@ -255,20 +292,19 @@ def orbit_names(subgroups):
 # Orbit candidates: admissible subgroups through one line per line orbit
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _type_representatives():
-    """{(a, b, y normalized): smallest isotropic encoding of that type}."""
-    t = _tables()
-    iso = np.nonzero(t["iso"])[0]              # ascending, so the first is smallest
-    codes = (t["a"][iso] * 6 + t["b"][iso]) * 3 + t["yn"][iso]
-    codes, first = np.unique(codes, return_index=True)
-    return {(c // 18, c // 3 % 6, c % 3): e
-            for c, e in zip(codes.tolist(), iso[first].tolist())}
+    """{(a, b, y normalized): smallest isotropic code of that type}.  Codes
+    grow with y first, so that code is the smallest x-part of counts
+    (a, b) plus 5^5 y, y in {0, 1, 2}."""
+    return {(a, b, y): min(xs) + _X * y for (a, b), xs in _x_parts().items()
+            for y in range(3) if not q_value(decode(min(xs) + _X * y))}
 
 
 def _orbit_candidates():
     """Admissible subgroups meeting every orbit, one (bases, elements)
-    pair per dimension 0, 1, 2: the generators as an (n, d, 6) array and
-    the codes of the elements as an (n, 5^d) array (see `_span_codes`).
+    pair per dimension 0, 1, 2: the generator tuples of each and the
+    codes of its elements.
 
     A nonzero admissible subgroup holds some u != 0.  The symmetry group
     fixes y and moves the x-part of u onto that of any vector of the same
@@ -279,26 +315,31 @@ def _orbit_candidates():
     type) meets every orbit of lines.  Every orbit therefore meets the
     zero subgroup, one of these five lines, or a plane <v, w> with w
     admissible and b(v, w) = 0; the dimension bound rules out anything
-    larger.  The multiples of an admissible vector are admissible, so
-    <v, w> is admissible iff each w + c v, c = 1..4, is.  Each plane
-    through <v> is met once, by the w in it that vanishes at the first
-    nonzero coordinate p of v and has leading coordinate 1.
+    larger.  Each plane through <v> is met once, by the w in it that
+    vanishes at the first nonzero coordinate p of v and has leading
+    coordinate 1, and it is kept when all its elements are admissible.
     """
-    t = _tables()
-    digits = t["digits"]
-    admissible = t["iso"] & t["starred"]
-    lines = np.array([v for (a, b, y), v in sorted(_type_representatives().items())
-                      if v and admissible[v] and (a, b, y) <= (b, a, (0, 2, 1)[y])])
-    vs = digits[lines]                                              # (5, 6)
-    ws = digits[admissible]
-    ws = ws[ws[np.arange(len(ws)), (ws != 0).argmax(axis=1)] == 1]   # leading 1, so not 0
-    pivots = (vs != 0).argmax(axis=1)
-    i, j = np.nonzero((b_value(vs[:, None], ws) == 0) & (ws.T[pivots] == 0))
-    cosets = (ws[j][:, None] + np.arange(1, 5)[:, None] * vs[i][:, None]) % 5 @ _POW
-    keep = admissible[cosets].all(axis=1)
-    planes = np.stack([vs[i[keep]], ws[j[keep]]], axis=1)           # (n, 2, 6)
-    for bases in (np.zeros((1, 0, 6), dtype=np.int64), vs[:, None], planes):
-        yield bases, _span_codes(bases)
+    lines = [decode(v) for (a, b, y), v in sorted(_type_representatives().items())
+             if v and (a, b, y) in STARRED_TYPES and (a, b, y) <= (b, a, (0, 2, 1)[y])]
+    yield [()], [[0]]
+    yield [(v,) for v in lines], [_span_codes((v,)) for v in lines]
+    starred = _type_representatives().keys() & STARRED_TYPES
+    admissible = set(itertools.chain.from_iterable(
+        map(add, xs, repeat(_X * y)) for (a, b), xs in _x_parts().items()
+        for y in range(5) if (a, b, _KIND[y]) in starred))
+    # the codes 5^k (5 j + 1) are those with leading coordinate 1
+    leading = sorted(admissible.intersection(itertools.chain.from_iterable(
+        range(5 ** k, _ORDER, 5 ** (k + 1)) for k in range(6))))
+    bases, elements = [], []
+    for v in lines:
+        p = next(i for i, x in enumerate(v) if x)
+        for w in map(decode, (e for e in leading if not e // 5 ** p % 5)):
+            if not b_value(v, w):
+                codes = _span_codes((v, w))
+                if admissible.issuperset(codes):
+                    bases.append((v, w))
+                    elements.append(codes)
+    yield bases, elements
 
 
 def _witt_index(gram):
@@ -324,8 +365,8 @@ def max_isotropic_dimension():
     b on the reference basis: det = 2 and -2 is not a square mod 5, so it
     is 2.
     """
-    units = np.eye(6, dtype=np.int64)
-    return _witt_index(b_value(units[:, None], units).tolist())
+    units = [decode(5 ** i) for i in range(6)]
+    return _witt_index([[b_value(u, v) for v in units] for u in units])
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +386,46 @@ _REFERENCE = [CHAIN_LEN * j for j in range(N_CHAINS)] + [H_INDEX]
 
 @lru_cache(maxsize=1)
 def _reference_form():
-    """(m, N, R N R^T) for the model lattice: the exponent m of its
-    discriminant group, N = m gram^{-1} as a read-only int64 array, and
-    the 6x6 block of N on the reference lifts R.  d N d^T is m times the
-    norm of a dual-coordinate vector d, and c R N R^T c^T that of the
-    lift c R of the class c.  m is 5, which `verify_q_consistency`
-    certifies, so the other callers read N as 5 gram^{-1}."""
-    m, m_ginv = dual_data(build_S0().gram)
-    n = np.array(m_ginv, dtype=np.int64)
-    n.setflags(write=False)
-    return m, n, n[np.ix_(_REFERENCE, _REFERENCE)]
+    """(m, N, R N R^T): the exponent m of the discriminant group of the
+    model lattice, N = m gram^{-1} and its block on the reference lifts R.
+    d N d^T is m times the norm of a dual-coordinate vector d.  m is 5,
+    which `verify_q_consistency` certifies, so the others read N as
+    5 gram^{-1}."""
+    m, n = dual_data(build_S0().gram)
+    return m, n, tuple(tuple(n[i][j] for j in _REFERENCE) for i in _REFERENCE)
 
 
-@lru_cache(maxsize=1)
+def _form_values(form, entries):
+    """c F c^T for every c in entries^n, n = len(form), the first coordinate
+    fastest: coordinate by coordinate, c becomes c + t e_i for each t in
+    entries, and c F c^T grows by 2 t (c F)_i + t^2 F_ii."""
+    values = [0]
+    for i, row in enumerate(form):
+        linear = [0]                    # (c F)_i over the same vectors c
+        for j in range(i):
+            linear = [s + form[j][i] * t for t in entries for s in linear]
+        values = list(itertools.chain.from_iterable(
+            map(add, values, map(add, map(mul, linear, repeat(2 * t)), repeat(t * t * row[i])))
+            for t in entries))
+    return values
+
+
+@lru_cache(maxsize=None)
+def _box_scan(block):
+    """The vectors of [-2, 2]^n of 5 * norm >= -10 under an n x n block of
+    5 gram^{-1}, and their 5 * norms, in the order of the box."""
+    box = itertools.product(range(-2, 3), repeat=len(block))
+    # the box lists the last coordinate fastest, `_form_values` the first
+    reverse = [row[::-1] for row in block[::-1]]
+    kept = [(v, s) for v, s in zip(box, _form_values(reverse, range(-2, 3))) if s >= -10]
+    return tuple(v for v, _s in kept), tuple(s for _v, s in kept)
+
+
 def _short_summand_vectors():
     """Per summand of h^perp in S0^vee, its vectors of norm >= -2: pairs
-    (dual coordinates as an (n, 22) int8 array, 5 * norms as an (n,) array),
-    from which `_shell_table` reads the shells of each class.
+    (coordinates on the summand's own dual indices, 5 * norms), from which
+    `_shell_table` reads the shells of each class.  Each distinct block of
+    5 gram^{-1} is scanned once; the five chain blocks are equal.
 
     The dual coordinates of a chain vector v are its pairings v.e_i with
     the chain's roots, and |v.e_i| <= sqrt(v^2 e_i^2) <= 2 by
@@ -371,16 +435,7 @@ def _short_summand_vectors():
     j l^vee has norm -2 j^2 / 5, so |j| <= 2.
     """
     n5 = _reference_form()[1]
-    tables = []
-    for idx in _SUMMANDS:
-        # the rows of [-2, 2]^n in lexicographic order, the last entry fastest
-        box = np.indices((5,) * len(idx)).reshape(len(idx), -1).T - 2
-        norms = np.einsum("ij,jk,ik->i", box, n5[np.ix_(idx, idx)], box)
-        keep = norms >= -10
-        vecs = np.zeros((int(keep.sum()), RANK), dtype=np.int8)
-        vecs[:, idx] = box[keep]
-        tables.append((vecs, norms[keep]))
-    return tables
+    return tuple(_box_scan(tuple(tuple(n5[i][j] for j in idx) for i in idx)) for idx in _SUMMANDS)
 
 
 @lru_cache(maxsize=1)
@@ -399,22 +454,20 @@ def _shell_table():
     n5, classes = _reference_form()[1], _dual_classes()
     if classes is None:
         raise ArithmeticError("the reference classes are not a basis of G")
-    cols = [i for idx in _SUMMANDS for i in idx]
-    owner = np.repeat(np.arange(len(_SUMMANDS)), [len(idx) for idx in _SUMMANDS])
-    if (n5[np.ix_(cols, cols)] * (owner[:, None] != owner)).any():
+    owner = {i: s for s, idx in enumerate(_SUMMANDS) for i in idx}
+    if any(n5[i][j] for i in owner for j in owner if owner[i] != owner[j]):
         raise ArithmeticError("the summands of h^perp are not orthogonal")
-    if (classes[cols] * (owner[:, None] != np.arange(6))).any():
+    if any(x for i, s in owner.items() for r, x in enumerate(classes[i]) if r != s):
         raise ArithmeticError("a summand has classes outside its own coordinate")
     table = []
-    for s, (vecs, norms) in enumerate(_short_summand_vectors()):
-        residues = (vecs @ classes % 5)[:, s]
+    for s, (idx, (vecs, norms)) in enumerate(zip(_SUMMANDS, _short_summand_vectors())):
+        residues = [sum(x * classes[i][s] for x, i in zip(v, idx)) % 5 for v in vecs]
         shells = []
         for r in range(5):
-            here = norms[residues == r]
-            shells.append((int(here.max()), int((here == here.max()).sum()))
-                          if len(here) else None)
-        roots = int(((residues == 0) & (norms == -10)).sum())
-        table.append((len(_SUMMANDS[s]), roots, tuple(shells)))
+            here = [n for n, res in zip(norms, residues) if res == r]
+            shells.append((max(here), here.count(max(here))) if here else None)
+        roots = sum(1 for n, res in zip(norms, residues) if res == 0 and n == -10)
+        table.append((len(idx), roots, tuple(shells)))
     return tuple(table)
 
 
@@ -452,7 +505,7 @@ def root_type_orthogonal_to_h(subgroup):
     table = _shell_table()
     label = list(range(len(table)))         # component label of each summand
     counts = [roots for _dim, roots, _shells in table]
-    for count, support in filter(None, map(_glue_roots, subgroup.elements())):
+    for count, support in filter(None, map(_glue_roots, map(decode, subgroup._codes))):
         counts[support[0]] += count
         for s in support[1:]:
             old, new = label[s], label[support[0]]
@@ -489,7 +542,7 @@ def _e_splittings():
         values = {top for top, _count in filter(None, shells)} | ({-10} if roots else set())
         sums = {s + p for s in sums for p in values if s + p >= -10}
     n5 = _reference_form()[1]
-    b5 = [int(n5[H_INDEX, H_INDEX] + 2 * j * n5[H_INDEX, L_INDEX] + j * j * n5[L_INDEX, L_INDEX])
+    b5 = [n5[H_INDEX][H_INDEX] + 2 * j * n5[H_INDEX][L_INDEX] + j * j * n5[L_INDEX][L_INDEX]
           for j in range(-2, 3)]            # 5 b^2 for b = h^vee + j l^vee
     return tuple((j, -b) for j, b in zip(range(-2, 3), b5) if -b in sums)
 
@@ -513,15 +566,9 @@ class ClassifiedOrbit:
     e_empty: bool
 
     def to_json_dict(self):
-        return {
-            "label": self.label,
-            "gens": [list(g) for g in self.gens],
-            "dim": self.dim,
-            "disc_exp": self.disc_exp,
-            "sigma": self.sigma,
-            "root_type": self.root_type,
-            "E_empty": self.e_empty,
-        }
+        out = asdict(self)
+        out["E_empty"] = out.pop("e_empty")
+        return out
 
 
 def classify_isotropic_subgroups():
@@ -535,8 +582,7 @@ def classify_isotropic_subgroups():
     records = []
     for bases, elements in _orbit_candidates():
         for label, hits in _orbits(bases, elements):
-            # validates the representative
-            sub = IsotropicSubgroup(gens=tuple(map(tuple, bases[int(hits.argmax())].tolist())))
+            sub = IsotropicSubgroup(gens=bases[hits[0]])      # validates the representative
             if label is not None:
                 sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS[label])
             rt, e_empty, disc_exp = _subgroup_invariants(sub)
@@ -589,7 +635,7 @@ class IsotropyRow:
 def isotropic_table():
     """One row per (a, b, +-y)-class of isotropic vectors, with the
     invariants of the overlattice of one representative."""
-    rows, starred = [], _tables()["starred"]
+    rows = []
     for (a, b, yn), e in sorted(_type_representatives().items()):
         rep = decode(e)
         rt, e_empty, disc_exp = _subgroup_invariants(
@@ -597,7 +643,7 @@ def isotropic_table():
         rows.append(IsotropyRow(
             a=a, b=b, y=yn,
             plus_minus=(yn != 0),
-            starred=bool(starred[e]),
+            starred=(a, b, yn) in STARRED_TYPES,
             representative=rep,
             disc_exp=disc_exp,
             root_type=rt,
@@ -615,7 +661,6 @@ class QConsistencyReport:
     passed: bool
     exponent: int              # of L^vee / L
     order: int                 # |L^vee / L| = |det|
-    basis_is_isomorphism: bool
     n_checked: int
     mismatches: tuple          # encodings where formula and lattice disagree
     expansions: dict           # selected dual vectors in the reference basis
@@ -624,9 +669,9 @@ class QConsistencyReport:
 @lru_cache(maxsize=1)
 def _dual_classes():
     """Classes of the 22 dual basis vectors in the reference basis, as a
-    (22, 6) int64 array, or None when the reference classes are not a
-    basis of G.  The class of a dual-coordinate vector d is
-    d @ _dual_classes() mod 5.
+    tuple of 22 six-tuples, or None when the reference classes are not a
+    basis of G.  The class of a dual-coordinate vector d is the sum of
+    d_i times row i, mod 5.
 
     With N = 5 gram^{-1} and R the reference lifts, d N R^T / 5 mod 1 are
     the discriminant pairings of d with the reference classes, and
@@ -636,13 +681,13 @@ def _dual_classes():
     coordinates c with c B = d N R^T mod 5, that is c = d N R^T B^{-1}.
     """
     _m, n, form = _reference_form()
-    n_rt = n[:, _REFERENCE]                                 # N R^T, (22, 6)
-    b = (form % 5).tolist()
+    b = [[x % 5 for x in row] for row in form]
     det = det_bareiss(b)
     if det % 5 == 0:
         return None
-    b_inv = np.array(adjugate(b)[0], dtype=np.int64) * pow(det, -1, 5)
-    return n_rt @ b_inv % 5
+    b_inv = [[x * pow(det, -1, 5) for x in row] for row in adjugate(b)[0]]
+    return tuple(tuple(sum(row[r] * b_inv[k][c] for k, r in enumerate(_REFERENCE)) % 5
+                       for c in range(6)) for row in n)
 
 
 def verify_q_consistency():
@@ -650,12 +695,11 @@ def verify_q_consistency():
     principles and compare with the encoded formula on all of G.
 
     An abelian group of prime exponent p and order p^r is F_p^r, so
-    exponent 5 and |det| = 5^6 show that G is F5^6.  The scan then
-    compares q on all of G, lifted through the reference basis, with the
-    encoded formula: the lift of c is d = c R, so with N = 5 gram^{-1},
-    5 q = d N d^T = c (R N R^T) c^T.  Also expands selected dual basis
-    vectors (the deeper chain duals and the dual of l) in the reference
-    basis; these are computed, never assumed.
+    exponent 5 and |det| = 5^6 show that G is F5^6.  The lift of c is
+    c R, so with N = 5 gram^{-1}, 5 q = c (R N R^T) c^T; the formula is
+    c D c^T, D the diagonal of `_Q`.  The scan lists the codes where
+    c M c^T, M = R N R^T - D, is not 0 mod 10.  Also expands selected dual
+    basis vectors in the reference basis; all of it computed, never assumed.
     """
     m, _n, form = _reference_form()
     order = abs(build_S0().det())
@@ -664,22 +708,32 @@ def verify_q_consistency():
 
     mismatches, n_checked, expansions = [], 0, {}
     if basis_ok:
-        tab = _tables()
-        digits = tab["digits"]
-        lattice_q = ((digits @ form) * digits).sum(axis=1) % 10
-        mismatches = np.nonzero(lattice_q != tab["q"])[0].tolist()
-        n_checked = int(len(digits))
+        diff = [[x - (_Q[i] if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(form)]
+        # c M c^T and (c M)_y over the x-parts c; y = t adds t (2 (c M)_y + t M_yy),
+        # so each distinct pair of the two mod 10 settles the classes of its x-parts
+        values = list(map(mod, _form_values([row[:5] for row in diff[:5]], range(5)),
+                          repeat(10)))
+        linear = [0]
+        for row in diff[:5]:
+            linear = [s + row[5] * t for t in range(5) for s in linear]
+        linear = list(map(mod, linear, repeat(10)))
+        if any((v + t * (2 * s + t * diff[5][5])) % 10
+               for v, s in set(zip(values, linear)) for t in range(5)):
+            mismatches = [x + _X * t for t in range(5)
+                          for x, (v, s) in enumerate(zip(values, linear))
+                          if (v + t * (2 * s + t * diff[5][5])) % 10]
+        n_checked = 5 * len(values)
 
         targets = {"l": L_INDEX} | {f"e_{i}^({j + 1})": CHAIN_LEN * j + (i - 1)
                                     for j in range(N_CHAINS) for i in range(2, CHAIN_LEN + 1)}
-        expansions = {name: tuple(classes[idx].tolist()) for name, idx in sorted(targets.items())}
+        expansions = {name: classes[idx] for name, idx in sorted(targets.items())}
 
     passed = m == 5 and order == 5 ** 6 and basis_ok and not mismatches
     return QConsistencyReport(
         passed=passed,
         exponent=m,
         order=order,
-        basis_is_isomorphism=basis_ok,
         n_checked=n_checked,
         mismatches=tuple(mismatches),
         expansions=expansions,

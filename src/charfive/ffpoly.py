@@ -65,17 +65,17 @@ def _prime_divisors(n):
 
 def _f5_is_irreducible(m):
     """Rabin's test: t^(5^k) = t mod m, and gcd(m, t^(5^(k/r)) - t) = 1 for
-    each prime r | k.  The powers t^(5^e), e <= k, come from applying
-    `_Kronecker(m).frobenius(1)` to t k times, valid for any monic m.  The
-    gcds run in `GFPoly` over GF(5); k = 1 returns first, so building GF(5)
-    does not recurse."""
+    each prime r | k.  The powers t^(5^e), e <= k, come from applying the
+    map x -> x^5, whose columns are t^(5j) mod m, to t k times, valid for
+    any monic m.  The gcds run in `GFPoly` over GF(5); k = 1 returns first,
+    so building GF(5) does not recurse."""
     m = tuple(x % P for x in m)
     k = len(m) - 1
     if k < 1 or m[-1] != 1:
         return False
     if k == 1:
         return True
-    frob = _Kronecker(m).frobenius(1)
+    frob = _PackedMap(list(zip(*_powers_of_t(m, P * k - P + 1)[::P])), _slot_bytes(k))
     powers = [bytes([0, 1] + [0] * (k - 2))]
     for _ in range(k):
         powers.append(frob.apply(powers[-1]))
@@ -187,6 +187,17 @@ class _PackedMap:
         return _gather(data, self.n - 1, self.step, self.s)
 
 
+def _powers_of_t(modulus, count):
+    """t^j mod the monic `modulus` m for j < count, as coefficient bytes, by
+    shift and subtract: t^(j+1) = t * t^j - c * m, c the top coefficient of t^j."""
+    out, r = [], bytes([1] + [0] * (len(modulus) - 2))
+    for _ in range(count):
+        out.append(r)
+        c = r[-1]
+        r = bytes((a - c * b) % P for a, b in zip(b"\0" + r[:-1], modulus))
+    return out
+
+
 class _Kronecker:
     """Packed arithmetic in F5[t]/(m) on coefficient bytes, m monic.
 
@@ -204,18 +215,8 @@ class _Kronecker:
         self.one = bytes([1] + [0] * (k - 1))
         self.s = _slot_bytes(k)
         self.modulus = modulus
-        self.reduction = _PackedMap(list(zip(*self._powers_of_t(2 * k - 1))), self.s)
+        self.reduction = _PackedMap(list(zip(*_powers_of_t(modulus, 2 * k - 1))), self.s)
         self._frob = {}
-
-    def _powers_of_t(self, count):
-        """t^j mod m for j < count, as k coefficient bytes each, by shift and
-        subtract: t^(j+1) = t * t^j - c * m, with c the top coefficient of t^j."""
-        out, r = [], self.one
-        for _ in range(count):
-            out.append(r)
-            c = r[-1]
-            r = bytes((a - c * b) % P for a, b in zip(b"\0" + r[:-1], self.modulus))
-        return out
 
     def mul(self, x, y):
         s, n = self.s, self.reduction.n
@@ -240,11 +241,11 @@ class _Kronecker:
         fmap = self._frob.get(e)
         if fmap is None:
             if e == 1:
-                cols = self._powers_of_t(P * self.k - P + 1)[::P]
+                cols = _powers_of_t(self.modulus, P * self.k - P + 1)[::P]
             else:
                 # compose two maps of about half the exponent
                 first, second = self.frobenius(e // 2), self.frobenius(e - e // 2)
-                cols = [second.apply(first.apply(t)) for t in self._powers_of_t(self.k)]
+                cols = [second.apply(first.apply(t)) for t in _powers_of_t(self.modulus, self.k)]
             fmap = self._frob[e] = _PackedMap(list(zip(*cols)), self.s)
         return fmap
 

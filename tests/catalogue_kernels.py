@@ -15,6 +15,7 @@ import numpy as np
 
 from charfive import discform
 from charfive.lattice import RootSystemType, build_S0
+from discform_kernels import POW
 from lattice_kernels import H_PRIMAL
 
 
@@ -77,7 +78,12 @@ def root_catalogue():
     >= -2 and comes from `discform._short_summand_vectors`.  Each entry is
     checked to have norm -2 and to be orthogonal to h.
     """
-    tables = discform._short_summand_vectors()
+    # each summand's vectors, widened to 22 dual coordinates
+    tables = []
+    for idx, (vecs, part) in zip(discform._SUMMANDS, discform._short_summand_vectors()):
+        wide = np.zeros((len(vecs), 22), dtype=np.int8)
+        wide[:, idx] = vecs
+        tables.append((wide, np.array(part, dtype=np.int64)))
     picks = np.zeros((1, 0), dtype=np.int64)    # table rows of each partial sum
     norms = np.zeros(1, dtype=np.int64)
     for _vecs, part in tables:
@@ -89,7 +95,7 @@ def root_catalogue():
     # the parts have disjoint supports and entries in [-2, 2]
     vectors = sum(vecs[picks[:, s]] for s, (vecs, _part) in enumerate(tables))
     wide = vectors.astype(np.int64)
-    n5 = discform._reference_form()[1]
+    n5 = np.array(discform._reference_form()[1], dtype=np.int64)
     gram_h = np.array(build_S0().gram, dtype=np.int64) @ np.array(H_PRIMAL)
     if not ((((wide @ n5) * wide).sum(axis=1) == -10).all()
             and not (wide @ n5 @ gram_h).any()):
@@ -97,7 +103,7 @@ def root_catalogue():
     classes = discform._dual_classes()
     if classes is None:
         raise ArithmeticError("the reference classes are not a basis of G")
-    return vectors, (wide @ classes % 5) @ discform._POW
+    return vectors, (wide @ np.array(classes, dtype=np.int64) % 5) @ POW
 
 
 def catalogue_root_type(subgroup):
@@ -105,5 +111,5 @@ def catalogue_root_type(subgroup):
     whose class lies in H, named by `of_roots`."""
     vectors, classes = root_catalogue()
     member = np.zeros(5 ** 6, dtype=bool)
-    member[np.array(subgroup.elements(), dtype=np.int64) @ discform._POW] = True
+    member[list(subgroup._codes)] = True
     return of_roots(vectors[member[classes]], discform._reference_form()[1])

@@ -15,14 +15,17 @@ orbit membership on the codes of the images of a basis
 (`discform._orbits`): the oracle for those labels.
 
 `AutElement` and `all_aut` are the symmetry group as the package held it
-before `discform._aut_arrays` built its arrays directly: the oracle for
-those arrays and for the group law.
+before it built the group as arrays; `aut_arrays` are those arrays, and
+`basis_images` and `orbit_images` apply them to every element of the
+group at once: the oracle for the distinct images of
+`discform._image_codes`.
 
 `q_scalar`, `delta` and `span` are the discriminant form, the
 (a, b, y)-type with its starred rule, and the span of a generator set,
-written one element at a time as the package wrote them before
-`discform._tables` and `IsotropicSubgroup` held them as arrays: the
-oracle for those arrays.
+written one element at a time as the package wrote them before it held
+them as arrays.  `tables` holds them as the arrays the package built for
+all 15625 elements while it used numpy: the oracle for `decode`, the
+types of `discform._x_parts` and the enumerations below.
 
 `orbit_images` and `min_row` key a subgroup and its orbit by sorted
 element encodings, as the package did before it keyed subgroups by their
@@ -35,8 +38,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from charfive.discform import (
-    REFERENCE_SUBGROUPS, STARRED_TYPES, _POW, _aut_arrays, _image_codes, _tables, decode)
+from charfive.discform import REFERENCE_SUBGROUPS, STARRED_TYPES
+
+#: the code e = x1 + 5 x2 + ... + 5^5 y of an element is its digits @ POW
+POW = np.array([1, 5, 25, 125, 625, 3125], dtype=np.int64)
 
 
 def q_scalar(v):
@@ -90,16 +95,55 @@ def all_aut():
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
+def tables():
+    """{"digits", "q", "a", "b", "yn", "starred", "iso"}: the digits of all
+    15625 elements in code order as a (15625, 6) array, and per element q,
+    the (a, b, y normalized)-type, the starred rule and isotropy."""
+    # coordinate i is the digit of 5^i; the last axis of np.indices varies fastest
+    digits = np.ascontiguousarray(np.indices((5,) * 6).reshape(6, -1)[::-1].T)
+    qenc = (digits * digits) @ (6, 6, 6, 6, 6, 2) % 10
+    kind = np.array([0, 1, 2, 2, 1])[digits]
+    a_cnt, b_cnt = (kind[:, :5] == 1).sum(axis=1), (kind[:, :5] == 2).sum(axis=1)
+    star_arr = np.zeros((6, 6, 3), dtype=bool)
+    for (a, b, y) in STARRED_TYPES:
+        star_arr[a, b, y] = True
+    return {"digits": digits, "q": qenc, "a": a_cnt, "b": b_cnt, "yn": kind[:, 5],
+            "starred": star_arr[a_cnt, b_cnt, kind[:, 5]], "iso": qenc == 0}
+
+
+def decode(e):
+    """The digits of the element of code e, from `tables`."""
+    return tuple(tables()["digits"][e].tolist())
+
+
+@lru_cache(maxsize=1)
+def aut_arrays():
+    """The symmetry group {+-1}^5 x| S5 of the fundamental system, 3840
+    elements in a fixed order, as (perms, signs), two (3840, 5) int16
+    arrays: element g maps [x|y] to x'_i = signs[g, i] x[perms[g, i]]
+    mod 5, with the sign -1 stored as 4, and fixes y."""
+    perms = np.array(list(itertools.permutations(range(5))), dtype=np.int16)
+    signs = np.array(list(itertools.product((1, 4), repeat=5)), dtype=np.int16)
+    return np.tile(perms, (len(signs), 1)), np.repeat(signs, len(perms), axis=0)
+
+
+def basis_images(gens):
+    """g(gens) for every group element g of `aut_arrays`, as a (3840, d, 6)
+    array of digits."""
+    perms, signs = aut_arrays()
+    basis = np.array(gens, dtype=np.int64).reshape(-1, 6)
+    moved = (basis[:, :5][:, perms] * signs) % 5              # (d, 3840, 5)
+    fixed = np.broadcast_to(basis[:, None, 5:], (len(basis), len(perms), 1))
+    return np.concatenate([moved, fixed], axis=2).transpose(1, 0, 2)
+
+
 def orbit_images(elem_digits):
     """Encodings of g(M) for every group element g: shape (3840, m), rows sorted.
 
     `elem_digits` is an (m, 6) integer array of [x1..x5, y] rows.
     """
-    perms, signs = _aut_arrays()
-    digits = elem_digits.astype(np.int16)
-    moved = (digits[:, :5][:, perms] * signs) % 5          # (m, 3840, 5)
-    enc = moved @ _POW[:5].astype(np.int16) + digits[:, 5:] * 3125
-    return np.sort(enc.T, axis=1).astype(np.int64)
+    return np.sort(basis_images(elem_digits) @ POW, axis=1)
 
 
 def min_row(images):
@@ -110,13 +154,13 @@ def min_row(images):
 
 def line_representatives():
     """Minimal encoding of each isotropic line (4 nonzero scalar multiples)."""
-    t = _tables()
+    t = tables()
     iso_nonzero = np.nonzero(t["iso"])[0]
     iso_nonzero = iso_nonzero[iso_nonzero != 0]
     digits = t["digits"][iso_nonzero]
     best = iso_nonzero.copy()
     for c in (2, 3, 4):
-        enc_c = ((digits * c) % 5) @ _POW
+        enc_c = ((digits * c) % 5) @ POW
         best = np.minimum(best, enc_c)
     reps = np.unique(best)
     return reps
@@ -128,7 +172,7 @@ def isotropic_planes():
     Returns (planes, gen_pairs): `planes` is an (N, 25) array of sorted
     element encodings, `gen_pairs` an (N, 2) array of generator encodings.
     """
-    t = _tables()
+    t = tables()
     reps = line_representatives()
     digits = t["digits"][reps]
     weights = digits.copy()
@@ -144,7 +188,7 @@ def isotropic_planes():
                     dtype=np.int64)
     elems = (coef[None, :, 0, None] * di[:, None, :]
              + coef[None, :, 1, None] * dj[:, None, :]) % 5
-    enc = np.tensordot(elems, _POW, axes=([2], [0]))
+    enc = np.tensordot(elems, POW, axes=([2], [0]))
     enc = np.sort(enc, axis=1)
     planes, first = np.unique(enc, axis=0, return_index=True)
     gen_pairs = np.stack([vi[first], vj[first]], axis=1)
@@ -159,10 +203,10 @@ def admissible_subgroups():
     sorted int64 array of the element encodings, read off the line and
     plane enumerations.
     """
-    t = _tables()
+    t = tables()
     reps = line_representatives()
     lines = np.sort(np.stack(
-        [((t["digits"][reps] * c) % 5) @ _POW for c in range(5)], axis=1), axis=1)
+        [((t["digits"][reps] * c) % 5) @ POW for c in range(5)], axis=1), axis=1)
     planes, gen_pairs = isotropic_planes()
     survivors = [((), np.zeros(1, dtype=np.int64))]
     for elems, gens in ((lines, reps[:, None]), (planes, gen_pairs)):
@@ -192,7 +236,7 @@ def _echelon_keys(bases):
                 rows[j] = (rows[j] - rows[j][at, col][:, None] * rows[i]) % 5
     keys = np.zeros(len(bases), dtype=np.int64)
     for row in rows:
-        keys = keys * 5 ** 6 + row @ _POW
+        keys = keys * 5 ** 6 + row @ POW
     return keys
 
 
@@ -201,6 +245,5 @@ def reference_orbits():
     """Echelon key -> label of every subgroup in the orbits of H_0..H_8."""
     orbits = {}
     for label, gens in REFERENCE_SUBGROUPS.items():
-        images = _tables()["digits"][_image_codes(gens)]          # (3840, d, 6)
-        orbits.update(dict.fromkeys(_echelon_keys(images).tolist(), label))
+        orbits.update(dict.fromkeys(_echelon_keys(basis_images(gens)).tolist(), label))
     return orbits

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -282,10 +283,10 @@ def test_verify_mixed_claims_match_golden():
 
 
 def test_verify_spans_several_bitset_words(image_calls, tmp_path):
-    """64 copies of the nine golden claims, 576 entries, so every dimension
-    spans several words of the orbit bitset: each copy after the first
-    fails on distinctness and nothing else, and only the nine reference
-    images are built."""
+    """64 copies of the nine golden claims, 576 entries, so one orbit test
+    per dimension holds many claims of each orbit: each copy after the
+    first fails on distinctness and nothing else, and only the nine
+    reference images are built."""
     golden = json.loads((GOLDEN / "classify.json").read_text())["results"]
     path = tmp_path / "copies.json"
     path.write_text(json.dumps({"results": golden * 64}))
@@ -313,13 +314,14 @@ def test_verify_bounds_its_input(image_calls, tmp_path):
 
 
 def test_orbit_sweep_fails_rather_than_spins():
-    """With `_image_codes` patched to the code 1, which is not isotropic
-    and so lies in no subgroup, no image marks the subgroup it came from:
-    classify reports the error and exits 1 instead of sweeping forever."""
+    """With `_image_codes` patched to one image whose every vector has the
+    code 1, which is not isotropic and so lies in no subgroup, no image
+    marks the subgroup it came from: classify reports the error and exits
+    1 instead of sweeping forever."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
             "from charfive import cli, discform; "
-            "discform._image_codes = lambda basis: np.ones((3840, len(basis)), np.int16); "
+            "discform._image_codes = lambda basis: [sum(5 ** (6 * k) for k in range(len(basis)))]; "
             "discform._reference_images.cache_clear(); "
             "sys.exit(cli.run(['lattice', 'classify']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -390,6 +392,23 @@ def test_verify_fails_many_generators(tmp_path):
     assert code == 1
     assert json.loads(out)["passed"] is False
     assert "FAIL H_0:isotropic: generators are not independent" in err
+
+
+def test_verify_fails_deeply_nested_json_as_payload():
+    """A payload nested 5000 deep makes the JSON decoder raise
+    RecursionError; verify reports it as a `payload` FAIL in canonical
+    JSON, as it does any other text that is not JSON, and exits 1."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-m", "charfive.cli", "lattice", "verify"],
+                         input="[" * 5000 + "]" * 5000, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 1
+    payload = json.loads(out.stdout)
+    assert out.stdout == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert payload["passed"] is False and not checks["payload"]["passed"]
+    assert checks["payload"]["detail"].startswith("not JSON: maximum recursion depth")
+    assert "Traceback" not in out.stderr
 
 
 #: what a fuzzed literal or payload may put where an integer was

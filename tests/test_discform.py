@@ -28,8 +28,9 @@ from charfive.discform import (
 from charfive.lattice import L_INDEX, build_S0
 from catalogue_kernels import catalogue_root_type, root_catalogue
 from discform_kernels import (
-    AutElement, _echelon_keys, admissible_subgroups, all_aut, delta, isotropic_planes,
-    line_representatives, min_row, orbit_images, q_scalar, reference_orbits, span)
+    POW, AutElement, _echelon_keys, admissible_subgroups, all_aut, aut_arrays, basis_images,
+    delta, isotropic_planes, line_representatives, min_row, orbit_images, q_scalar,
+    reference_orbits, span, tables)
 from fraction_kernels import fraction_inverse, short_vectors_box
 from lattice_kernels import H_PRIMAL, subgroup_invariants, subgroup_overlattice
 from test_lattice import pairing
@@ -56,6 +57,11 @@ def all_elements():
     for e in range(5 ** 6):
         out.append(discform.decode(e))
     return out
+
+
+def elements(sub):
+    """The elements of a subgroup as sorted tuples, decoded from its codes."""
+    return tuple(sorted(map(discform.decode, sub._codes)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,29 +133,37 @@ def test_b_is_polarization_of_q():
         assert b_value(v, v) == q_value(v) % 5
 
 
-def test_q_and_b_broadcast_over_the_last_axis():
-    """An (n, 6) array gives the n values that the elements give one by one."""
-    rng = random.Random(4)
-    vs = [tuple(rng.randrange(5) for _ in range(6)) for _ in range(50)]
-    ws = [tuple(rng.randrange(5) for _ in range(6)) for _ in range(50)]
-    assert q_value(np.array(vs)).tolist() == [q_value(v) for v in vs]
-    assert b_value(np.array(vs), np.array(ws)).tolist() == [
-        b_value(v, w) for v, w in zip(vs, ws)]
-    assert b_value(np.array(vs), ws[0]).tolist() == [b_value(v, ws[0]) for v in vs]
-
-
 def test_tables_match_the_scalar_oracle():
-    """On all 15625 elements the tables hold q, the (a, b, +-y)-type, the
-    starred rule and isotropy as the one-element oracle formulas give them."""
-    t = discform._tables()
+    """On all 15625 elements `decode` gives the digits of the oracle table,
+    q and isotropy are those of the one-element oracle formula (so the
+    array oracle and the formula agree too), and every x-part lies in the
+    `_x_parts` group of its (a, b)-type.  The starred rule, read per
+    type, holds on every isotropic line exactly when the oracle has every
+    element of the line starred, and each type's representative is its
+    smallest isotropic code."""
+    t = tables()
     assert [tuple(v) for v in t["digits"].tolist()] == all_elements()
     oracle = [(q_scalar(v), delta(v)) for v in all_elements()]
-    assert t["q"].tolist() == [q for q, _d in oracle]
+    assert t["q"].tolist() == [q for q, _d in oracle] == list(map(q_value, all_elements()))
     assert t["iso"].tolist() == [q == 0 for q, _d in oracle]
     assert t["a"].tolist() == [d.a for _q, d in oracle]
     assert t["b"].tolist() == [d.b for _q, d in oracle]
     assert t["yn"].tolist() == [min(d.y, 5 - d.y) for _q, d in oracle]
     assert t["starred"].tolist() == [d.starred for _q, d in oracle]
+    parts = discform._x_parts()
+    assert sorted(x for xs in parts.values() for x in xs) == list(range(5 ** 5))
+    for (a, b), xs in parts.items():
+        assert all((delta(discform.decode(x)).a, delta(discform.decode(x)).b) == (a, b)
+                   for x in xs), (a, b)
+    for e in line_representatives().tolist():
+        sub = IsotropicSubgroup(gens=(discform.decode(e),))
+        assert condition_II(sub) == all(delta(v).starred for v in elements(sub)), e
+    smallest = {}
+    for e in range(5 ** 6):
+        q, d = oracle[e]
+        if q == 0:
+            smallest.setdefault((d.a, d.b, min(d.y, 5 - d.y)), e)
+    assert discform._type_representatives() == smallest
 
 
 def test_delta_examples():
@@ -197,9 +211,9 @@ def test_aut_group_order_and_law():
 
 
 def test_aut_arrays_match_the_oracle():
-    """The arrays behind `_image_codes` hold the oracle group row for row,
-    with the sign -1 stored as 4."""
-    perms, signs = discform._aut_arrays()
+    """The arrays behind the image oracle hold the oracle group row for
+    row, with the sign -1 stored as 4."""
+    perms, signs = aut_arrays()
     auts = all_aut()
     assert perms.tolist() == [list(g.perm) for g in auts]
     assert signs.tolist() == [[s % 5 for s in g.signs] for g in auts]
@@ -209,18 +223,40 @@ def code(v):
     return sum(x * 5 ** i for i, x in enumerate(v))
 
 
+def packed(codes):
+    """The codes of the vectors of one image as one int, base 5^6, the
+    first lowest, as `_image_codes` packs them."""
+    return sum(c * 5 ** (6 * k) for k, c in enumerate(codes))
+
+
 def test_orbit_images_match_the_oracle_group():
-    """Row g of `_image_codes` holds the codes of g applied to each
-    generator, and row g of the oracle's `orbit_images` the sorted element
-    encodings of g(H), for the g-th element of the oracle group."""
+    """Row g of the oracle's `basis_images` holds g applied to each
+    generator, row g of its `orbit_images` the sorted element encodings of
+    g(H), for the g-th element of the oracle group; and `_image_codes`
+    holds each row's generator codes, packed, once."""
     sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_6"])
-    gen_images = discform._image_codes(sub.gens)
-    images = orbit_images(np.array(sub.elements(), dtype=np.int64))
-    assert gen_images.dtype == np.int16 and gen_images.shape == (3840, 2)
+    gen_images = basis_images(sub.gens) @ POW
+    images = orbit_images(np.array(elements(sub), dtype=np.int64))
+    assert gen_images.shape == (3840, 2)
     assert images.dtype == np.int64 and images.shape == (3840, 25)
     for g, gens, row in zip(all_aut(), gen_images.tolist(), images.tolist()):
         assert gens == [code(aut_apply(g, v)) for v in sub.gens]
-        assert row == sorted(code(aut_apply(g, v)) for v in sub.elements())
+        assert row == sorted(code(aut_apply(g, v)) for v in elements(sub))
+    found = discform._image_codes(sub.gens)
+    assert sorted(found) == sorted(set(map(packed, gen_images.tolist())))
+
+
+def test_image_codes_are_the_distinct_images_of_the_oracle_group():
+    """For all nine references `_image_codes` lists each distinct image of
+    the basis under the brute-force group once: 1, 80, 32, 320, 160, 480,
+    3840, 1920 and 3840 of them, against 3840 rows of the group each."""
+    counts = []
+    for label, gens in REFERENCE_SUBGROUPS.items():
+        found = discform._image_codes(gens)
+        oracle = {packed(row) for row in (basis_images(gens) @ POW).tolist()}
+        assert len(found) == len(set(found)) and set(found) == oracle, label
+        counts.append(len(found))
+    assert counts == [1, 80, 32, 320, 160, 480, 3840, 1920, 3840]
 
 
 def test_aut_preserves_q():
@@ -257,16 +293,17 @@ def test_subgroup_validation():
         IsotropicSubgroup(gens=((2, 2, 2, 2, 2, 0), (4, 4, 4, 4, 4, 0)))
     sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_6"])
     assert sub.dim == 2
-    assert len(sub.elements()) == 25
+    assert len(elements(sub)) == 25
 
 
 def test_dependent_generators_fail_before_the_span(monkeypatch):
     """More than six generators are rejected before any span is built (the
     span of 50 would have 5^50 elements) or any table is read; a repeated
-    generator is rejected from the repeated element codes of its span."""
+    or zero generator is rejected by the echelon basis, before any span."""
     calls = []
-    real_tables = discform._tables
-    monkeypatch.setattr(discform, "_tables", lambda: calls.append(1) or real_tables())
+    real_tables, real_span = discform._x_parts, discform._span_codes
+    monkeypatch.setattr(discform, "_x_parts", lambda: calls.append(1) or real_tables())
+    monkeypatch.setattr(discform, "_span_codes", lambda gens: calls.append(2) or real_span(gens))
     rng = random.Random(5)
     many = tuple(tuple(rng.randrange(5) for _ in range(6)) for _ in range(50))
     with pytest.raises(ValueError, match="not independent"):
@@ -282,10 +319,24 @@ def test_dependent_generators_fail_before_the_span(monkeypatch):
 
 def test_non_isotropic_subgroup_names_its_smallest_bad_element():
     """The error names the smallest non-isotropic element in tuple order,
-    as the sorted element list of the generator-by-generator span has it."""
-    for gens in (((1, 0, 0, 0, 0, 0),), ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)),
-                 ((2, 2, 2, 2, 2, 0), (0, 1, 2, 0, 0, 0))):
-        bad = next(v for v in span(gens) if q_scalar(v) != 0)
+    as the sorted element list of the generator-by-generator span has it,
+    also for three to six generators, whose span is never isotropic, and
+    in a seeded sample of non-isotropic spans of one to four generators."""
+    rng = random.Random(9)
+    sample = [tuple(tuple(rng.randrange(5) for _ in range(6)) for _ in range(d))
+              for d in (1, 2, 2, 3, 4) for _ in range(40)]
+    fixed = [((1, 0, 0, 0, 0, 0),), ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)),
+             ((2, 2, 2, 2, 2, 0), (0, 1, 2, 0, 0, 0)),
+             REFERENCE_SUBGROUPS["H_6"] + ((0, 0, 1, 0, 0, 0),),
+             tuple(tuple(int(i == j) for j in range(6)) for i in range(6))]
+    for gens in fixed + sample:
+        try:
+            elems = span(gens)
+        except ValueError:              # dependent: the other test's case
+            continue
+        if all(q_scalar(v) == 0 for v in elems):
+            continue
+        bad = next(v for v in elems if q_scalar(v) != 0)
         with pytest.raises(ValueError, match=f"totally isotropic at {re.escape(str(bad))}$"):
             IsotropicSubgroup(gens=gens)
 
@@ -299,7 +350,7 @@ def test_elements_match_the_generator_by_generator_span():
     subgroups += [tuple(discform.decode(int(e)) for e in pair) for pair in gen_pairs]
     assert len(subgroups) == 756 + 3276
     for gens in subgroups:
-        elems = IsotropicSubgroup(gens=gens).elements()
+        elems = elements(IsotropicSubgroup(gens=gens))
         assert elems == span(gens) and all(type(x) is int for v in elems for x in v)
 
 
@@ -319,7 +370,7 @@ def test_condition_ii():
     h6 = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_6"])
     assert condition_II(h6)
     # the machine check behind it: all 24 nonzero elements starred
-    for v in h6.elements():
+    for v in elements(h6):
         assert delta(v).starred
 
 
@@ -351,7 +402,7 @@ def test_echelon_keys_match_element_lists():
     oracle, two bases have the same echelon key iff they span the same
     element list: each subgroup is keyed from three bases, and distinct
     subgroups get distinct keys, each packing a basis of the subgroup."""
-    digits = discform._tables()["digits"]
+    digits = tables()["digits"]
     reps = line_representatives()
     planes, gen_pairs = isotropic_planes()
     assert len(planes) == 3276
@@ -362,7 +413,7 @@ def test_echelon_keys_match_element_lists():
                                 ((2 * u % 5,), (w, v)),
                                 ((4 * u % 5,), ((v + w) % 5, (v + 2 * w) % 5)))]
     assert keys[0] == keys[1] == keys[2]
-    lines = [sorted(int((c * digits[e]) % 5 @ discform._POW) for c in range(5))
+    lines = [sorted(int((c * digits[e]) % 5 @ POW) for c in range(5))
              for e in reps.tolist()]
     elem_lists = [tuple(x) for x in lines] + [tuple(x) for x in planes.tolist()]
     assert len(set(keys[0])) == len(set(elem_lists)) == len(elem_lists)
@@ -371,15 +422,14 @@ def test_echelon_keys_match_element_lists():
 
 
 def test_orbits_hold_every_image_of_a_reference():
-    """For each H_i, the 3840 images g(H_i), their elements taken from the
-    oracle's `orbit_images`, form the one orbit labelled H_i."""
-    digits = discform._tables()["digits"]
+    """For each H_i, the 3840 images g(H_i) of the oracle group, their
+    bases from `basis_images` and their elements from `orbit_images`,
+    form the one orbit labelled H_i."""
     for label, gens in REFERENCE_SUBGROUPS.items():
-        sub = IsotropicSubgroup(gens=gens)
-        bases = digits[discform._image_codes(gens)]
-        elements = orbit_images(np.array(sub.elements(), dtype=np.int64))
-        [(found, hits)] = discform._orbits(bases, elements)
-        assert found == label and hits.all(), label
+        bases = [tuple(map(tuple, basis)) for basis in basis_images(gens).tolist()]
+        elems = orbit_images(np.array(elements(IsotropicSubgroup(gens=gens)), dtype=np.int64))
+        [(found, hits)] = discform._orbits(bases, elems.tolist())
+        assert found == label and hits == list(range(3840)), label
 
 
 def test_orbit_names_scaling_invariance():
@@ -437,7 +487,7 @@ def test_classification():
 
 
 def encodings(sub):
-    return sorted(map(code, sub.elements()))
+    return sorted(map(code, elements(sub)))
 
 
 def test_admissible_subgroups_carry_their_elements():
@@ -450,14 +500,13 @@ def test_admissible_subgroups_carry_their_elements():
     for gens, elems in survivors:
         sub = IsotropicSubgroup(gens=gens)
         assert condition_II(sub)
-        assert elems.dtype == np.int64 and elems.tolist() == encodings(sub)
+        assert elems.dtype == np.int64 and elems.tolist() == encodings(sub) == list(sub._codes)
 
 
 def candidate_gens():
     """The generators of every orbit candidate as tuples, dimension by
     dimension."""
-    return [tuple(map(tuple, gens))
-            for bases, _elements in discform._orbit_candidates() for gens in bases.tolist()]
+    return [gens for bases, _elements in discform._orbit_candidates() for gens in bases]
 
 
 def test_orbit_candidates_are_admissible():
@@ -467,18 +516,19 @@ def test_orbit_candidates_are_admissible():
     vectors of the two types (a, b, y) and (b, a, 2y), and the five lines
     hold all nine nonzero starred types."""
     candidates = list(discform._orbit_candidates())
-    assert [(bases.shape, elements.shape) for bases, elements in candidates] == [
-        ((1, 0, 6), (1, 1)), ((5, 1, 6), (5, 5)), ((74, 2, 6), (74, 25))]
+    assert [(len(bases), {len(b) for b in bases}, {len(g) for b in bases for g in b},
+             len(elems), {len(e) for e in elems}) for bases, elems in candidates] == [
+        (1, {0}, set(), 1, {1}), (5, {1}, {6}, 5, {5}), (74, {2}, {6}, 74, {25})]
     elem_lists = set()
-    for bases, elements in candidates:
-        for gens, elems in zip(bases.tolist(), elements.tolist()):
-            sub = IsotropicSubgroup(gens=tuple(map(tuple, gens)))
+    for bases, elems_of in candidates:
+        for gens, elems in zip(bases, elems_of):
+            sub = IsotropicSubgroup(gens=gens)
             assert condition_II(sub)
             assert sorted(elems) == encodings(sub)
             elem_lists.add(tuple(sorted(elems)))
     assert len(elem_lists) == 80
     types = {}
-    for v in candidates[1][0][:, 0].tolist():
+    for [v] in candidates[1][0]:
         for c in (1, 2):
             t = delta([c * x % 5 for x in v])
             types[t.a, t.b, min(t.y, 5 - t.y)] = v
@@ -490,7 +540,7 @@ def swept_orbits(subgroups):
     """Sweep (gens, elems) pairs as `classify_isotropic_subgroups` sweeps
     its candidates, but on the oracle's sorted element lists: the keys of
     the orbits met, and the element encodings of every subgroup in them."""
-    digits = discform._tables()["digits"]
+    digits = tables()["digits"]
     keys, seen = set(), set()
     for _gens, elems in subgroups:
         if elems.tobytes() in seen:
@@ -518,7 +568,7 @@ def test_classification_memory_peak():
     than 32 MB at its peak."""
     import tracemalloc
 
-    discform._tables()
+    discform._x_parts()
     discform._reference_images()
     tracemalloc.start()
     try:
@@ -619,20 +669,20 @@ def test_reference_orbit_compares_like_dimensions(monkeypatch):
 
 
 def test_orbit_members_match_the_echelon_oracle():
-    """One bitset per dimension over all 2713 admissible subgroups (2016
-    planes, 32 words): `_orbits` finds the reference orbits of that
-    dimension and no other, each holding exactly the subgroups that the
-    echelon-key oracle labels with it."""
+    """One `_orbits` call per dimension over all 2713 admissible subgroups
+    (2016 planes): it finds the reference orbits of that dimension and no
+    other, each holding exactly the subgroups that the echelon-key oracle
+    labels with it."""
     orbits = reference_orbits()
     survivors = admissible_subgroups()
     for d in (0, 1, 2):
         subs = [(g, elems) for g, elems in survivors if len(g) == d]
         gens = np.array([g for g, _ in subs]).reshape(len(subs), d, 6)
-        found = discform._orbits(gens, np.array([elems for _, elems in subs]))
+        found = discform._orbits([g for g, _ in subs], [elems.tolist() for _, elems in subs])
         labels = [orbits[key] for key in _echelon_keys(gens).tolist()]
         assert [label for label, _hits in found] == sorted(set(labels)), d
         for label, hits in found:
-            assert hits.tolist() == [x == label for x in labels], label
+            assert hits == [k for k, x in enumerate(labels) if x == label], label
 
 
 def test_reference_subgroups_distinct_orbits():
@@ -652,7 +702,7 @@ def plane_scan_dimension():
     has an isotropic vector orthogonal to it outside it, else 2.  A plane
     lies in its own orthogonal complement, so more than 25 isotropic
     vectors orthogonal to both generators means a third dimension."""
-    t = discform._tables()
+    t = tables()
     planes, gen_pairs = isotropic_planes()
     if len(planes) == 0:
         return 1 if len(line_representatives()) else 0
@@ -809,14 +859,15 @@ def test_short_summand_vectors():
     +-1 and 20 of classes +-2, as the box oracle finds them in the chain's
     dual; on l the five multiples j l^vee, |j| <= 2."""
     tables = discform._short_summand_vectors()
-    classes = discform._dual_classes()
-    n5 = discform._reference_form()[1]
+    classes = np.array(discform._dual_classes(), dtype=np.int64)
+    n5 = np.array(discform._reference_form()[1], dtype=np.int64)
     assert len(tables) == 6
     for j, (vecs, norms) in enumerate(tables[:5]):
         block = n5[4 * j:4 * j + 4, 4 * j:4 * j + 4].tolist()
-        part = vecs[:, 4 * j:4 * j + 4]
-        assert not np.delete(vecs, np.s_[4 * j:4 * j + 4], axis=1).any()
-        x = (vecs @ classes % 5)[:, j]
+        # the vectors are given on the chain's own four dual coordinates
+        part, norms = np.array(vecs, dtype=np.int64), np.array(norms)
+        assert part.shape == (len(norms), 4)
+        x = (part @ classes[4 * j:4 * j + 4] % 5)[:, j]
         counts = {(c, n): 0 for c in (0, 1, 2) for n in (0, -4, -6, -10)}
         for c, n in zip(np.minimum(x, 5 - x).tolist(), norms.tolist()):
             counts[c, n] += 1
@@ -825,22 +876,24 @@ def test_short_summand_vectors():
         for n in (-4, -6, -10):
             assert sorted(map(tuple, part[norms == n].tolist())) == short_vectors_box(block, n)
     vecs, norms = tables[5]
-    assert vecs[:, L_INDEX].tolist() == [-2, -1, 0, 1, 2]
-    assert norms.tolist() == [-8, -2, 0, -2, -8]
+    assert discform._SUMMANDS[5] == [L_INDEX]
+    assert [v for (v,) in vecs] == [-2, -1, 0, 1, 2]
+    assert list(norms) == [-8, -2, 0, -2, -8]
 
 
 def test_short_summand_vectors_match_the_product_box():
     """The box of each summand is [-2, 2]^n row for row as
     `itertools.product` lists it, so the kept vectors, their norms and
     their order (and with them `_shell_table`) are those of that box."""
-    n5 = discform._reference_form()[1]
+    n5 = np.array(discform._reference_form()[1], dtype=np.int64)
     for idx, (vecs, norms) in zip(discform._SUMMANDS, discform._short_summand_vectors()):
         box = np.array(list(itertools.product(range(-2, 3), repeat=len(idx))))
         box_norms = np.einsum("ij,jk,ik->i", box, n5[np.ix_(idx, idx)], box)
         keep = box_norms >= -10
-        assert vecs.dtype == np.int8 and vecs[:, idx].tolist() == box[keep].tolist()
-        assert not np.delete(vecs, idx, axis=1).any()
-        assert norms.tolist() == box_norms[keep].tolist()
+        assert all(type(x) is int for v in vecs for x in v)
+        assert [list(v) for v in vecs] == box[keep].tolist()
+        assert all(len(v) == len(idx) for v in vecs)
+        assert list(norms) == box_norms[keep].tolist()
 
 
 def test_root_catalogue_structure():
@@ -866,7 +919,7 @@ def test_root_counts_by_type():
     vectors, classes = root_catalogue()
     sizes = {"5A4": 100, "A9+3A4": 150, "E8+3A4": 300}
     for sub in _table_subgroups() + _reference_subgroups():
-        encs = list(map(code, sub.elements()))
+        encs = list(sub._codes)
         rt = str(discform.root_type_orthogonal_to_h(sub))
         assert int(np.isin(classes, encs).sum()) == sizes[rt]
 
@@ -897,12 +950,12 @@ def test_shell_table_certificates(monkeypatch, block):
     discform._short_summand_vectors(), discform._dual_classes()
     if block == "norms":
         m, n5, form = discform._reference_form()
-        n5 = n5.copy()
-        n5[0, 4] = n5[4, 0] = 1
+        n5 = [list(row) for row in n5]
+        n5[0][4] = n5[4][0] = 1
         monkeypatch.setattr(discform, "_reference_form", lambda: (m, n5, form))
     else:
-        classes = discform._dual_classes().copy()
-        classes[0, 1] = 1
+        classes = [list(row) for row in discform._dual_classes()]
+        classes[0][1] = 1
         monkeypatch.setattr(discform, "_dual_classes", lambda: classes)
     discform._shell_table.cache_clear()
     try:

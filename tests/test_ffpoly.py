@@ -200,6 +200,30 @@ def test_moduli_are_the_canonical_data():
             assert _has_monic_factor(m), m
 
 
+def test_rabin_computes_the_powers_of_t_once_per_candidate(monkeypatch):
+    """Rabin's test reads the map x -> x^5 from one `_powers_of_t` per
+    candidate, and builds no multiplication map beside it: 9 calls for the
+    9 candidates of degree 9 it tests, 14 for the 14 of degree 10 (twice
+    as many when each candidate built a whole `_Kronecker`).  The moduli
+    found are the canonical ones."""
+    GF(1)                               # the gcds run over GF(5), built first
+    powers, tested = [], []
+    real_powers, real_test = ffpoly._powers_of_t, ffpoly._f5_is_irreducible
+    monkeypatch.setattr(ffpoly, "_powers_of_t",
+                        lambda m, count: powers.append(len(m) - 1) or real_powers(m, count))
+    monkeypatch.setattr(ffpoly, "_f5_is_irreducible",
+                        lambda m: tested.append(len(m) - 1) or real_test(m))
+    try:
+        for k, candidates in ((9, 9), (10, 14)):
+            powers.clear(), tested.clear()
+            _search_modulus.cache_clear()
+            assert _search_modulus(k) == MODULI[k]
+            # clearing the cache also makes GF(5) search again, with no powers
+            assert [d for d in tested if d > 1] == powers == [k] * candidates
+    finally:
+        _search_modulus.cache_clear()
+
+
 #: k -> {i: c_i}, the nonzero coefficients of the modulus `_search_modulus(k)`
 #: returns for fields past MAX_LITERAL_DEGREE, recorded from the search without
 #: its filter on roots in F5

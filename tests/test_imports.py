@@ -1,27 +1,29 @@
-"""What an import loads, each fact checked in a fresh interpreter or
-read from the source.
+"""What an import loads, each fact checked in a fresh interpreter.
 
-The package has no re-export layer, the curve modules run without numpy,
-`cli` imports no numpy of its own, and the lattice verbs never reach
-`numpy.ma`, whose lazy import (for example through a plain `np.unique`)
-costs tens of milliseconds.
+The package has no re-export layer, and no part of it needs numpy: every
+lattice verb and the curve verbs give their golden output in an
+interpreter where importing numpy fails, the lattice verbs leave numpy
+(and `numpy.ma`) unloaded, and a curve verb builds none of the lazy
+tables of `discform`.  numpy stays a dependency of the test oracles only.
 """
 
-import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+GOLDEN = ROOT / "tests" / "golden"
+FIXTURE = "[0,0,1,0,0,0,1]@5"
 
 
-def fresh(code):
-    """Run `code` in a new interpreter with `src` first on its path and
-    return its stdout parsed as JSON."""
+def fresh(code, prelude=""):
+    """Run `code` in a new interpreter with `src` first on its path, after
+    `prelude`, and return its stdout parsed as JSON."""
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r}); {code}"],
-        capture_output=True, text=True, check=True).stdout
+        [sys.executable, "-c", f"{prelude}import sys; sys.path.insert(0, {SRC!r}); {code}"],
+        capture_output=True, text=True, check=True, cwd=ROOT).stdout
     return json.loads(out)
 
 
@@ -40,6 +42,8 @@ def test_curvecheck_imports_no_numpy():
 
 
 def test_lattice_verbs_never_import_numpy_ma(tmp_path):
+    """The lattice verbs load neither numpy nor its lazily imported
+    `numpy.ma`."""
     claims = tmp_path / "classify.json"
     code = (
         "import io, json; from charfive.cli import run; "
@@ -49,16 +53,50 @@ def test_lattice_verbs_never_import_numpy_ma(tmp_path):
         "print(json.dumps([codes, 'numpy' in sys.modules, 'numpy.ma' in sys.modules]))"
     ) % (str(claims), str(claims))
     codes, numpy_loaded, ma_loaded = fresh(code)
-    assert codes == [0, 0, 0] and numpy_loaded
+    assert codes == [0, 0, 0] and not numpy_loaded
     assert not ma_loaded
 
 
-def test_cli_imports_no_numpy():
-    """`cli` leaves numpy to the modules it calls: importing numpy there
-    changes the import order, whose heap effect slows the lattice verbs."""
-    tree = ast.parse(Path(SRC, "charfive", "cli.py").read_text())
-    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module}
-    assert "numpy" not in imported
+#: (argv, golden file, exit code) of every lattice verb and the fixture's curve verbs
+VERBS = [
+    (["lattice", "classify"], "classify.json", 0),
+    (["lattice", "classify", "--format", "md"], "classify.md", 0),
+    (["lattice", "table1", "--format", "md"], "table1.md", 0),
+    (["lattice", "table1", "--format", "json"], "table1.json", 0),
+    (["lattice", "verify", "--in", "tests/golden/classify.json"], "lattice_verify.json", 0),
+    (["lattice", "verify", "--in", "tests/golden/lattice_verify_unmatched_claims.json"],
+     "lattice_verify_unmatched.json", 1),
+    (["lattice", "verify", "--in", "tests/golden/lattice_verify_mixed_claims.json"],
+     "lattice_verify_mixed.json", 1),
+    (["curve", "check", "--poly", FIXTURE], "curve_check_fixture.json", 0),
+    (["curve", "ns", "--poly", FIXTURE], "curve_ns_fixture.json", 0),
+]
+
+
+def test_verbs_run_without_numpy():
+    """With `import numpy` made to fail, every lattice verb and `curve
+    check`/`ns` on the fixture give their golden output and exit code."""
+    code = (
+        "import io, json; from charfive.cli import run; out = []\n"
+        f"for argv in {[argv for argv, _golden, _code in VERBS]!r}:\n"
+        "    buf = io.StringIO(); out.append([run(argv, buf, io.StringIO()), buf.getvalue()])\n"
+        "print(json.dumps([out, 'numpy' in sys.modules and sys.modules['numpy'] is not None]))"
+    )
+    results, numpy_loaded = fresh(code, prelude="import sys; sys.modules['numpy'] = None; ")
+    assert not numpy_loaded
+    for (argv, golden, exit_code), (got_code, got) in zip(VERBS, results, strict=True):
+        assert got_code == exit_code, argv
+        assert got == (GOLDEN / golden).read_text(), argv
+
+
+def test_curve_verb_builds_no_lattice_table():
+    """`import charfive.cli` and a `curve check` leave every cached table of
+    `discform` empty: they are built on first use, by the lattice verbs."""
+    sizes = fresh(
+        "import io, json; from charfive import cli, discform; "
+        "cli.run(['curve', 'check', '--poly', %r], io.StringIO(), io.StringIO()); "
+        "print(json.dumps({name: f.cache_info().currsize for name, f in vars(discform).items() "
+        "if hasattr(f, 'cache_info')}))" % FIXTURE)
+    assert {"_x_parts", "_reference_images", "_type_representatives", "_shell_table",
+            "_reference_form", "_column", "_box_scan"} <= set(sizes)
+    assert set(sizes.values()) == {0}

@@ -104,7 +104,7 @@ def test_discriminant_group_projection_kernel():
     the rows of the Gram matrix as dual coordinates, and sends the six
     reference lifts to the unit vectors, so it has rank 6 mod 5.  Its
     kernel then has index 5^6 = |det| in the dual, so it is the lattice."""
-    classes = _dual_classes()
+    classes = np.array(_dual_classes(), dtype=np.int64)
     gram = np.array(build_S0().gram, dtype=np.int64)
     assert classes.shape == (22, 6)
     assert not (gram @ classes % 5).any()
