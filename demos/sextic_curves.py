@@ -16,8 +16,9 @@ model = SexticModel(f)
 print(f"=== {format_poly_literal(f)} ===")
 report = analyze(model)
 for p in report.points:
-    print(f"  alpha = {p.alpha} (degree-{p.subfield_degree} point), "
-          f"beta = {p.beta}, A4: {p.is_A4}, polar multiplicity {p.local_mult_with_polar}")
+    print(f"  alpha = {p.field.coefficients(p.alpha)} (degree-{p.subfield_degree} point), "
+          f"beta = {p.field.coefficients(p.beta)}, A4: {p.is_A4}, "
+          f"polar multiplicity {p.local_mult_with_polar}")
 wall = report.wall
 print(f"degree product: {wall.total} - {sum(wall.corrections)} = {wall.product}")
 

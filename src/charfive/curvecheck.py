@@ -66,19 +66,19 @@ def is_in_U(f):
 
 @dataclass(frozen=True)
 class SingularPointReport:
-    alpha: tuple
-    beta: tuple
+    alpha: int                              # elements of `field`
+    beta: int
     field: GF
     subfield_degree: int
     is_A4: bool
-    g_at_alpha: tuple
+    g_at_alpha: int
     orbit_leader: int                       # index of the first point of its orbit
     local_mult_with_polar: int = None       # filled in by `analyze`
 
     def to_json_dict(self):
         return {
-            "alpha": _elem_json(self.alpha),
-            "beta": _elem_json(self.beta),
+            "alpha": _elem_json(self.field, self.alpha),
+            "beta": _elem_json(self.field, self.beta),
             "field_degree": self.field.degree,
             "subfield_degree": self.subfield_degree,
             "is_A4": self.is_A4,
@@ -86,10 +86,8 @@ class SingularPointReport:
         }
 
 
-def _elem_json(a):
-    if len(a) == 1:
-        return a[0]
-    return list(a)
+def _elem_json(field, a):
+    return a if field.degree == 1 else list(field.coefficients(a))
 
 
 def verify_A4(f, alpha):
@@ -101,9 +99,9 @@ def verify_A4(f, alpha):
     condition for the point (alpha, f(alpha)^(1/5)).
     """
     _f_alpha, d1, g_val = taylor_coefficients(f, alpha, 3)
-    if any(d1):
+    if d1:
         raise ValueError("alpha is not a critical point of f")
-    return any(g_val), g_val
+    return g_val != 0, g_val
 
 
 def singular_points(m, max_ext):
@@ -135,19 +133,21 @@ def singular_points(m, max_ext):
     k = m.field.degree
     f_in = {ext: m.f.map_coeffs(embedding(m.field, ext), ext)
             for ext in {rec.field for rec in roots}}
-    points, facts = [], {}              # alpha -> (beta, g(alpha), leader)
+    # (field, alpha) -> (beta, g(alpha), leader): equal ints in two fields
+    # are different elements
+    points, facts = [], {}
     for rec in roots:
         fld, alpha = rec.field, rec.value
-        if alpha not in facts:
+        if (fld, alpha) not in facts:
             g_val = verify_A4(f_in[fld], alpha)[1]
             beta = fld.fifth_root(f_in[fld].eval(alpha))
-            while alpha not in facts:
-                facts[alpha] = beta, g_val, len(points)
+            while (fld, alpha) not in facts:
+                facts[fld, alpha] = beta, g_val, len(points)
                 alpha, beta, g_val = (fld.frobenius(c, k) for c in (alpha, beta, g_val))
-        beta, g_val, leader = facts[rec.value]
+        beta, g_val, leader = facts[fld, rec.value]
         points.append(SingularPointReport(
             alpha=rec.value, beta=beta, field=fld, subfield_degree=rec.subfield_degree,
-            is_A4=any(g_val), g_at_alpha=g_val, orbit_leader=leader))
+            is_A4=g_val != 0, g_at_alpha=g_val, orbit_leader=leader))
     return points
 
 
@@ -174,13 +174,13 @@ def _corrections_for(m, points, q):
     """
     fld = m.field
     q0, q1, q2 = q
-    if not (any(q0) or any(q2)):
+    if not (q0 or q2):
         return None                         # the polar is zero
     f = m.f
     at_q = fld.mul(q2, fld.pow(q1, 5))      # F(q)
     for j, a in enumerate(f.coeffs):
         at_q = fld.sub(at_q, fld.mul(a, fld.mul(fld.pow(q0, j), fld.pow(q2, 6 - j))))
-    if not any(at_q):
+    if not at_q:
         return None                         # polar point lies on the curve
     fp = f.derivative()
     weighted = GFPoly(fld, [fld.mul(a, fld.elem(6 - j)) for j, a in enumerate(f.coeffs)])
@@ -196,9 +196,9 @@ def _corrections_for(m, points, q):
             mults.append(mults[pt.orbit_leader])
             continue
         h0, h1 = taylor_coefficients(h_in[pt.field], pt.alpha, 2)
-        if not any(h1):
+        if not h1:
             return None                     # polar is singular at the point
-        if any(h0):
+        if h0:
             raise AssertionError("polar restriction does not vanish at a root of f'")
         mults.append(5)                     # 5 ord_alpha h, and h1 != 0
     return mults
@@ -210,8 +210,9 @@ class WallReport:
     total: int                  # d(d-1)
     corrections: tuple
     product: int                # total - sum(corrections)
-    polar_point: tuple
+    polar_point: tuple          # three elements of `field`
     attempts: int
+    field: GF
 
     def to_json_dict(self):
         return {
@@ -219,7 +220,7 @@ class WallReport:
             "total": self.total,
             "corrections": list(self.corrections),
             "product": self.product,
-            "polar_point": [_elem_json(c) for c in self.polar_point],
+            "polar_point": [_elem_json(self.field, c) for c in self.polar_point],
             "attempts": self.attempts,
         }
 
@@ -270,6 +271,7 @@ def analyze(m, max_ext=8, seed=0):
         product=total - sum(mults),
         polar_point=q,
         attempts=attempts,
+        field=m.field,
     )
     return CurveReport(points=reports, wall=wall)
 
@@ -298,7 +300,7 @@ def random_in_U(field, seed):
     for _ in range(1000):
         coeffs = [field.rand_elem(rng) for _ in range(6)]
         lead = field.zero
-        while not any(lead):
+        while not lead:
             lead = field.rand_elem(rng)
         f = GFPoly(field, coeffs + [lead])
         if is_in_U(f):

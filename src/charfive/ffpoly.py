@@ -1,17 +1,21 @@
 """Exact arithmetic in GF(5^k) and in univariate polynomials over it.
 
-Field elements are tuples of length k with entries in {0,...,4}: the
-residue c0 + c1*t + ... + c_{k-1}*t^{k-1} modulo a fixed irreducible
-modulus over F5.  The default modulus of each degree is the
+A field element is one int whose big-endian base-256 digits are its
+coefficients c0, c1, ..., c_{k-1} in {0,...,4}: the residue
+c0 + c1*t + ... + c_{k-1}*t^{k-1} modulo a fixed irreducible modulus over
+F5.  Zero is 0, one is 256^(k-1), an element of GF(5) is its value, and
+int order is the order of the tuples (c0, c1, ...), which
+`GF.coefficients` gives.  The default modulus of each degree is the
 lexicographically smallest monic irreducible in the ordering by
 (c0, c1, ..., c_{k-1}), found by `_search_modulus` the first time a field
 of that degree is built; a modulus given by the caller is checked with
 Rabin's test instead.  Fields of at most TABLE_MAX_ORDER elements
-compute through log/antilog tables, and add through a Zech table
-log(1 + g^n); larger ones multiply through a packed Kronecker kernel
-(`_Kronecker`) and add on bytes.  An embedding GF(5^a) -> GF(5^b) is one
-packed F5-linear map, whose columns are the powers of the image of the
-generator.
+compute through log/antilog tables keyed by element, and add through a
+Zech table log(1 + g^n); larger ones multiply the element ints, whose
+product is the Kronecker product of the residues (`_Kronecker`), and add
+them with one bytewise reduction mod 5.  An embedding GF(5^a) -> GF(5^b)
+is one packed F5-linear map, whose columns are the powers of the image
+of the generator.
 
 F5[t] arithmetic has two forms here: `_Kronecker`, whose maps come from
 t^(j+1) = t * t^j mod m, and `GFPoly` over GF(5).  Rabin's irreducibility
@@ -33,7 +37,6 @@ import ast
 import itertools
 import random
 import re
-from operator import add as _int_add
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,17 +78,17 @@ def _f5_is_irreducible(m):
         return False
     if k == 1:
         return True
-    frob = _PackedMap(list(zip(*_powers_of_t(m, P * k - P + 1)[::P])), _slot_bytes(k))
-    powers = [bytes([0, 1] + [0] * (k - 2))]
+    frob = _PackedMap(_powers_of_t(m, P * k - P + 1)[::P], k, _slot_bytes(k))
+    t = 1 << (8 * k - 16)
+    powers = [t]
     for _ in range(k):
         powers.append(frob.apply(powers[-1]))
-    t = powers[0]
     if powers[k] != t:
         return False
     f5 = GF(1)
     mpoly = GFPoly.from_ints(f5, m)
     for r in _prime_divisors(k):
-        diff = [a - b for a, b in zip(powers[k // r], t)]
+        diff = [a - b for a, b in zip(powers[k // r].to_bytes(k, "big"), t.to_bytes(k, "big"))]
         if poly_gcd(mpoly, GFPoly.from_ints(f5, diff)).degree > 0:
             return False
     return True
@@ -120,16 +123,18 @@ def _checked_modulus(k, modulus):
 # Packed (Kronecker) arithmetic
 # ---------------------------------------------------------------------------
 #
-# A coefficient vector (c0, ..., c_{n-1}) with entries in 0..4 travels as
-# `bytes`, one coefficient per byte, and is multiplied as the integer
-# sum c_i X^i with X = 256^s: one slot of s bytes per coefficient.  No sum
-# that the kernel forms in a slot exceeds 16k (at most k products of two
-# entries 0..4), so s = 1 holds up to k = 15 and larger degrees widen the
-# slots.  Since 256 = 1 (mod 5), a slot is congruent to the sum of its
-# bytes, and `bytes.translate(_MOD5)` reduces a whole vector at once.
+# A coefficient vector (c0, ..., c_{n-1}) with entries in 0..4 is multiplied
+# as an integer with one slot of s bytes per coefficient.  For s = 1 that
+# is the element int, sum c_i 256^(n-1-i), and the product of two element
+# ints holds the coefficients of the product of the residues, c0 highest.
+# No sum that the kernel forms in a slot exceeds 16k (at most k products of
+# two entries 0..4), so s = 1 holds up to k = 15.  Larger degrees widen the
+# slots and put c_i in slot i (`_spread`), so that an element with trailing
+# zero coefficients, a constant say, is a short integer there.  Since
+# 256 = 1 (mod 5), a slot is congruent to the sum of its bytes, and
+# `bytes.translate(_MOD5)` reduces a whole vector at once.
 
 _MOD5 = bytes(i % P for i in range(256))
-_NEG5 = bytes((-i) % P for i in range(256))
 
 
 def _slot_bytes(k):
@@ -140,66 +145,70 @@ def _slot_bytes(k):
     return s
 
 
-def _spread(v, s):
-    """The integer with the entries of the bytes v in s-byte slots (s > 1)."""
-    buf = bytearray(s * len(v))
-    buf[::s] = v
+def _spread(x, n, s):
+    """The integer with coefficient c_i of x in s-byte slot i, i < n (s > 1)."""
+    buf = bytearray(s * n)
+    buf[::s] = x.to_bytes(n, "big")
     return int.from_bytes(buf, "little")
 
 
 def _gather(data, start, step, s):
     """The s-byte slots of `data` at slot offsets start, start + step, ...,
-    reduced mod 5, one byte each (s > 1)."""
+    reduced mod 5, as an element int (s > 1)."""
     lanes = [data[s * start + b::s * step] for b in range(s)]
     total = sum(int.from_bytes(lane.translate(_MOD5), "little") for lane in lanes)
-    return total.to_bytes(len(lanes[0]), "little").translate(_MOD5)
+    return int.from_bytes(total.to_bytes(len(lanes[0]), "little").translate(_MOD5), "big")
 
 
 class _PackedMap:
-    """An F5-linear map v -> M v, applied with one integer product.
+    """An F5-linear map v -> M v on element ints, applied with one integer
+    product.
 
-    Q holds row i of M, reversed, in slots T*i .. T*i + n - 1 (n = number of
-    columns).  In V*Q the entry (M v)_i then sits in slot T*i + n - 1, and
+    Q holds entry t of row i of M in slot T*i + t where v has c_t in slot
+    n - 1 - t (s = 1, v the element int), and in slot T*i + n - 1 - t where
+    v has c_t in slot t (s > 1, v from `_spread`); n is the number of
+    columns.  In v*Q the entry (M v)_i then sits in slot T*i + n - 1, and
     the other sums of block i fill slots T*i .. T*i + 2n - 2; T = 2n - 1
     keeps the blocks apart.
     """
 
-    __slots__ = ("q", "n", "step", "rows", "s", "size")
+    __slots__ = ("q", "n", "step", "s", "size")
 
-    def __init__(self, matrix, s):
-        self.rows = len(matrix)
-        self.n = len(matrix[0])
+    def __init__(self, columns, rows, s):
+        """`columns` are the images of t^0, ..., t^(n-1), element ints with
+        `rows` coefficients."""
+        self.n = len(columns)
         self.step = 2 * self.n - 1
         self.s = s
-        self.size = s * self.step * self.rows
-        q = 0
-        for i, row in enumerate(matrix):
-            for t, c in enumerate(row):
-                if c:
-                    q += c << (8 * s * (self.step * i + self.n - 1 - t))
-        self.q = q
+        self.size = s * self.step * rows
+        buf = bytearray(self.size)
+        for t, col in enumerate(columns):
+            slot = t if s == 1 else self.n - 1 - t
+            buf[s * slot::s * self.step] = col.to_bytes(rows, "big")
+        self.q = int.from_bytes(buf, "little")
 
-    def apply(self, v):
+    def apply(self, x):
         if self.s == 1:
-            data = (int.from_bytes(v, "little") * self.q).to_bytes(self.size, "little")
-            return data[self.n - 1::self.step].translate(_MOD5)
-        data = (_spread(v, self.s) * self.q).to_bytes(self.size, "little")
+            data = (x * self.q).to_bytes(self.size, "little")
+            return int.from_bytes(data[self.n - 1::self.step].translate(_MOD5), "big")
+        data = (_spread(x, self.n, self.s) * self.q).to_bytes(self.size, "little")
         return _gather(data, self.n - 1, self.step, self.s)
 
 
 def _powers_of_t(modulus, count):
-    """t^j mod the monic `modulus` m for j < count, as coefficient bytes, by
+    """t^j mod the monic `modulus` m for j < count, as element ints, by
     shift and subtract: t^(j+1) = t * t^j - c * m, c the top coefficient of t^j."""
-    out, r = [], bytes([1] + [0] * (len(modulus) - 2))
+    k = len(modulus) - 1
+    neg = int.from_bytes(bytes(-c % P for c in modulus[:-1]), "big")
+    out, r = [], 1 << (8 * k - 8)
     for _ in range(count):
         out.append(r)
-        c = r[-1]
-        r = bytes((a - c * b) % P for a, b in zip(b"\0" + r[:-1], modulus))
+        r = int.from_bytes(((r >> 8) + (r & 255) * neg).to_bytes(k, "big").translate(_MOD5), "big")
     return out
 
 
 class _Kronecker:
-    """Packed arithmetic in F5[t]/(m) on coefficient bytes, m monic.
+    """Packed arithmetic in F5[t]/(m) on element ints, m monic.
 
     `mul` forms the product of two residues as one integer product, reads
     its 2k - 1 coefficients mod 5, and reduces them by the linear map whose
@@ -212,19 +221,19 @@ class _Kronecker:
     def __init__(self, modulus):
         k = len(modulus) - 1
         self.k = k
-        self.one = bytes([1] + [0] * (k - 1))
+        self.one = 1 << (8 * k - 8)
         self.s = _slot_bytes(k)
         self.modulus = modulus
-        self.reduction = _PackedMap(list(zip(*_powers_of_t(modulus, 2 * k - 1))), self.s)
+        self.reduction = _PackedMap(_powers_of_t(modulus, 2 * k - 1), k, self.s)
         self._frob = {}
 
     def mul(self, x, y):
         s, n = self.s, self.reduction.n
         if s == 1:
-            prod = (int.from_bytes(x, "little") * int.from_bytes(y, "little")).to_bytes(
-                n, "little").translate(_MOD5)
+            prod = int.from_bytes((x * y).to_bytes(n, "big").translate(_MOD5), "big")
         else:
-            prod = _gather((_spread(x, s) * _spread(y, s)).to_bytes(s * n, "little"), 0, 1, s)
+            prod = _gather((_spread(x, self.k, s) * _spread(y, self.k, s)).to_bytes(
+                s * n, "little"), 0, 1, s)
         return self.reduction.apply(prod)
 
     def pow(self, x, e):
@@ -246,7 +255,7 @@ class _Kronecker:
                 # compose two maps of about half the exponent
                 first, second = self.frobenius(e // 2), self.frobenius(e - e // 2)
                 cols = [second.apply(first.apply(t)) for t in _powers_of_t(self.modulus, self.k)]
-            fmap = self._frob[e] = _PackedMap(list(zip(*cols)), self.s)
+            fmap = self._frob[e] = _PackedMap(cols, self.k, self.s)
         return fmap
 
     def inv(self, x):
@@ -259,7 +268,7 @@ class _Kronecker:
         """
         k = self.k
         if k == 1:
-            return bytes([pow(x[0], -1, P)])
+            return pow(x, -1, P)
         frob = self.frobenius(1)
         y, m = x, 1
         for bit in bin(k - 1)[3:]:
@@ -269,8 +278,8 @@ class _Kronecker:
                 y = self.mul(x, frob.apply(y))
                 m += 1
         y = frob.apply(y)
-        scale = pow(self.mul(x, y)[0], -1, P)
-        return (int.from_bytes(y, "little") * scale).to_bytes(k, "little").translate(_MOD5)
+        scale = pow(self.mul(x, y) >> (8 * k - 8), -1, P)
+        return int.from_bytes((y * scale).to_bytes(k, "big").translate(_MOD5), "big")
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +289,7 @@ def _arithmetic(modulus):
 
     The packed kernel always exists.  Fields with at most TABLE_MAX_ORDER
     elements also get log/antilog tables for a primitive element g (the
-    smallest in element order): log maps each element tuple to its
+    first in the order of `GF.from_int` codes): log maps each element int to its
     exponent, and zero to 2(q - 1); antilog[i] = g^i for i < 2(q - 1) and
     zero from there on, so the sum of two logs indexes antilog without a
     reduction mod q - 1.  zech[n] = log(1 + g^n), listed twice so that any
@@ -291,21 +300,22 @@ def _arithmetic(modulus):
     q = P ** k
     if q > TABLE_MAX_ORDER:
         return None, None, None, kron
-    zero, one = bytes(k), kron.one
+    one = kron.one
     exponents = [(q - 1) // r for r in _prime_divisors(q - 1)]
     for code in range(2, q):
-        g = bytes((code // P ** i) % P for i in range(k))
+        g = int.from_bytes(bytes((code // P ** i) % P for i in range(k)), "big")
         if all(kron.pow(g, e) != one for e in exponents):
             break
     powers = []
     x = one
     for _ in range(q - 1):
-        powers.append(tuple(x))
+        powers.append(x)
         x = kron.mul(x, g)
     log = {a: i for i, a in enumerate(powers)}
-    log[tuple(zero)] = 2 * (q - 1)
-    antilog = powers * 2 + [tuple(zero)] * (2 * q - 1)
-    zech = [log[((a[0] + 1) % P,) + a[1:]] for a in powers] * 2
+    log[0] = 2 * (q - 1)
+    antilog = powers * 2 + [0] * (2 * q - 1)
+    # 1 + a adds one to c0, the top byte: c0 = 4 iff a >= 4 * one
+    zech = [log[a - 4 * one if a >= 4 * one else a + one] for a in powers] * 2
     return log, antilog, zech, kron
 
 
@@ -325,15 +335,15 @@ TABLE_MAX_ORDER = P ** 5
 class GF:
     """The field with 5^degree elements, as residues mod a fixed modulus.
 
-    Elements are tuples of k coefficients.  Fields with at most
-    TABLE_MAX_ORDER elements multiply and add through log and Zech tables,
-    larger ones through the packed Kronecker kernel and bytes; both are
-    built on the first construction of a field and shared by every later
-    one.
+    Elements are ints, c0 in the highest byte (module docstring).  Fields
+    with at most TABLE_MAX_ORDER elements multiply and add through log and
+    Zech tables, larger ones through the packed Kronecker kernel and one
+    bytewise reduction; both are built on the first construction of a
+    field and shared by every later one.
     """
 
-    __slots__ = ("degree", "modulus", "order", "zero", "one", "_log", "_antilog", "_zech",
-                 "_kron")
+    __slots__ = ("degree", "modulus", "order", "zero", "one", "_fives", "_log", "_antilog",
+                 "_zech", "_kron")
 
     def __init__(self, degree, modulus=None):
         degree = int(degree)
@@ -347,8 +357,9 @@ class GF:
         self.degree = degree
         self.modulus = modulus
         self.order = P ** degree
-        self.zero = (0,) * degree
-        self.one = tuple([1] + [0] * (degree - 1))
+        self.zero = 0
+        self.one = 1 << (8 * degree - 8)
+        self._fives = int.from_bytes(bytes([P]) * degree, "big")   # 5 in every byte
 
     def __eq__(self, other):
         return (isinstance(other, GF) and self.degree == other.degree
@@ -365,32 +376,40 @@ class GF:
     # -- element construction ------------------------------------------------
 
     def elem(self, value):
-        """Coerce an int (prime subfield) or coefficient sequence."""
+        """The element of an int, read in the prime subfield (elem(3) is
+        3 * one), or of a coefficient sequence (c0, c1, ...)."""
         if isinstance(value, int):
-            return tuple([value % P] + [0] * (self.degree - 1))
+            return value % P * self.one
         value = list(value)
         if len(value) > self.degree:
             raise ValueError("too many coefficients")
-        value += [0] * (self.degree - len(value))
-        return tuple(int(x) % P for x in value)
+        return int.from_bytes(bytes(int(x) % P for x in value).ljust(self.degree, b"\0"), "big")
+
+    def coefficients(self, a):
+        """The tuple (c0, ..., c_{k-1}) of an element."""
+        return tuple(a.to_bytes(self.degree, "big"))
 
     def from_int(self, code):
         """Element with base-5 digit expansion `code` (an enumeration index)."""
-        out = []
+        out = 0
         for _ in range(self.degree):
-            out.append(code % P)
-            code //= P
-        return tuple(out)
+            code, c = divmod(code, P)
+            out = out << 8 | c
+        return out
 
     def rand_elem(self, rng):
         return self.from_int(rng.randrange(self.order))
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _reduce(self, x):
+        """x with each byte reduced mod 5."""
+        return int.from_bytes(x.to_bytes(self.degree, "big").translate(_MOD5), "big")
+
     def add(self, a, b):
         zech = self._zech
         if zech is None:
-            return tuple(bytes(map(_int_add, a, b)).translate(_MOD5))
+            return self._reduce(a + b)
         la, lb = self._log[a], self._log[b]
         if la > lb:
             la, lb = lb, la
@@ -401,7 +420,7 @@ class GF:
     def sub(self, a, b):
         zech = self._zech
         if zech is None:
-            return tuple(bytes(map(_int_add, a, bytes(b).translate(_NEG5))).translate(_MOD5))
+            return self._reduce(a + self._fives - b)        # no byte borrows
         # -1 = g^((q - 1)/2), and len(zech) = 2(q - 1) is the log of zero
         la, lb = self._log[a], self._log[b] + len(zech) // 4
         if lb > len(zech):
@@ -413,21 +432,21 @@ class GF:
     def neg(self, a):
         zech = self._zech
         if zech is None:
-            return tuple(bytes(a).translate(_NEG5))
+            return self._reduce(self._fives - a)
         return self._antilog[self._log[a] + len(zech) // 4]
 
     def mul(self, a, b):
         log = self._log
         if log is not None:
             return self._antilog[log[a] + log[b]]
-        return tuple(self._kron.mul(bytes(a), bytes(b)))
+        return self._kron.mul(a, b)
 
     def inv(self, a):
         log = self._log
         if log is None:
-            if not any(a):
+            if not a:
                 raise ZeroDivisionError("inversion of zero")
-            return tuple(self._kron.inv(bytes(a)))
+            return self._kron.inv(a)
         e = log[a]
         if e == 2 * (self.order - 1):
             raise ZeroDivisionError("inversion of zero")
@@ -440,7 +459,7 @@ class GF:
             e = -e
         log = self._log
         if log is None:
-            return tuple(self._kron.pow(bytes(a), e))
+            return self._kron.pow(a, e)
         la = log[a]
         if la == 2 * (self.order - 1):
             return self.one if e == 0 else self.zero
@@ -450,7 +469,7 @@ class GF:
         """a^(5^e), e >= 1 (any e >= 0 in a table field)."""
         if self._log is not None:
             return self.pow(a, P ** e)
-        return tuple(self._kron.frobenius(e).apply(bytes(a)))
+        return self._kron.frobenius(e).apply(a)
 
     def fifth_root(self, a):
         """The unique c with c^5 = a (the inverse of the Frobenius)."""
@@ -458,8 +477,8 @@ class GF:
 
     def format_elem(self, a):
         if self.degree == 1:
-            return str(a[0])
-        return "[" + ",".join(str(x) for x in a) + "]"
+            return str(a)
+        return "[" + ",".join(map(str, self.coefficients(a))) + "]"
 
 
 @lru_cache(maxsize=None)
@@ -481,7 +500,7 @@ def _embedding_map(src, dst):
         rho = _embedding_image(src, dst)
         for _ in range(src.degree - 1):
             cols.append(dst.mul(cols[-1], rho))
-    return _PackedMap(list(zip(*cols)), _slot_bytes(src.degree))
+    return _PackedMap(cols, dst.degree, _slot_bytes(src.degree))
 
 
 def embedding(src, dst):
@@ -495,8 +514,7 @@ def embedding(src, dst):
         raise ValueError("no embedding: source degree does not divide target")
     if src == dst:
         return lambda a: a
-    apply = _embedding_map(src, dst).apply
-    return lambda a: tuple(apply(bytes(a)))
+    return _embedding_map(src, dst).apply
 
 
 def subfield_degree(field, a):
@@ -521,7 +539,7 @@ class GFPoly:
     def __init__(self, field, coeffs=()):
         """`coeffs` are elements of `field`; `from_ints` takes ints."""
         cs = list(coeffs)
-        while cs and not any(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -572,35 +590,41 @@ class GFPoly:
 
     def __mul__(self, other):
         f = self.field
-        if isinstance(other, tuple):
-            return GFPoly(f, [f.mul(c, other) for c in self.coeffs])
+        mul = f.mul
+        if isinstance(other, int):
+            return GFPoly(f, [mul(c, other) for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return GFPoly(f, [])
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        add = f.add
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if any(a):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
+            if a:
+                for j, b in terms:
+                    out[i + j] = add(out[i + j], mul(a, b))
         return GFPoly(f, out)
 
     def __divmod__(self, other):
         f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [f.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = other.leading()
-        inv_lead = None if lead == f.one else f.inv(lead)
         d = other.degree
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] if inv_lead is None else f.mul(rem[-1], inv_lead)
-            shift = len(rem) - 1 - d
-            quo[shift] = c
-            for i, b in enumerate(other.coeffs):
-                rem[shift + i] = f.sub(rem[shift + i], f.mul(c, b))
-            while rem and not any(rem[-1]):
-                rem.pop()
-        return GFPoly(f, quo), GFPoly(f, rem)
+        if self.degree < d:
+            return GFPoly(f, []), self
+        sub, mul = f.sub, f.mul
+        rem = list(self.coeffs)
+        quo = [0] * (len(rem) - d)
+        lead = other.coeffs[-1]
+        inv_lead = None if lead == f.one else f.inv(lead)
+        # the leading term cancels by construction: rem[shift + d] is not updated
+        terms = [(i, b) for i, b in enumerate(other.coeffs[:-1]) if b]
+        for shift in range(len(quo) - 1, -1, -1):
+            c = rem[shift + d]
+            if c:
+                c = quo[shift] = c if inv_lead is None else mul(c, inv_lead)
+                for i, b in terms:
+                    rem[shift + i] = sub(rem[shift + i], mul(c, b))
+        return GFPoly(f, quo), GFPoly(f, rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -621,10 +645,10 @@ class GFPoly:
         return GFPoly(f, out)
 
     def eval(self, x):
-        f = self.field
-        acc = f.zero
+        add, mul = self.field.add, self.field.mul
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
     def map_coeffs(self, fn, new_field):
@@ -663,7 +687,7 @@ def poly_fifth_root(u):
     for i, c in enumerate(u.coeffs):
         if i % P == 0:
             out.append(f.fifth_root(c))
-        elif any(c):
+        elif c:
             raise ValueError("polynomial is not a fifth power")
     return GFPoly(f, out)
 
@@ -681,22 +705,23 @@ def _fifth_power_table(mod):
     Each entry then costs deg(mod)^2 multiplications and no division.
     """
     f = mod.field
+    add, sub, mul, frobenius = f.add, f.sub, f.mul, f.frobenius
     d = mod.degree
-    rows, t = [], [f.one] + [f.zero] * (d - 1)
+    rows, t = [], [f.one] + [0] * (d - 1)
     for n in range(P * (d - 1) + 1):
         if n % P == 0:
             rows.append(t)
-        top, t = t[-1], [f.zero] + t[:-1]
-        if any(top):
-            t = [f.sub(a, f.mul(top, b)) for a, b in zip(t, mod.coeffs)]
+        top, t = t[-1], [0] + t[:-1]
+        if top:
+            t = [sub(a, mul(top, b)) if b else a for a, b in zip(t, mod.coeffs)]
     entry = list((GFPoly.x(f) % mod).coeffs)
     while True:
         yield GFPoly(f, entry)
-        acc = [f.zero] * d
+        acc = [0] * d
         for c, row in zip(entry, rows):
-            if any(c):
-                c = f.frobenius(c)
-                acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, row)]
+            if c:
+                c = frobenius(c)
+                acc = [add(a, mul(c, b)) if b else a for a, b in zip(acc, row)]
         entry = acc
 
 
@@ -717,6 +742,7 @@ def _split_orbits(g, powers, k, m, seed):
     certifies them, and each conjugate leaves the pending factor it divides.
     """
     f = g.field
+    add, mul, frobenius = f.add, f.mul, f.frobenius
     n = g.degree
     rng = random.Random(seed)
 
@@ -729,11 +755,12 @@ def _split_orbits(g, powers, k, m, seed):
         h = pending.pop()
         while h.degree > 1:
             b = f.rand_elem(rng)
-            coeffs = [f.zero] * n
+            coeffs = [0] * n
             for power in powers:
                 for i, c in enumerate(power.coeffs):
-                    coeffs[i] = f.add(coeffs[i], f.mul(b, c))
-                b = f.frobenius(b)
+                    if c:
+                        coeffs[i] = add(coeffs[i], mul(b, c))
+                b = frobenius(b)
             trace = GFPoly(f, coeffs) % h
             if trace.degree < 1:
                 continue
@@ -762,7 +789,7 @@ def _split_orbits(g, powers, k, m, seed):
         orbits.append(orbit)
         if g.degree > 0:
             for r in orbit[1:]:
-                i = next(i for i, p in enumerate(pending) if not any(p.eval(r)))
+                i = next(i for i, p in enumerate(pending) if not p.eval(r))
                 pending[i] = pending[i] // x_minus(r)
             pending = [p for p in pending if p.degree > 0]
     return orbits
@@ -772,26 +799,27 @@ def taylor_coefficients(u, r, count):
     """Yields the coefficients of x^0, ..., x^(count-1) in u(x + r), zero
     past the degree: each is the remainder of one synthetic division by
     x - r, done in place on the quotient before it."""
-    f = u.field
+    add, mul = u.field.add, u.field.mul
     cs = list(u.coeffs)
     for _ in range(count):
         for i in range(len(cs) - 2, -1, -1):
-            cs[i] = f.add(cs[i], f.mul(r, cs[i + 1]))
-        yield cs.pop(0) if cs else f.zero
+            if cs[i + 1]:
+                cs[i] = add(cs[i], mul(r, cs[i + 1]))
+        yield cs.pop(0) if cs else 0
 
 
 def _root_multiplicity(u, r):
     """The multiplicity of r as a root of u (0 when u(r) != 0): the index of
     the first nonzero coefficient of u(x + r)."""
     for mult, c in enumerate(taylor_coefficients(u, r, len(u.coeffs))):
-        if any(c):
+        if c:
             return mult
     raise ValueError("zero polynomial")
 
 
 @dataclass(frozen=True)
 class RootInExtension:
-    value: tuple
+    value: int
     multiplicity: int
     subfield_degree: int
     field: GF
@@ -932,12 +960,8 @@ def parse_poly_literal(text):
 def format_poly_literal(p):
     field = p.field
     if field.degree == 1:
-        body = "[" + ",".join(str(c[0]) for c in p.coeffs) + "]"
-        return body + "@5"
-    parts = []
-    for c in p.coeffs:
-        parts.append("[" + ",".join(str(x) for x in c) + "]")
-    body = "[" + ",".join(parts) + "]"
+        return "[" + ",".join(map(str, p.coeffs)) + "]@5"
+    body = "[" + ",".join(field.format_elem(c) for c in p.coeffs) + "]"
     tag = f"@5^{field.degree}"
     if field.modulus == _search_modulus(field.degree):
         return body + tag

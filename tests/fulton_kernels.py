@@ -32,7 +32,7 @@ class Poly:
 
     def __init__(self, field, terms=None):
         self.field = field
-        self.terms = {k: tuple(c) for k, c in (terms or {}).items() if any(c)}
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     def is_zero(self):
         return not self.terms
@@ -97,8 +97,8 @@ class Poly:
         return _collect(f, (
             ((ii, jj), f.mul(c, f.mul(ca, cb)))
             for (i, j), c in self.terms.items()
-            for ii, ca in enumerate(pow_a[i]) if any(ca)
-            for jj, cb in enumerate(pow_b[j]) if any(cb)))
+            for ii, ca in enumerate(pow_a[i]) if ca
+            for jj, cb in enumerate(pow_b[j]) if cb))
 
     def restrict_y0(self):
         """p(x, 0) as a univariate polynomial in x."""
@@ -210,7 +210,7 @@ def _imult_origin(F, G, budget):
             return INF                     # both divisible by y
         if f0.is_zero():
             # F = y * F1 and I(y, G) = ord_0 G(x, 0)
-            ord_g = next(i for i, c in enumerate(g0.coeffs) if any(c))
+            ord_g = next(i for i, c in enumerate(g0.coeffs) if c)
             total += ord_g
             if total > budget:
                 return INF
@@ -234,7 +234,7 @@ def fulton_corrections_for(m, points, q):
     polar = polar_of(m, q)
     if polar.is_zero():
         return None
-    if not any(big.eval(q)):
+    if not big.eval(q):
         return None                         # polar point lies on the curve
     mults = []
     for pt in points:
@@ -245,7 +245,7 @@ def fulton_corrections_for(m, points, q):
         a, b = pt.alpha, pt.beta
         dx = polar2.partial(0).eval((a, b))
         dy = polar2.partial(1).eval((a, b))
-        if not (any(dx) or any(dy)):
+        if not (dx or dy):
             return None                     # polar is singular at the point
         mult = local_intersection_multiplicity(curve2, polar2, (a, b))
         if mult == INF:

@@ -28,20 +28,20 @@ def corrections_per_point(m, points, q):
     """`_corrections_for` with h expanded at every point."""
     fld = m.field
     q0, q1, q2 = q
-    if not (any(q0) or any(q2)):
+    if not (q0 or q2):
         return None
     f = m.f
     at_q = fld.mul(q2, fld.pow(q1, 5))
     for j, a in enumerate(f.coeffs):
         at_q = fld.sub(at_q, fld.mul(a, fld.mul(fld.pow(q0, j), fld.pow(q2, 6 - j))))
-    if not any(at_q):
+    if not at_q:
         return None
     h = GFPoly(fld, [fld.neg(q0), q2]) * f.derivative()
     mults = []
     for pt in points:
         h_ext = h.map_coeffs(embedding(fld, pt.field), pt.field)
         h0, h1 = taylor_coefficients(h_ext, pt.alpha, 2)
-        if not any(h1):
+        if not h1:
             return None
-        mults.append(0 if any(h0) else 5)
+        mults.append(0 if h0 else 5)
     return mults

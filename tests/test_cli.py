@@ -79,6 +79,9 @@ def test_classify_matches_golden():
     ("curve_check_gf625_deg20.json",
      ["curve", "check", "--poly",
       "[[2,2,3,4],[2,1,3,0],[1,4,4,3],[2,3,0,2],[2,2,1,0],[0,0,0,0],[4,4,0,1]]@5^4"]),
+    # a packed base field below GF(5^12): `curve random` stdout with --check
+    ("curve_random_gf5_6_check.json",
+     ["curve", "random", "--field", "5^6", "--seed", "0", "--count", "8", "--check"]),
 ])
 def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)

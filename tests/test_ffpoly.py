@@ -58,7 +58,7 @@ def test_field_axioms_random():
             assert fld.add(fld.add(a, b), c) == fld.add(a, fld.add(b, c))
             assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
             assert fld.mul(a, b) == fld.mul(b, a)
-            if any(a):
+            if a:
                 assert fld.mul(a, fld.inv(a)) == fld.one
             assert fld.sub(fld.add(a, b), b) == a
 
@@ -68,28 +68,50 @@ def test_field_axioms_random():
 CORE_DEGREES = tuple(range(1, 13)) + (15, 16)
 
 
+@pytest.mark.parametrize("k", tuple(range(1, 13)) + (16, 20))
+def test_elements_are_big_endian_coefficient_ints(k):
+    """An element is the int with base-256 digits c0, c1, ... (c0 highest):
+    `coefficients` inverts `elem`, int order is tuple order on 500 seeded
+    elements, `from_int(code)` has the base-5 digits of code with c0
+    lowest, and zero is the only falsy element."""
+    fld = GF(k)
+    rng = random.Random(4000 + k)
+    tuples = [tuple(rng.randrange(P) for _ in range(k)) for _ in range(500)]
+    tuples += [(0,) * k, (1,) + (0,) * (k - 1), (P - 1,) * k]
+    elems = [fld.elem(t) for t in tuples]
+    assert [fld.coefficients(a) for a in elems] == tuples
+    assert all(a == int.from_bytes(bytes(t), "big") for a, t in zip(elems, tuples))
+    assert sorted(elems) == [fld.elem(t) for t in sorted(tuples)]
+    assert (fld.zero, fld.one) == (fld.elem((0,) * k), fld.elem((1,))) == (0, 256 ** (k - 1))
+    for code in [rng.randrange(fld.order) for _ in range(100)] + [0, 1, fld.order - 1]:
+        assert fld.coefficients(fld.from_int(code)) == tuple(code // P ** i % P for i in range(k))
+    assert [bool(a) for a in elems] == [any(t) for t in tuples]
+
+
 @pytest.mark.parametrize("k", CORE_DEGREES)
 def test_core_matches_tuple_oracle(k):
     """Tables (q <= TABLE_MAX_ORDER) and the packed kernel (above) against
-    the schoolbook tuple arithmetic, on seeded random pairs."""
+    the schoolbook tuple arithmetic, on seeded random pairs, each element
+    compared through its coefficient tuple."""
     fld = GF(k)
-    m = fld.modulus
+    m, co = fld.modulus, fld.coefficients
     rng = random.Random(1000 + k)
-    top = (P - 1,) * k           # the largest slot sums the packed kernel forms
+    top = fld.elem((P - 1,) * k)    # the largest slot sums the packed kernel forms
     pairs = [(top, top), (top, fld.one)]
     pairs += [(fld.rand_elem(rng), fld.rand_elem(rng)) for _ in range(120)]
     for a, b in pairs:
-        assert fld.mul(a, b) == oracle.mul(m, a, b)
-        assert fld.add(a, b) == oracle.add(a, b)
-        assert fld.sub(a, b) == oracle.sub(a, b)
-        assert fld.neg(b) == oracle.sub(fld.zero, b)
-        if any(b):
-            assert fld.inv(b) == oracle.inv(m, b)
-            assert fld.mul(a, fld.inv(b)) == oracle.mul(m, a, oracle.inv(m, b))
+        ta, tb = co(a), co(b)
+        assert co(fld.mul(a, b)) == oracle.mul(m, ta, tb)
+        assert co(fld.add(a, b)) == oracle.add(ta, tb)
+        assert co(fld.sub(a, b)) == oracle.sub(ta, tb)
+        assert co(fld.neg(b)) == oracle.sub(co(fld.zero), tb)
+        if b:
+            assert co(fld.inv(b)) == oracle.inv(m, tb)
+            assert co(fld.mul(a, fld.inv(b))) == oracle.mul(m, ta, oracle.inv(m, tb))
         e = rng.randrange(-7, 40)
-        if any(a):
-            base = a if e >= 0 else oracle.inv(m, a)
-            assert fld.pow(a, e) == oracle.pow_(m, base, abs(e))
+        if a:
+            base = ta if e >= 0 else oracle.inv(m, ta)
+            assert co(fld.pow(a, e)) == oracle.pow_(m, base, abs(e))
 
 
 def test_zech_sums_match_tuple_oracle():
@@ -99,6 +121,7 @@ def test_zech_sums_match_tuple_oracle():
     a = b and with a = -b."""
     for k in (1, 2, 3, 4, 5):
         fld = GF(k)
+        co = fld.coefficients
         assert fld._zech is not None
         if k <= 3:
             elems = [fld.from_int(i) for i in range(fld.order)]
@@ -108,12 +131,13 @@ def test_zech_sums_match_tuple_oracle():
             pairs = [(fld.zero, fld.zero)]
             for i in range(1999):
                 a = fld.rand_elem(rng)
-                b = (fld.zero, a, oracle.sub(fld.zero, a), fld.rand_elem(rng))[i % 4]
+                minus_a = fld.elem(oracle.sub(co(fld.zero), co(a)))
+                b = (fld.zero, a, minus_a, fld.rand_elem(rng))[i % 4]
                 pairs.append((a, b) if i % 8 < 4 else (b, a))
         for a, b in pairs:
-            assert fld.add(a, b) == oracle.add(a, b)
-            assert fld.sub(a, b) == oracle.sub(a, b)
-            assert fld.neg(b) == oracle.sub(fld.zero, b)
+            assert co(fld.add(a, b)) == oracle.add(co(a), co(b))
+            assert co(fld.sub(a, b)) == oracle.sub(co(a), co(b))
+            assert co(fld.neg(b)) == oracle.sub(co(fld.zero), co(b))
 
 
 @pytest.mark.parametrize("k", CORE_DEGREES)
@@ -132,9 +156,10 @@ def test_core_field_laws(k):
         assert fld.mul(a, zero) == zero and fld.mul(one, a) == a
         assert fld.add(a, zero) == a and fld.sub(a, a) == zero
         assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
-        assert fld.frobenius(a) == oracle.pow_(fld.modulus, a, 5)
+        assert fld.coefficients(fld.frobenius(a)) \
+            == oracle.pow_(fld.modulus, fld.coefficients(a), 5)
         assert fld.fifth_root(fld.frobenius(a)) == a
-        if any(a):
+        if a:
             assert fld.mul(a, fld.inv(a)) == one
 
 
@@ -378,7 +403,7 @@ def test_roots_in_field_matches_scan(k):
         scan = []
         for a in map(fld.from_int, range(fld.order)):
             mult, v = 0, u
-            while not any(v.eval(a)):
+            while not v.eval(a):
                 v = v // GFPoly(fld, [fld.neg(a), fld.one])
                 mult += 1
             if mult:
@@ -398,7 +423,7 @@ def test_roots_in_extension_quintic():
     emb = embedding(F5, f625)
     u625 = u.map_coeffs(emb, f625)
     brute = sorted(a for a in map(f625.from_int, range(f625.order))
-                   if not any(u625.eval(a)))
+                   if not u625.eval(a))
     assert sorted(emb(r.value) if r.field.degree == 1 else r.value
                   for r in recs) == brute
 
@@ -715,7 +740,7 @@ def test_embedding_properties():
     # the image of the generator is a root of the source modulus
     gen_img = emb(src.elem([0, 1]))
     mod = GFPoly.from_ints(dst, list(src.modulus))
-    assert not any(mod.eval(gen_img))
+    assert not mod.eval(gen_img)
     for _ in range(100):
         a = src.rand_elem(rng)
         b = src.rand_elem(rng)
@@ -759,15 +784,16 @@ def test_embedding_map_matches_horner_oracle(a, b, exhaustive):
         rho = dst.elem([0, 1])          # the identity
     else:
         rho = _embedding_image(src, dst)
-    horner = oracle.horner_embedding(dst.modulus, rho)
+    horner = oracle.horner_embedding(dst.modulus, dst.coefficients(rho))
     emb = embedding(src, dst)
     if exhaustive:
         elems = [src.from_int(i) for i in range(src.order)]
     else:
         rng = random.Random(40 * a + b)
-        elems = [src.zero, src.one, (P - 1,) * a] + [src.rand_elem(rng) for _ in range(60)]
+        elems = [src.zero, src.one, src.elem((P - 1,) * a)]
+        elems += [src.rand_elem(rng) for _ in range(60)]
     for x in elems:
-        assert emb(x) == horner(x)
+        assert dst.coefficients(emb(x)) == horner(src.coefficients(x))
 
 
 def test_subfield_degree():
