@@ -1,4 +1,4 @@
-"""Command-line front door.
+"""Command-line front door: charfive DOMAIN VERB [--option VALUE] ...
 
 Verbs:
     lattice table1        the 13-row isotropy table
@@ -10,17 +10,18 @@ Verbs:
     curve ns              the rank-22 sublattice model as lattice JSON
     curve random          seeded admissible sextics
 
+Options take their full names, as `--option VALUE` or `--option=VALUE`; the
+last of a repeated option counts.  `DOMAIN VERB --help` lists VERB's options.
 JSON output is canonical (sorted keys, fixed separators); identical
 command and seed give byte-identical stdout.  Timing diagnostics go to
 stderr only.  Exit codes: 0 success, 1 verification failure, 2 usage error
 or a file that cannot be read or written.
 """
 
-import argparse
 import json
 import sys
 import time
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import __version__, curvecheck, discform
 from .ffpoly import (
@@ -35,29 +36,77 @@ class _FileError(Exception):
     """An input file could not be read or an output file written."""
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _parse_field(text):
-    try:
-        return GF(parse_field_degree(text))
-    except ValueError as exc:
-        raise _UsageError(f"--field: {exc}")
-
-
-def _at_least(low):
-    """argparse type: an integer no smaller than low."""
+def _integer(low=None):
+    """Option parse: an integer, no smaller than `low` when one is given."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"invalid int value: {text!r}") from None
+        if low is not None and value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+def _format(text):
+    if text not in ("json", "md"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'json', 'md')")
+    return text
+
+
+_REQUIRED = object()
+
+_OUT = {"--out": ("out", str, None)}
+_CURVE = {"--poly": ("poly", str, _REQUIRED), "--max-ext": ("max_ext", _integer(1), 8)}
+_SEED = {"--seed": ("seed", _integer(), 0)}
+
+#: (domain, verb) -> {option: (attribute, parse, default)}: the one definition
+#: of the verbs and their options.  `parse` turns the option's text into the
+#: attribute's value or raises ValueError; a flag has no parse and sets True,
+#: and an option whose default is _REQUIRED must be given.  Curve output is
+#: always JSON, and ns draws no polar, so it takes no seed.
+VERBS = {
+    ("lattice", "table1"): {"--format": ("format", _format, "json"), **_OUT},
+    ("lattice", "classify"): {"--format": ("format", _format, "json"), **_OUT},
+    ("lattice", "verify"): {"--in": ("infile", str, None), **_OUT},
+    **{("curve", verb): {**_CURVE, **_SEED, **_OUT} for verb in ("check", "sing", "wall")},
+    ("curve", "ns"): {**_CURVE, **_OUT},
+    ("curve", "random"): {"--field": ("field", parse_field_degree, 1), **_SEED,
+                          "--count": ("count", _integer(0), 1),
+                          "--check": ("check", None, False),
+                          "--max-ext": ("max_ext", _integer(1), 8), **_OUT},
+}
+
+
+def _parse_args(argv):
+    """The verb named by argv[:2], with one attribute per option of it: the
+    last value given, parsed, or the default."""
+    options = VERBS.get(tuple(argv[:2]))
+    if options is None:
+        raise _UsageError(f"unknown verb {' '.join(argv[:2])!r} (see --help)")
+    args = SimpleNamespace(domain=argv[0], verb=argv[1], command_echo=argv, **{
+        attribute: default for attribute, _parse, default in options.values()})
+    tokens = iter(argv[2:])
+    for token in tokens:
+        name, given, value = token.partition("=")
+        if name not in options:
+            raise _UsageError(f"unrecognized argument: {token}")
+        attribute, parse, _default = options[name]
+        if parse is None and given:
+            raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+        if parse is not None and not given:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"argument {name}: expected one argument")
+        try:
+            setattr(args, attribute, True if parse is None else parse(value))
+        except ValueError as exc:
+            raise _UsageError(f"argument {name}: {exc}") from None
+    missing = [name for name, option in options.items() if getattr(args, option[0]) is _REQUIRED]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    return args
 
 
 def _canonical_json(payload):
@@ -98,49 +147,11 @@ def _wrap(args, results, seed=None):
     return payload
 
 
-@lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built on the first `run` and reused after."""
-    parser = _ArgumentParser(prog="charfive", description=__doc__)
-    sub = parser.add_subparsers(dest="domain", required=True)
-
-    lat = sub.add_parser("lattice", help="overlattice classification")
-    lat_sub = lat.add_subparsers(dest="verb", required=True)
-    for verb in ("table1", "classify"):
-        p = lat_sub.add_parser(verb)
-        p.add_argument("--format", choices=("json", "md"), default="json")
-        p.add_argument("--out", default=None)
-    pv = lat_sub.add_parser("verify")
-    pv.add_argument("--in", dest="infile", default=None,
-                    help="classification JSON (defaults to stdin)")
-    pv.add_argument("--out", default=None)
-
-    cur = sub.add_parser("curve", help="sextic curve checks")
-    cur_sub = cur.add_subparsers(dest="verb", required=True)
-    # curve output is always JSON; ns draws no polar, so it takes no seed
-    for verb in ("check", "sing", "wall", "ns"):
-        p = cur_sub.add_parser(verb)
-        p.add_argument("--poly", required=True)
-        p.add_argument("--max-ext", type=_at_least(1), default=8)
-        if verb != "ns":
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-    pr = cur_sub.add_parser("random")
-    pr.add_argument("--field", default="5")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--count", type=_at_least(0), default=1)
-    pr.add_argument("--check", action="store_true",
-                    help="run the full pipeline on each sample")
-    pr.add_argument("--max-ext", type=_at_least(1), default=8)
-    pr.add_argument("--out", default=None)
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # lattice verbs
 # ---------------------------------------------------------------------------
 
-def _cmd_table1(args, stdout):
+def _cmd_table1(args, stdout, _stderr):
     rows = discform.isotropic_table()
     if args.format == "md":
         body = _md_table(
@@ -154,7 +165,7 @@ def _cmd_table1(args, stdout):
     return 0
 
 
-def _cmd_classify(args, stdout):
+def _cmd_classify(args, stdout, _stderr):
     records = discform.classify_isotropic_subgroups()
     if args.format == "md":
         body = _md_table(
@@ -269,7 +280,7 @@ def _cmd_verify(args, stdout, stderr):
 def _load_model(args):
     try:
         f = parse_poly_literal(args.poly)
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, RecursionError) as exc:     # RecursionError: nested too deep
         raise _UsageError(f"bad polynomial literal: {exc}") from exc
     if f.degree != 6:
         raise _UsageError("polynomial must have degree 6")
@@ -289,9 +300,9 @@ def _curve_payload(model, args):
     return out
 
 
-def _cmd_curve(args, stdout, verb):
+def _cmd_curve(args, stdout, _stderr):
     model = _load_model(args)
-    if verb == "ns":
+    if args.verb == "ns":
         try:
             lat = curvecheck.ns_gram_model(curvecheck.singular_points(model, args.max_ext))
         except curvecheck.OutsideUError as exc:
@@ -300,14 +311,14 @@ def _cmd_curve(args, stdout, verb):
         return 0
     results = _curve_payload(model, args)
     # sing and wall print one half of the one analysis check prints in full
-    results.pop({"sing": "wall", "wall": "points"}.get(verb), None)
+    results.pop({"sing": "wall", "wall": "points"}.get(args.verb), None)
     payload = _wrap(args, results, seed=args.seed)
     _emit(_canonical_json(payload), args, stdout)
     return 0
 
 
-def _cmd_random(args, stdout):
-    field = _parse_field(args.field)
+def _cmd_random(args, stdout, _stderr):
+    field = GF(args.field)
     results = []
     for i in range(args.count):
         model = curvecheck.random_in_U(field, args.seed + i)
@@ -332,23 +343,17 @@ def _cmd_random(args, stdout):
 def run(argv, stdout=None, stderr=None):
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    argv = list(argv)
+    if "-h" in argv or "--help" in argv:        # the docstring, and a verb's options
+        options = " ".join(VERBS.get(tuple(argv[:2]), ()))
+        stdout.write((__doc__ or "") + (options and f"\n{argv[0]} {argv[1]} options: {options}\n"))
+        return 0
     try:
-        args = parser.parse_args(argv)
-        args.command_echo = list(argv)
+        args = _parse_args(argv)
         started = time.monotonic()
-        if args.domain == "lattice":
-            if args.verb == "table1":
-                code = _cmd_table1(args, stdout)
-            elif args.verb == "classify":
-                code = _cmd_classify(args, stdout)
-            else:
-                code = _cmd_verify(args, stdout, stderr)
-        else:
-            if args.verb == "random":
-                code = _cmd_random(args, stdout)
-            else:
-                code = _cmd_curve(args, stdout, args.verb)
+        command = {"table1": _cmd_table1, "classify": _cmd_classify, "verify": _cmd_verify,
+                   "random": _cmd_random}.get(args.verb, _cmd_curve)
+        code = command(args, stdout, stderr)
         stderr.write(f"# elapsed {time.monotonic() - started:.2f}s\n")
         return code
     except _UsageError as exc:

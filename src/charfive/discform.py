@@ -22,7 +22,7 @@ iff it holds the image of that subgroup's basis under some symmetry
 """
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from math import prod
@@ -154,9 +154,11 @@ class IsotropicSubgroup:
     generators.  q(u + w) = q(u) + q(w) + 2 b(u, w), so the span is
     totally isotropic iff q vanishes on the generators and b on their
     pairs; only a span that is not is searched for its smallest
-    non-isotropic element."""
+    non-isotropic element.  Two subgroups are equal iff they have the
+    same elements, whatever their generators."""
 
-    gens: tuple
+    gens: tuple = field(compare=False)
+    _codes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(tuple(_residue(x) for x in g) for g in self.gens)
@@ -547,10 +549,11 @@ def _e_splittings():
     return tuple((j, -b) for j, b in zip(range(-2, 3), b5) if -b in sums)
 
 
+@lru_cache(maxsize=None)
 def _subgroup_invariants(subgroup):
     """(root type, whether E is empty, disc exponent) of the overlattice
     S_H of the subgroup H.  [S_H : S0] = |H|, so |disc S_H| = 5^6 / |H|^2
-    and disc S_H = -5^(6 - 2 dim H)."""
+    and disc S_H = -5^(6 - 2 dim H).  Computed once per subgroup."""
     return (str(root_type_orthogonal_to_h(subgroup)), not e_splittings(),
             6 - 2 * subgroup.dim)
 

@@ -29,12 +29,12 @@ from the Frobenius map x -> x^(5^k).  The long-division table and the
 splitting that follows every branch are the oracle in `tests/root_kernels.py`.
 
 Polynomial literals:  "[c0,c1,...,cn]@5^k;mod=[m0,...,mk]"  with the
-prime-field shorthand "@5".  Coefficients over an extension are written
-as nested lists; `parse_field_degree` reads the field tag.
+prime-field shorthand "@5", both lists JSON arrays of integers, nested
+for coefficients over an extension; `parse_field_degree` reads the tag.
 """
 
-import ast
 import itertools
+import json
 import random
 import re
 from dataclasses import dataclass
@@ -915,10 +915,10 @@ def roots_in_extension(u, max_degree, seed=0):
 def _literal_ints(values, what):
     """`values` from a polynomial literal, checked to be a list of ints: no
     bool, float or string is truncated to one."""
-    if not isinstance(values, (list, tuple)) or any(
+    if not isinstance(values, list) or any(
             isinstance(x, bool) or not isinstance(x, int) for x in values):
         raise ValueError(f"{what}: expected integers, got {values!r}")
-    return list(values)
+    return values
 
 
 def parse_field_degree(text):
@@ -935,8 +935,9 @@ def parse_field_degree(text):
 
 def parse_poly_literal(text):
     """Parse "[c0,...,cn]@5^k;mod=[m0,...,mk]" (shorthand "@5" for k = 1),
-    with 1 <= k <= MAX_LITERAL_DEGREE.  A coefficient is an int or a list
-    of ints; anything else raises ValueError."""
+    with 1 <= k <= MAX_LITERAL_DEGREE.  Both lists are JSON arrays of
+    integers, a coefficient over an extension an array itself; anything
+    else raises ValueError (RecursionError when nested too deep to read)."""
     text = text.strip()
     if "@" not in text:
         raise ValueError("polynomial literal needs an @5^k field tag")
@@ -947,13 +948,13 @@ def parse_poly_literal(text):
         mod_part = mod_part.strip()
         if not mod_part.startswith("mod="):
             raise ValueError("expected mod=[...] after ';'")
-        mod = _literal_ints(ast.literal_eval(mod_part[4:]), "the modulus")
+        mod = _literal_ints(json.loads(mod_part[4:]), "the modulus")
     k = parse_field_degree(field_part)
     field = GF(k, mod)
-    coeffs = ast.literal_eval(coeff_part.strip())
-    if not isinstance(coeffs, (list, tuple)):
+    coeffs = json.loads(coeff_part)
+    if not isinstance(coeffs, list):
         raise ValueError("coefficients must be a list")
-    return GFPoly(field, [field.elem(_literal_ints(c if isinstance(c, (list, tuple)) else [c],
+    return GFPoly(field, [field.elem(_literal_ints(c if isinstance(c, list) else [c],
                                                    "a coefficient")) for c in coeffs])
 
 

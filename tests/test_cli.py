@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from charfive import discform
-from charfive.cli import run
+from charfive.cli import VERBS, _parse_args, run
 from charfive.curvecheck import random_in_U
 from charfive.ffpoly import GF, format_poly_literal
 
@@ -523,6 +523,10 @@ def test_usage_errors(tmp_path):
     code, out, err = invoke(["curve", "check", "--poly", FIXTURE,
                              "--out", str(tmp_path / "absent" / "x.json")])
     assert (code, out) == (2, "") and err.startswith("error: ")
+    # literals are JSON: nesting too deep to read, and Python-only spellings
+    for literal in ("[" * 3000 + "]" * 3000 + "@5", "[1,2,]@5", "(0,0,1,0,0,0,1)@5"):
+        code, out, err = invoke(["curve", "check", "--poly", literal])
+        assert (code, out) == (2, "") and err.startswith("usage error: bad polynomial literal")
 
 
 def test_out_writes_file(tmp_path):
@@ -542,9 +546,9 @@ def test_timings_go_to_stderr_only():
 
 
 def test_cached_parser_reports_usage_errors_after_a_run():
-    """The parser is built once per process: a usage error after a
-    successful call still exits 2 with its message, and the next call
-    parses its own arguments, not the defaults of the one before."""
+    """Calls in one process share nothing but the verb table: a usage error
+    after a successful call still exits 2 with its message, and the next
+    call parses its own arguments, not the values of the one before."""
     ok = invoke(["curve", "wall", "--poly", FIXTURE, "--seed", "3"])
     assert ok[0] == 0
     code, out, err = invoke(["curve", "wall", "--poly", FIXTURE, "--bogus"])
@@ -556,3 +560,118 @@ def test_cached_parser_reports_usage_errors_after_a_run():
     assert again[:2] == ok[:2]
     payload = json.loads(invoke(["curve", "random", "--field", "5^2"])[1])
     assert payload["seed"] == 0 and len(payload["results"]) == 1
+
+
+#: option -> (attribute, default, two values as typed and as parsed); a
+#: flag's values are None and True, and --poly has no default: it is required
+OPTIONS = {
+    "--format": ("format", "json", ("md", "md"), ("json", "json")),
+    "--out": ("out", None, ("a.json", "a.json"), ("b.json", "b.json")),
+    "--in": ("infile", None, ("c.json", "c.json"), ("d.json", "d.json")),
+    "--poly": ("poly", None, (FIXTURE, FIXTURE), ("[1,0,0,0,0,0,1]@5", "[1,0,0,0,0,0,1]@5")),
+    "--max-ext": ("max_ext", 8, ("3", 3), ("1", 1)),
+    "--seed": ("seed", 0, ("-4", -4), ("12", 12)),
+    "--field": ("field", 1, ("5^2", 2), ("5", 1)),
+    "--count": ("count", 1, ("0", 0), ("7", 7)),
+    "--check": ("check", False, (None, True), (None, True)),
+}
+#: every verb with its options, in the order of the verb table
+VERB_OPTIONS = {
+    ("lattice", "table1"): ["--format", "--out"],
+    ("lattice", "classify"): ["--format", "--out"],
+    ("lattice", "verify"): ["--in", "--out"],
+    **{("curve", verb): ["--poly", "--max-ext", "--seed", "--out"]
+       for verb in ("check", "sing", "wall")},
+    ("curve", "ns"): ["--poly", "--max-ext", "--out"],
+    ("curve", "random"): ["--field", "--seed", "--count", "--check", "--max-ext", "--out"],
+}
+VERB_CASES = [(verb, option) for verb, options in VERB_OPTIONS.items() for option in options]
+
+
+def _typed(option, text):
+    return [option] if text is None else [option, text]
+
+
+@pytest.mark.parametrize("verb, option", VERB_CASES, ids=[" ".join(v) + " " + o
+                                                         for v, o in VERB_CASES])
+def test_verb_table_parses_every_option(verb, option):
+    """Each option of each verb, in both spellings, repeated (the last
+    value counts) and left out (its default); a value given to a flag, a
+    missing value and a prefix of the option's name are usage errors."""
+    needs_poly = option != "--poly" and "--poly" in VERB_OPTIONS[verb]
+    base = list(verb) + (["--poly", FIXTURE] if needs_poly else [])
+    attribute, default, (text, value), (other, other_value) = OPTIONS[option]
+    spellings = [base + _typed(option, text)]
+    if text is not None:
+        spellings.append(base + [f"{option}={text}"])
+    spellings.append(base + _typed(option, other) + _typed(option, text))
+    for argv in spellings:
+        args = _parse_args(argv)
+        assert (args.domain, args.verb, args.command_echo) == (*verb, argv)
+        assert getattr(args, attribute) == value, argv
+    assert getattr(_parse_args(base + _typed(option, other)), attribute) == other_value
+    if option != "--poly":
+        assert getattr(_parse_args(base), attribute) == default
+    if text is None:
+        code, out, err = invoke(base + [f"{option}=1"])
+        assert (code, out) == (2, "") and f"argument {option}: ignored explicit" in err
+    else:
+        code, out, err = invoke(base + [option])
+        assert (code, out) == (2, "") and f"argument {option}: expected one argument" in err
+    code, out, err = invoke(base + [option[:-1]] + ([] if text is None else [text]))
+    assert (code, out) == (2, "") and "unrecognized argument" in err
+
+
+@pytest.mark.parametrize("verb", list(VERB_OPTIONS), ids=" ".join)
+def test_verb_table_refuses_unknown_verbs_and_stray_tokens(verb):
+    """A stray token, an unknown option or verb and a missing --poly are
+    usage errors; --help after a verb lists its options."""
+    assert [(o, a) for o, (a, _parse, _default) in VERBS[verb].items()] == [
+        (o, OPTIONS[o][0]) for o in VERB_OPTIONS[verb]]
+    needs_poly = "--poly" in VERB_OPTIONS[verb]
+    base = list(verb) + (["--poly", FIXTURE] if needs_poly else [])
+    for argv in (base + ["stray"], base + ["--bogus", "1"], [verb[0], "nonsense"],
+                 [verb[1], verb[0]]) + ((list(verb),) if needs_poly else ()):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "") and err.startswith("usage error: "), argv
+    if needs_poly:
+        assert "required: --poly" in err
+    code, out, err = invoke(list(verb) + ["--help"])
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\n{' '.join(verb)} options: {' '.join(VERB_OPTIONS[verb])}\n")
+
+
+def test_help_names_every_verb():
+    for argv in (["--help"], ["-h"], ["lattice", "--help"], ["curve", "nonsense", "-h"]):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        for domain, verb in VERB_OPTIONS:
+            assert f"{domain} {verb}" in out
+        assert "options:" not in out
+
+
+def test_lattice_pass_computes_each_subgroup_once(monkeypatch):
+    """classify, verify on its output and table1 in one process compute the
+    invariants of each distinct subgroup once: 9 + 13 subgroups at most,
+    fewer when a table row spans a line of classify, and the outputs equal
+    their goldens."""
+    calls = []
+    real = discform.root_type_orthogonal_to_h
+
+    def counting(subgroup):
+        calls.append(subgroup._codes)
+        return real(subgroup)
+
+    monkeypatch.setattr(discform, "root_type_orthogonal_to_h", counting)
+    discform._subgroup_invariants.cache_clear()
+    try:
+        code, classify, _ = invoke(["lattice", "classify"])
+        assert (code, classify) == (0, (GOLDEN / "classify.json").read_text())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(classify))
+        code, out, _ = invoke(["lattice", "verify"])
+        assert (code, out) == (0, (GOLDEN / "lattice_verify.json").read_text())
+        code, out, _ = invoke(["lattice", "table1", "--format", "md"])
+        assert (code, out) == (0, (GOLDEN / "table1.md").read_text())
+    finally:
+        discform._subgroup_invariants.cache_clear()
+    assert len(calls) == len(set(calls)) <= 22

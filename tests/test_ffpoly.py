@@ -822,6 +822,9 @@ def test_literals_roundtrip():
     for bad in ("[1.5,0,1]@5", "[True,0,1]@5", "[None]@5", "[[1,'2']]@5^2",
                 "[1]@5;mod=5", "[1]@5^2;mod=[1,2.5,1]",
                 # the degree of a field tag is ASCII digits and nothing else
-                "[1]@5^ 2", "[1]@5^1_0", "[1]@5^\u0663", "[1]@5^\u00b2"):
+                "[1]@5^ 2", "[1]@5^1_0", "[1]@5^\u0663", "[1]@5^\u00b2",
+                # both lists are JSON arrays: no Python-only spelling
+                "(0,0,1)@5", "[1,2,]@5", "[+1]@5", "[0x1]@5", "[1_0]@5", "[[1,2],(0,1)]@5^2",
+                "[1]@5^2;mod=(1,1,1)", "[1]@5^2;mod=[1,1,1,]"):
         with pytest.raises(ValueError):
             parse_poly_literal(bad)

@@ -89,6 +89,17 @@ def test_verbs_run_without_numpy():
         assert got == (GOLDEN / golden).read_text(), argv
 
 
+def test_cli_loads_no_argparse():
+    """The verbs read their options from the verb table: neither argparse
+    nor the gettext it imports is loaded by a curve or a lattice verb."""
+    loaded = fresh(
+        "import io, json; from charfive.cli import run; "
+        "run(['curve', 'check', '--poly', %r], io.StringIO(), io.StringIO()); "
+        "run(['lattice', 'table1'], io.StringIO(), io.StringIO()); "
+        "print(json.dumps([m in sys.modules for m in ('argparse', 'gettext')]))" % FIXTURE)
+    assert loaded == [False, False]
+
+
 def test_curve_verb_builds_no_lattice_table():
     """`import charfive.cli` and a `curve check` leave every cached table of
     `discform` empty: they are built on first use, by the lattice verbs."""
