@@ -7,14 +7,14 @@ Neron-Severi group.
 All point computations take place over explicit finite extensions; a
 point whose first coordinate generates a degree-m extension of the base
 field is handled entirely inside that field, so that the curve, the
-polar and the point share one coefficient ring.
+polar and the point share one coefficient ring.  The model and the
+reports are named tuples.
 """
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .ffpoly import (
-    GF,
     GFPoly,
     SplittingFieldError,
     embedding,
@@ -41,16 +41,16 @@ MAX_POLAR_DRAWS = 24
 # The sextic models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SexticModel:
-    """The plane curve y^5 = f(x); deg f = 6 makes [0:1:0] its only,
-    and smooth, point at infinity."""
+class SexticModel(namedtuple("SexticModel", "f")):
+    """The plane curve y^5 = f(x), f a GFPoly; deg f = 6 makes [0:1:0] its
+    only, and smooth, point at infinity."""
 
-    f: GFPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.f.degree != 6:
+    def __new__(cls, f):
+        if f.degree != 6:
             raise ValueError("defining polynomial must have degree 6")
+        return super().__new__(cls, f)
 
     @property
     def field(self):
@@ -64,16 +64,15 @@ def is_in_U(f):
     return is_squarefree(f.derivative())
 
 
-@dataclass(frozen=True)
-class SingularPointReport:
-    alpha: int                              # elements of `field`
-    beta: int
-    field: GF
-    subfield_degree: int
-    is_A4: bool
-    g_at_alpha: int
-    orbit_leader: int                       # index of the first point of its orbit
-    local_mult_with_polar: int = None       # filled in by `analyze`
+class SingularPointReport(namedtuple(
+        "SingularPointReport",
+        "alpha beta field subfield_degree is_A4 g_at_alpha orbit_leader local_mult_with_polar",
+        defaults=(None,))):
+    """The point (alpha, beta) over `field` with its A4 certificate g(alpha),
+    the index of the first point of its orbit, and the local multiplicity
+    with the polar that `analyze` fills in."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -204,15 +203,13 @@ def _corrections_for(m, points, q):
     return mults
 
 
-@dataclass(frozen=True)
-class WallReport:
-    degree: int
-    total: int                  # d(d-1)
-    corrections: tuple
-    product: int                # total - sum(corrections)
-    polar_point: tuple          # three elements of `field`
-    attempts: int
-    field: GF
+class WallReport(namedtuple(
+        "WallReport", "degree total corrections product polar_point attempts field")):
+    """The degree product: total = d(d-1) minus the corrections gives
+    product, for the polar of polar_point (three elements of `field`),
+    found at draw number `attempts`."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -239,10 +236,8 @@ def _polar_corrections(m, points, seed):
         f"no admissible polar point after {MAX_POLAR_DRAWS} draws (seed {seed})")
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    points: tuple               # SingularPointReport, in deterministic order
-    wall: WallReport
+#: the SingularPointReports of one sextic, in deterministic order, and its WallReport
+CurveReport = namedtuple("CurveReport", "points wall")
 
 
 def analyze(m, max_ext=8, seed=0):
@@ -261,7 +256,7 @@ def analyze(m, max_ext=8, seed=0):
     """
     points = singular_points(m, max_ext)
     q, mults, attempts = _polar_corrections(m, points, seed)
-    reports = tuple(replace(pt, local_mult_with_polar=mult)
+    reports = tuple(pt._replace(local_mult_with_polar=mult)
                     for pt, mult in zip(points, mults))
     total = 6 * 5
     wall = WallReport(

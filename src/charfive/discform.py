@@ -18,11 +18,13 @@ the (a, b, y)-type (`_x_parts`).  `verify_q_consistency` checks the
 encoded formula against the discriminant form of the Gram matrix on all
 of G.  A subgroup lies in the orbit of a subgroup of its own dimension
 iff it holds the image of that subgroup's basis under some symmetry
-(`_orbits`).
+(`_orbits`).  The classification, the isotropy table and the consistency
+report are named tuples; `IsotropicSubgroup` is a `__slots__` class that
+compares by its codes.
 """
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from math import prod
@@ -148,21 +150,19 @@ def _residue(x):
     return index(x) % 5
 
 
-@dataclass(frozen=True)
 class IsotropicSubgroup:
     """A totally isotropic subgroup of (G, q), given by independent
-    generators.  q(u + w) = q(u) + q(w) + 2 b(u, w), so the span is
+    generators `gens` and held as the sorted codes `_codes` of its
+    elements.  q(u + w) = q(u) + q(w) + 2 b(u, w), so the span is
     totally isotropic iff q vanishes on the generators and b on their
     pairs; only a span that is not is searched for its smallest
     non-isotropic element.  Two subgroups are equal iff they have the
     same elements, whatever their generators."""
 
-    gens: tuple = field(compare=False)
-    _codes: tuple = field(init=False, repr=False)
+    __slots__ = ("gens", "_codes")
 
-    def __post_init__(self):
-        gens = tuple(tuple(_residue(x) for x in g) for g in self.gens)
-        object.__setattr__(self, "gens", gens)
+    def __init__(self, gens):
+        gens = tuple(tuple(_residue(x) for x in g) for g in gens)
         if any(len(g) != 6 for g in gens):
             raise ValueError("generators must have six coordinates")
         # more than six vectors of F5^6 are never independent
@@ -175,7 +175,19 @@ class IsotropicSubgroup:
                     for c in itertools.product(range(5), repeat=len(basis)))
             bad = next(v for v in span if q_value(v))
             raise ValueError(f"subgroup is not totally isotropic at {bad}")
-        object.__setattr__(self, "_codes", tuple(sorted(_span_codes(gens))))
+        self.gens = gens
+        self._codes = tuple(sorted(_span_codes(gens)))
+
+    def __eq__(self, other):
+        if type(other) is not IsotropicSubgroup:
+            return NotImplemented
+        return self._codes == other._codes
+
+    def __hash__(self):
+        return hash(self._codes)
+
+    def __repr__(self):
+        return f"IsotropicSubgroup(gens={self.gens!r})"
 
     @property
     def dim(self):
@@ -558,18 +570,15 @@ def _subgroup_invariants(subgroup):
             6 - 2 * subgroup.dim)
 
 
-@dataclass(frozen=True)
-class ClassifiedOrbit:
-    label: str
-    gens: tuple
-    dim: int
-    disc_exp: int
-    sigma: int
-    root_type: str
-    e_empty: bool
+class ClassifiedOrbit(namedtuple(
+        "ClassifiedOrbit", "label gens dim disc_exp sigma root_type e_empty")):
+    """One orbit of admissible subgroups: its label, a generator set, and
+    the invariants of its overlattice."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
-        out = asdict(self)
+        out = self._asdict()
         out["E_empty"] = out.pop("e_empty")
         return out
 
@@ -606,17 +615,14 @@ def classify_isotropic_subgroups():
 # The isotropy table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsotropyRow:
-    a: int
-    b: int
-    y: int                 # normalized to {0, 1, 2}
-    plus_minus: bool       # both y and -y occur (y != 0)
-    starred: bool
-    representative: tuple
-    disc_exp: int
-    root_type: str
-    e_empty: bool
+class IsotropyRow(namedtuple(
+        "IsotropyRow",
+        "a b y plus_minus starred representative disc_exp root_type e_empty")):
+    """One (a, b, +-y)-class of isotropic vectors, y normalized to {0, 1, 2}
+    and plus_minus when both y and -y occur, with the invariants of the
+    overlattice of its representative."""
+
+    __slots__ = ()
 
     @property
     def type_label(self):
@@ -659,14 +665,10 @@ def isotropic_table():
 # Consistency of the encoded form with the built lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QConsistencyReport:
-    passed: bool
-    exponent: int              # of L^vee / L
-    order: int                 # |L^vee / L| = |det|
-    n_checked: int
-    mismatches: tuple          # encodings where formula and lattice disagree
-    expansions: dict           # selected dual vectors in the reference basis
+#: the exponent and order |det| of L^vee / L, the codes where the encoded
+#: formula and the lattice disagree, and dual vectors in the reference basis
+QConsistencyReport = namedtuple(
+    "QConsistencyReport", "passed exponent order n_checked mismatches expansions")
 
 
 @lru_cache(maxsize=1)

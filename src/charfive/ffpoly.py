@@ -37,7 +37,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 P = 5
@@ -817,12 +817,9 @@ def _root_multiplicity(u, r):
     raise ValueError("zero polynomial")
 
 
-@dataclass(frozen=True)
-class RootInExtension:
-    value: int
-    multiplicity: int
-    subfield_degree: int
-    field: GF
+#: a root `value` in the extension `field`, with its multiplicity and the
+#: degree over F5 of the subfield it generates
+RootInExtension = namedtuple("RootInExtension", "value multiplicity subfield_degree field")
 
 
 class SplittingFieldError(ValueError):

@@ -4,13 +4,12 @@ and the signature of a symmetric form.
 All matrices are plain lists of lists of Python ints, and no floating
 point is used anywhere.  The determinant and the adjugate come from
 fraction-free Bareiss elimination on each diagonal block of the matrix
-(the components of its nonzero pattern); ``fractions.Fraction`` appears
-only in `signature_symmetric`.  No normal form is needed: the exponent of
-a discriminant group and the scaled inverse Gram matrix come from the
-adjugate alone (`lattice.dual_data`).
+(the components of its nonzero pattern); ``fractions.Fraction`` is
+imported only inside `signature_symmetric`, which no CLI verb calls.  No
+normal form is needed: the exponent of a discriminant group and the scaled
+inverse Gram matrix come from the adjugate alone (`lattice.dual_data`).
 """
 
-from fractions import Fraction
 from math import prod
 
 
@@ -112,6 +111,8 @@ def adjugate(m):
 
 def signature_symmetric(m):
     """(n_plus, n_minus) of a nondegenerate symmetric matrix, exactly."""
+    from fractions import Fraction     # here, so that no CLI verb imports it
+
     a = [[Fraction(x) for x in row] for row in m]
     n = len(a)
     pos = neg = 0

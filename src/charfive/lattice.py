@@ -19,9 +19,10 @@ Conventions
 Arithmetic is exact and uses Python integers only.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 from .intmat import adjugate, det_bareiss, is_symmetric, signature_symmetric
 
@@ -41,20 +42,14 @@ class DegenerateLatticeError(ValueError):
 # Core types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramLattice:
-    """An even integer lattice given by a symmetric Gram matrix."""
+class GramLattice(namedtuple("GramLattice", "gram labels")):
+    """An even integer lattice given by a symmetric Gram matrix (a tuple of
+    row tuples) and one label per basis vector.  The constructor checks the
+    matrix and computes its determinant, once."""
 
-    gram: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        import operator
-
-        gram = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
-        labels = tuple(str(x) for x in self.labels)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "labels", labels)
+    def __new__(cls, gram, labels):
+        gram = tuple(tuple(index(x) for x in row) for row in gram)
+        labels = tuple(str(x) for x in labels)
         n = len(gram)
         if len(labels) != n:
             raise ValueError("labels must match the rank")
@@ -65,7 +60,9 @@ class GramLattice:
         det = det_bareiss([list(r) for r in gram])
         if det == 0:
             raise DegenerateLatticeError("Gram matrix is singular")
-        object.__setattr__(self, "_det", det)
+        self = super().__new__(cls, gram, labels)
+        self._det = det             # in the instance dict, so det() needs no elimination
+        return self
 
     @property
     def rank(self):
@@ -81,14 +78,14 @@ class GramLattice:
         return {"labels": list(self.labels), "gram": [list(r) for r in self.gram]}
 
 
-@dataclass(frozen=True)
-class RootSystemType:
-    """A multiset of ADE components, e.g. 5A4 or E8+3A4."""
+class RootSystemType(namedtuple("RootSystemType", "components")):
+    """A multiset of ADE components, e.g. 5A4 or E8+3A4, held as the sorted
+    tuple of its (letter, rank) pairs."""
 
-    components: tuple    # tuple of (letter, rank), sorted
+    __slots__ = ()
 
-    def __post_init__(self):
-        comps = tuple(sorted((str(l), int(r)) for l, r in self.components))
+    def __new__(cls, components):
+        comps = tuple(sorted((str(l), int(r)) for l, r in components))
         for letter, rank in comps:
             if letter not in ("A", "D", "E") or rank < 1:
                 raise ValueError(f"invalid component {letter}{rank}")
@@ -96,7 +93,7 @@ class RootSystemType:
                 raise ValueError("D components start at rank 4 (D3 = A3)")
             if letter == "E" and rank not in (6, 7, 8):
                 raise ValueError("E components are E6, E7, E8")
-        object.__setattr__(self, "components", comps)
+        return super().__new__(cls, comps)
 
     @staticmethod
     def identify_component(rank, count):

@@ -7,7 +7,6 @@ recursion in `fulton_kernels.py` and the resultant in y below."""
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -520,7 +519,7 @@ def test_ns_gram_model():
         for j in (20, 21):
             assert lat.gram[i][j] == 0
     assert ns_gram_model(analyze(SexticModel(FIXTURE)).points) == lat
-    for bad in (points[:4], [*points[:4], replace(points[4], is_A4=False)]):
+    for bad in (points[:4], [*points[:4], points[4]._replace(is_A4=False)]):
         with pytest.raises(ValueError):
             ns_gram_model(bad)
 

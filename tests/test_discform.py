@@ -581,13 +581,13 @@ def test_classification_memory_peak():
 
 def test_classification_validates_only_representatives(monkeypatch):
     built = []
-    real_post_init = IsotropicSubgroup.__post_init__
+    real_init = IsotropicSubgroup.__init__
 
-    def counting(self):
-        built.append(self.gens)
-        real_post_init(self)
+    def counting(self, gens):
+        built.append(gens)
+        real_init(self, gens)
 
-    monkeypatch.setattr(IsotropicSubgroup, "__post_init__", counting)
+    monkeypatch.setattr(IsotropicSubgroup, "__init__", counting)
     discform._reference_images.cache_clear()
     try:
         records = classify_isotropic_subgroups()

@@ -89,15 +89,22 @@ def test_verbs_run_without_numpy():
         assert got == (GOLDEN / golden).read_text(), argv
 
 
-def test_cli_loads_no_argparse():
-    """The verbs read their options from the verb table: neither argparse
-    nor the gettext it imports is loaded by a curve or a lattice verb."""
-    loaded = fresh(
+def test_cli_loads_no_argparse(tmp_path):
+    """The verbs read their options from the verb table and hold their
+    records as named tuples: neither argparse nor the gettext it imports,
+    nor dataclasses and the inspect it imports, nor fractions and the
+    decimal it imports, is loaded by `curve check` or by a lattice verb."""
+    claims = tmp_path / "classify.json"
+    codes, loaded = fresh(
         "import io, json; from charfive.cli import run; "
-        "run(['curve', 'check', '--poly', %r], io.StringIO(), io.StringIO()); "
-        "run(['lattice', 'table1'], io.StringIO(), io.StringIO()); "
-        "print(json.dumps([m in sys.modules for m in ('argparse', 'gettext')]))" % FIXTURE)
-    assert loaded == [False, False]
+        "codes = [run(['curve', 'check', '--poly', %r], io.StringIO(), io.StringIO()), "
+        "run(['lattice', 'classify', '--out', %r], io.StringIO(), io.StringIO()), "
+        "run(['lattice', 'verify', '--in', %r], io.StringIO(), io.StringIO()), "
+        "run(['lattice', 'table1'], io.StringIO(), io.StringIO())]; "
+        "print(json.dumps([codes, [m for m in ('argparse', 'gettext', 'dataclasses', 'inspect', "
+        "'fractions', 'decimal') if m in sys.modules]]))" % (FIXTURE, str(claims), str(claims)))
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
 
 
 def test_curve_verb_builds_no_lattice_table():
