@@ -182,7 +182,7 @@ def _corrections_for(m, points, q):
     if not at_q:
         return None                         # polar point lies on the curve
     fp = f.derivative()
-    weighted = GFPoly(fld, [fld.mul(a, fld.elem(6 - j)) for j, a in enumerate(f.coeffs)])
+    weighted = GFPoly(fld, [fld.mul(a, fld.elem((6 - j) % 5)) for j, a in enumerate(f.coeffs)])
     b = -(fp * q0) - weighted * q2
     h = f * q2 + b
     if h != GFPoly(fld, [fld.neg(q0), q2]) * fp:

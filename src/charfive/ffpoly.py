@@ -12,14 +12,12 @@ of that degree is built; a modulus given by the caller is checked with
 Rabin's test instead.  Fields of at most TABLE_MAX_ORDER elements
 compute through log/antilog tables keyed by element, and add through a
 Zech table log(1 + g^n); larger ones multiply the element ints, whose
-product is the Kronecker product of the residues (`_Kronecker`), and add
-them with one bytewise reduction mod 5.  An embedding GF(5^a) -> GF(5^b)
-is one packed F5-linear map, whose columns are the powers of the image
-of the generator.
-
-F5[t] arithmetic has two forms here: `_Kronecker`, whose maps come from
-t^(j+1) = t * t^j mod m, and `GFPoly` over GF(5).  Rabin's irreducibility
-test uses both.  The schoolbook reference lives in `tests/gf_kernels.py`.
+product is the Kronecker product of the residues (`_Kronecker`), reduce
+it by folds with the sparse modulus t^k + r, and add with one bytewise
+reduction mod 5.  An embedding GF(5^a) -> GF(5^b) is one packed F5-linear
+map, whose columns are the powers of the image of the generator.  Rabin's
+test takes x -> x^5 from `_Kronecker` and its gcds from `GFPoly` over
+GF(5).  The schoolbook reference lives in `tests/gf_kernels.py`.
 
 Root finding works by Frobenius orbits.  One table of x^(5^j) mod the
 radical, each entry a semilinear combination of the rows x^(5i), gives the
@@ -78,7 +76,7 @@ def _f5_is_irreducible(m):
         return False
     if k == 1:
         return True
-    frob = _PackedMap(_powers_of_t(m, P * k - P + 1)[::P], k, _slot_bytes(k))
+    frob = _Kronecker(m).frobenius(1)
     t = 1 << (8 * k - 16)
     powers = [t]
     for _ in range(k):
@@ -88,7 +86,7 @@ def _f5_is_irreducible(m):
     f5 = GF(1)
     mpoly = GFPoly.from_ints(f5, m)
     for r in _prime_divisors(k):
-        diff = [a - b for a, b in zip(powers[k // r].to_bytes(k, "big"), t.to_bytes(k, "big"))]
+        diff = (powers[k // r] + 4 * t).to_bytes(k, "big").translate(_MOD5)    # minus t
         if poly_gcd(mpoly, GFPoly.from_ints(f5, diff)).degree > 0:
             return False
     return True
@@ -132,7 +130,11 @@ def _checked_modulus(k, modulus):
 # slots and put c_i in slot i (`_spread`), so that an element with trailing
 # zero coefficients, a constant say, is a short integer there.  Since
 # 256 = 1 (mod 5), a slot is congruent to the sum of its bytes, and
-# `bytes.translate(_MOD5)` reduces a whole vector at once.
+# `bytes.translate(_MOD5)` reduces a whole vector at once.  Reducing modulo
+# m = t^k + r (deg r = d) then folds the coefficients of t^k and above (hi)
+# back as hi * (-r) in one-byte slots, each at most 4 + 16 min(k - 1, d + 1),
+# below 256 when k <= 16 (a literal's k <= 12) or d <= 14 (every searched
+# modulus: d >= 15 would follow 5^15 candidates in the search order).
 
 _MOD5 = bytes(i % P for i in range(256))
 
@@ -195,46 +197,45 @@ class _PackedMap:
         return _gather(data, self.n - 1, self.step, self.s)
 
 
-def _powers_of_t(modulus, count):
-    """t^j mod the monic `modulus` m for j < count, as element ints, by
-    shift and subtract: t^(j+1) = t * t^j - c * m, c the top coefficient of t^j."""
-    k = len(modulus) - 1
-    neg = int.from_bytes(bytes(-c % P for c in modulus[:-1]), "big")
-    out, r = [], 1 << (8 * k - 8)
-    for _ in range(count):
-        out.append(r)
-        r = int.from_bytes(((r >> 8) + (r & 255) * neg).to_bytes(k, "big").translate(_MOD5), "big")
-    return out
-
-
 class _Kronecker:
-    """Packed arithmetic in F5[t]/(m) on element ints, m monic.
+    """Packed arithmetic in F5[t]/(m) on element ints, m = t^k + r monic.
 
     `mul` forms the product of two residues as one integer product, reads
-    its 2k - 1 coefficients mod 5, and reduces them by the linear map whose
-    columns are t^j mod m (j < 2k - 1).  `frobenius(e)` is the linear map
-    x -> x^(5^e); `inv` is Itoh-Tsujii on top of both, for irreducible m.
+    its 2k - 1 coefficients mod 5, and folds those of t^k and above back by
+    t^k = -r, one `translate` per fold, until k are left.  `frobenius(e)` is
+    the map x -> x^(5^e); `inv` is Itoh-Tsujii on both, for irreducible m.
     """
 
-    __slots__ = ("k", "s", "modulus", "one", "reduction", "_frob")
+    __slots__ = ("k", "s", "one", "neg_r", "folds", "_frob")
 
     def __init__(self, modulus):
         k = len(modulus) - 1
+        d = max((i for i, c in enumerate(modulus[:-1]) if c), default=0)
+        if min(k - 1, d + 1) > 15:
+            raise ValueError("the fold's one-byte slots need deg(m - t^k) < 15 past degree 16")
         self.k = k
         self.one = 1 << (8 * k - 8)
         self.s = _slot_bytes(k)
-        self.modulus = modulus
-        self.reduction = _PackedMap(_powers_of_t(modulus, 2 * k - 1), k, self.s)
+        self.neg_r = int.from_bytes(bytes(-c % P for c in modulus[:d + 1]), "big")
+        # the folds depend on k and d only: each takes n coefficients to n2
+        self.folds, n = [], 2 * k - 1
+        while n > k:
+            n2, h = max(k, n - k + d), 8 * (n - k)
+            self.folds.append((h, (1 << h) - 1, 8 * (n2 - k), 8 * (n2 - n + k - d), n2))
+            n = n2
         self._frob = {}
 
     def mul(self, x, y):
-        s, n = self.s, self.reduction.n
+        k, s = self.k, self.s
         if s == 1:
-            prod = int.from_bytes((x * y).to_bytes(n, "big").translate(_MOD5), "big")
+            prod = int.from_bytes((x * y).to_bytes(2 * k - 1, "big").translate(_MOD5), "big")
         else:
-            prod = _gather((_spread(x, self.k, s) * _spread(y, self.k, s)).to_bytes(
-                s * n, "little"), 0, 1, s)
-        return self.reduction.apply(prod)
+            prod = _gather((_spread(x, k, s) * _spread(y, k, s)).to_bytes(
+                s * (2 * k - 1), "little"), 0, 1, s)
+        for h, mask, lo_shift, hi_shift, n2 in self.folds:
+            prod = (prod >> h << lo_shift) + ((prod & mask) * self.neg_r << hi_shift)
+            prod = int.from_bytes(prod.to_bytes(n2, "big").translate(_MOD5), "big")
+        return prod
 
     def pow(self, x, e):
         result = self.one
@@ -250,11 +251,13 @@ class _Kronecker:
         fmap = self._frob.get(e)
         if fmap is None:
             if e == 1:
-                cols = _powers_of_t(self.modulus, P * self.k - P + 1)[::P]
+                t5, cols = self.pow(self.one >> 8, P), [self.one]    # t^(5j) = (t^5)^j
+                while len(cols) < self.k:
+                    cols.append(self.mul(cols[-1], t5))
             else:
-                # compose two maps of about half the exponent
+                # compose two maps of about half the exponent on the basis t^j
                 first, second = self.frobenius(e // 2), self.frobenius(e - e // 2)
-                cols = [second.apply(first.apply(t)) for t in _powers_of_t(self.modulus, self.k)]
+                cols = [second.apply(first.apply(self.one >> 8 * j)) for j in range(self.k)]
             fmap = self._frob[e] = _PackedMap(cols, self.k, self.s)
         return fmap
 
@@ -376,10 +379,12 @@ class GF:
     # -- element construction ------------------------------------------------
 
     def elem(self, value):
-        """The element of an int, read in the prime subfield (elem(3) is
-        3 * one), or of a coefficient sequence (c0, c1, ...)."""
+        """The element of an int 0..4, read in the prime subfield (elem(3) is
+        3 * one), or of a coefficient sequence (c0, c1, ...) read mod 5."""
         if isinstance(value, int):
-            return value % P * self.one
+            if not 0 <= value < P:
+                raise ValueError(f"{value} is not a residue 0..4; reduce it mod 5 first")
+            return value * self.one
         value = list(value)
         if len(value) > self.degree:
             raise ValueError("too many coefficients")

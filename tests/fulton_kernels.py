@@ -62,7 +62,7 @@ class Poly:
     def partial(self, var):
         f = self.field
         return _collect(f, (
-            (k[:var] + (k[var] - 1,) + k[var + 1:], f.mul(c, f.elem(k[var])))
+            (k[:var] + (k[var] - 1,) + k[var + 1:], f.mul(c, f.elem(k[var] % 5)))
             for k, c in self.terms.items() if k[var] % 5))
 
     def eval(self, point):

@@ -82,6 +82,11 @@ def test_classify_matches_golden():
     # a packed base field below GF(5^12): `curve random` stdout with --check
     ("curve_random_gf5_6_check.json",
      ["curve", "random", "--field", "5^6", "--seed", "0", "--count", "8", "--check"]),
+    # a dense modulus at a packed degree: the kernel folds five times
+    ("curve_check_gf5_6_dense_mod.json",
+     ["curve", "check", "--poly",
+      "[[3,3,0,2,4,3],[3,2,3,2,4,1],[4,1,2,1,0,4],[2,4,4,1,2,0],[0,2,3,4,0,2],[3,2,4,1,4,3],"
+      "[3,4,2,0,4,0]]@5^6;mod=[1,1,1,1,1,1,1]"]),
 ])
 def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)

@@ -44,6 +44,11 @@ def test_prime_field_basics():
     assert F5.pow(F5.elem(2), 4) == F5.elem(1)
     with pytest.raises(ZeroDivisionError):
         F5.inv(F5.zero)
+    # an int is a residue 0..4, not an element int read mod 5
+    with pytest.raises(ValueError):
+        F25.elem(7)
+    with pytest.raises(ValueError):
+        F25.elem(F25.one)
 
 
 def test_field_axioms_random():
@@ -63,9 +68,13 @@ def test_field_axioms_random():
             assert fld.sub(fld.add(a, b), b) == a
 
 
-#: every shipped degree, and both sides of the widening of the packed
-#: kernel's one-byte slots (k <= 15)
-CORE_DEGREES = tuple(range(1, 13)) + (15, 16)
+#: every shipped degree, both sides of the widening of the packed kernel's
+#: one-byte slots (k <= 15), and two folds on two-byte slots (20, 30, 60)
+CORE_DEGREES = tuple(range(1, 13)) + (15, 16, 20, 30, 60)
+
+#: dense moduli, which the packed kernel folds k - 1 times: (t^7 - 1)/(t - 1),
+#: irreducible since 5 has order 6 mod 7, and one of degree 12
+DENSE_MODULI = ((1,) * 7, (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 4, 1))
 
 
 @pytest.mark.parametrize("k", tuple(range(1, 13)) + (16, 20))
@@ -88,12 +97,15 @@ def test_elements_are_big_endian_coefficient_ints(k):
     assert [bool(a) for a in elems] == [any(t) for t in tuples]
 
 
-@pytest.mark.parametrize("k", CORE_DEGREES)
-def test_core_matches_tuple_oracle(k):
+@pytest.mark.parametrize("k, modulus", [pytest.param(k, None, id=str(k)) for k in CORE_DEGREES]
+                         + [pytest.param(len(m) - 1, m, id=f"{len(m) - 1}-dense")
+                            for m in DENSE_MODULI])
+def test_core_matches_tuple_oracle(k, modulus):
     """Tables (q <= TABLE_MAX_ORDER) and the packed kernel (above) against
     the schoolbook tuple arithmetic, on seeded random pairs, each element
-    compared through its coefficient tuple."""
-    fld = GF(k)
+    compared through its coefficient tuple; the default modulus of each
+    degree, and the dense ones."""
+    fld = GF(k, modulus)
     m, co = fld.modulus, fld.coefficients
     rng = random.Random(1000 + k)
     top = fld.elem((P - 1,) * k)    # the largest slot sums the packed kernel forms
@@ -223,28 +235,30 @@ def test_moduli_are_the_canonical_data():
             if tuple(m) == MODULI[k]:
                 break
             assert _has_monic_factor(m), m
+    # an irreducible whose fold would carry out of a one-byte slot: with
+    # -r = 1 + 4t + ... + 4t^16, t^16 * 4(1 + ... + t^16) sums 260 in slot 16
+    with pytest.raises(ValueError, match="past degree 16"):
+        GF(17, (4,) + (1,) * 17)
 
 
-def test_rabin_computes_the_powers_of_t_once_per_candidate(monkeypatch):
-    """Rabin's test reads the map x -> x^5 from one `_powers_of_t` per
-    candidate, and builds no multiplication map beside it: 9 calls for the
-    9 candidates of degree 9 it tests, 14 for the 14 of degree 10 (twice
-    as many when each candidate built a whole `_Kronecker`).  The moduli
-    found are the canonical ones."""
+def test_rabin_builds_one_kronecker_per_candidate(monkeypatch):
+    """Rabin's test reads the map x -> x^5 from one `_Kronecker` per
+    candidate: 9 for the 9 candidates of degree 9 it tests, 14 for the 14
+    of degree 10.  The moduli found are the canonical ones."""
     GF(1)                               # the gcds run over GF(5), built first
-    powers, tested = [], []
-    real_powers, real_test = ffpoly._powers_of_t, ffpoly._f5_is_irreducible
-    monkeypatch.setattr(ffpoly, "_powers_of_t",
-                        lambda m, count: powers.append(len(m) - 1) or real_powers(m, count))
+    built, tested = [], []
+    real_kronecker, real_test = ffpoly._Kronecker, ffpoly._f5_is_irreducible
+    monkeypatch.setattr(ffpoly, "_Kronecker",
+                        lambda m: built.append(len(m) - 1) or real_kronecker(m))
     monkeypatch.setattr(ffpoly, "_f5_is_irreducible",
                         lambda m: tested.append(len(m) - 1) or real_test(m))
     try:
         for k, candidates in ((9, 9), (10, 14)):
-            powers.clear(), tested.clear()
+            built.clear(), tested.clear()
             _search_modulus.cache_clear()
             assert _search_modulus(k) == MODULI[k]
-            # clearing the cache also makes GF(5) search again, with no powers
-            assert [d for d in tested if d > 1] == powers == [k] * candidates
+            # clearing the cache also makes GF(5) search again, with no kernel
+            assert [d for d in tested if d > 1] == built == [k] * candidates
     finally:
         _search_modulus.cache_clear()
 
