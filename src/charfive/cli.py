@@ -16,6 +16,16 @@ JSON output is canonical (sorted keys, fixed separators); identical
 command and seed give byte-identical stdout.  Timing diagnostics go to
 stderr only.  Exit codes: 0 success, 1 verification failure, 2 usage error
 or a file that cannot be read or written.
+
+Imports (not part of --help): a lattice verb loads `discform`, with the
+`lattice` and `intmat` it imports, and never the curve half, `ffpoly` and
+`curvecheck`.  The curve half is imported in one place,
+`_import_curve_half`, when a curve verb is dispatched or `--field` is read.
+A curve verb loads `discform` too, once per process.  That is a trade:
+imported lazily, `discform` (about 9 ms with `lattice` and `intmat`, no
+bytecode cached) would not leave a lattice process but move from its
+start-up into its first verb, where a classify, verify and table1 pass
+takes 10-13 ms.  It stays until a whole-process cost is measured.
 """
 
 import json
@@ -23,9 +33,17 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import __version__, curvecheck, discform
-from .ffpoly import (
-    GF, SplittingFieldError, format_poly_literal, parse_field_degree, parse_poly_literal)
+from . import __version__, discform
+
+#: the curve half; None until `_import_curve_half` binds it
+ffpoly = curvecheck = None
+
+
+def _import_curve_half():
+    """Bind `ffpoly` and `curvecheck` in this module: the one place `cli`
+    imports them."""
+    global ffpoly, curvecheck
+    from . import curvecheck, ffpoly
 
 
 class _UsageError(Exception):
@@ -55,6 +73,12 @@ def _format(text):
     return text
 
 
+def _field_degree(text):
+    """Option parse for `--field`: `ffpoly.parse_field_degree`."""
+    _import_curve_half()
+    return ffpoly.parse_field_degree(text)
+
+
 _REQUIRED = object()
 
 _OUT = {"--out": ("out", str, None)}
@@ -72,7 +96,7 @@ VERBS = {
     ("lattice", "verify"): {"--in": ("infile", str, None), **_OUT},
     **{("curve", verb): {**_CURVE, **_SEED, **_OUT} for verb in ("check", "sing", "wall")},
     ("curve", "ns"): {**_CURVE, **_OUT},
-    ("curve", "random"): {"--field": ("field", parse_field_degree, 1), **_SEED,
+    ("curve", "random"): {"--field": ("field", _field_degree, 1), **_SEED,
                           "--count": ("count", _integer(0), 1),
                           "--check": ("check", None, False),
                           "--max-ext": ("max_ext", _integer(1), 8), **_OUT},
@@ -279,7 +303,7 @@ def _cmd_verify(args, stdout, stderr):
 
 def _load_model(args):
     try:
-        f = parse_poly_literal(args.poly)
+        f = ffpoly.parse_poly_literal(args.poly)
     except (ValueError, RecursionError) as exc:     # RecursionError: nested too deep
         raise _UsageError(f"bad polynomial literal: {exc}") from exc
     if f.degree != 6:
@@ -288,7 +312,7 @@ def _load_model(args):
 
 
 def _curve_payload(model, args):
-    out = {"poly": format_poly_literal(model.f)}
+    out = {"poly": ffpoly.format_poly_literal(model.f)}
     try:
         report = curvecheck.analyze(model, max_ext=args.max_ext, seed=args.seed)
     except curvecheck.OutsideUError:
@@ -318,11 +342,11 @@ def _cmd_curve(args, stdout, _stderr):
 
 
 def _cmd_random(args, stdout, _stderr):
-    field = GF(args.field)
+    field = ffpoly.GF(args.field)
     results = []
     for i in range(args.count):
         model = curvecheck.random_in_U(field, args.seed + i)
-        entry = {"poly": format_poly_literal(model.f), "seed": args.seed + i,
+        entry = {"poly": ffpoly.format_poly_literal(model.f), "seed": args.seed + i,
                  "in_U": True}
         if args.check:
             report = curvecheck.analyze(
@@ -340,17 +364,23 @@ def _cmd_random(args, stdout, _stderr):
 # entry points
 # ---------------------------------------------------------------------------
 
+#: the docstring up to its note on imports
+_HELP = (__doc__ or "").partition("\nImports (not part of --help): ")[0]
+
+
 def run(argv, stdout=None, stderr=None):
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     argv = list(argv)
     if "-h" in argv or "--help" in argv:        # the docstring, and a verb's options
         options = " ".join(VERBS.get(tuple(argv[:2]), ()))
-        stdout.write((__doc__ or "") + (options and f"\n{argv[0]} {argv[1]} options: {options}\n"))
+        stdout.write(_HELP + (options and f"\n{argv[0]} {argv[1]} options: {options}\n"))
         return 0
     try:
         args = _parse_args(argv)
         started = time.monotonic()
+        if args.domain == "curve":
+            _import_curve_half()
         command = {"table1": _cmd_table1, "classify": _cmd_classify, "verify": _cmd_verify,
                    "random": _cmd_random}.get(args.verb, _cmd_curve)
         code = command(args, stdout, stderr)
@@ -362,11 +392,10 @@ def run(argv, stdout=None, stderr=None):
     except _FileError as exc:
         stderr.write(f"error: {exc}\n")
         return 2
-    except SplittingFieldError as exc:
-        stderr.write(f"splitting field too large: {exc}\n")
-        return 1
     except (ValueError, RuntimeError) as exc:
-        stderr.write(f"error: {exc}\n")
+        # only a curve verb raises SplittingFieldError, and it imported ffpoly first
+        too_large = ffpoly is not None and isinstance(exc, ffpoly.SplittingFieldError)
+        stderr.write(f"{'splitting field too large' if too_large else 'error'}: {exc}\n")
         return 1
 
 

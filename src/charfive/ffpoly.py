@@ -609,13 +609,15 @@ class GFPoly:
                     out[i + j] = add(out[i + j], mul(a, b))
         return GFPoly(f, out)
 
-    def __divmod__(self, other):
+    def __divmod__(self, other, quotient=True):
+        """(q, r) with self = q * other + r and deg r < deg other; q is None
+        when `quotient` is false."""
         f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d = other.degree
         if self.degree < d:
-            return GFPoly(f, []), self
+            return GFPoly(f, []) if quotient else None, self
         sub, mul = f.sub, f.mul
         rem = list(self.coeffs)
         quo = [0] * (len(rem) - d)
@@ -629,13 +631,14 @@ class GFPoly:
                 c = quo[shift] = c if inv_lead is None else mul(c, inv_lead)
                 for i, b in terms:
                     rem[shift + i] = sub(rem[shift + i], mul(c, b))
-        return GFPoly(f, quo), GFPoly(f, rem[:d])
+        return GFPoly(f, quo) if quotient else None, GFPoly(f, rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The remainder alone: `%` builds no quotient."""
+        return self.__divmod__(other, quotient=False)[1]
 
     def monic(self):
         if self.is_zero() or self.leading() == self.field.one:

@@ -167,6 +167,15 @@ def test_curve_not_in_u_beyond_max_ext():
         assert code == 2 and "outside the admissible open set" in err
 
 
+def test_splitting_field_too_large_exits_1():
+    """f = 3x^6 + 3x^5 + 2x^3 + 4x + 1 is in U, and f' = 3x^5 + x^2 + 4 is a
+    quadratic times a cubic over GF(5): with --max-ext 2 root finding stops
+    at the cubic, and the verb reports it on stderr alone, with exit 1."""
+    code, out, err = invoke(["curve", "check", "--poly", "[1,4,0,2,0,3,3]@5", "--max-ext", "2"])
+    assert (code, out) == (1, "")
+    assert err == "splitting field too large: irreducible factors of degree > 2 remain\n"
+
+
 @pytest.mark.parametrize("literal", [
     FIXTURE, "[[0,2],[4,0],[2,2],[0,4],[1,0],[2,0],[2,3]]@5^2"])
 def test_one_squarefree_gcd_per_curve(monkeypatch, literal):

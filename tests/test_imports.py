@@ -5,6 +5,8 @@ lattice verb and the curve verbs give their golden output in an
 interpreter where importing numpy fails, the lattice verbs leave numpy
 (and `numpy.ma`) unloaded, and a curve verb builds none of the lazy
 tables of `discform`.  numpy stays a dependency of the test oracles only.
+`import charfive.cli` and the lattice verbs leave the curve half, `ffpoly`
+and `curvecheck`, unloaded; a curve verb imports it.
 """
 
 import json
@@ -55,6 +57,34 @@ def test_lattice_verbs_never_import_numpy_ma(tmp_path):
     codes, numpy_loaded, ma_loaded = fresh(code)
     assert codes == [0, 0, 0] and not numpy_loaded
     assert not ma_loaded
+
+
+def test_lattice_verbs_leave_the_curve_half_unloaded(tmp_path):
+    """Neither `import charfive.cli` nor any lattice verb loads `ffpoly` or
+    `curvecheck`; `curve random` still refuses a bad `--field`, and `curve
+    check` runs with both loaded."""
+    claims = str(tmp_path / "classify.json")
+    steps = [
+        ["lattice", "classify", "--out", claims],
+        ["lattice", "classify", "--format", "md"],
+        ["lattice", "verify", "--in", claims],
+        ["lattice", "table1", "--format", "json"],
+        ["lattice", "table1", "--format", "md"],
+        ["curve", "random", "--field", "5^x"],
+        ["curve", "check", "--poly", FIXTURE],
+    ]
+    curve_half = ["charfive.ffpoly", "charfive.curvecheck"]
+    results = fresh(
+        "import io, json; from charfive.cli import run\n"
+        f"def loaded(): return [m for m in {curve_half!r} if m in sys.modules]\n"
+        "out = [[None, loaded()]]\n"
+        f"for argv in {steps!r}:\n"
+        "    out.append([run(argv, io.StringIO(), io.StringIO()), loaded()])\n"
+        "print(json.dumps(out))")
+    *lattice, (random_code, _), after_check = results
+    assert lattice == [[None, []]] + [[0, []]] * 5
+    assert random_code == 2
+    assert after_check == [0, curve_half]
 
 
 #: (argv, golden file, exit code) of every lattice verb and the fixture's curve verbs
