@@ -115,8 +115,9 @@ def singular_points(m, max_ext):
     mapped to the others.
 
     f is in U iff its derivative has deg f' = 5 simple roots, so the root
-    records decide membership and gcd(f', f'') is taken once, inside
-    `roots_in_extension`; only a SplittingFieldError takes it again.
+    records decide membership and gcd(f', f'') is taken once per monic f'
+    and process, inside `roots_in_extension`; only a SplittingFieldError
+    takes it again.
     Raises OutsideUError for f outside U.
     """
     fp = m.f.derivative()

@@ -25,6 +25,7 @@ distinct-degree parts; in each part one root per irreducible factor over
 GF(5^k) comes from one branch of Berlekamp's trace gcds, and its conjugates
 from the Frobenius map x -> x^(5^k).  The long-division table and the
 splitting that follows every branch are the oracle in `tests/root_kernels.py`.
+A process keeps the root records of each monic polynomial (`_monic_roots`).
 
 Polynomial literals:  "[c0,c1,...,cn]@5^k;mod=[m0,...,mk]"  with the
 prime-field shorthand "@5", both lists JSON arrays of integers, nested
@@ -331,7 +332,8 @@ def _arithmetic(modulus):
 #: tables of GF(5^5) hold about 0.6 MB (the Zech table 0.05 MB of it) and
 #: take about 13 ms to build; those of GF(5^6) would hold 2.8 MB, GF(5^7)
 #: 14 MB and GF(5^8) about 70 MB, against a `curve check` process that
-#: peaks near 38 MB.
+#: peaks near 16.5 MB (VmHWM of one `curve check` on a GF(5) or GF(25)
+#: sextic in a fresh CPython 3.11 process).
 TABLE_MAX_ORDER = P ** 5
 
 
@@ -844,6 +846,8 @@ def _radical(u):
     if du.is_zero():
         return _radical(poly_fifth_root(u))
     g = poly_gcd(u, du)
+    if g.degree == 0:
+        return u
     w = (u // g).monic()          # distinct factors of multiplicity != 0 mod 5
     g1 = g
     while True:
@@ -858,21 +862,38 @@ def _radical(u):
 
 def roots_in_extension(u, max_degree, seed=0):
     """All roots of u in extensions of its coefficient field GF(5^k) of
-    relative degree at most `max_degree`.
+    relative degree at most `max_degree`, as a new list of RootInExtension
+    records sorted by (relative degree, value).
 
-    Returns RootInExtension records sorted by (relative degree, value).
-    One table of x^(5^j) mod the radical sf serves both steps.
-    Distinct-degree splitting reads x^(5^(km)) from it to peel off the
-    degree-m part for each m.  That part is embedded in GF(5^(km)), and
-    `_split_orbits` finds one root per irreducible factor there, with its
-    conjugates under x -> x^(5^k); the subfield degree is computed once per
-    orbit.  When u is squarefree (deg sf = deg u) every multiplicity is 1;
-    otherwise each root's multiplicity is read from u(x + r).
-    Raises SplittingFieldError, before any part is split, if factors of
-    larger degree remain.
+    The roots of u are those of u.monic(), so u and every nonzero multiple
+    of it share one `_monic_roots` entry.  Raises SplittingFieldError, on
+    every call, if factors of larger degree remain.
     """
     if u.is_zero():
         raise ValueError("zero polynomial")
+    return list(_monic_roots(u.monic(), max_degree, seed))
+
+
+@lru_cache(maxsize=625)
+def _monic_roots(u, max_degree, seed):
+    """`roots_in_extension` of a monic u, as a tuple; memoised per
+    (u, max_degree, seed), so a process root-finds each monic f' once.
+    The bound is 625 = 5^4 entries: over GF(5) the derivative of a sextic,
+    a6 x^5 + 4 a4 x^3 + 3 a3 x^2 + 2 a2 x + a1, has no x^4 term, so every
+    monic f' of a GF(5) census fits and none is evicted.  An error is
+    raised, never stored.
+
+    One table of x^(5^j) mod the radical sf serves both steps.
+    Distinct-degree splitting reads x^(5^(km)) from it to peel off the
+    degree-m part for each m.  Once every factor of degree at most m is
+    gone, a remainder of degree below 2(m + 1) is irreducible and is the
+    last part.  Each part is embedded in GF(5^(km)), and `_split_orbits`
+    finds one root per irreducible factor there, with its conjugates under
+    x -> x^(5^k); the subfield degree is computed once per orbit.  When u
+    is squarefree (deg sf = deg u) every multiplicity is 1; otherwise each
+    root's multiplicity is read from u(x + r).  The SplittingFieldError
+    comes before any part is split.
+    """
     base = u.field
     k = base.degree
     sf = _radical(u)
@@ -883,15 +904,19 @@ def roots_in_extension(u, max_degree, seed=0):
     v = sf
     x = GFPoly.x(base)
     m = 0
-    while v.degree > 0 and m < max_degree:
+    while v.degree >= 2 * (m + 1) and m < max_degree:
         m += 1
         table += itertools.islice(fifth_powers, k * m + 1 - len(table))
         g = poly_gcd(table[k * m] % v - x, v)
         if g.degree > 0:
             chunks.append((m, g))
             v = v // g
-    if v.degree > 0:
+    # v has no factor of degree <= m, so below degree 2(m + 1) it is 1 or irreducible
+    if v.degree > max_degree:
         raise SplittingFieldError(f"irreducible factors of degree > {max_degree} remain")
+    if v.degree > 0:
+        table += itertools.islice(fifth_powers, k * v.degree - len(table))
+        chunks.append((v.degree, v))
 
     records = []
     for m, g in chunks:
@@ -910,7 +935,7 @@ def roots_in_extension(u, max_degree, seed=0):
                     field=ext,
                 ))
     records.sort(key=lambda rec: (rec.field.degree, rec.value))
-    return records
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from charfive import discform
 from charfive.cli import VERBS, _parse_args, run
 from charfive.curvecheck import random_in_U
-from charfive.ffpoly import GF, format_poly_literal
+from charfive.ffpoly import GF, GFPoly, format_poly_literal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIXTURE = "[0,0,1,0,0,0,1]@5"
@@ -87,6 +87,9 @@ def test_classify_matches_golden():
      ["curve", "check", "--poly",
       "[[3,3,0,2,4,3],[3,2,3,2,4,1],[4,1,2,1,0,4],[2,4,4,1,2,0],[0,2,3,4,0,2],[3,2,4,1,4,3],"
       "[3,4,2,0,4,0]]@5^6;mod=[1,1,1,1,1,1,1]"]),
+    # 200 GF(5) draws in one process, most of them repeating an earlier monic f'
+    ("curve_random_gf5_check.json",
+     ["curve", "random", "--field", "5", "--seed", "0", "--count", "200", "--check"]),
 ])
 def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)
@@ -94,19 +97,50 @@ def test_curve_output_matches_golden(name, argv):
     assert out == (GOLDEN / name).read_text()
 
 
-def test_curve_check_batch_matches_golden():
-    """`curve check` on the first 40 `random_in_U` sextics over GF(25) and
-    over GF(5): singular points up to GF(5^10), the minimal-root choice of
-    each embedding and the polar draws, one stdout per line."""
-    expected = (GOLDEN / "curve_check_batch.jsonl").read_text().splitlines(keepends=True)
+def _random_literals():
+    """The first 40 `random_in_U` sextics over GF(25) and over GF(5)."""
+    return [format_poly_literal(random_in_U(GF(k), seed).f) for k in (2, 1) for seed in range(40)]
+
+
+def _gf5_class_literals():
+    """Ten sextics over GF(5) with distinct monic f', drawn by `random_in_U`
+    from seed 100 on, each as f, f + c5 x^5 + c0, 2f and 3(f + c5 x^5 + c0)
+    with seeded nonzero c5, c0: the four share one monic f'."""
+    field = GF(1)
+    rng = random.Random(0)
+    literals, seen, seed = [], set(), 100
+    while len(seen) < 10:
+        f = random_in_U(field, seed).f
+        seed += 1
+        key = f.derivative().monic()
+        if key in seen:
+            continue
+        seen.add(key)
+        shifted = f + GFPoly.from_ints(field, [rng.randrange(1, 5), 0, 0, 0, 0,
+                                               rng.randrange(1, 5)])
+        for scale, g in ((1, f), (1, shifted), (2, f), (3, shifted)):
+            literals.append(format_poly_literal(
+                GFPoly(field, [field.mul(scale, c) for c in g.coeffs])))
+    return literals
+
+
+@pytest.mark.parametrize("name, literals", [
+    pytest.param("curve_check_batch.jsonl", _random_literals, id="random_gf25_gf5"),
+    pytest.param("curve_check_batch_gf5.jsonl", _gf5_class_literals, id="gf5_fprime_classes"),
+])
+def test_curve_check_batch_matches_golden(name, literals):
+    """`curve check` on a list of sextics in one process, one stdout per
+    line: random ones over GF(25) and GF(5) (singular points up to
+    GF(5^10), the minimal-root choice of each embedding and the polar
+    draws), and GF(5) sextics that share their monic f' four at a time,
+    so that most root records come from memory."""
+    expected = (GOLDEN / name).read_text().splitlines(keepends=True)
     outputs = []
-    for k in (2, 1):
-        for seed in range(40):
-            literal = format_poly_literal(random_in_U(GF(k), seed).f)
-            code, out, _ = invoke(["curve", "check", "--poly", literal])
-            assert code == 0
-            outputs.append(out)
-    assert len(expected) == len(outputs) == 80
+    for literal in literals():
+        code, out, _ = invoke(["curve", "check", "--poly", literal])
+        assert code == 0
+        outputs.append(out)
+    assert len(expected) == len(outputs) >= 40
     for got, want in zip(outputs, expected):
         assert got == want
 
@@ -179,8 +213,9 @@ def test_splitting_field_too_large_exits_1():
 @pytest.mark.parametrize("literal", [
     FIXTURE, "[[0,2],[4,0],[2,2],[0,4],[1,0],[2,0],[2,3]]@5^2"])
 def test_one_squarefree_gcd_per_curve(monkeypatch, literal):
-    """Each curve verb takes gcd(f', f'') once: the root records of f'
-    decide membership in U."""
+    """Each curve verb takes gcd(f', f'') once per monic f' and process:
+    the root records of f' decide membership in U, and a second verb on
+    the same literal reads them from `_monic_roots` without a gcd."""
     from charfive import ffpoly
 
     fp = ffpoly.parse_poly_literal(literal).derivative()
@@ -195,7 +230,10 @@ def test_one_squarefree_gcd_per_curve(monkeypatch, literal):
     monkeypatch.setattr(ffpoly, "poly_gcd", counting)
     for verb in ("check", "sing", "wall", "ns"):
         calls.clear()
+        ffpoly._monic_roots.cache_clear()
         assert invoke(["curve", verb, "--poly", literal])[0] == 0
+        assert len(calls) == 1, verb
+        assert invoke(["curve", "check", "--poly", literal])[0] == 0
         assert len(calls) == 1, verb
 
 

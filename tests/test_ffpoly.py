@@ -471,7 +471,17 @@ def test_roots_in_extension_reconstruction():
     assert prod == u_top.monic()
 
 
-def test_roots_in_extension_partial_error(monkeypatch):
+@pytest.fixture
+def cold_roots():
+    """The root memo emptied before and after the test, so that every call
+    it counts below `roots_in_extension` happens and no record built by a
+    patched helper stays behind."""
+    ffpoly._monic_roots.cache_clear()
+    yield
+    ffpoly._monic_roots.cache_clear()
+
+
+def test_roots_in_extension_partial_error(monkeypatch, cold_roots):
     """A root in F5 beside an irreducible quartic, searched up to degree 3:
     the error comes straight from distinct-degree splitting, so the linear
     part is never split."""
@@ -484,6 +494,59 @@ def test_roots_in_extension_partial_error(monkeypatch):
         roots_in_extension(u, 3)
     assert calls == []
     assert len(roots_in_extension(u, 4)) == 5 and len(calls) == 2
+
+
+def test_roots_are_memoised_per_monic_polynomial(monkeypatch, cold_roots):
+    """u, 2u and 3u give equal records from one `_split_orbits` pass (one
+    call per distinct-degree part); each call returns a new list, so
+    mutating one leaves the next intact; a SplittingFieldError is raised
+    on every call, never stored, and a larger max_degree succeeds after it."""
+    calls = []
+    real = ffpoly._split_orbits
+    monkeypatch.setattr(ffpoly, "_split_orbits", lambda *a: calls.append(a) or real(*a))
+    u = GFPoly.from_ints(F5, [0, 2, 0, 0, 0, 1])          # x^5 + 2x: parts of degree 1 and 4
+    first = roots_in_extension(u, 8)
+    assert len(first) == 5 and len(calls) == 2
+    for c in (2, 3):
+        assert roots_in_extension(GFPoly(F5, [F5.mul(c, a) for a in u.coeffs]), 8) == first
+    assert len(calls) == 2
+    expected = list(first)
+    first.pop()
+    first[0] = None
+    assert roots_in_extension(u, 8) == expected
+    for _ in range(2):
+        with pytest.raises(SplittingFieldError):
+            roots_in_extension(u, 3)
+    assert len(calls) == 2
+    assert roots_in_extension(u, 4) == expected and len(calls) == 4
+
+
+def test_distinct_degree_splitting_stops_at_an_irreducible_remainder(monkeypatch, cold_roots):
+    """x^5 - x - 1 is irreducible over GF(5) (Artin-Schreier).  With no
+    factor of degree 1 or 2 left, a quintic is irreducible, so root finding
+    takes three gcds (one for the radical, two for distinct degrees) where
+    a search up to degree 5 took seven, and hands the whole quintic to
+    `_split_orbits` with the five table entries it reads."""
+    u = GFPoly.from_ints(F5, [4, 4, 0, 0, 0, 1])
+    ext = GF(5)
+    emb = embedding(F5, ext)          # the modulus search and embedding take gcds too
+    gcds, parts = [], []
+    real = ffpoly.poly_gcd
+    monkeypatch.setattr(ffpoly, "poly_gcd", lambda a, b: gcds.append(1) or real(a, b))
+    monkeypatch.setattr(ffpoly, "_split_orbits",
+                        lambda g, powers, k, m, seed: parts.append((g.degree, len(powers), m)) or [])
+    assert roots_in_extension(u, 8) == []
+    assert len(gcds) == 3 and parts == [(5, 5, 5)]
+    with pytest.raises(SplittingFieldError):
+        roots_in_extension(u, 4)
+    assert len(gcds) == 6 and len(parts) == 1
+    monkeypatch.undo()
+    ffpoly._monic_roots.cache_clear()
+    recs = roots_in_extension(u, 5)
+    u_ext = u.map_coeffs(emb, ext)
+    assert len(recs) == 5
+    assert all(r.field == ext and r.subfield_degree == 5 and r.multiplicity == 1
+               and not u_ext.eval(r.value) for r in recs)
 
 
 # ---------------------------------------------------------------------------
