@@ -2,7 +2,8 @@
 
 Shows element arithmetic in an extension, the inverse Frobenius (fifth
 roots exist and are unique in every field here), and root finding across
-extensions with multiplicities and minimal subfields.
+extensions with minimal subfields.  `roots_in_extension` takes squarefree
+polynomials only, so every root it lists is simple.
 """
 
 from charfive.ffpoly import (
@@ -32,7 +33,7 @@ u = parse_poly_literal("[0,2,0,0,0,1]@5")            # x^5 + 2x
 print(f"u = {format_poly_literal(u)}")
 for rec in roots_in_extension(u, max_degree=8):
     print(f"  root {rec.field.format_elem(rec.value)} in GF(5^{rec.field.degree}), "
-          f"multiplicity {rec.multiplicity}, minimal subfield degree "
+          f"multiplicity 1, minimal subfield degree "
           f"{rec.subfield_degree}")
 
 print("\n=== embeddings compose with arithmetic ===")

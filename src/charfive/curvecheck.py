@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .ffpoly import (
     GFPoly,
-    SplittingFieldError,
+    NotSquarefreeError,
     embedding,
     is_squarefree,
     roots_in_extension,
@@ -114,22 +114,16 @@ def singular_points(m, max_ext):
     they are computed at the first point of each orbit, its leader, and
     mapped to the others.
 
-    f is in U iff its derivative has deg f' = 5 simple roots, so the root
-    records decide membership and gcd(f', f'') is taken once per monic f'
-    and process, inside `roots_in_extension`; only a SplittingFieldError
-    takes it again.
-    Raises OutsideUError for f outside U.
+    f is in U iff its derivative, of degree 5, is squarefree.
+    `roots_in_extension` decides that with the one gcd(f', f'') it takes
+    per monic f' and process, before any splitting, and raises
+    NotSquarefreeError, which becomes OutsideUError, for f outside U; a
+    SplittingFieldError therefore means f is in U.
     """
-    fp = m.f.derivative()
     try:
-        roots = roots_in_extension(fp, max_ext)
-        in_u = len(roots) == fp.degree
-    except SplittingFieldError:
-        if is_in_U(m.f):
-            raise
-        in_u = False
-    if not in_u:
-        raise OutsideUError("polynomial is outside the admissible open set")
+        roots = roots_in_extension(m.f.derivative(), max_ext)
+    except NotSquarefreeError:
+        raise OutsideUError("polynomial is outside the admissible open set") from None
     k = m.field.degree
     f_in = {ext: m.f.map_coeffs(embedding(m.field, ext), ext)
             for ext in {rec.field for rec in roots}}

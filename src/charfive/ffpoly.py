@@ -19,12 +19,13 @@ map, whose columns are the powers of the image of the generator.  Rabin's
 test takes x -> x^5 from `_Kronecker` and its gcds from `GFPoly` over
 GF(5).  The schoolbook reference lives in `tests/gf_kernels.py`.
 
-Root finding works by Frobenius orbits.  One table of x^(5^j) mod the
-radical, each entry a semilinear combination of the rows x^(5i), gives the
-distinct-degree parts; in each part one root per irreducible factor over
-GF(5^k) comes from one branch of Berlekamp's trace gcds, and its conjugates
-from the Frobenius map x -> x^(5^k).  The long-division table and the
-splitting that follows every branch are the oracle in `tests/root_kernels.py`.
+Root finding works by Frobenius orbits, on squarefree polynomials only.
+One table of x^(5^j) mod the polynomial, each entry a semilinear
+combination of the rows x^(5i), gives the distinct-degree parts; in each
+part one root per irreducible factor over GF(5^k) comes from one branch
+of Berlekamp's trace gcds, and its conjugates from the Frobenius map
+x -> x^(5^k).  The long-division table and the splitting that follows
+every branch are the oracle in `tests/root_kernels.py`.
 A process keeps the root records of each monic polynomial (`_monic_roots`).
 
 Polynomial literals:  "[c0,c1,...,cn]@5^k;mod=[m0,...,mk]"  with the
@@ -690,18 +691,6 @@ def is_squarefree(u):
     return poly_gcd(u, du).degree == 0
 
 
-def poly_fifth_root(u):
-    """v with v^5 = u, for u whose nonzero terms all have exponent 0 mod 5."""
-    f = u.field
-    out = []
-    for i, c in enumerate(u.coeffs):
-        if i % P == 0:
-            out.append(f.fifth_root(c))
-        elif c:
-            raise ValueError("polynomial is not a fifth power")
-    return GFPoly(f, out)
-
-
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------
@@ -818,56 +807,29 @@ def taylor_coefficients(u, r, count):
         yield cs.pop(0) if cs else 0
 
 
-def _root_multiplicity(u, r):
-    """The multiplicity of r as a root of u (0 when u(r) != 0): the index of
-    the first nonzero coefficient of u(x + r)."""
-    for mult, c in enumerate(taylor_coefficients(u, r, len(u.coeffs))):
-        if c:
-            return mult
-    raise ValueError("zero polynomial")
-
-
-#: a root `value` in the extension `field`, with its multiplicity and the
-#: degree over F5 of the subfield it generates
-RootInExtension = namedtuple("RootInExtension", "value multiplicity subfield_degree field")
+#: a root `value` in the extension `field`, with the degree over F5 of the
+#: subfield it generates
+RootInExtension = namedtuple("RootInExtension", "value subfield_degree field")
 
 
 class SplittingFieldError(ValueError):
     """The splitting field exceeds the requested extension degree."""
 
 
-def _radical(u):
-    """Monic squarefree polynomial with the same roots as u."""
-    f = u.field
-    u = u.monic()
-    if u.degree == 0:
-        return u
-    du = u.derivative()
-    if du.is_zero():
-        return _radical(poly_fifth_root(u))
-    g = poly_gcd(u, du)
-    if g.degree == 0:
-        return u
-    w = (u // g).monic()          # distinct factors of multiplicity != 0 mod 5
-    g1 = g
-    while True:
-        h = poly_gcd(g1, w)
-        if h.degree == 0:
-            break
-        g1 = g1 // h
-    if g1.degree == 0:
-        return w
-    return (w * _radical(poly_fifth_root(g1))).monic()
+class NotSquarefreeError(ValueError):
+    """Root finding takes squarefree polynomials only, and this one has a
+    repeated root."""
 
 
 def roots_in_extension(u, max_degree, seed=0):
-    """All roots of u in extensions of its coefficient field GF(5^k) of
-    relative degree at most `max_degree`, as a new list of RootInExtension
-    records sorted by (relative degree, value).
+    """All roots of a squarefree u in extensions of its coefficient field
+    GF(5^k) of relative degree at most `max_degree`, as a new list of
+    RootInExtension records sorted by (relative degree, value).
 
     The roots of u are those of u.monic(), so u and every nonzero multiple
-    of it share one `_monic_roots` entry.  Raises SplittingFieldError, on
-    every call, if factors of larger degree remain.
+    of it share one `_monic_roots` entry.  Raises NotSquarefreeError if
+    gcd(u, u') is not constant, and otherwise SplittingFieldError if
+    factors of larger degree remain, either one on every call.
     """
     if u.is_zero():
         raise ValueError("zero polynomial")
@@ -883,25 +845,25 @@ def _monic_roots(u, max_degree, seed):
     monic f' of a GF(5) census fits and none is evicted.  An error is
     raised, never stored.
 
-    One table of x^(5^j) mod the radical sf serves both steps.
-    Distinct-degree splitting reads x^(5^(km)) from it to peel off the
-    degree-m part for each m.  Once every factor of degree at most m is
-    gone, a remainder of degree below 2(m + 1) is irreducible and is the
-    last part.  Each part is embedded in GF(5^(km)), and `_split_orbits`
-    finds one root per irreducible factor there, with its conjugates under
-    x -> x^(5^k); the subfield degree is computed once per orbit.  When u
-    is squarefree (deg sf = deg u) every multiplicity is 1; otherwise each
-    root's multiplicity is read from u(x + r).  The SplittingFieldError
-    comes before any part is split.
+    u must be squarefree: the one gcd(u, u') of `is_squarefree` decides
+    it, and NotSquarefreeError comes before any other work.  One table of
+    x^(5^j) mod u serves both steps.  Distinct-degree splitting reads
+    x^(5^(km)) from it to peel off the degree-m part for each m.  Once
+    every factor of degree at most m is gone, a remainder of degree below
+    2(m + 1) is irreducible and is the last part.  Each part is embedded
+    in GF(5^(km)), and `_split_orbits` finds one root per irreducible
+    factor there, with its conjugates under x -> x^(5^k); the subfield
+    degree is computed once per orbit.  The SplittingFieldError comes
+    before any part is split.
     """
+    if not is_squarefree(u):
+        raise NotSquarefreeError("polynomial has a repeated root")
     base = u.field
     k = base.degree
-    sf = _radical(u)
-    squarefree = sf.degree == u.degree
-    fifth_powers = _fifth_power_table(sf)
+    fifth_powers = _fifth_power_table(u)
     table = []
     chunks = []
-    v = sf
+    v = u
     x = GFPoly.x(base)
     m = 0
     while v.degree >= 2 * (m + 1) and m < max_degree:
@@ -922,18 +884,12 @@ def _monic_roots(u, max_degree, seed):
     for m, g in chunks:
         ext = base if m == 1 else GF(k * m)
         emb = embedding(base, ext)
-        u_ext = None if squarefree else u.map_coeffs(emb, ext)
         orbits = _split_orbits(g.map_coeffs(emb, ext),
                                [(h % g).map_coeffs(emb, ext) for h in table[:k * m]], k, m, seed)
         for orbit in orbits:
             degree = subfield_degree(ext, orbit[0])
             for r in orbit:
-                records.append(RootInExtension(
-                    value=r,
-                    multiplicity=1 if squarefree else _root_multiplicity(u_ext, r),
-                    subfield_degree=degree,
-                    field=ext,
-                ))
+                records.append(RootInExtension(value=r, subfield_degree=degree, field=ext))
     records.sort(key=lambda rec: (rec.field.degree, rec.value))
     return tuple(records)
 

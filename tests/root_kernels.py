@@ -9,7 +9,9 @@ down to linear factors, where `ffpoly._split_orbits` follows one branch
 to one root per irreducible factor and takes the rest of its orbit from
 the Frobenius map.  `roots_in_field` lists every root of a polynomial in
 its own coefficient field, as `ffpoly._embedding_image` did before it took
-one orbit of x -> x^5.  `test_ffpoly.py` checks the fast forms against these.
+one orbit of x -> x^5, with the multiplicity `root_multiplicity` reads from
+the Taylor expansion, as `ffpoly.roots_in_extension` did before it took
+squarefree input only.  `test_ffpoly.py` checks the fast forms against these.
 """
 
 import itertools
@@ -19,9 +21,9 @@ from charfive.ffpoly import (
     P,
     GFPoly,
     _fifth_power_table,
-    _root_multiplicity,
     _split_orbits,
     poly_gcd,
+    taylor_coefficients,
 )
 
 
@@ -82,6 +84,15 @@ def trace_split(lin, powers, seed):
     return roots
 
 
+def root_multiplicity(u, r):
+    """The multiplicity of r as a root of u (0 when u(r) != 0): the index of
+    the first nonzero coefficient of u(x + r)."""
+    for mult, c in enumerate(taylor_coefficients(u, r, len(u.coeffs))):
+        if c:
+            return mult
+    raise ValueError("zero polynomial")
+
+
 def roots_in_field(u, seed=0):
     """All roots of u inside its own coefficient field GF(q), with
     multiplicities.
@@ -97,4 +108,4 @@ def roots_in_field(u, seed=0):
     table = list(itertools.islice(_fifth_power_table(m), f.degree + 1))
     lin = poly_gcd(table[-1] - GFPoly.x(f), m)
     orbits = _split_orbits(lin, [h % lin for h in table[:-1]], f.degree, 1, seed)
-    return [(r, _root_multiplicity(u, r)) for r in sorted(orbit[0] for orbit in orbits)]
+    return [(r, root_multiplicity(u, r)) for r in sorted(orbit[0] for orbit in orbits)]

@@ -17,6 +17,8 @@ from charfive.ffpoly import GF, GFPoly, format_poly_literal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIXTURE = "[0,0,1,0,0,0,1]@5"
+#: x^6 + x^3, whose f' = x^2 (x^3 + 3) has a double root at 0
+OUTSIDE_U = "[0,0,0,1,0,0,1]@5"
 
 
 def invoke(argv):
@@ -90,6 +92,13 @@ def test_classify_matches_golden():
     # 200 GF(5) draws in one process, most of them repeating an earlier monic f'
     ("curve_random_gf5_check.json",
      ["curve", "random", "--field", "5", "--seed", "0", "--count", "200", "--check"]),
+    # outside U: f' = x^2 (x^3 + 3) has a double root, f' = (x + 1)^5 is a
+    # fifth power, and with --max-ext 1 f' also keeps an irreducible quadratic
+    ("curve_check_outside_U_double_root.json", ["curve", "check", "--poly", OUTSIDE_U]),
+    ("curve_check_outside_U_fifth_power.json",
+     ["curve", "check", "--poly", "[0,1,0,0,0,0,1]@5"]),
+    ("curve_check_outside_U_max_ext1.json",
+     ["curve", "check", "--poly", OUTSIDE_U, "--max-ext", "1"]),
 ])
 def test_curve_output_matches_golden(name, argv):
     code, out, _ = invoke(argv)
@@ -199,6 +208,12 @@ def test_curve_not_in_u_beyond_max_ext():
         assert json.loads(out)["results"] == {"poly": literal, "in_U": False}
         code, _, err = invoke(["curve", "ns", "--poly", literal, "--max-ext", max_ext])
         assert code == 2 and "outside the admissible open set" in err
+
+
+def test_curve_ns_outside_u_is_a_usage_error():
+    code, out, err = invoke(["curve", "ns", "--poly", OUTSIDE_U])
+    assert (code, out) == (2, "")
+    assert err == "usage error: polynomial is outside the admissible open set\n"
 
 
 def test_splitting_field_too_large_exits_1():

@@ -26,12 +26,13 @@ from charfive.curvecheck import (
 from charfive.ffpoly import (
     GF,
     GFPoly,
-    _root_multiplicity,
+    NotSquarefreeError,
     embedding,
     parse_poly_literal,
     roots_in_extension,
 )
 from point_kernels import corrections_per_point, point_facts
+from root_kernels import root_multiplicity, roots_in_field
 from fulton_kernels import (
     Poly,
     check_infinity,
@@ -65,12 +66,15 @@ def test_is_in_u_matches_simple_roots():
     # gcd test against root multiplicities in the splitting field
     for seed in range(20):
         m = random_in_U(F5, seed)
-        recs = roots_in_extension(m.f.derivative(), 8)
-        assert all(r.multiplicity == 1 for r in recs)
-        assert sum(r.multiplicity for r in recs) == 5
+        fp = m.f.derivative()
+        recs = roots_in_extension(fp, 8)
+        assert len(recs) == 5
+        for r in recs:
+            assert root_multiplicity(fp.map_coeffs(embedding(F5, r.field), r.field), r.value) == 1
     bad = GFPoly.from_ints(F5, [0, 0, 0, 0, 0, 0, 1])
-    recs = roots_in_extension(bad.derivative(), 8)
-    assert any(r.multiplicity > 1 for r in recs)
+    assert roots_in_field(bad.derivative()) == [(F5.zero, 5)]
+    with pytest.raises(NotSquarefreeError):
+        roots_in_extension(bad.derivative(), 8)
 
 
 def test_sextic_model_validation():
@@ -112,7 +116,7 @@ def test_singular_points_fixture():
         assert ext.pow(p.beta, 5) == f_ext.eval(p.alpha)
         assert not f_ext.derivative().eval(p.alpha)
         assert p.is_A4
-        assert _root_multiplicity(f_ext.derivative(), p.alpha) == 1
+        assert root_multiplicity(f_ext.derivative(), p.alpha) == 1
         assert p.local_mult_with_polar == 5
 
 
@@ -144,7 +148,7 @@ def test_verify_a4_reconstruction():
 
 def _order_at(h, alpha):
     """The order of vanishing of a nonzero univariate h at x = alpha, by
-    division by x - alpha: the oracle for `_root_multiplicity`."""
+    division by x - alpha: the oracle for `root_multiplicity`."""
     fld = h.field
     lin = GFPoly(fld, [fld.neg(alpha), fld.one])
     order = 0
@@ -204,9 +208,9 @@ def _batch_models():
 
 
 def test_taylor_forms_match_division_oracles():
-    """`verify_A4`, `_root_multiplicity` and `_corrections_for` against their
-    division forms at every singular point of the 80 batch sextics, with
-    ten seeded polar draws on each."""
+    """`verify_A4`, `_corrections_for` and `root_multiplicity`, which reads
+    `taylor_coefficients`, against their division forms at every singular
+    point of the 80 batch sextics, with ten seeded polar draws on each."""
     points_seen = draws = 0
     for m in _batch_models():
         fld = m.field
@@ -216,10 +220,10 @@ def test_taylor_forms_match_division_oracles():
             assert verify_A4(f_ext, p.alpha) == verify_a4_by_division(f_ext, p.alpha)
             assert verify_A4(f_ext, p.alpha) == (p.is_A4, p.g_at_alpha)
             fp_ext = f_ext.derivative()
-            assert _root_multiplicity(fp_ext, p.alpha) == _order_at(fp_ext, p.alpha) == 1
+            assert root_multiplicity(fp_ext, p.alpha) == _order_at(fp_ext, p.alpha) == 1
             # f - f(alpha) vanishes doubly: the division loop runs past one step
             tail = f_ext - GFPoly(p.field, [f_ext.eval(p.alpha)])
-            assert _root_multiplicity(tail, p.alpha) == _order_at(tail, p.alpha) == 2
+            assert root_multiplicity(tail, p.alpha) == _order_at(tail, p.alpha) == 2
             points_seen += 1
         rng = random.Random(str(m.f))
         for _ in range(10):
@@ -293,7 +297,7 @@ def test_a4_iff_simple_critical_point():
             ext = rec.field
             f_ext = m.f.map_coeffs(embedding(F25, ext), ext)
             ok, _ = verify_A4(f_ext, rec.value)
-            assert ok == (rec.multiplicity == 1)
+            assert ok == (root_multiplicity(f_ext.derivative(), rec.value) == 1)
 
 
 # ---------------------------------------------------------------------------

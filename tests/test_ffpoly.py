@@ -14,13 +14,12 @@ from charfive.ffpoly import (
     MAX_LITERAL_DEGREE,
     P,
     TABLE_MAX_ORDER,
+    NotSquarefreeError,
     RootInExtension,
     SplittingFieldError,
     _embedding_image,
     _f5_is_irreducible,
     _fifth_power_table,
-    _radical,
-    _root_multiplicity,
     _search_modulus,
     _split_orbits,
     embedding,
@@ -429,13 +428,13 @@ def test_roots_in_extension_quintic():
     u = GFPoly.from_ints(F5, [0, 2, 0, 0, 0, 1])          # x^5 + 2x
     recs = roots_in_extension(u, 8)
     assert len(recs) == 5
-    assert all(r.multiplicity == 1 for r in recs)
     assert recs[0].value == F5.zero and recs[0].subfield_degree == 1
     assert all(r.subfield_degree == 4 for r in recs[1:])
     # independent oracle: exhaustive evaluation over the 625-element field
     f625 = GF(4)
     emb = embedding(F5, f625)
     u625 = u.map_coeffs(emb, f625)
+    assert [mult for _, mult in root_kernels.roots_in_field(u625)] == [1] * 5
     brute = sorted(a for a in map(f625.from_int, range(f625.order))
                    if not u625.eval(a))
     assert sorted(emb(r.value) if r.field.degree == 1 else r.value
@@ -443,12 +442,12 @@ def test_roots_in_extension_quintic():
 
 
 def test_roots_in_extension_multiplicity():
+    """(x+1)^5, whose derivative vanishes, has the one root 4, of
+    multiplicity 5 by the oracle; `roots_in_extension` refuses it."""
     u = GFPoly.from_ints(F5, [1, 0, 0, 0, 0, 1])          # (x+1)^5
-    recs = roots_in_extension(u, 3)
-    assert len(recs) == 1
-    assert recs[0].value == F5.elem(4)
-    assert recs[0].multiplicity == 5
-    assert recs[0].subfield_degree == 1
+    assert root_kernels.roots_in_field(u) == [(F5.elem(4), 5)]
+    with pytest.raises(NotSquarefreeError):
+        roots_in_extension(u, 3)
 
 
 def test_roots_in_extension_quadratic():
@@ -466,7 +465,7 @@ def test_roots_in_extension_reconstruction():
     for rec in recs:
         val = embedding(rec.field, top)(rec.value)
         lin = GFPoly(top, [top.neg(val), top.one])
-        for _ in range(rec.multiplicity):
+        for _ in range(root_kernels.root_multiplicity(u_top, val)):
             prod = prod * lin
     assert prod == u_top.monic()
 
@@ -494,6 +493,26 @@ def test_roots_in_extension_partial_error(monkeypatch, cold_roots):
         roots_in_extension(u, 3)
     assert calls == []
     assert len(roots_in_extension(u, 4)) == 5 and len(calls) == 2
+
+
+def test_roots_in_extension_refuses_repeated_roots(monkeypatch, cold_roots):
+    """x^2 (x^2 + 2) searched up to degree 1 is both not squarefree and
+    beyond the search: NotSquarefreeError wins, because it comes from the
+    one gcd(u, u') before any distinct-degree split.  It is raised on every
+    call and never stored; a constant is squarefree and has no roots."""
+    quadratic = GFPoly.from_ints(F5, [2, 0, 1])           # irreducible: 2 is not a square
+    with pytest.raises(SplittingFieldError):
+        roots_in_extension(GFPoly.x(F5) * quadratic, 1)
+    gcds = []
+    real = ffpoly.poly_gcd
+    monkeypatch.setattr(ffpoly, "poly_gcd", lambda a, b: gcds.append(1) or real(a, b))
+    u = GFPoly.from_ints(F5, [0, 0, 1]) * quadratic
+    for calls in (1, 2):
+        with pytest.raises(NotSquarefreeError):
+            roots_in_extension(u, 1)
+        assert len(gcds) == calls
+        assert ffpoly._monic_roots.cache_info().currsize == 0
+    assert roots_in_extension(GFPoly.from_ints(F5, [3]), 1) == []
 
 
 def test_roots_are_memoised_per_monic_polynomial(monkeypatch, cold_roots):
@@ -524,9 +543,9 @@ def test_roots_are_memoised_per_monic_polynomial(monkeypatch, cold_roots):
 def test_distinct_degree_splitting_stops_at_an_irreducible_remainder(monkeypatch, cold_roots):
     """x^5 - x - 1 is irreducible over GF(5) (Artin-Schreier).  With no
     factor of degree 1 or 2 left, a quintic is irreducible, so root finding
-    takes three gcds (one for the radical, two for distinct degrees) where
-    a search up to degree 5 took seven, and hands the whole quintic to
-    `_split_orbits` with the five table entries it reads."""
+    takes three gcds (one for the squarefree test, two for distinct
+    degrees) where a search up to degree 5 took seven, and hands the whole
+    quintic to `_split_orbits` with the five table entries it reads."""
     u = GFPoly.from_ints(F5, [4, 4, 0, 0, 0, 1])
     ext = GF(5)
     emb = embedding(F5, ext)          # the modulus search and embedding take gcds too
@@ -545,8 +564,8 @@ def test_distinct_degree_splitting_stops_at_an_irreducible_remainder(monkeypatch
     recs = roots_in_extension(u, 5)
     u_ext = u.map_coeffs(emb, ext)
     assert len(recs) == 5
-    assert all(r.field == ext and r.subfield_degree == 5 and r.multiplicity == 1
-               and not u_ext.eval(r.value) for r in recs)
+    assert all(r.field == ext and r.subfield_degree == 5
+               and root_kernels.root_multiplicity(u_ext, r.value) == 1 for r in recs)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +609,11 @@ def split_linear(lin, seed):
 
 
 def oracle_roots_in_extension(u, max_degree, seed=0):
-    """`roots_in_extension` by x^(Q^m) mod v from `pow_mod` and splitting by
-    `split_linear`: (records, remaining factor)."""
+    """`roots_in_extension` of a squarefree u by x^(Q^m) mod v from `pow_mod`
+    and splitting by `split_linear`: (records, remaining factor)."""
     base = u.field
     x = GFPoly.x(base)
-    v, h, m, chunks = _radical(u), x, 0, []
+    v, h, m, chunks = u.monic(), x, 0, []
     while v.degree > 0 and m < max_degree:
         m += 1
         h = pow_mod(h, base.order, v)
@@ -607,10 +626,8 @@ def oracle_roots_in_extension(u, max_degree, seed=0):
     for m, g in chunks:
         ext = GF(base.degree * m)
         emb = embedding(base, ext)
-        u_ext = u.map_coeffs(emb, ext)
         for r in split_linear(g.map_coeffs(emb, ext), seed):
-            records.append(RootInExtension(r, _root_multiplicity(u_ext, r),
-                                           subfield_degree(ext, r), ext))
+            records.append(RootInExtension(r, subfield_degree(ext, r), ext))
     records.sort(key=lambda rec: (rec.field.degree, rec.value))
     return records, v
 
@@ -619,17 +636,24 @@ def _random_poly(fld, rng, degree):
     return GFPoly(fld, [fld.rand_elem(rng) for _ in range(degree)] + [fld.one])
 
 
+def _random_squarefree(fld, rng, degree):
+    while True:
+        u = _random_poly(fld, rng, degree)
+        if is_squarefree(u):
+            return u
+
+
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 10))
 def test_fifth_power_table_matches_pow_mod(k):
     """x^(5^j) mod sf from the semilinear rows against the long-division
-    oracle and square-and-multiply, for seeded radicals sf over GF(5^k),
+    oracle and square-and-multiply, for seeded squarefree sf over GF(5^k),
     the constant and the linear modulus included."""
     fld = GF(k)
     rng = random.Random(500 + k)
     top = 3 * k if k < 10 else k
     x = GFPoly.x(fld)
     mods = [GFPoly(fld, [fld.one]), GFPoly(fld, [fld.rand_elem(rng), fld.one])]
-    mods += [_radical(_random_poly(fld, rng, rng.randint(2, 6))) for _ in range(3)]
+    mods += [_random_squarefree(fld, rng, rng.randint(2, 6)) for _ in range(3)]
     for sf in mods:
         table = list(itertools.islice(_fifth_power_table(sf), top + 1))
         assert table == root_kernels.fifth_power_table(sf, top)
@@ -718,15 +742,21 @@ def test_split_orbits_rejects_a_false_orbit():
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_roots_in_extension_matches_oracle(k):
     """Records against the oracle, and SplittingFieldError exactly when the
-    oracle leaves a factor of degree above max_degree."""
+    oracle leaves a factor of degree above max_degree; NotSquarefreeError
+    on the inputs with a repeated factor."""
     fld = GF(k)
     rng = random.Random(900 + k)
-    raised = 0
+    raised = refused = 0
     for trial in range(6):
         u = _random_poly(fld, rng, rng.randint(2, 5))
         if trial % 2:
             u = u * u * GFPoly(fld, [fld.rand_elem(rng), fld.one])
         for max_degree in (1, 2, 5):
+            if not is_squarefree(u):
+                refused += 1
+                with pytest.raises(NotSquarefreeError):
+                    roots_in_extension(u, max_degree, seed=trial)
+                continue
             want, rest = oracle_roots_in_extension(u, max_degree, seed=trial)
             if rest.degree > 0:
                 raised += 1
@@ -734,7 +764,7 @@ def test_roots_in_extension_matches_oracle(k):
                     roots_in_extension(u, max_degree, seed=trial)
             else:
                 assert roots_in_extension(u, max_degree, seed=trial) == want
-    assert raised > 0
+    assert raised > 0 and refused >= 9
 
 
 def _irreducible_quadratic(fld, rng):
@@ -755,10 +785,11 @@ def _power(p, e):
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_roots_in_extension_non_squarefree_matches_oracle(k):
-    """Inputs that are not squarefree take the multiplicity search, not
-    the squarefree shortcut: records, multiplicities included, against the
-    oracle for (x^2 + 1)^5, an irreducible quadratic to the fifth power,
-    roots of multiplicity 2, 6 and 7, and simple and multiple roots mixed."""
+    """`roots_in_extension` refuses every input on which the oracle, over
+    the quadratic extension that holds all the repeated roots, finds a
+    root of multiplicity above 1, whether or not the search reaches them:
+    (x^2 + 1)^5, an irreducible quadratic to the fifth power, roots of
+    multiplicity 2, 6 and 7, and simple and multiple roots mixed."""
     fld = GF(k)
     rng = random.Random(1300 + k)
     shift = fld.rand_elem(rng)
@@ -773,16 +804,15 @@ def test_roots_in_extension_non_squarefree_matches_oracle(k):
         _power(lin[0], 2) * _power(lin[1], 6) * _power(lin[2], 7) * lin[3] * quad,
         _power(_random_poly(fld, rng, 2), 2) * _random_poly(fld, rng, 3),
     ]
+    ext = GF(2 * k)
     seen = set()
     for trial, u in enumerate(cases):
-        assert not is_squarefree(u)
-        want, rest = oracle_roots_in_extension(u, 6, seed=trial)
-        assert rest.degree == 0
-        got = roots_in_extension(u, 6, seed=trial)
-        assert len(got) == len(want)
-        for rec, ref in zip(got, want):
-            assert rec == ref
-        seen |= {rec.multiplicity for rec in got}
+        mults = {m for _, m in root_kernels.roots_in_field(u.map_coeffs(embedding(fld, ext), ext))}
+        assert max(mults) > 1
+        seen |= mults
+        for max_degree in (1, 6):
+            with pytest.raises(NotSquarefreeError):
+                roots_in_extension(u, max_degree, seed=trial)
     assert {1, 2, 5, 6, 7} <= seen
 
 
@@ -806,8 +836,6 @@ def test_taylor_coefficients_match_shifted_polynomial(k):
                 assert list(taylor_coefficients(u, r, count)) == want[:count]
     zero = GFPoly(fld, [])
     assert list(taylor_coefficients(zero, fld.one, 3)) == [fld.zero] * 3
-    with pytest.raises(ValueError):
-        _root_multiplicity(zero, fld.one)
 
 
 def test_embedding_properties():
