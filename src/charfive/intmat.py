@@ -4,10 +4,10 @@ and the signature of a symmetric form.
 All matrices are plain lists of lists of Python ints, and no floating
 point is used anywhere.  The determinant and the adjugate come from
 fraction-free Bareiss elimination on each diagonal block of the matrix
-(the components of its nonzero pattern); ``fractions.Fraction`` is
-imported only inside `signature_symmetric`, which no CLI verb calls.  No
-normal form is needed: the exponent of a discriminant group and the scaled
-inverse Gram matrix come from the adjugate alone (`lattice.dual_data`).
+(the components of its nonzero pattern), the signature from symmetric
+fraction-free elimination.  No normal form is needed: the exponent of a
+discriminant group and the scaled inverse Gram matrix come from the
+adjugate alone (`lattice.dual_data`).
 """
 
 from math import prod
@@ -110,45 +110,39 @@ def adjugate(m):
 # ---------------------------------------------------------------------------
 
 def signature_symmetric(m):
-    """(n_plus, n_minus) of a nondegenerate symmetric matrix, exactly."""
-    from fractions import Fraction     # here, so that no CLI verb imports it
+    """(n_plus, n_minus) of a nondegenerate symmetric integer matrix, exactly.
 
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
+    Symmetric fraction-free elimination: each step pivots on a nonzero
+    diagonal entry p of the remaining block and replaces the block by
+    (p a_ij - a_ik a_kj) / prev, prev the previous pivot (1 at first),
+    which divides exactly (Bareiss).  p / prev is a pivot of an LDL^T of a
+    congruent matrix, so by Sylvester's law of inertia the signs of
+    p * prev count the signature.  When every remaining diagonal entry
+    vanishes, adding e_j to e_i (a congruence) makes a_ii = 2 a_ij nonzero.
+    Raises ValueError when the form is degenerate.
+    """
+    a = [list(row) for row in m]
     pos = neg = 0
-    idx = list(range(n))
-    while idx:
-        k = next((i for i in idx if a[i][i] != 0), None)
+    prev = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
         if k is None:
-            # all remaining diagonal entries vanish: find an off-diagonal
-            pair = None
-            for i in idx:
-                for j in idx:
-                    if i != j and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
+            i, j = next(((i, j) for i, row in enumerate(a) for j in range(i) if row[j]),
+                        (None, None))
+            if i is None:
                 raise ValueError("degenerate symmetric form")
-            i, j = pair
-            # replace e_i by e_i + e_j: diagonal becomes 2*a[i][j] != 0
-            for r in range(n):
-                a[r][i] += a[r][j]
-            for c in range(n):
-                a[i][c] += a[j][c]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             continue
-        d = a[k][k]
-        if d > 0:
+        pivot_row = a.pop(k)
+        p = pivot_row.pop(k)
+        if p * prev > 0:
             pos += 1
         else:
             neg += 1
-        idx.remove(k)
-        for i in idx:
-            f = a[i][k] / d
-            if f:
-                for j in idx:
-                    a[i][j] -= f * a[k][j]
-                a[i][k] = Fraction(0)
-                a[k][i] = Fraction(0)
+        for row in a:
+            f = row.pop(k)
+            row[:] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
     return pos, neg

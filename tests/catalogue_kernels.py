@@ -1,12 +1,15 @@
-"""The root catalogue path: the test oracle for the class shells.
+"""The root catalogue path: the test oracle for the class shells and for
+the E certificate.
 
 This is how `charfive` found the root type of each overlattice S_H before
 `discform.root_type_orthogonal_to_h` read it from the shell table and the
 supports of the classes of H.  `root_catalogue` lists all 6100 norm -2
 vectors of h^perp in S0^vee with their classes, and `of_roots` names the
 root system of the entries whose class lies in H, by union-find on the
-nonzero pairings and the Coxeter number of each component.
-`lattice_kernels.hnf_root_type` is in turn the oracle for `of_roots`.
+nonzero pairings and the Coxeter number of each component; its anchors
+are the ADE systems in their standard coordinates (`test_lattice.py`).
+`e_vectors` reads the degree-1 elliptic set E of S0^vee off the same
+catalogue, the oracle for `discform.e_splittings`.
 """
 
 from functools import lru_cache
@@ -14,9 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from charfive import discform
-from charfive.lattice import RootSystemType, build_S0
+from charfive.lattice import H_INDEX, RANK, RootSystemType, build_S0
 from discform_kernels import POW
-from lattice_kernels import H_PRIMAL
+
+#: primal coordinates of the degree-2 polarization vector h
+H_PRIMAL = tuple(int(i == H_INDEX) for i in range(RANK))
 
 
 def of_roots(roots, gram):
@@ -113,3 +118,17 @@ def catalogue_root_type(subgroup):
     member = np.zeros(5 ** 6, dtype=bool)
     member[list(subgroup._codes)] = True
     return of_roots(vectors[member[classes]], discform._reference_form()[1])
+
+
+def e_vectors():
+    """E = {e in S0^vee : e.h = 1, e^2 = 0}, in dual coordinates, sorted.
+
+    r = h - 2e has r.h = 2 - 2 = 0 and r^2 = 2 - 4 + 0 = -2, so it is a
+    catalogue entry; conversely e = (h - r) / 2 lies in S0^vee and in E
+    for every entry r whose dual coordinates agree with those of h (the
+    row of h in the Gram matrix) mod 2.  Every S_H lies in S0^vee, so E
+    of S0^vee holds E of each S_H.
+    """
+    vectors, _classes = root_catalogue()
+    diff = np.array(build_S0().gram[H_INDEX], dtype=np.int64) - vectors
+    return sorted(map(tuple, (diff[(diff % 2 == 0).all(axis=1)] // 2).tolist()))

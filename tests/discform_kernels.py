@@ -14,11 +14,10 @@ of H_0..H_8 to its label, 2713 keys, as the package did before it tested
 orbit membership on the codes of the images of a basis
 (`discform._orbits`): the oracle for those labels.
 
-`AutElement` and `all_aut` are the symmetry group as the package held it
-before it built the group as arrays; `aut_arrays` are those arrays, and
-`basis_images` and `orbit_images` apply them to every element of the
-group at once: the oracle for the distinct images of
-`discform._image_codes`.
+`aut_arrays` is the symmetry group as the arrays the package built
+before it summed images one coordinate at a time, and `basis_images` and
+`orbit_images` apply it to every element of the group at once: the
+oracle for the distinct images of `discform._image_codes`.
 
 `q_scalar`, `delta` and `span` are the discriminant form, the
 (a, b, y)-type with its starred rule, and the span of a generator set,
@@ -30,6 +29,9 @@ types of `discform._x_parts` and the enumerations below.
 `orbit_images` and `min_row` key a subgroup and its orbit by sorted
 element encodings, as the package did before it keyed subgroups by their
 reduced echelon basis: the oracle for `_echelon_keys`.
+
+`disc_exponent` counts H^perp over all of G, the oracle for the
+discriminant of each overlattice S_H.
 """
 
 import itertools
@@ -75,24 +77,6 @@ def span(gens):
         elems = {tuple((a + c * b) % 5 for a, b in zip(v, g))
                  for v in elems for c in range(5)}
     return tuple(sorted(elems))
-
-
-@dataclass(frozen=True)
-class AutElement:
-    """x'_i = signs[i] * x[perm[i]], y fixed."""
-
-    signs: tuple
-    perm: tuple
-
-
-@lru_cache(maxsize=1)
-def all_aut():
-    """The symmetry group {+-1}^5 x| S5, 3840 elements, in a fixed order."""
-    out = []
-    for signs in itertools.product((1, -1), repeat=5):
-        for perm in itertools.permutations(range(5)):
-            out.append(AutElement(signs=signs, perm=perm))
-    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -247,3 +231,17 @@ def reference_orbits():
     for label, gens in REFERENCE_SUBGROUPS.items():
         orbits.update(dict.fromkeys(_echelon_keys(basis_images(gens)).tolist(), label))
     return orbits
+
+
+def disc_exponent(gens):
+    """The e with |disc S_H| = 5^e for the subgroup H spanned by `gens`:
+    the discriminant group of S_H is H^perp / H (Nikulin 1979,
+    Prop. 1.4.1), and H^perp is counted over all 15625 elements with
+    b([x|y], [x'|y']) = x.x' + 2 y y' mod 5."""
+    weights = np.array(gens, dtype=np.int64).reshape(-1, 6) * (1, 1, 1, 1, 1, 2)
+    perp = int(((tables()["digits"] @ weights.T) % 5 == 0).all(axis=1).sum())
+    order, e = perp // len(span(gens)), 0
+    while order % 5 == 0:
+        order, e = order // 5, e + 1
+    assert order == 1
+    return e

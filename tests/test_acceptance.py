@@ -6,6 +6,7 @@ criterion.
 
 import io
 import json
+import math
 import random
 
 from charfive.cli import run
@@ -20,19 +21,12 @@ from charfive.discform import (
     verify_q_consistency,
 )
 from charfive.ffpoly import GF, parse_poly_literal
-from charfive.lattice import build_S0, dual_data
+from charfive.intmat import signature_symmetric
+from charfive.lattice import dual_data
 
-from fraction_kernels import short_vectors_box
-from lattice_kernels import (
-    H_PRIMAL,
-    e_set,
-    mat_mul,
-    overlattice_from_generators,
-    root_type_orthogonal_to,
-    short_vectors_of_norm,
-)
-from test_intmat import minor_gcd_factors
-from test_lattice import _random_negative_definite, _random_nonsingular
+from catalogue_kernels import catalogue_root_type, e_vectors
+from fraction_kernels import (
+    gauss_jordan, random_nonsingular, random_symmetric, signature_by_descartes)
 
 
 def _report(num, ok, text):
@@ -90,12 +84,12 @@ def test_criterion_3_q_consistency():
 
 
 def test_criterion_4_sigma3_hand_check():
-    rt = str(root_type_orthogonal_to_h(IsotropicSubgroup(gens=())))
+    h0 = IsotropicSubgroup(gens=())
+    rt = str(root_type_orthogonal_to_h(h0))
     ok = rt == "5A4" and e_splittings() == []
-    # the same facts by enumeration in the base lattice itself
-    s0 = overlattice_from_generators(build_S0(), [])
-    ok = ok and str(root_type_orthogonal_to(s0, H_PRIMAL)) == rt
-    ok = ok and e_set(s0, H_PRIMAL) == []
+    # the same facts from the root catalogue of S0^vee
+    ok = ok and str(catalogue_root_type(h0)) == rt
+    ok = ok and e_vectors() == []
     _report(4, ok, "the base lattice itself has root type 5A4 and empty E")
 
 
@@ -146,23 +140,22 @@ def test_criterion_8_oracle_equivalence():
     ok = True
     for _ in range(1000):
         n = rng.randint(1, 5)
-        mat = _random_nonsingular(rng, n, symmetric=True)
+        mat = random_nonsingular(rng, n, symmetric=True)
         m, m_inv = dual_data(tuple(map(tuple, mat)))
-        ok = ok and m == minor_gcd_factors(mat)[-1]
-        ok = ok and mat_mul([list(r) for r in m_inv], mat) == [
-            [m * int(i == j) for j in range(n)] for i in range(n)]
+        inverse = gauss_jordan(mat)[1]
+        ok = ok and m == math.lcm(*(x.denominator for row in inverse for x in row))
+        ok = ok and m_inv == tuple(tuple(m * x for x in row) for row in inverse)
         if not ok:
             break
-    _report("8a", ok, "the exponent from dual_data matches the minor-gcd oracle "
-                      "on 1000 random nonsingular symmetric matrices")
+    _report("8a", ok, "the exponent and m * gram^-1 from dual_data match the "
+                      "Gauss-Jordan inverse on 1000 random nonsingular symmetric matrices")
     rng = random.Random(515151)
-    ok = True
-    for _ in range(1000):
-        n = rng.randint(1, 5)
-        g = _random_negative_definite(rng, n)
-        norm = -2 * rng.randint(1, 3)
-        ok = ok and (short_vectors_of_norm(g, norm) == short_vectors_box(g, norm))
-        if not ok:
-            break
-    _report("8b", ok, "short-vector enumeration matches the box oracle on "
-                      "1000 random instances")
+    ok, checked = True, 0
+    while ok and checked < 1000:
+        m = random_symmetric(rng, rng.randint(1, 6))
+        want = signature_by_descartes(m)
+        if want is not None:
+            ok = signature_symmetric(m) == want
+            checked += 1
+    _report("8b", ok, "the signature matches Descartes' rule on the characteristic "
+                      "polynomial on 1000 random nondegenerate symmetric matrices")

@@ -26,30 +26,12 @@ from charfive.discform import (
     verify_q_consistency,
 )
 from charfive.lattice import L_INDEX, build_S0
-from catalogue_kernels import catalogue_root_type, root_catalogue
+from catalogue_kernels import H_PRIMAL, catalogue_root_type, e_vectors, root_catalogue
 from discform_kernels import (
-    POW, AutElement, _echelon_keys, admissible_subgroups, all_aut, aut_arrays, basis_images,
-    delta, isotropic_planes, line_representatives, min_row, orbit_images, q_scalar,
-    reference_orbits, span, tables)
-from fraction_kernels import fraction_inverse, short_vectors_box
-from lattice_kernels import H_PRIMAL, subgroup_invariants, subgroup_overlattice
-from test_lattice import pairing
-
-
-AUT_IDENTITY = AutElement(signs=(1,) * 5, perm=(0, 1, 2, 3, 4))
-
-
-def aut_apply(g, v):
-    """g(v) for an [x1..x5, y] vector: x'_i = signs[i] * x[perm[i]], y fixed."""
-    xs = tuple((g.signs[i] * v[g.perm[i]]) % 5 for i in range(5))
-    return xs + (v[5] % 5,)
-
-
-def aut_compose(g, h):
-    """Composite applying h first, then g."""
-    signs = tuple(g.signs[i] * h.signs[g.perm[i]] for i in range(5))
-    perm = tuple(h.perm[g.perm[i]] for i in range(5))
-    return AutElement(signs=signs, perm=perm)
+    POW, _echelon_keys, admissible_subgroups, aut_arrays, basis_images,
+    delta, disc_exponent, isotropic_planes, line_representatives, min_row, orbit_images,
+    q_scalar, reference_orbits, span, tables)
+from fraction_kernels import gauss_jordan
 
 
 def all_elements():
@@ -57,6 +39,11 @@ def all_elements():
     for e in range(5 ** 6):
         out.append(discform.decode(e))
     return out
+
+
+def pairing(gram, u, v):
+    """u^T gram v."""
+    return sum(a * x * b for a, row in zip(u, gram) for x, b in zip(row, v))
 
 
 def elements(sub):
@@ -189,36 +176,6 @@ def test_delta_negation_flips_y():
 # the symmetry group
 # ---------------------------------------------------------------------------
 
-def test_aut_apply_examples():
-    v = (1, 2, 0, 0, 0, 3)
-    assert aut_apply(AUT_IDENTITY, v) == v
-    neg = AutElement(signs=(-1,) * 5, perm=(0, 1, 2, 3, 4))
-    assert aut_apply(neg, v) == (4, 3, 0, 0, 0, 3)
-    swap = AutElement(signs=(1,) * 5, perm=(1, 0, 2, 3, 4))
-    assert aut_apply(swap, v) == (2, 1, 0, 0, 0, 3)
-
-
-def test_aut_group_order_and_law():
-    auts = all_aut()
-    assert len(auts) == 3840
-    assert len(set(auts)) == 3840
-    rng = random.Random(2)
-    for _ in range(100):
-        g = auts[rng.randrange(3840)]
-        h = auts[rng.randrange(3840)]
-        v = tuple(rng.randrange(5) for _ in range(6))
-        assert aut_apply(g, aut_apply(h, v)) == aut_apply(aut_compose(g, h), v)
-
-
-def test_aut_arrays_match_the_oracle():
-    """The arrays behind the image oracle hold the oracle group row for
-    row, with the sign -1 stored as 4."""
-    perms, signs = aut_arrays()
-    auts = all_aut()
-    assert perms.tolist() == [list(g.perm) for g in auts]
-    assert signs.tolist() == [[s % 5 for s in g.signs] for g in auts]
-
-
 def code(v):
     return sum(x * 5 ** i for i, x in enumerate(v))
 
@@ -229,26 +186,9 @@ def packed(codes):
     return sum(c * 5 ** (6 * k) for k, c in enumerate(codes))
 
 
-def test_orbit_images_match_the_oracle_group():
-    """Row g of the oracle's `basis_images` holds g applied to each
-    generator, row g of its `orbit_images` the sorted element encodings of
-    g(H), for the g-th element of the oracle group; and `_image_codes`
-    holds each row's generator codes, packed, once."""
-    sub = IsotropicSubgroup(gens=REFERENCE_SUBGROUPS["H_6"])
-    gen_images = basis_images(sub.gens) @ POW
-    images = orbit_images(np.array(elements(sub), dtype=np.int64))
-    assert gen_images.shape == (3840, 2)
-    assert images.dtype == np.int64 and images.shape == (3840, 25)
-    for g, gens, row in zip(all_aut(), gen_images.tolist(), images.tolist()):
-        assert gens == [code(aut_apply(g, v)) for v in sub.gens]
-        assert row == sorted(code(aut_apply(g, v)) for v in elements(sub))
-    found = discform._image_codes(sub.gens)
-    assert sorted(found) == sorted(set(map(packed, gen_images.tolist())))
-
-
 def test_image_codes_are_the_distinct_images_of_the_oracle_group():
     """For all nine references `_image_codes` lists each distinct image of
-    the basis under the brute-force group once: 1, 80, 32, 320, 160, 480,
+    the basis under the group arrays once: 1, 80, 32, 320, 160, 480,
     3840, 1920 and 3840 of them, against 3840 rows of the group each."""
     counts = []
     for label, gens in REFERENCE_SUBGROUPS.items():
@@ -260,12 +200,15 @@ def test_image_codes_are_the_distinct_images_of_the_oracle_group():
 
 
 def test_aut_preserves_q():
+    """q(g(v)) = q(v) for 300 seeded pairs of an element v and a member g
+    of the oracle group, whose 3840 elements are distinct."""
+    perms, signs = aut_arrays()
+    assert len({(tuple(p), tuple(s)) for p, s in zip(perms.tolist(), signs.tolist())}) == 3840
     rng = random.Random(3)
-    auts = all_aut()
     for _ in range(300):
-        g = auts[rng.randrange(3840)]
+        g = rng.randrange(3840)
         v = tuple(rng.randrange(5) for _ in range(6))
-        assert q_value(aut_apply(g, v)) == q_value(v)
+        assert q_value(basis_images([v])[g, 0].tolist()) == q_value(v)
 
 
 def test_orbits_are_delta_classes():
@@ -275,10 +218,9 @@ def test_orbits_are_delta_classes():
     for v in all_elements():
         d = delta(v)
         by_delta.setdefault((d.a, d.b, d.y), set()).add(v)
-    auts = all_aut()
     for key, members in sorted(by_delta.items()):
         rep = min(members)
-        orbit = {aut_apply(g, rep) for g in auts}
+        orbit = set(map(tuple, basis_images([rep])[:, 0].tolist()))
         assert orbit == members, key
 
 
@@ -691,10 +633,11 @@ def test_reference_subgroups_distinct_orbits():
 
 
 def test_overlattice_disc_by_dimension():
+    """|disc S_H| = |H^perp / H| = 5^(6 - 2 dim H) for H_0..H_8, with H^perp
+    counted by the oracle."""
     for label, gens in REFERENCE_SUBGROUPS.items():
         sub = IsotropicSubgroup(gens=gens)
-        ov = subgroup_overlattice(sub)
-        assert ov.disc == -(5 ** (6 - 2 * sub.dim))
+        assert discform._subgroup_invariants(sub)[2] == disc_exponent(gens) == 6 - 2 * sub.dim
 
 
 def plane_scan_dimension():
@@ -733,7 +676,7 @@ def test_dimension_bound(monkeypatch):
 
 
 def test_plane_scan_oracle():
-    assert plane_scan_dimension() == 2
+    assert plane_scan_dimension() == max_isotropic_dimension() == 2
 
 
 def subspace_search_index(diag):
@@ -826,17 +769,20 @@ def _reference_subgroups():
 
 @pytest.fixture(scope="module")
 def enumerated_invariants():
-    """generators -> (root type, E empty, disc exponent) by the retired
-    enumeration path, once per subgroup: the 80 orbit candidates, the 13
-    type representatives, H_0..H_8 and a seeded sample of 60 admissible
+    """generators -> (root type, E empty, disc exponent) by enumeration,
+    once per subgroup: the catalogue entries in the classes of H, E of
+    S0^vee read off the catalogue (it holds E of every S_H), and H^perp
+    counted over G; for the 80 orbit candidates, the 13 type
+    representatives, H_0..H_8 and a seeded sample of 60 admissible
     subgroups of the exhaustive oracle."""
     sample = random.Random(23).sample([gens for gens, _ in admissible_subgroups()], 60)
     subgroups = ([IsotropicSubgroup(gens=gens) for gens in candidate_gens() + sample]
                  + _table_subgroups() + _reference_subgroups())
+    e_empty = not e_vectors()
     out = {}
     for sub in subgroups:
         if sub.gens not in out:
-            out[sub.gens] = subgroup_invariants(sub)
+            out[sub.gens] = (str(catalogue_root_type(sub)), e_empty, disc_exponent(sub.gens))
     return out
 
 
@@ -846,24 +792,22 @@ def test_catalogue_invariants_match_enumeration(enumerated_invariants):
         assert discform._subgroup_invariants(IsotropicSubgroup(gens=gens)) == expected, gens
 
 
-def test_e_certificate_matches_enumerated_e_set(enumerated_invariants):
-    """The certificate says E is empty, and so does the enumeration of E in
-    the overlattices of the table rows and of H_0..H_8."""
-    assert discform.e_splittings() == []
-    for sub in _table_subgroups() + _reference_subgroups():
-        assert enumerated_invariants[sub.gens][1] is True
+def test_e_certificate_matches_enumerated_e_set():
+    """The certificate says E is empty, and so does the catalogue: no norm
+    -2 vector r of h^perp in S0^vee has (h - r) / 2 in S0^vee."""
+    assert discform.e_splittings() == [] == e_vectors()
 
 
 def test_short_summand_vectors():
     """Per chain 1 + 20 vectors of class 0 (norms 0 and -2), 10 of classes
-    +-1 and 20 of classes +-2, as the box oracle finds them in the chain's
-    dual; on l the five multiples j l^vee, |j| <= 2."""
+    +-1 and 20 of classes +-2, all that the chain's dual holds of those
+    norms (the 20 roots of A4 and the 10 + 20 minimal glue vectors of
+    A4^vee, Conway-Sloane, SPLAG ch. 4); on l the five multiples j l^vee,
+    |j| <= 2."""
     tables = discform._short_summand_vectors()
     classes = np.array(discform._dual_classes(), dtype=np.int64)
-    n5 = np.array(discform._reference_form()[1], dtype=np.int64)
     assert len(tables) == 6
     for j, (vecs, norms) in enumerate(tables[:5]):
-        block = n5[4 * j:4 * j + 4, 4 * j:4 * j + 4].tolist()
         # the vectors are given on the chain's own four dual coordinates
         part, norms = np.array(vecs, dtype=np.int64), np.array(norms)
         assert part.shape == (len(norms), 4)
@@ -873,8 +817,6 @@ def test_short_summand_vectors():
             counts[c, n] += 1
         assert counts == {**dict.fromkeys(counts, 0), (0, 0): 1, (0, -10): 20,
                           (1, -4): 10, (2, -6): 20}
-        for n in (-4, -6, -10):
-            assert sorted(map(tuple, part[norms == n].tolist())) == short_vectors_box(block, n)
     vecs, norms = tables[5]
     assert discform._SUMMANDS[5] == [L_INDEX]
     assert [v for (v,) in vecs] == [-2, -1, 0, 1, 2]
@@ -899,14 +841,14 @@ def test_short_summand_vectors_match_the_product_box():
 def test_root_catalogue_structure():
     """6100 distinct vectors in 161 classes, every class isotropic; each
     vector has norm -2 and is orthogonal to h, through 5 gram^{-1} from
-    the Fraction inverse."""
+    the Gauss-Jordan inverse."""
     vectors, classes = root_catalogue()
     assert vectors.shape == (6100, 22)
     assert len({tuple(v) for v in vectors.tolist()}) == 6100
     assert len(set(classes.tolist())) == 161
     assert all(q_value(discform.decode(int(e))) == 0 for e in set(classes.tolist()))
     gram = [list(r) for r in build_S0().gram]
-    ginv5 = [[5 * x for x in row] for row in fraction_inverse(gram)]
+    ginv5 = [[5 * x for x in row] for row in gauss_jordan(gram)[1]]
     assert all(x.denominator == 1 for row in ginv5 for x in row)
     primal5 = vectors @ np.array(ginv5, dtype=np.int64)         # 5 x primal coordinates
     assert (np.einsum("ij,jk,ik->i", primal5, np.array(gram), primal5) == -50).all()

@@ -645,9 +645,9 @@ def _random_squarefree(fld, rng, degree):
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 10))
 def test_fifth_power_table_matches_pow_mod(k):
-    """x^(5^j) mod sf from the semilinear rows against the long-division
-    oracle and square-and-multiply, for seeded squarefree sf over GF(5^k),
-    the constant and the linear modulus included."""
+    """x^(5^j) mod sf from the semilinear rows against square-and-multiply,
+    for seeded squarefree sf over GF(5^k), the constant and the linear
+    modulus included."""
     fld = GF(k)
     rng = random.Random(500 + k)
     top = 3 * k if k < 10 else k
@@ -656,7 +656,6 @@ def test_fifth_power_table_matches_pow_mod(k):
     mods += [_random_squarefree(fld, rng, rng.randint(2, 6)) for _ in range(3)]
     for sf in mods:
         table = list(itertools.islice(_fifth_power_table(sf), top + 1))
-        assert table == root_kernels.fifth_power_table(sf, top)
         assert table == [pow_mod(x, P ** j, sf) for j in range(top + 1)]
 
 
@@ -669,9 +668,9 @@ def _planted_product(fld, roots):
 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_trace_split_matches_cantor_zassenhaus(k):
-    """`_split_orbits` with orbits of length one, the all-branches trace
-    splitting and the Cantor-Zassenhaus oracle find the planted roots of
-    seeded products of distinct linear factors over GF(5^k)."""
+    """`_split_orbits` with orbits of length one, which is trace splitting
+    along one branch, and the Cantor-Zassenhaus oracle find the planted
+    roots of seeded products of distinct linear factors over GF(5^k)."""
     fld = GF(k)
     rng = random.Random(700 + k)
     x = GFPoly.x(fld)
@@ -682,7 +681,6 @@ def test_trace_split_matches_cantor_zassenhaus(k):
         orbits = _split_orbits(lin, powers, k, 1, trial)
         assert all(len(orbit) == 1 for orbit in orbits)
         assert sorted(orbit[0] for orbit in orbits) == planted
-        assert sorted(root_kernels.trace_split(lin, powers, trial)) == planted
         assert sorted(split_linear(lin, trial)) == planted
 
 
@@ -695,10 +693,9 @@ def test_split_orbits_finds_planted_orbits(k, m):
     """Products of irreducible degree-m factors over GF(5^k), embedded in
     GF(5^(km)): each factor is the product over a planted orbit
     r, r^q, ..., r^(q^(m-1)) (q = 5^k) of length m.  `_split_orbits`
-    returns exactly those orbits, each in Frobenius order, and the
-    all-branches oracle finds the same roots.  m = 1 parts carry 1-5 roots,
-    and for m <= 6 a part also holds two factors (for m = 2, two
-    irreducible quadratics)."""
+    returns exactly those orbits, each in Frobenius order.  m = 1 parts
+    carry 1-5 roots, and for m <= 6 a part also holds two factors (for
+    m = 2, two irreducible quadratics)."""
     ext = GF(k * m)
     rng = random.Random(1100 + 13 * k + m)
     counts = (1, 2, 3, 4, 5) if m == 1 else (1, 2) if 2 * m <= 12 else (1,)
@@ -722,8 +719,6 @@ def test_split_orbits_finds_planted_orbits(k, m):
         for orbit in found:
             assert [ext.frobenius(r, k) for r in orbit] == orbit[1:] + orbit[:1]
         assert sorted(map(sorted, found)) == sorted(map(sorted, planted))
-        assert sorted(root_kernels.trace_split(g, powers, trial)) \
-            == sorted(r for orbit in planted for r in orbit)
 
 
 def test_split_orbits_rejects_a_false_orbit():

@@ -137,6 +137,17 @@ def test_cli_loads_no_argparse(tmp_path):
     assert loaded == []
 
 
+def test_signature_loads_no_fractions():
+    """The signature of the rank-22 model, as the sextic demo prints it,
+    comes from integer elimination: computing it loads neither fractions
+    nor the decimal it imports."""
+    signature, loaded = fresh(
+        "import json; from charfive.lattice import build_S0; s = build_S0().signature(); "
+        "print(json.dumps([s, [m for m in ('fractions', 'decimal') if m in sys.modules]]))")
+    assert signature == [1, 21]
+    assert loaded == []
+
+
 def test_curve_verb_builds_no_lattice_table():
     """`import charfive.cli` and a `curve check` leave every cached table of
     `discform` empty: they are built on first use, by the lattice verbs."""
