@@ -6,9 +6,9 @@ Neron-Severi group.
 
 All point computations take place over explicit finite extensions; a
 point whose first coordinate generates a degree-m extension of the base
-field is handled entirely inside that field, so that the curve, the
-polar and the point share one coefficient ring.  The model and the
-reports are named tuples.
+field is handled entirely inside that field, so that the curve and the
+point share one coefficient ring; the polar is decided in the base field.
+The model and the reports are named tuples.
 """
 
 import random
@@ -66,11 +66,10 @@ def is_in_U(f):
 
 class SingularPointReport(namedtuple(
         "SingularPointReport",
-        "alpha beta field subfield_degree is_A4 g_at_alpha orbit_leader local_mult_with_polar",
+        "alpha beta field subfield_degree is_A4 g_at_alpha local_mult_with_polar",
         defaults=(None,))):
-    """The point (alpha, beta) over `field` with its A4 certificate g(alpha),
-    the index of the first point of its orbit, and the local multiplicity
-    with the polar that `analyze` fills in."""
+    """The point (alpha, beta) over `field` with its A4 certificate g(alpha)
+    and the local multiplicity with the polar that `analyze` fills in."""
 
     __slots__ = ()
 
@@ -111,8 +110,8 @@ def singular_points(m, max_ext):
 
     f has coefficients in the base field GF(5^k), so the Frobenius
     x -> x^(5^k) carries the facts at alpha to those at its conjugates:
-    they are computed at the first point of each orbit, its leader, and
-    mapped to the others.
+    they are computed at the first point of each orbit and mapped to the
+    others.
 
     f is in U iff its derivative, of degree 5, is squarefree.
     `roots_in_extension` decides that with the one gcd(f', f'') it takes
@@ -127,8 +126,7 @@ def singular_points(m, max_ext):
     k = m.field.degree
     f_in = {ext: m.f.map_coeffs(embedding(m.field, ext), ext)
             for ext in {rec.field for rec in roots}}
-    # (field, alpha) -> (beta, g(alpha), leader): equal ints in two fields
-    # are different elements
+    # (field, alpha) -> (beta, g(alpha)); equal ints in two fields differ
     points, facts = [], {}
     for rec in roots:
         fld, alpha = rec.field, rec.value
@@ -136,12 +134,12 @@ def singular_points(m, max_ext):
             g_val = verify_A4(f_in[fld], alpha)[1]
             beta = fld.fifth_root(f_in[fld].eval(alpha))
             while (fld, alpha) not in facts:
-                facts[fld, alpha] = beta, g_val, len(points)
+                facts[fld, alpha] = beta, g_val
                 alpha, beta, g_val = (fld.frobenius(c, k) for c in (alpha, beta, g_val))
-        beta, g_val, leader = facts[fld, rec.value]
+        beta, g_val = facts[fld, rec.value]
         points.append(SingularPointReport(
             alpha=rec.value, beta=beta, field=fld, subfield_degree=rec.subfield_degree,
-            is_A4=g_val != 0, g_at_alpha=g_val, orbit_leader=leader))
+            is_A4=g_val != 0, g_at_alpha=g_val))
     return points
 
 
@@ -159,12 +157,10 @@ def _corrections_for(m, points, q):
     vanishes), and on y^5 = f it restricts to h = q2 f + B = (q2 x - q0) f'.
     y^5 - f(alpha) is a fifth power, so the curve has one point above a root
     alpha of f' and the multiplicity there is 5 ord_alpha h (the resultant
-    in y; Fulton, Algebraic Curves, 3.3).  One expansion of h(x + alpha)
-    gives both: its constant term is zero with f'(alpha) (checked), and its
-    x-coefficient q2 f'(alpha) + B'(alpha) = B'(alpha) is zero iff the
-    polar is singular there; otherwise ord_alpha h = 1.  h has
-    base-field coefficients, so a conjugate point takes both from its
-    orbit leader.
+    in y; Fulton, Algebraic Curves, 3.3).  At a root alpha of f':
+      h(alpha) = 0 and h'(alpha) = (q2 alpha - q0) f''(alpha);
+      f''(alpha) != 0, as f' is squarefree; so h'(alpha) = 0 iff alpha = q0/q2:
+      one base-field test, f'(q0/q2) = 0, finds a singular polar; else each is 5.
     """
     fld = m.field
     q0, q1, q2 = q
@@ -176,26 +172,9 @@ def _corrections_for(m, points, q):
         at_q = fld.sub(at_q, fld.mul(a, fld.mul(fld.pow(q0, j), fld.pow(q2, 6 - j))))
     if not at_q:
         return None                         # polar point lies on the curve
-    fp = f.derivative()
-    weighted = GFPoly(fld, [fld.mul(a, fld.elem((6 - j) % 5)) for j, a in enumerate(f.coeffs)])
-    b = -(fp * q0) - weighted * q2
-    h = f * q2 + b
-    if h != GFPoly(fld, [fld.neg(q0), q2]) * fp:
-        raise AssertionError("polar restriction is not (q2 x - q0) f'")
-    h_in = {ext: h.map_coeffs(embedding(fld, ext), ext)
-            for ext in {pt.field for pt in points}}
-    mults = []
-    for pt in points:
-        if pt.orbit_leader < len(mults):
-            mults.append(mults[pt.orbit_leader])
-            continue
-        h0, h1 = taylor_coefficients(h_in[pt.field], pt.alpha, 2)
-        if not h1:
-            return None                     # polar is singular at the point
-        if h0:
-            raise AssertionError("polar restriction does not vanish at a root of f'")
-        mults.append(5)                     # 5 ord_alpha h, and h1 != 0
-    return mults
+    if q2 and not f.derivative().eval(fld.mul(q0, fld.inv(q2))):
+        return None                         # polar is singular at alpha = q0/q2
+    return [5] * len(points)
 
 
 class WallReport(namedtuple(
@@ -241,13 +220,13 @@ def analyze(m, max_ext=8, seed=0):
 
     The points are certified over the algebraic closure (realized as
     explicit finite extensions) and carry their local polar
-    multiplicities.  The polar point is drawn from the base field with an
-    explicit seed and rejected on any detected degeneracy (point on the
-    curve, polar singular at a singular point of the curve, or identically
-    zero polar), and GenericityError is raised after MAX_POLAR_DRAWS
-    rejected draws.  Every draw stays base-rational so that each singular
-    point is handled inside its own extension tower.  A sextic outside U
-    raises OutsideUError.
+    multiplicities, 5 each by the closed form of `_corrections_for`.  The
+    polar point is drawn from the base field with an explicit seed and
+    rejected on any degeneracy (point on the curve, polar singular at a
+    singular point of the curve, or identically zero polar), and
+    GenericityError is raised after MAX_POLAR_DRAWS rejected draws.  Every
+    draw stays base-rational, so that all three tests take place in the
+    base field.  A sextic outside U raises OutsideUError.
     """
     points = singular_points(m, max_ext)
     q, mults, attempts = _polar_corrections(m, points, seed)
